@@ -14,7 +14,7 @@
 //! prefers quality, small `w` prefers dissimilarity (slide 33).
 
 use multiclust_core::measures::quality::{average_link, average_link_cached};
-use multiclust_linalg::kernels::{self, SymmetricMatrix};
+use multiclust_linalg::kernels::{self, KernelMode, SymmetricMatrix};
 use multiclust_core::taxonomy::{
     AlgorithmCard, Flexibility, GivenKnowledge, Processing, SearchSpace, Solutions,
     SubspaceAwareness,
@@ -75,13 +75,13 @@ impl Coala {
         let n = data.len();
         assert!(n >= self.k, "need at least k objects");
         let _span = multiclust_telemetry::span("coala.fit");
-        // The engine computes the pairwise distance matrix once and reuses
+        // The blocked mode computes the pairwise distance matrix once and reuses
         // it across every merge step (the naive path recomputes up to
         // n²/2 distances per step). Capped so the condensed triangle stays
         // within a few hundred MB; `average_link_cached` accumulates in the
         // same order over the same values, so results are bit-identical.
         let dists: Option<SymmetricMatrix> =
-            if kernels::kernel_mode().uses_engine() && n <= 16_384 {
+            if kernels::kernel_mode() != KernelMode::Naive && n <= 16_384 {
                 Some(kernels::dist_matrix(data.dims(), data.as_slice()))
             } else {
                 None

@@ -8,7 +8,7 @@
 
 use multiclust_core::Clustering;
 use multiclust_data::Dataset;
-use multiclust_linalg::kernels;
+use multiclust_linalg::kernels::{self, KernelMode};
 use multiclust_linalg::power::top_eigenpairs;
 use multiclust_linalg::vector::{normalize, sq_dist};
 use multiclust_linalg::{Matrix, SymmetricEigen};
@@ -50,20 +50,19 @@ impl SpectralClustering {
 
     /// The Gaussian affinity matrix `W` with zero diagonal.
     ///
-    /// The engine tiers (`engine`, `blocked`) delegate to the fused
-    /// [`kernels::gaussian_affinity_matrix`] builder: panel-packed dot-form
+    /// The blocked kernel mode delegates to the fused
+    /// [`kernels::gaussian_affinity_matrix`] builder: panel-packed exact
     /// distance rows, an underflow screen that certifies far pairs as exact
     /// `+0.0` without calling `exp`, and a tiled mirror pass — each pair is
     /// evaluated once and the `kernels.estimates` counter ticks per pair.
-    /// The naive reference recomputes each pair per cell. All paths yield
-    /// the same bits: the dot-form estimate never replaces the exact
-    /// subtractive `sq_dist`, and `sq_dist(x, y) == sq_dist(y, x)` exactly
-    /// in IEEE arithmetic, so the mirrored value equals the directly
-    /// computed one.
+    /// The naive reference recomputes each pair per cell. Both paths yield
+    /// the same bits: the panel rows equal the subtractive `sq_dist`, and
+    /// `sq_dist(x, y) == sq_dist(y, x)` exactly in IEEE arithmetic, so the
+    /// mirrored value equals the directly computed one.
     pub fn affinity(&self, data: &Dataset) -> Matrix {
         let n = data.len();
         let denom = 2.0 * self.sigma * self.sigma;
-        if kernels::kernel_mode().uses_engine() {
+        if kernels::kernel_mode() != KernelMode::Naive {
             return kernels::gaussian_affinity_matrix(data.dims(), data.as_slice(), denom);
         }
         if multiclust_parallel::current_threads() == 1 {
@@ -106,13 +105,13 @@ impl SpectralClustering {
                     0.0
                 }
             });
-        // Normalise `W` into `D^{-1/2} W D^{-1/2}`. The engine tiers scale
+        // Normalise `W` into `D^{-1/2} W D^{-1/2}`. The blocked mode scales
         // the affinity matrix in place, saving the second `n×n` allocation
         // (for bench-scale n this is megabytes of traffic); naive keeps the
         // historical out-of-place build as the reference. Both evaluate
         // `dinv[i] * w * dinv[j]` in the same association order, so the
         // scaled entries are bit-identical either way.
-        let norm_w = if kernels::kernel_mode().uses_engine() {
+        let norm_w = if kernels::kernel_mode() != KernelMode::Naive {
             multiclust_parallel::par_chunks_mut(w.as_mut_slice(), n, |start, row| {
                 let di = dinv_sqrt[start / n];
                 for (j, v) in row.iter_mut().enumerate() {

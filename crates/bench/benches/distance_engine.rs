@@ -10,10 +10,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use multiclust_data::seeded_rng;
-use multiclust_linalg::kernels::{
-    reference, set_kernel_mode, set_kernels_f32, sq_dist_matrix, sq_norms, KernelMode,
-    NearestAssign,
-};
+use multiclust_linalg::kernels::{reference, sq_dist_matrix, sq_norms, NearestAssign};
 use rand::Rng;
 
 /// Flat row-major blob-ish data: `k` jittered hypercube-corner centres.
@@ -39,7 +36,7 @@ fn bench_matrix(c: &mut Criterion) {
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     for &n in &[256usize, 768] {
         let (flat, _) = flat_blobs(n, 8, 16, 7001);
-        group.bench_with_input(BenchmarkId::new("engine", n), &flat, |b, flat| {
+        group.bench_with_input(BenchmarkId::new("blocked", n), &flat, |b, flat| {
             b.iter(|| black_box(sq_dist_matrix(8, black_box(flat))))
         });
         group.bench_with_input(BenchmarkId::new("naive", n), &flat, |b, flat| {
@@ -57,7 +54,7 @@ fn bench_assignment(c: &mut Criterion) {
         let norms = sq_norms(8, &flat);
         // Warm rounds: centres drift slightly, the regime Lloyd iterations
         // live in once past the first pass.
-        group.bench_with_input(BenchmarkId::new("engine_pruned", n), &flat, |b, flat| {
+        group.bench_with_input(BenchmarkId::new("blocked_pruned", n), &flat, |b, flat| {
             b.iter(|| {
                 let mut assigner = NearestAssign::new(n);
                 let mut cs = centers.clone();
@@ -90,57 +87,5 @@ fn bench_assignment(c: &mut Criterion) {
     group.finish();
 }
 
-/// Kernel-tier sweep at several dimensionalities: the cache-blocked SIMD
-/// tier against the scalar naive reference, and the f32 screening mode
-/// against default f64 estimates, for both the matrix builder and the
-/// warm assignment loop. `d = 8` is the bench-suite shape, `d = 32`
-/// matches PROCLUS/COALA-scale features, `d = 128` stresses the panel
-/// packing when a single row spans multiple cache lines.
-fn bench_kernel_tiers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel_tiers");
-    group.sample_size(10).measurement_time(Duration::from_secs(3));
-    let n = 2048;
-    let k = 16;
-    for &d in &[8usize, 32, 128] {
-        let (flat, centers) = flat_blobs(n, d, k, 7003 + d as u64);
-        let norms = sq_norms(d, &flat);
-        let modes: [(&str, KernelMode, bool); 3] = [
-            ("blocked", KernelMode::Blocked, false),
-            ("blocked_f32", KernelMode::Blocked, true),
-            ("naive", KernelMode::Naive, false),
-        ];
-        for (label, mode, f32_est) in modes {
-            set_kernel_mode(Some(mode));
-            set_kernels_f32(Some(f32_est));
-            group.bench_with_input(
-                BenchmarkId::new(format!("matrix_{label}"), format!("d{d}")),
-                &flat,
-                |b, flat| b.iter(|| black_box(sq_dist_matrix(d, black_box(flat)))),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("assign_{label}"), format!("d{d}")),
-                &flat,
-                |b, flat| {
-                    b.iter(|| {
-                        let mut assigner = NearestAssign::new(n);
-                        let mut cs = centers.clone();
-                        for round in 0..4 {
-                            black_box(assigner.assign(d, flat, &norms, &cs));
-                            for c in cs.iter_mut() {
-                                for x in c.iter_mut() {
-                                    *x += 1e-3 * (round as f64 + 1.0);
-                                }
-                            }
-                        }
-                    })
-                },
-            );
-        }
-        set_kernel_mode(None);
-        set_kernels_f32(None);
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_matrix, bench_assignment, bench_kernel_tiers);
+criterion_group!(benches, bench_matrix, bench_assignment);
 criterion_main!(benches);

@@ -19,11 +19,6 @@
 //! * an AVX2 path (`core::arch`, runtime `is_x86_feature_detected!`) using
 //!   only `sub`/`mul`/`add` — **never FMA**, which single-rounds the
 //!   multiply-add and would change bits relative to the scalar kernel.
-//!
-//! There is also an `f32` twin ([`PackedPanelsF32`]) used exclusively for
-//! pruning *estimates* (see `kernels::slack32` for the certified error
-//! budget); exact values are always recomputed in `f64`.
-
 
 /// Columns per SIMD stripe: 4 AVX2 `f64` vectors, held in registers across
 /// the whole depth loop.
@@ -63,9 +58,8 @@ pub fn tile_cols(d: usize) -> usize {
 #[allow(unsafe_code)]
 mod x86 {
     use core::arch::x86_64::{
-        __m256, _mm256_add_pd, _mm256_add_ps, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_mul_pd,
-        _mm256_mul_ps, _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps,
-        _mm256_storeu_pd, _mm256_storeu_ps, _mm256_sub_pd,
+        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd, _mm256_sub_pd,
     };
 
     use super::STRIPE;
@@ -108,23 +102,6 @@ mod x86 {
         }
         // SAFETY: as above.
         unsafe { dot_range_avx2(row, panel, width, lo, out) };
-        true
-    }
-
-    /// AVX2 `f32` dot panel kernel; `false` when AVX2 is unavailable.
-    #[inline]
-    pub fn dot_range_f32(
-        row: &[f32],
-        panel: &[f32],
-        width: usize,
-        lo: usize,
-        out: &mut [f32],
-    ) -> bool {
-        if !avx2() {
-            return false;
-        }
-        // SAFETY: as above.
-        unsafe { dot_range_f32_avx2(row, panel, width, lo, out) };
         true
     }
 
@@ -222,45 +199,6 @@ mod x86 {
             out[jj] = a;
         }
     }
-
-    /// `f32` dot panel kernel (8 lanes per vector, 2 vectors per stripe).
-    /// Estimates only — exactness is not required here, but the lane order
-    /// is kept anyway so results are reproducible on a given machine.
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_range_f32_avx2(
-        row: &[f32],
-        panel: &[f32],
-        width: usize,
-        lo: usize,
-        out: &mut [f32],
-    ) {
-        let len = out.len();
-        debug_assert!(lo + len <= width);
-        debug_assert!(panel.len() >= row.len() * width);
-        let mut j = 0;
-        while j + STRIPE <= len {
-            let mut a0: __m256 = _mm256_setzero_ps();
-            let mut a1: __m256 = _mm256_setzero_ps();
-            for (t, &x) in row.iter().enumerate() {
-                let xv = _mm256_set1_ps(x);
-                let base = panel.as_ptr().add(t * width + lo + j);
-                a0 = _mm256_add_ps(a0, _mm256_mul_ps(xv, _mm256_loadu_ps(base)));
-                a1 = _mm256_add_ps(a1, _mm256_mul_ps(xv, _mm256_loadu_ps(base.add(8))));
-            }
-            let o = out.as_mut_ptr().add(j);
-            _mm256_storeu_ps(o, a0);
-            _mm256_storeu_ps(o.add(8), a1);
-            j += STRIPE;
-        }
-        for jj in j..len {
-            let col = lo + jj;
-            let mut a = 0.0f32;
-            for (t, &x) in row.iter().enumerate() {
-                a += x * *panel.get_unchecked(t * width + col);
-            }
-            out[jj] = a;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -324,33 +262,6 @@ fn dot_range_portable(row: &[f64], panel: &[f64], width: usize, lo: usize, out: 
     }
 }
 
-/// Portable `f32` dot panel kernel.
-fn dot_range_f32_portable(row: &[f32], panel: &[f32], width: usize, lo: usize, out: &mut [f32]) {
-    let len = out.len();
-    debug_assert!(lo + len <= width);
-    debug_assert!(panel.len() >= row.len() * width);
-    let mut j = 0;
-    while j + STRIPE <= len {
-        let mut acc = [0.0f32; STRIPE];
-        for (t, &x) in row.iter().enumerate() {
-            let p = &panel[t * width + lo + j..t * width + lo + j + STRIPE];
-            for (a, &pv) in acc.iter_mut().zip(p) {
-                *a += x * pv;
-            }
-        }
-        out[j..j + STRIPE].copy_from_slice(&acc);
-        j += STRIPE;
-    }
-    for jj in j..len {
-        let col = lo + jj;
-        let mut a = 0.0f32;
-        for (t, &x) in row.iter().enumerate() {
-            a += x * panel[t * width + col];
-        }
-        out[jj] = a;
-    }
-}
-
 #[inline]
 fn sq_dist_range(row: &[f64], panel: &[f64], width: usize, lo: usize, out: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
@@ -367,15 +278,6 @@ fn dot_range(row: &[f64], panel: &[f64], width: usize, lo: usize, out: &mut [f64
         return;
     }
     dot_range_portable(row, panel, width, lo, out);
-}
-
-#[inline]
-fn dot_range_f32(row: &[f32], panel: &[f32], width: usize, lo: usize, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if x86::dot_range_f32(row, panel, width, lo, out) {
-        return;
-    }
-    dot_range_f32_portable(row, panel, width, lo, out);
 }
 
 // ---------------------------------------------------------------------
@@ -476,69 +378,6 @@ impl PackedPanels {
             j = hi;
         }
     }
-}
-
-/// The `f32` twin of [`PackedPanels`], used only for pruning estimates.
-pub struct PackedPanelsF32 {
-    d: usize,
-    n: usize,
-    b: usize,
-    data: Vec<f32>,
-}
-
-impl PackedPanelsF32 {
-    /// Packs a flat row-major `n × d` `f64` buffer, rounding each value to
-    /// `f32` once at pack time.
-    pub fn pack(d: usize, flat: &[f64]) -> Self {
-        assert!(d > 0, "dimensionality must be positive");
-        debug_assert_eq!(flat.len() % d, 0);
-        let n = flat.len() / d;
-        let b = tile_cols(d);
-        let mut data = vec![0.0f32; n * d];
-        let mut lo = 0;
-        while lo < n {
-            let bw = b.min(n - lo);
-            let dst = &mut data[lo * d..(lo + bw) * d];
-            for (j, src_row) in flat[lo * d..(lo + bw) * d].chunks_exact(d).enumerate() {
-                for (t, &v) in src_row.iter().enumerate() {
-                    dst[t * bw + j] = v as f32;
-                }
-            }
-            lo += bw;
-        }
-        Self { d, n, b, data }
-    }
-
-    /// Packs a set of equal-length `f64` rows, rounded to `f32`.
-    pub fn pack_rows(d: usize, rows: &[Vec<f64>]) -> Self {
-        let mut flat = Vec::with_capacity(rows.len() * d);
-        for r in rows {
-            debug_assert_eq!(r.len(), d);
-            flat.extend_from_slice(r);
-        }
-        Self::pack(d, &flat)
-    }
-
-    /// Fills `out[c] = dot_f32(row, source_row(lo + c))` for `out.len()`
-    /// consecutive columns starting at `lo`.
-    pub fn dot_row(&self, row: &[f32], lo: usize, out: &mut [f32]) {
-        let hi_total = lo + out.len();
-        debug_assert!(hi_total <= self.n);
-        let mut j = lo;
-        while j < hi_total {
-            let pstart = j / self.b * self.b;
-            let bw = self.b.min(self.n - pstart);
-            let hi = (pstart + bw).min(hi_total);
-            let panel = &self.data[pstart * self.d..(pstart + bw) * self.d];
-            dot_range_f32(row, panel, bw, j - pstart, &mut out[j - lo..hi - lo]);
-            j = hi;
-        }
-    }
-}
-
-/// Rounds a flat `f64` buffer to `f32` (for the estimate-only `f32` mode).
-pub fn to_f32(flat: &[f64]) -> Vec<f32> {
-    flat.iter().map(|&v| v as f32).collect()
 }
 
 #[cfg(test)]
@@ -642,27 +481,6 @@ mod tests {
         packed.sq_dist_row(&row, 0, &mut out);
         for (j, r) in rows.iter().enumerate() {
             assert_eq!(out[j], sq_dist(&row, r));
-        }
-    }
-
-    #[test]
-    fn f32_dot_close_to_f64() {
-        let n = 70;
-        let d = 20;
-        let flat = random_flat(n, d, 10);
-        let packed = PackedPanelsF32::pack(d, &flat);
-        let row64 = random_flat(1, d, 11);
-        let row32 = to_f32(&row64);
-        let mut out = vec![0.0f32; n];
-        packed.dot_row(&row32, 0, &mut out);
-        for j in 0..n {
-            let want = dot(&row64, &flat[j * d..(j + 1) * d]);
-            let got = f64::from(out[j]);
-            // Moderate data: well within the certified slack32 budget.
-            assert!(
-                (got - want).abs() <= 1e-4 * (1.0 + want.abs()),
-                "j={j} got={got} want={want}"
-            );
         }
     }
 }

@@ -5,8 +5,8 @@
 
 use multiclust_linalg::block;
 use multiclust_linalg::kernels::{
-    assign_by_dist, gaussian_affinity_matrix, reference, set_kernel_mode, set_kernels_f32,
-    sq_dist_matrix, sq_norms, KernelMode, NearestAssign,
+    assign_by_dist, gaussian_affinity_matrix, reference, set_kernel_mode, sq_dist_matrix,
+    sq_norms, KernelMode, NearestAssign,
 };
 use multiclust_linalg::vector::dot;
 use proptest::prelude::*;
@@ -18,18 +18,16 @@ use std::sync::Mutex;
 /// the ambient default on exit (even on assertion failure).
 static MODE_LOCK: Mutex<()> = Mutex::new(());
 
-fn with_modes<T>(mode: KernelMode, f32_est: bool, f: impl FnOnce() -> T) -> T {
+fn with_mode<T>(mode: KernelMode, f: impl FnOnce() -> T) -> T {
     let _guard = MODE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     struct Restore;
     impl Drop for Restore {
         fn drop(&mut self) {
             set_kernel_mode(None);
-            set_kernels_f32(None);
         }
     }
     let _restore = Restore;
     set_kernel_mode(Some(mode));
-    set_kernels_f32(Some(f32_est));
     f()
 }
 
@@ -128,12 +126,13 @@ proptest! {
         }
     }
 
-    /// Every kernel tier — naive scalar, estimate-pruned engine, and the
-    /// cache-blocked SIMD tier (with and without f32 screening) — produces
-    /// bit-identical distance matrices, Gaussian affinities, and nearest
-    /// assignments. Centre counts deliberately straddle `block::STRIPE`
-    /// so both the across-points exact sweep (small k) and the per-centre
-    /// panel-dot path (k ≥ stripe) are exercised.
+    /// The blocked kernels and the naive reference produce bit-identical
+    /// distance matrices, Gaussian affinities, and nearest assignments.
+    /// Centre counts deliberately straddle `block::STRIPE`, and the
+    /// centres drift over several rounds by a small fraction of the data
+    /// spread, so the cold across-points exact sweep, the warm Hamerly
+    /// skips and — for k ≥ stripe — the warm per-centre panel-dot scan
+    /// are all exercised; labels are checked after every round.
     #[test]
     fn kernel_tiers_bit_identical(seed in 0u64..1_000_000) {
         let (n, d, flat) = flat_data(seed, 40, 8);
@@ -148,75 +147,41 @@ proptest! {
                 *x += rng.gen_range(-1.0..1.0);
             }
         }
+        let spread = flat.iter().fold(0.0f64, |m, x| m.max(x.abs()));
         let denom = 2.0 * rng.gen_range(0.5..3.0f64).powi(2);
 
-        let want_sq = with_modes(KernelMode::Naive, false, || sq_dist_matrix(d, &flat));
+        let want_sq = with_mode(KernelMode::Naive, || sq_dist_matrix(d, &flat));
         let want_aff =
-            with_modes(KernelMode::Naive, false, || gaussian_affinity_matrix(d, &flat, denom));
-        let want_labels: Vec<usize> = (0..n)
-            .map(|i| reference::nearest(&flat[i * d..(i + 1) * d], &centers).0)
-            .collect();
+            with_mode(KernelMode::Naive, || gaussian_affinity_matrix(d, &flat, denom));
 
-        for (mode, f32_est) in [
-            (KernelMode::Engine, false),
-            (KernelMode::Blocked, false),
-            (KernelMode::Blocked, true),
-        ] {
-            with_modes(mode, f32_est, || {
-                let sq = sq_dist_matrix(d, &flat);
-                prop_assert_eq!(sq.values(), want_sq.values());
-                let aff = gaussian_affinity_matrix(d, &flat, denom);
-                for (idx, (got, want)) in
-                    aff.as_slice().iter().zip(want_aff.as_slice()).enumerate()
-                {
-                    prop_assert!(
-                        got.to_bits() == want.to_bits(),
-                        "affinity entry {} diverged under {:?}/f32={}",
-                        idx, mode, f32_est
-                    );
-                }
-                let mut assigner = NearestAssign::new(n);
+        with_mode(KernelMode::Blocked, || {
+            let sq = sq_dist_matrix(d, &flat);
+            prop_assert_eq!(sq.values(), want_sq.values());
+            let aff = gaussian_affinity_matrix(d, &flat, denom);
+            for (idx, (got, want)) in
+                aff.as_slice().iter().zip(want_aff.as_slice()).enumerate()
+            {
+                prop_assert!(got.to_bits() == want.to_bits(), "affinity entry {} diverged", idx);
+            }
+            let mut assigner = NearestAssign::new(n);
+            for round in 0..4 {
                 assigner.assign(d, &flat, &norms, &centers);
                 for i in 0..n {
+                    let want = reference::nearest(&flat[i * d..(i + 1) * d], &centers).0;
                     prop_assert!(
-                        assigner.labels()[i] == want_labels[i],
-                        "label {} diverged under {:?}/f32={}",
-                        i, mode, f32_est
+                        assigner.labels()[i] == want,
+                        "k {} round {} label {} diverged",
+                        k, round, i
                     );
                 }
-                Ok(())
-            })?;
-        }
-    }
-
-    /// The f32 screening estimate stays within a tight empirical error
-    /// budget of the exact f64 dot product: |est32 − dot64| ≤ 1e-6 · (1 +
-    /// Σ|xₜ·yₜ|). The engine never acts on the estimate alone (survivors
-    /// are re-verified in f64), but the pruning margin arithmetic assumes
-    /// roughly this accuracy — a looser estimate would silently erode the
-    /// speedup, so the bound is pinned here.
-    #[test]
-    fn f32_estimate_error_bounded(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = rng.gen_range(2..=48usize);
-        let d = rng.gen_range(1..=6usize);
-        let flat: Vec<f64> = (0..n * d).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let packed = block::PackedPanelsF32::pack(d, &flat);
-        let row64: Vec<f64> = (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let row32 = block::to_f32(&row64);
-        let mut est = vec![0.0f32; n];
-        packed.dot_row(&row32, 0, &mut est);
-        for j in 0..n {
-            let other = &flat[j * d..(j + 1) * d];
-            let exact = dot(&row64, other);
-            let mass: f64 = row64.iter().zip(other).map(|(a, b)| (a * b).abs()).sum();
-            let err = (f64::from(est[j]) - exact).abs();
-            prop_assert!(
-                err <= 1e-6 * (1.0 + mass),
-                "j={} err={:e} exceeds 1e-6·(1+{:e})",
-                j, err, mass
-            );
-        }
+                for c in centers.iter_mut() {
+                    for x in c.iter_mut() {
+                        *x += 0.05 * spread * rng.gen_range(-1.0..1.0);
+                    }
+                }
+            }
+            Ok(())
+        })?;
     }
 
     /// Duplicated rows: distances collapse to exactly zero on the diagonal

@@ -33,22 +33,24 @@ cmp "$tmp/verify1.txt" "$tmp/verify4.txt"
 grep -q 'all .* checks passed' "$tmp/verify1.txt"
 
 # Distance-kernel engine: flipping the runtime kernel switch must not
-# change a command's stdout by a single byte — across the estimate-pruned
-# engine, the cache-blocked SIMD tier, and blocked with f32 screening —
-# and the bench smoke run must exit 0 with a parseable report naming
-# every family.
+# change a command's stdout by a single byte, and the bench smoke run
+# must exit 0 with a parseable report naming every family. k = 3 only
+# runs the exhaustive sweep; k = 16 on 400 rows also reaches the warm
+# Hamerly and panel-dot passes (k ≥ PRUNE_MIN_K and ≥ one SIMD stripe).
 MULTICLUST_KERNELS=naive ./target/release/multiclust kmeans \
     --input "$tmp/data.csv" --k 3 --seed 1 > "$tmp/naive.csv"
-MULTICLUST_KERNELS=engine ./target/release/multiclust kmeans \
-    --input "$tmp/data.csv" --k 3 --seed 1 > "$tmp/engine.csv"
-cmp "$tmp/engine.csv" "$tmp/naive.csv"
 MULTICLUST_KERNELS=blocked ./target/release/multiclust kmeans \
     --input "$tmp/data.csv" --k 3 --seed 1 > "$tmp/blocked.csv"
 cmp "$tmp/blocked.csv" "$tmp/naive.csv"
-MULTICLUST_KERNELS=blocked MULTICLUST_KERNELS_F32=1 \
-    ./target/release/multiclust kmeans \
-    --input "$tmp/data.csv" --k 3 --seed 1 > "$tmp/blocked32.csv"
-cmp "$tmp/blocked32.csv" "$tmp/naive.csv"
+awk 'BEGIN { srand(11); for (i = 0; i < 400; i++) { c = i % 16;
+    printf "%.4f,%.4f,%.4f\n",
+        (c % 4) * 10 + rand() * 4, int(c / 4) * 10 + rand() * 4, rand() * 4 } }' \
+    > "$tmp/grid.csv"
+MULTICLUST_KERNELS=naive ./target/release/multiclust kmeans \
+    --input "$tmp/grid.csv" --k 16 --seed 1 > "$tmp/naive16.csv"
+MULTICLUST_KERNELS=blocked ./target/release/multiclust kmeans \
+    --input "$tmp/grid.csv" --k 16 --seed 1 > "$tmp/blocked16.csv"
+cmp "$tmp/blocked16.csv" "$tmp/naive16.csv"
 ./target/release/multiclust bench --smoke > "$tmp/bench.json" 2> "$tmp/bench.err"
 grep -q '"schema": "multiclust-bench/v2"' "$tmp/bench.json"
 grep -q '"kernels.flops"' "$tmp/bench.json"

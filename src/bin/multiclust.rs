@@ -342,7 +342,6 @@ fn setup_trace(path: &str, command: &str, flags: &Flags) -> Result<(), String> {
         .map_err(|e| format!("flag --trace: cannot open {path}: {e}"))?;
     multiclust::telemetry::set_enabled(true);
     let kernel_mode = match multiclust::linalg::kernels::kernel_mode() {
-        multiclust::linalg::kernels::KernelMode::Engine => "engine",
         multiclust::linalg::kernels::KernelMode::Blocked => "blocked",
         multiclust::linalg::kernels::KernelMode::Naive => "naive",
     };

@@ -11,7 +11,9 @@
 //! 6. the counting allocator attributes heap traffic to spans without
 //!    moving a single label;
 //! 7. the `--metrics` sampler streams parseable `multiclust-metrics/v1`
-//!    snapshots with at least two data points per run.
+//!    snapshots with at least two data points per run;
+//! 8. the Gaussian affinity build's work counters follow the roofline
+//!    model exactly.
 
 use std::sync::Mutex;
 
@@ -293,4 +295,32 @@ fn metrics_stream_emits_parseable_snapshots() {
     );
     assert!(snapshots >= 2, "expected at least 2 snapshots, got {snapshots}:\n{raw}");
     assert_eq!(declared, Some(snapshots), "end line snapshot count");
+}
+
+/// The Gaussian affinity build charges its work by the roofline model:
+/// one exact `d`-coordinate distance per pair (3d flops over two `f64`
+/// rows) plus one `exp` for every pair the underflow screen kept, and the
+/// one panel pack of the input (16 bytes per value).
+#[test]
+fn affinity_work_counters_follow_the_roofline_model() {
+    use multiclust::linalg::kernels::gaussian_affinity_matrix;
+
+    // Two blobs 1000 apart on every axis: the 20 × 20 cross pairs are far
+    // past the underflow screen, the within-blob pairs are not.
+    let (n, d) = (40usize, 3usize);
+    let flat: Vec<f64> = (0..n * d)
+        .map(|v| if v / d < 20 { 0.0 } else { 1000.0 } + (v % 7) as f64 * 0.1)
+        .collect();
+    let snap = serialized(|| {
+        std::hint::black_box(gaussian_affinity_matrix(d, &flat, 2.0));
+        telemetry::snapshot()
+    });
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    let (n, d) = (n as u64, d as u64);
+    let pairs = n * (n - 1) / 2;
+    let screened = counter("kernels.screen.pruned");
+    assert_eq!(screened, 20 * 20, "cross-blob pairs screened");
+    assert_eq!(counter("kernels.estimates"), pairs);
+    assert_eq!(counter("kernels.flops"), 3 * d * pairs + (pairs - screened));
+    assert_eq!(counter("kernels.bytes_touched"), 16 * d * pairs + 16 * n * d);
 }
