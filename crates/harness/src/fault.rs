@@ -6,6 +6,8 @@
 //! targeted invariant named. A fault that goes undetected means the
 //! checker, not the algorithms, is broken.
 
+use crate::invariants::Knob;
+
 /// A deliberate corruption, each paired with the invariant that catches it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
@@ -21,17 +23,11 @@ pub enum Fault {
     /// Reports a fabricated index value of 1.5 alongside the real ones —
     /// caught by `diss-bounds`.
     OutOfBoundsMeasure,
-    /// Flips one label in the naive-kernel refit, desynchronising it from
-    /// the optimized-engine baseline — caught by `kernel-equivalence`.
-    DesyncKernels,
-    /// Perturbs the RNG seed of the run made under an active trace sink,
-    /// simulating instrumentation that consumes randomness — caught by
-    /// `trace-invariance`.
-    TracePerturbsRng,
-    /// Perturbs the RNG seed of the run made with allocation accounting
-    /// switched on, simulating an allocator hook that changes behaviour —
-    /// caught by `alloc-invariance`.
-    AllocPerturbsRng,
+    /// Perturbs the RNG seed of a knob row's knob-on refit, simulating a
+    /// runtime switch that consumes randomness — caught by that row's
+    /// invariant. Its CLI name follows the knob, e.g.
+    /// `trace-perturbs-rng` or `desync-kernels`.
+    KnobPerturbsRng(Knob),
     /// Perturbs the RNG seed of the `fit` sent through the protocol
     /// server, simulating a serving layer that re-seeds (or otherwise
     /// desynchronises) the deterministic pipeline — caught by
@@ -39,19 +35,24 @@ pub enum Fault {
     ServePerturbsRng,
 }
 
+/// Every fault, in registry order of the invariant it targets.
+static ALL: [Fault; 10] = [
+    Fault::TruncateOutput,
+    Fault::RelabelSecondRun,
+    Fault::KnobPerturbsRng(Knob::Threads),
+    Fault::KnobPerturbsRng(Knob::Telemetry),
+    Fault::AsymmetricDiss,
+    Fault::OutOfBoundsMeasure,
+    Fault::KnobPerturbsRng(Knob::Kernels),
+    Fault::KnobPerturbsRng(Knob::Trace),
+    Fault::KnobPerturbsRng(Knob::Alloc),
+    Fault::ServePerturbsRng,
+];
+
 impl Fault {
-    /// All faults, in documentation order.
+    /// All faults, in registry order of the invariant each targets.
     pub fn all() -> &'static [Fault] {
-        &[
-            Fault::TruncateOutput,
-            Fault::RelabelSecondRun,
-            Fault::AsymmetricDiss,
-            Fault::OutOfBoundsMeasure,
-            Fault::DesyncKernels,
-            Fault::TracePerturbsRng,
-            Fault::AllocPerturbsRng,
-            Fault::ServePerturbsRng,
-        ]
+        &ALL
     }
 
     /// The CLI name of this fault.
@@ -61,9 +62,7 @@ impl Fault {
             Fault::RelabelSecondRun => "relabel-second-run",
             Fault::AsymmetricDiss => "asymmetric-diss",
             Fault::OutOfBoundsMeasure => "out-of-bounds-measure",
-            Fault::DesyncKernels => "desync-kernels",
-            Fault::TracePerturbsRng => "trace-perturbs-rng",
-            Fault::AllocPerturbsRng => "alloc-perturbs-rng",
+            Fault::KnobPerturbsRng(knob) => knob.fault(),
             Fault::ServePerturbsRng => "serve-perturbs-rng",
         }
     }
@@ -75,9 +74,7 @@ impl Fault {
             Fault::RelabelSecondRun => "determinism",
             Fault::AsymmetricDiss => "diss-symmetry",
             Fault::OutOfBoundsMeasure => "diss-bounds",
-            Fault::DesyncKernels => "kernel-equivalence",
-            Fault::TracePerturbsRng => "trace-invariance",
-            Fault::AllocPerturbsRng => "alloc-invariance",
+            Fault::KnobPerturbsRng(knob) => knob.invariant(),
             Fault::ServePerturbsRng => "serve-equivalence",
         }
     }

@@ -7,6 +7,13 @@
 //! of the `Q`/`Diss` measures — and checks it against a family's actual
 //! output on a scenario. Checks are pure functions of `(family, scenario,
 //! seed)`, so a red result is replayable bit-for-bit.
+//!
+//! The five runtime-switch contracts (threads, telemetry, kernels, trace,
+//! alloc) are one table-driven check: [`KnobInvariance`] over a [`Knob`]
+//! row fits with the switch off, refits with it on and compares.
+
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use multiclust_core::measures::diss::{
     adjusted_rand_index, jaccard_index, normalized_mutual_information, rand_index,
@@ -15,6 +22,7 @@ use multiclust_core::measures::diss::{
 use multiclust_core::Clustering;
 use multiclust_data::{seeded_rng, Dataset};
 use multiclust_linalg::kernels;
+use multiclust_telemetry::{alloc, trace};
 use rand::Rng;
 use serde::Value;
 
@@ -39,8 +47,6 @@ pub struct CheckContext<'a> {
 pub trait Invariant {
     /// Stable identifier (report key; faults target these names).
     fn name(&self) -> &'static str;
-    /// One-line statement of the contract.
-    fn description(&self) -> &'static str;
     /// Whether the contract is claimed for this family on this scenario.
     fn applies(&self, family: &dyn AlgorithmFamily, scenario: &Scenario) -> bool;
     /// Runs the check; `Err` carries the violation detail.
@@ -52,8 +58,8 @@ pub fn registry() -> Vec<Box<dyn Invariant>> {
     vec![
         Box::new(PartitionValidity),
         Box::new(Determinism),
-        Box::new(ThreadInvariance),
-        Box::new(TelemetryInvariance),
+        Box::new(KnobInvariance(Knob::Threads)),
+        Box::new(KnobInvariance(Knob::Telemetry)),
         Box::new(PointPermutation),
         Box::new(TranslationInvariance),
         Box::new(ScaleInvariance),
@@ -62,9 +68,9 @@ pub fn registry() -> Vec<Box<dyn Invariant>> {
         Box::new(MeasureSelfIdentity),
         Box::new(DissSymmetry),
         Box::new(DissBounds),
-        Box::new(KernelEquivalence),
-        Box::new(TraceInvariance),
-        Box::new(AllocInvariance),
+        Box::new(KnobInvariance(Knob::Kernels)),
+        Box::new(KnobInvariance(Knob::Trace)),
+        Box::new(KnobInvariance(Knob::Alloc)),
         Box::new(ServeEquivalence),
     ]
 }
@@ -171,9 +177,6 @@ impl Invariant for PartitionValidity {
     fn name(&self) -> &'static str {
         "partition-validity"
     }
-    fn description(&self) -> &'static str {
-        "every solution assigns all n objects to labels < k; canonicalisation is idempotent"
-    }
     fn applies(&self, _: &dyn AlgorithmFamily, _: &Scenario) -> bool {
         true
     }
@@ -228,9 +231,6 @@ impl Invariant for Determinism {
     fn name(&self) -> &'static str {
         "determinism"
     }
-    fn description(&self) -> &'static str {
-        "same seed ⇒ bit-identical solutions"
-    }
     fn applies(&self, _: &dyn AlgorithmFamily, _: &Scenario) -> bool {
         true
     }
@@ -252,83 +252,6 @@ impl Invariant for Determinism {
 }
 
 // ---------------------------------------------------------------------
-// 3. thread-invariance
-// ---------------------------------------------------------------------
-
-/// Serialises thread-count pinning: the override is process-global.
-fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            multiclust_parallel::set_threads(0);
-        }
-    }
-    let _restore = Restore;
-    multiclust_parallel::set_threads(threads);
-    f()
-}
-
-/// One worker or four: the deterministic-parallelism contract of
-/// `multiclust-parallel`, extended end-to-end over every family.
-pub struct ThreadInvariance;
-
-impl Invariant for ThreadInvariance {
-    fn name(&self) -> &'static str {
-        "thread-invariance"
-    }
-    fn description(&self) -> &'static str {
-        "solutions are bit-identical under MULTICLUST_THREADS=1 and =4"
-    }
-    fn applies(&self, _: &dyn AlgorithmFamily, _: &Scenario) -> bool {
-        true
-    }
-    fn check(&self, family: &dyn AlgorithmFamily, ctx: &CheckContext) -> Result<(), String> {
-        let s = ctx.scenario;
-        let serial = with_threads(1, || fit_with(family, s, &s.dataset, &s.given, ctx.seed));
-        let parallel = with_threads(4, || fit_with(family, s, &s.dataset, &s.given, ctx.seed));
-        identical_solutions(&serial, &parallel)
-    }
-}
-
-// ---------------------------------------------------------------------
-// 4. telemetry-invariance
-// ---------------------------------------------------------------------
-
-/// Instrumentation observes, never participates: enabling telemetry must
-/// not move a single label.
-pub struct TelemetryInvariance;
-
-impl Invariant for TelemetryInvariance {
-    fn name(&self) -> &'static str {
-        "telemetry-invariance"
-    }
-    fn description(&self) -> &'static str {
-        "solutions are bit-identical with telemetry on and off"
-    }
-    fn applies(&self, _: &dyn AlgorithmFamily, _: &Scenario) -> bool {
-        true
-    }
-    fn check(&self, family: &dyn AlgorithmFamily, ctx: &CheckContext) -> Result<(), String> {
-        let s = ctx.scenario;
-        let was_on = multiclust_telemetry::enabled();
-        struct Restore(bool);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                multiclust_telemetry::set_enabled(self.0);
-            }
-        }
-        let _restore = Restore(was_on);
-        multiclust_telemetry::set_enabled(false);
-        let off = fit_with(family, s, &s.dataset, &s.given, ctx.seed);
-        multiclust_telemetry::set_enabled(true);
-        let on = fit_with(family, s, &s.dataset, &s.given, ctx.seed);
-        identical_solutions(&off, &on)
-    }
-}
-
-// ---------------------------------------------------------------------
 // 5. point-permutation
 // ---------------------------------------------------------------------
 
@@ -339,9 +262,6 @@ pub struct PointPermutation;
 impl Invariant for PointPermutation {
     fn name(&self) -> &'static str {
         "point-permutation"
-    }
-    fn description(&self) -> &'static str {
-        "permuting the objects yields the permuted partitions"
     }
     fn applies(&self, family: &dyn AlgorithmFamily, scenario: &Scenario) -> bool {
         family.guarantees().permutation
@@ -421,9 +341,6 @@ impl Invariant for TranslationInvariance {
     fn name(&self) -> &'static str {
         "translation-invariance"
     }
-    fn description(&self) -> &'static str {
-        "translating all objects by a constant vector preserves the partitions"
-    }
     fn applies(&self, family: &dyn AlgorithmFamily, scenario: &Scenario) -> bool {
         family.guarantees().translation && scenario.well_separated
     }
@@ -446,9 +363,6 @@ impl Invariant for ScaleInvariance {
     fn name(&self) -> &'static str {
         "scale-invariance"
     }
-    fn description(&self) -> &'static str {
-        "scaling all coordinates by 2.0 reproduces the solutions bit-for-bit"
-    }
     fn applies(&self, family: &dyn AlgorithmFamily, _: &Scenario) -> bool {
         family.guarantees().scaling
     }
@@ -468,9 +382,6 @@ pub struct DuplicateConsistency;
 impl Invariant for DuplicateConsistency {
     fn name(&self) -> &'static str {
         "duplicate-consistency"
-    }
-    fn description(&self) -> &'static str {
-        "bit-identical objects receive identical assignments"
     }
     fn applies(&self, family: &dyn AlgorithmFamily, scenario: &Scenario) -> bool {
         family.guarantees().duplicates && !scenario.duplicate_groups.is_empty()
@@ -507,9 +418,6 @@ pub struct MeasureLabelPermutation;
 impl Invariant for MeasureLabelPermutation {
     fn name(&self) -> &'static str {
         "measure-label-permutation"
-    }
-    fn description(&self) -> &'static str {
-        "RI/ARI/Jaccard/NMI/VI are invariant under relabelling either argument"
     }
     fn applies(&self, _: &dyn AlgorithmFamily, _: &Scenario) -> bool {
         true
@@ -560,9 +468,6 @@ impl Invariant for MeasureSelfIdentity {
     fn name(&self) -> &'static str {
         "measure-self-identity"
     }
-    fn description(&self) -> &'static str {
-        "Diss(C, C) is the identity extreme of every measure"
-    }
     fn applies(&self, _: &dyn AlgorithmFamily, _: &Scenario) -> bool {
         true
     }
@@ -609,9 +514,6 @@ pub struct DissSymmetry;
 impl Invariant for DissSymmetry {
     fn name(&self) -> &'static str {
         "diss-symmetry"
-    }
-    fn description(&self) -> &'static str {
-        "Diss(Ci, Cj) = Diss(Cj, Ci) and Diss(Ci, Ci) = 0 over all solutions"
     }
     fn applies(&self, _: &dyn AlgorithmFamily, _: &Scenario) -> bool {
         true
@@ -661,9 +563,6 @@ impl Invariant for DissBounds {
     fn name(&self) -> &'static str {
         "diss-bounds"
     }
-    fn description(&self) -> &'static str {
-        "RI, Jaccard, NMI ∈ [0,1]; ARI ∈ [−1,1]; VI ∈ [0, 2·ln n]; all finite"
-    }
     fn applies(&self, _: &dyn AlgorithmFamily, _: &Scenario) -> bool {
         true
     }
@@ -704,242 +603,220 @@ impl Invariant for DissBounds {
 }
 
 // ---------------------------------------------------------------------
-// 13. kernel-equivalence
+// 3, 4, 13, 14, 15. knob invariance: threads, telemetry, kernels, trace,
+// alloc
 // ---------------------------------------------------------------------
 
-/// Serialises kernel-mode pinning: the override is process-global. Both
-/// modes are bit-identical by contract, so a concurrent fit observing the
-/// override is correctness-neutral; the lock only keeps this check's two
-/// runs cleanly paired.
-fn with_kernel_mode<T>(mode: kernels::KernelMode, f: impl FnOnce() -> T) -> T {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            kernels::set_kernel_mode(None);
-        }
-    }
-    let _restore = Restore;
-    kernels::set_kernel_mode(Some(mode));
-    f()
+/// A process-global switch the solutions must be blind to. Each paradigm
+/// is a pure function of data, reference clustering and seed (slide 27),
+/// so how a fit is scheduled, computed or observed must not move a label.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Knob {
+    /// One worker vs four (`MULTICLUST_THREADS`).
+    Threads,
+    /// Telemetry off vs on (`MULTICLUST_TELEMETRY`).
+    Telemetry,
+    /// No trace sink vs a temp-file sink with telemetry on
+    /// (`MULTICLUST_TRACE`); the file must be a well-formed trace.
+    Trace,
+    /// Allocation accounting off vs on (`MULTICLUST_ALLOC`); the on run
+    /// must count allocations.
+    Alloc,
+    /// The naive oracle vs the blocked kernels (`MULTICLUST_KERNELS`); the
+    /// raw distance matrix and pruned assignment must match the oracle too.
+    Kernels,
 }
 
-/// The optimized distance engine is a pure refactor of results: end-to-end
-/// solutions and raw kernel outputs are bit-identical to the naive
-/// reference.
-pub struct KernelEquivalence;
-
-impl Invariant for KernelEquivalence {
-    fn name(&self) -> &'static str {
-        "kernel-equivalence"
-    }
-    fn description(&self) -> &'static str {
-        "optimized kernels ≡ naive reference bit-for-bit (solutions, distance matrices, assignments)"
-    }
-    fn applies(&self, _: &dyn AlgorithmFamily, _: &Scenario) -> bool {
-        true
-    }
-    fn check(&self, family: &dyn AlgorithmFamily, ctx: &CheckContext) -> Result<(), String> {
-        let s = ctx.scenario;
-        // End-to-end: the family's solutions under the blocked kernels
-        // against the naive reference.
-        let blocked = with_kernel_mode(kernels::KernelMode::Blocked, || {
-            fit_with(family, s, &s.dataset, &s.given, ctx.seed)
-        });
-        let mut naive = with_kernel_mode(kernels::KernelMode::Naive, || {
-            fit_with(family, s, &s.dataset, &s.given, ctx.seed)
-        });
-        if ctx.fault == Some(Fault::DesyncKernels) {
-            if let Some(first) = naive.first_mut() {
-                let mut a = first.assignments().to_vec();
-                if let Some(slot) = a.first_mut() {
-                    let k = first.num_clusters().max(1);
-                    *slot = Some(slot.map_or(0, |l| (l + 1) % k.max(2)));
-                }
-                *first = Clustering::from_options(a);
-            }
+impl Knob {
+    /// The invariant this knob's row reports as.
+    pub(crate) fn invariant(self) -> &'static str {
+        match self {
+            Knob::Threads => "thread-invariance",
+            Knob::Telemetry => "telemetry-invariance",
+            Knob::Trace => "trace-invariance",
+            Knob::Alloc => "alloc-invariance",
+            Knob::Kernels => "kernel-equivalence",
         }
-        identical_solutions(&blocked, &naive)
-            .map_err(|e| format!("blocked vs naive kernels: {e}"))?;
+    }
 
-        // Kernel level: the shared distance matrix and the bound-pruned
-        // assignment against the naive double loop / exhaustive scan.
-        let d = s.dataset.dims();
-        let flat = s.dataset.as_slice();
-        let naive_matrix = kernels::reference::sq_dist_matrix(d, flat);
-        let matrix = with_kernel_mode(kernels::KernelMode::Blocked, || {
-            kernels::sq_dist_matrix(d, flat)
-        });
-        if matrix != naive_matrix {
-            let bad = matrix
-                .values()
-                .iter()
-                .zip(naive_matrix.values())
-                .position(|(a, b)| a != b);
-            return Err(format!(
-                "blocked distance matrix diverges from the naive double loop \
-                 at condensed entry {bad:?}"
-            ));
+    /// CLI name of the fault that perturbs this knob's on run.
+    pub(crate) fn fault(self) -> &'static str {
+        match self {
+            Knob::Threads => "thread-perturbs-rng",
+            Knob::Telemetry => "telemetry-perturbs-rng",
+            Knob::Trace => "trace-perturbs-rng",
+            Knob::Alloc => "alloc-perturbs-rng",
+            Knob::Kernels => "desync-kernels",
         }
-        let norms = kernels::sq_norms(d, flat);
-        // At least PRUNE_MIN_K centres so the *pruned* scan (not the
-        // small-k exhaustive fast path) is what gets compared.
-        let k = s.k.max(kernels::PRUNE_MIN_K).min(s.dataset.len());
-        let centers: Vec<Vec<f64>> =
-            (0..k).map(|c| s.dataset.row(c).to_vec()).collect();
-        let mut assigner = kernels::NearestAssign::new(s.dataset.len());
-        with_kernel_mode(kernels::KernelMode::Blocked, || {
-            assigner.assign(d, flat, &norms, &centers)
-        });
-        for i in 0..s.dataset.len() {
-            let want = kernels::reference::nearest(s.dataset.row(i), &centers).0;
-            if assigner.labels()[i] != want {
-                return Err(format!(
-                    "blocked pruned assignment diverges from the exhaustive scan \
-                     at object {i}"
-                ));
+    }
+
+    /// Prefix of a violation where the two runs' labels differ.
+    fn moved(self) -> &'static str {
+        match self {
+            Knob::Threads => "thread count moved labels",
+            Knob::Telemetry => "telemetry moved labels",
+            Knob::Trace => "tracing moved labels",
+            Knob::Alloc => "allocation accounting moved labels",
+            Knob::Kernels => "blocked vs naive kernels",
+        }
+    }
+
+    /// Pins the knob off or on; `sink` is the trace row's file.
+    fn pin(self, on: bool, sink: &Path) -> Result<(), String> {
+        match self {
+            Knob::Threads => multiclust_parallel::set_threads(if on { 4 } else { 1 }),
+            Knob::Telemetry => multiclust_telemetry::set_enabled(on),
+            Knob::Trace => {
+                trace::set_trace_path(on.then_some(sink))
+                    .map_err(|e| format!("cannot open trace sink: {e}"))?;
+                multiclust_telemetry::set_enabled(on);
             }
+            Knob::Alloc => alloc::set_alloc_enabled(on),
+            Knob::Kernels => kernels::set_kernel_mode(Some(if on {
+                kernels::KernelMode::Blocked
+            } else {
+                kernels::KernelMode::Naive
+            })),
         }
         Ok(())
     }
+
+    /// The row's own check of the on run, made while the knob is still
+    /// on; `allocs` is the allocation count before that run.
+    fn check_on(self, s: &Scenario, sink: &Path, allocs: u64) -> Result<(), String> {
+        match self {
+            Knob::Threads | Knob::Telemetry => Ok(()),
+            Knob::Trace => {
+                trace::flush_trace();
+                let parsed = trace::read_trace(sink);
+                let _ = std::fs::remove_file(sink);
+                let parsed = parsed.map_err(|e| format!("trace does not parse: {e}"))?;
+                if !parsed.ended {
+                    return Err("trace missing the end line (flush incomplete)".to_string());
+                }
+                if parsed.spans.is_empty() && parsed.events.is_empty() {
+                    return Err("trace recorded no spans or events for the fit".to_string());
+                }
+                Ok(())
+            }
+            Knob::Alloc if alloc::alloc_totals().count <= allocs => {
+                Err("accounting was on but counted no allocations during the fit".into())
+            }
+            Knob::Alloc => Ok(()),
+            Knob::Kernels => kernels_match_reference(s),
+        }
+    }
 }
 
-// ---------------------------------------------------------------------
-// 14. trace-invariance
-// ---------------------------------------------------------------------
-
-/// The trace sink streams, never participates: running under an active
-/// `MULTICLUST_TRACE` sink must reproduce every label bit-for-bit, and
-/// the file it leaves behind must be a well-formed `multiclust-trace/v1`
-/// document.
-pub struct TraceInvariance;
-
-impl Invariant for TraceInvariance {
-    fn name(&self) -> &'static str {
-        "trace-invariance"
+/// Kernel level: the shared distance matrix and the bound-pruned
+/// assignment against the naive double loop / exhaustive scan.
+fn kernels_match_reference(s: &Scenario) -> Result<(), String> {
+    let d = s.dataset.dims();
+    let flat = s.dataset.as_slice();
+    let naive_matrix = kernels::reference::sq_dist_matrix(d, flat);
+    let matrix = kernels::sq_dist_matrix(d, flat);
+    if matrix != naive_matrix {
+        let bad = matrix
+            .values()
+            .iter()
+            .zip(naive_matrix.values())
+            .position(|(a, b)| a != b);
+        return Err(format!(
+            "blocked distance matrix diverges from the naive double loop \
+             at condensed entry {bad:?}"
+        ));
     }
-    fn description(&self) -> &'static str {
-        "solutions are bit-identical with a trace sink attached, and the trace parses"
+    let norms = kernels::sq_norms(d, flat);
+    // At least PRUNE_MIN_K centres so the *pruned* scan (not the small-k
+    // exhaustive fast path) is what gets compared.
+    let k = s.k.max(kernels::PRUNE_MIN_K).min(s.dataset.len());
+    let centers: Vec<Vec<f64>> = (0..k).map(|c| s.dataset.row(c).to_vec()).collect();
+    let mut assigner = kernels::NearestAssign::new(s.dataset.len());
+    assigner.assign(d, flat, &norms, &centers);
+    for i in 0..s.dataset.len() {
+        let want = kernels::reference::nearest(s.dataset.row(i), &centers).0;
+        if assigner.labels()[i] != want {
+            return Err(format!(
+                "blocked pruned assignment diverges from the exhaustive scan \
+                 at object {i}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The one lock and restore guard of the knob rows. Every knob is
+/// process-global, so rows run one at a time and put back what they
+/// found: threads and kernel mode return to their defaults, and an outer
+/// `--trace` sink is reopened in append mode so it is not truncated.
+struct KnobGuard {
+    _lock: MutexGuard<'static, ()>,
+    telemetry: bool,
+    alloc: bool,
+    sink: Option<PathBuf>,
+}
+
+impl KnobGuard {
+    fn take() -> Self {
+        static LOCK: Mutex<()> = Mutex::new(());
+        let lock = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        Self {
+            _lock: lock,
+            telemetry: multiclust_telemetry::enabled(),
+            alloc: alloc::alloc_enabled(),
+            sink: trace::trace_path(),
+        }
+    }
+}
+
+impl Drop for KnobGuard {
+    fn drop(&mut self) {
+        multiclust_parallel::set_threads(0);
+        kernels::set_kernel_mode(None);
+        if trace::trace_path() != self.sink {
+            let _ = trace::open_trace(self.sink.as_deref(), true);
+        }
+        multiclust_telemetry::set_enabled(self.telemetry);
+        alloc::set_alloc_enabled(self.alloc);
+    }
+}
+
+/// One knob row: fit with the knob pinned off, refit with it on, and
+/// require bit-identical solutions plus the row's own check of the on run.
+pub struct KnobInvariance(pub Knob);
+
+impl Invariant for KnobInvariance {
+    fn name(&self) -> &'static str {
+        self.0.invariant()
     }
     fn applies(&self, _: &dyn AlgorithmFamily, _: &Scenario) -> bool {
         true
     }
     fn check(&self, family: &dyn AlgorithmFamily, ctx: &CheckContext) -> Result<(), String> {
-        use multiclust_telemetry::trace;
-        // The sink and the telemetry switch are process-global; serialize
-        // and restore both (an outer `--trace` sink is reopened in append
-        // mode so this check does not truncate it).
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let knob = self.0;
         let s = ctx.scenario;
-        let was_on = multiclust_telemetry::enabled();
-        let outer_sink = trace::trace_path();
-        struct Restore(bool, Option<std::path::PathBuf>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                let _ = trace::open_trace(self.1.as_deref(), true);
-                multiclust_telemetry::set_enabled(self.0);
-            }
-        }
-        let _restore = Restore(was_on, outer_sink);
-
-        multiclust_telemetry::set_enabled(false);
-        let _ = trace::set_trace_path(None);
-        let untraced = fit_with(family, s, &s.dataset, &s.given, ctx.seed);
-
-        let path = std::env::temp_dir().join(format!(
+        let sink = std::env::temp_dir().join(format!(
             "multiclust-trace-invariance-{}-{}-{}.jsonl",
             std::process::id(),
             family.name(),
             s.name
         ));
-        trace::set_trace_path(Some(&path))
-            .map_err(|e| format!("cannot open trace sink: {e}"))?;
-        multiclust_telemetry::set_enabled(true);
-        // The fault models instrumentation that consumes randomness: the
-        // traced run sees a perturbed seed and must come back different.
-        let seed = if ctx.fault == Some(Fault::TracePerturbsRng) {
+        let _guard = KnobGuard::take();
+        knob.pin(false, &sink)?;
+        let off = fit_with(family, s, &s.dataset, &s.given, ctx.seed);
+        knob.pin(true, &sink)?;
+        // The fault models a knob that consumes randomness: the on run
+        // sees a perturbed seed and must come back different.
+        let seed = if ctx.fault == Some(Fault::KnobPerturbsRng(knob)) {
             ctx.seed ^ 1
         } else {
             ctx.seed
         };
-        let traced = fit_with(family, s, &s.dataset, &s.given, seed);
-        trace::flush_trace();
-        multiclust_telemetry::set_enabled(false);
-
-        let parsed = trace::read_trace(&path);
-        let _ = std::fs::remove_file(&path);
-
-        identical_solutions(&untraced, &traced)
-            .map_err(|e| format!("tracing moved labels: {e}"))?;
-        let parsed = parsed.map_err(|e| format!("trace does not parse: {e}"))?;
-        if !parsed.ended {
-            return Err("trace missing the end line (flush incomplete)".to_string());
-        }
-        if parsed.spans.is_empty() && parsed.events.is_empty() {
-            return Err("trace recorded no spans or events for the fit".to_string());
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// 15. alloc-invariance
-// ---------------------------------------------------------------------
-
-/// Allocation accounting observes, never participates: running with the
-/// counting allocator switched on (`MULTICLUST_ALLOC=1`) must reproduce
-/// every label bit-for-bit, while still recording that the fit allocated.
-pub struct AllocInvariance;
-
-impl Invariant for AllocInvariance {
-    fn name(&self) -> &'static str {
-        "alloc-invariance"
-    }
-    fn description(&self) -> &'static str {
-        "solutions are bit-identical with allocation accounting on, and allocations are counted"
-    }
-    fn applies(&self, _: &dyn AlgorithmFamily, _: &Scenario) -> bool {
-        true
-    }
-    fn check(&self, family: &dyn AlgorithmFamily, ctx: &CheckContext) -> Result<(), String> {
-        use multiclust_telemetry::alloc;
-        // The accounting switch is process-global; serialize and restore
-        // it so an outer `MULTICLUST_ALLOC=1` run keeps counting.
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let s = ctx.scenario;
-        struct Restore(bool);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                alloc::set_alloc_enabled(self.0);
-            }
-        }
-        let _restore = Restore(alloc::alloc_enabled());
-
-        alloc::set_alloc_enabled(false);
-        let plain = fit_with(family, s, &s.dataset, &s.given, ctx.seed);
-
-        alloc::set_alloc_enabled(true);
-        let before = alloc::alloc_totals().count;
-        // The fault models an allocator hook that changes behaviour: the
-        // counted run sees a perturbed seed and must come back different.
-        let seed = if ctx.fault == Some(Fault::AllocPerturbsRng) {
-            ctx.seed ^ 1
-        } else {
-            ctx.seed
-        };
-        let counted = fit_with(family, s, &s.dataset, &s.given, seed);
-        let after = alloc::alloc_totals().count;
-        alloc::set_alloc_enabled(false);
-
-        identical_solutions(&plain, &counted)
-            .map_err(|e| format!("allocation accounting moved labels: {e}"))?;
-        if after <= before {
-            return Err("accounting was on but counted no allocations during the fit".into());
-        }
-        Ok(())
+        let allocs = alloc::alloc_totals().count;
+        let on = fit_with(family, s, &s.dataset, &s.given, seed);
+        let on_check = knob.check_on(s, &sink, allocs);
+        identical_solutions(&off, &on).map_err(|e| format!("{}: {e}", knob.moved()))?;
+        on_check
     }
 }
 
@@ -957,9 +834,6 @@ pub struct ServeEquivalence;
 impl Invariant for ServeEquivalence {
     fn name(&self) -> &'static str {
         "serve-equivalence"
-    }
-    fn description(&self) -> &'static str {
-        "a fit through the protocol server is bit-identical to the in-process fit"
     }
     fn applies(&self, _: &dyn AlgorithmFamily, _: &Scenario) -> bool {
         true

@@ -11,14 +11,18 @@
 //!    `k = n`, near-collinear data, extreme scales);
 //! 2. [`invariants`] — a trait-based metamorphic checker run against all
 //!    eight algorithm families ([`families`]): partition validity,
-//!    determinism, thread- and telemetry-invariance, point-permutation /
-//!    translation / scale invariance where guaranteed, label-permutation
-//!    blindness, symmetry and bounds of the `Diss` matrix;
+//!    determinism, point-permutation / translation / scale invariance
+//!    where guaranteed, label-permutation blindness, symmetry and bounds
+//!    of the `Diss` matrix, served-fit equivalence, and one table-driven
+//!    knob check ([`Knob`]) that refits with each runtime switch —
+//!    threads, telemetry, kernels, trace sink, alloc accounting — off and
+//!    on and requires bit-identical labels;
 //! 3. [`golden`] — canonical-labelled golden-output regression against
 //!    `tests/golden/*.json` fixtures, updatable via `MULTICLUST_BLESS=1`.
 //!
-//! [`fault`] closes the loop: named corruptions that the matching
-//! invariant **must** flag, proving the checker can actually fail.
+//! [`fault`] closes the loop: ten named corruptions that the matching
+//! invariant **must** flag, proving the checker can actually fail (one
+//! per non-knob target plus a seed perturbation of each knob's on run).
 //! Everything is std-only and deterministic: a red result replays
 //! bit-for-bit from `(family, scenario, seed)`.
 
@@ -36,7 +40,7 @@ pub mod service;
 pub use families::{all_families, AlgorithmFamily, FitInput, Guarantees};
 pub use fault::Fault;
 pub use golden::{GoldenOutcome, GoldenRecord};
-pub use invariants::{registry, CheckContext, Invariant};
+pub use invariants::{registry, CheckContext, Invariant, Knob};
 pub use report::{verify, CheckOutcome, VerifyOptions, VerifyReport};
 pub use scenario::{catalog, Scenario};
 pub use service::fit_dispatch;

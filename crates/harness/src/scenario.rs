@@ -18,8 +18,6 @@ use rand::Rng;
 pub struct Scenario {
     /// Stable identifier (used in reports and golden files).
     pub name: &'static str,
-    /// One-line description for the report.
-    pub description: &'static str,
     /// The objects.
     pub dataset: Dataset,
     /// A planted reference clustering (the "given" solution the
@@ -59,7 +57,6 @@ pub fn planted_two_views(seed: u64) -> Scenario {
     let p = planted_views(72, &specs, 0, &mut rng);
     Scenario {
         name: "planted-two-views",
-        description: "two independent 2-cluster views in disjoint attribute pairs",
         given: Clustering::from_labels(&p.truths[0]),
         k: 2,
         view_groups: p.view_dims.clone(),
@@ -75,7 +72,6 @@ pub fn four_blobs(seed: u64) -> Scenario {
     let fb = four_blob_square(16, 12.0, 0.5, &mut seeded_rng(seed));
     Scenario {
         name: "four-blobs",
-        description: "four Gaussian blobs on a square; horizontal and vertical splits",
         given: Clustering::from_labels(&fb.horizontal),
         k: 2,
         view_groups: Scenario::half_views(fb.dataset.dims()),
@@ -107,7 +103,6 @@ pub fn duplicate_points(seed: u64) -> Scenario {
     }
     Scenario {
         name: "duplicate-points",
-        description: "every object planted three times, bit-identical",
         given: Clustering::from_labels(&truth),
         k: 3,
         view_groups: Scenario::half_views(ds.dims()),
@@ -132,7 +127,6 @@ pub fn constant_features(seed: u64) -> Scenario {
     }
     Scenario {
         name: "constant-features",
-        description: "informative attributes padded with two zero-variance columns",
         given: Clustering::from_labels(&labels),
         k: 2,
         view_groups: vec![vec![0, 1], vec![2, 3]],
@@ -160,7 +154,6 @@ pub fn k_equals_n(seed: u64) -> Scenario {
     }
     Scenario {
         name: "k-equals-n",
-        description: "k equals the object count: single-point clusters",
         given: Clustering::from_labels(&given),
         k: n,
         view_groups: vec![vec![0], vec![1]],
@@ -187,7 +180,6 @@ pub fn near_collinear(seed: u64) -> Scenario {
     }
     Scenario {
         name: "near-collinear",
-        description: "two groups along the line y = 2x with 1e-9 jitter",
         given: Clustering::from_labels(&given),
         k: 2,
         view_groups: vec![vec![0], vec![1]],
@@ -213,7 +205,6 @@ pub fn extreme_scales(seed: u64) -> Scenario {
     }
     Scenario {
         name: "extreme-scales",
-        description: "one attribute scaled by 1e9, the other by 1e-9",
         given: Clustering::from_labels(&labels),
         k: 2,
         view_groups: vec![vec![0], vec![1]],

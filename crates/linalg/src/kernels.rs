@@ -687,15 +687,6 @@ impl NearestAssign {
             return stats;
         }
 
-        let cnorms: Vec<f64> = centers.iter().map(|c| dot(c, c)).collect();
-        // Large centre counts: pack the centres once per pass and feed the
-        // warm per-point scan from vectorized panel dots. Below a full SIMD
-        // stripe of centres the panel dots degenerate to scalar tails plus
-        // packing overhead, so small-k warm scans keep the scalar dot and
-        // the vectorization comes from the across-points exact sweep on
-        // cold/bypass passes instead.
-        let packed = (block::STRIPE..=block::MAX_TILE_COLS).contains(&k)
-            .then(|| block::PackedPanels::pack_rows(d, centers));
         let out: Vec<PointOut> = if self.ready && self.prev.len() == k {
             // Upper bound on each centre's drift since the last pass.
             let drift: Vec<f64> = (0..k)
@@ -738,6 +729,18 @@ impl NearestAssign {
                 }
                 out
             } else {
+                // Only this warm scan reads the centre norms and panels.
+                // Large centre counts: pack the centres once per pass and
+                // feed the per-point scan from vectorized panel dots. Below
+                // a full SIMD stripe of centres the panel dots degenerate
+                // to scalar tails plus packing overhead, so small-k warm
+                // scans keep the scalar dot and the vectorization comes
+                // from the across-points exact sweep on cold/bypass passes
+                // instead.
+                let cnorms: Vec<f64> = centers.iter().map(|c| dot(c, c)).collect();
+                let packed = (block::STRIPE..=block::MAX_TILE_COLS)
+                    .contains(&k)
+                    .then(|| block::PackedPanels::pack_rows(d, centers));
                 multiclust_parallel::par_map_indexed(self.n, chunk, |i| {
                     let row = &points[i * d..(i + 1) * d];
                     let a = self.labels[i];

@@ -24,7 +24,7 @@ use multiclust_core::measures::diss::{adjusted_rand_index, normalized_mutual_inf
 use multiclust_core::Clustering;
 use multiclust_data::seeded_rng;
 use multiclust_data::synthetic::{planted_views, PlantedData, ViewSpec};
-use multiclust_harness::{fit_dispatch, Fault};
+use multiclust_harness::{fit_dispatch, Fault, Knob};
 use multiclust_serve::{
     client, ChaosConfig, FitDispatch, FitSpec, Listen, Server, ServerConfig,
 };
@@ -87,8 +87,8 @@ impl Inject {
     pub fn name(self) -> &'static str {
         match self {
             Inject::ServePerturbsRng => Fault::ServePerturbsRng.name(),
-            Inject::TracePerturbsRng => Fault::TracePerturbsRng.name(),
-            Inject::DesyncKernels => Fault::DesyncKernels.name(),
+            Inject::TracePerturbsRng => Fault::KnobPerturbsRng(Knob::Trace).name(),
+            Inject::DesyncKernels => Fault::KnobPerturbsRng(Knob::Kernels).name(),
             Inject::SlowHandler => "slow-handler",
             Inject::DropConnection => "drop-connection",
             Inject::PanicFit => "panic-fit",
@@ -102,8 +102,8 @@ impl Inject {
         if let Ok(fault) = Fault::parse(s) {
             match fault {
                 Fault::ServePerturbsRng => return Ok(Inject::ServePerturbsRng),
-                Fault::TracePerturbsRng => return Ok(Inject::TracePerturbsRng),
-                Fault::DesyncKernels => return Ok(Inject::DesyncKernels),
+                Fault::KnobPerturbsRng(Knob::Trace) => return Ok(Inject::TracePerturbsRng),
+                Fault::KnobPerturbsRng(Knob::Kernels) => return Ok(Inject::DesyncKernels),
                 _ => {}
             }
         }

@@ -59,6 +59,8 @@ use std::time::Instant;
 
 use serde::Value;
 
+use crate::{field_str, field_u64};
+
 /// Schema identifier on the first line of every flight dump.
 pub const FLIGHT_SCHEMA: &str = "multiclust-flight/v1";
 
@@ -499,20 +501,6 @@ pub struct FlightFile {
     pub overwritten: u64,
     /// Whether the `end` line was present.
     pub ended: bool,
-}
-
-fn field_str<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a str> {
-    obj.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
-        Value::String(s) => Some(s.as_str()),
-        _ => None,
-    })
-}
-
-fn field_u64(obj: &[(String, Value)], key: &str) -> Option<u64> {
-    obj.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
-        Value::Int(i) => u64::try_from(*i).ok(),
-        _ => None,
-    })
 }
 
 /// Parses a `multiclust-flight/v1` JSONL dump; the error carries the

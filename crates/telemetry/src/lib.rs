@@ -563,6 +563,24 @@ pub(crate) fn float(v: f64) -> Value {
     }
 }
 
+/// String field `key` of a parsed JSONL object, if present and a string.
+pub(crate) fn field_str<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a str> {
+    obj.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
+        Value::String(s) => Some(s.as_str()),
+        _ => None,
+    })
+}
+
+/// Non-negative integer field `key` of a parsed JSONL object (a
+/// non-negative float is truncated), if present.
+pub(crate) fn field_u64(obj: &[(String, Value)], key: &str) -> Option<u64> {
+    obj.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
+        Value::Int(i) => u64::try_from(*i).ok(),
+        Value::Float(f) if *f >= 0.0 => Some(*f as u64),
+        _ => None,
+    })
+}
+
 /// One lock for every in-crate test that flips the global switch or
 /// mutates the registry — the lib and trace test modules share state, so
 /// they must share the lock too.

@@ -37,7 +37,7 @@ use std::sync::Mutex;
 
 use serde::Value;
 
-use crate::{AllocStat, Event};
+use crate::{field_str, field_u64, AllocStat, Event};
 
 /// Schema identifier written as the first line of every trace file.
 pub const TRACE_SCHEMA: &str = "multiclust-trace/v1";
@@ -287,21 +287,6 @@ pub struct TraceFile {
     pub write_errors: u64,
     /// Total parsed lines.
     pub lines: usize,
-}
-
-fn field_str<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a str> {
-    obj.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
-        Value::String(s) => Some(s.as_str()),
-        _ => None,
-    })
-}
-
-fn field_u64(obj: &[(String, Value)], key: &str) -> Option<u64> {
-    obj.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
-        Value::Int(i) => u64::try_from(*i).ok(),
-        Value::Float(f) if *f >= 0.0 => Some(*f as u64),
-        _ => None,
-    })
 }
 
 /// Parses a `multiclust-trace/v1` JSONL file. Every line must be a JSON

@@ -5,6 +5,10 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
+# The benchmark is a package of its own (outside `--workspace`) that
+# imports the harness and the linalg kernels; build and test it too.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 # Second pass with telemetry globally enabled: instrumentation must never
 # change a single result, so the identical suite has to stay green.
 MULTICLUST_TELEMETRY=1 cargo test -q --offline --workspace

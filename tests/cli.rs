@@ -288,28 +288,50 @@ fn verify_clean_run_exits_zero() {
     assert!(out.stderr.is_empty(), "clean run is quiet on stderr");
 }
 
+/// Injected faults as (fault, violated invariant, detail text).
+const FAULT_ROWS: [(&str, &str, &str); 4] = [
+    ("asymmetric-diss", "diss-symmetry", "matrix[0][1]"),
+    ("trace-perturbs-rng", "trace-invariance", "tracing moved labels"),
+    ("alloc-perturbs-rng", "alloc-invariance", "allocation accounting moved labels"),
+    ("serve-perturbs-rng", "serve-equivalence", "served fit diverged"),
+];
+
 /// An injected fault must flip the exit code and name its targeted
-/// invariant in the report — with no usage dump, because the run itself
-/// was well-formed.
-#[test]
-fn verify_injected_fault_fails_with_named_invariant() {
+/// invariant with the violation detail in the report — with no usage
+/// dump, because the run itself was well-formed.
+fn assert_fault_caught(fault: &str) {
+    let (_, invariant, detail) =
+        FAULT_ROWS.iter().find(|row| row.0 == fault).expect("fault has a row");
     let out = bin()
-        .args([
-            "verify",
-            "--family",
-            "kmeans",
-            "--inject",
-            "asymmetric-diss",
-            "--golden-dir",
-            "none",
-        ])
+        .args(["verify", "--family", "kmeans", "--inject", fault, "--golden-dir", "none"])
         .output()
         .expect("binary runs");
-    assert!(!out.status.success(), "fault must fail the run");
+    assert!(!out.status.success(), "fault {fault} must fail the run");
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(stdout.contains("violation: diss-symmetry"), "{stdout}");
+    assert!(stdout.contains(&format!("violation: {invariant}")), "{fault}: {stdout}");
+    assert!(stdout.contains(detail), "{fault}: {stdout}");
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert!(!stderr.contains("usage:"), "no usage dump on a verification failure: {stderr}");
+    assert!(!stderr.contains("usage:"), "{fault}: no usage dump: {stderr}");
+}
+
+#[test]
+fn verify_trace_fault_fails_with_named_invariant() {
+    assert_fault_caught("trace-perturbs-rng");
+}
+
+#[test]
+fn verify_alloc_fault_fails_with_named_invariant() {
+    assert_fault_caught("alloc-perturbs-rng");
+}
+
+#[test]
+fn verify_serve_fault_fails_with_named_invariant() {
+    assert_fault_caught("serve-perturbs-rng");
+}
+
+#[test]
+fn verify_injected_fault_fails_with_named_invariant() {
+    assert_fault_caught("asymmetric-diss");
 
     let bad = bin()
         .args(["verify", "--inject", "nonsense"])
@@ -610,28 +632,6 @@ fn bench_compare_gate_passes_clean_and_catches_injected_regression() {
     assert!(stderr.contains("REGRESSION"), "{stderr}");
 }
 
-/// The 6th injectable fault: instrumentation that consumes randomness
-/// under an active trace sink must be caught by `trace-invariance`.
-#[test]
-fn verify_trace_fault_fails_with_named_invariant() {
-    let out = bin()
-        .args([
-            "verify",
-            "--family",
-            "kmeans",
-            "--inject",
-            "trace-perturbs-rng",
-            "--golden-dir",
-            "none",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success(), "fault must fail the run");
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(stdout.contains("violation: trace-invariance"), "{stdout}");
-    assert!(stdout.contains("tracing moved labels"), "{stdout}");
-}
-
 /// `trend` tabulates every checked-in `BENCH_*.json` in the repo root.
 #[test]
 fn trend_tabulates_checked_in_baselines() {
@@ -742,50 +742,6 @@ fn diagnose_corrupt_trace_fails_cleanly() {
             assert!(!stderr.contains("usage:"), "no usage dump on a data error: {stderr}");
         }
     }
-}
-
-/// The 7th injectable fault: an allocator hook that changes behaviour
-/// must be caught by `alloc-invariance`.
-#[test]
-fn verify_alloc_fault_fails_with_named_invariant() {
-    let out = bin()
-        .args([
-            "verify",
-            "--family",
-            "kmeans",
-            "--inject",
-            "alloc-perturbs-rng",
-            "--golden-dir",
-            "none",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success(), "fault must fail the run");
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(stdout.contains("violation: alloc-invariance"), "{stdout}");
-    assert!(stdout.contains("allocation accounting moved labels"), "{stdout}");
-}
-
-/// The 8th injectable fault: a serving layer that perturbs the RNG must
-/// be caught by `serve-equivalence`.
-#[test]
-fn verify_serve_fault_fails_with_named_invariant() {
-    let out = bin()
-        .args([
-            "verify",
-            "--family",
-            "kmeans",
-            "--inject",
-            "serve-perturbs-rng",
-            "--golden-dir",
-            "none",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success(), "fault must fail the run");
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(stdout.contains("violation: serve-equivalence"), "{stdout}");
-    assert!(stdout.contains("served fit diverged"), "{stdout}");
 }
 
 /// PR-8 acceptance: a malformed request sent through `multiclust client`
