@@ -22,12 +22,12 @@ fn bench_record_span(c: &mut Criterion) {
     let mut group = c.benchmark_group("flight_record");
     group.sample_size(20).measurement_time(Duration::from_secs(2));
 
-    flight::set_flight(None);
+    flight::set_flight(false);
     group.bench_function("span_disabled", |b| {
         b.iter(|| flight::record_span(black_box("bench.flight.span"), black_box(1_000)))
     });
 
-    flight::set_flight(Some(flight::DEFAULT_CAPACITY));
+    flight::set_flight(true);
     group.bench_function("span_enabled", |b| {
         b.iter(|| flight::record_span(black_box("bench.flight.span"), black_box(1_000)))
     });
@@ -38,7 +38,7 @@ fn bench_record_span(c: &mut Criterion) {
     });
     flight::clear_request();
 
-    flight::set_flight(Some(flight::DEFAULT_CAPACITY));
+    flight::set_flight(true);
     group.finish();
 }
 
@@ -46,7 +46,7 @@ fn bench_record_error(c: &mut Criterion) {
     let mut group = c.benchmark_group("flight_record_error");
     group.sample_size(20).measurement_time(Duration::from_secs(2));
 
-    flight::set_flight(Some(flight::DEFAULT_CAPACITY));
+    flight::set_flight(true);
     group.bench_function("error_with_request_id", |b| {
         b.iter(|| {
             flight::record_error(

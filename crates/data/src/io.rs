@@ -24,6 +24,14 @@ pub enum CsvError {
         /// The offending cell text.
         cell: String,
     },
+    /// A cell parsed as `NaN` or an infinity; every fit assumes finite
+    /// coordinates, so these are refused at load time.
+    NonFinite {
+        /// 1-based line number.
+        line: usize,
+        /// The offending cell text.
+        cell: String,
+    },
     /// A row had a different number of cells than the first row.
     RaggedRow {
         /// 1-based line number.
@@ -43,6 +51,9 @@ impl std::fmt::Display for CsvError {
             Self::Io(e) => write!(f, "I/O error: {e}"),
             Self::BadNumber { line, cell } => {
                 write!(f, "line {line}: cannot parse {cell:?} as a number")
+            }
+            Self::NonFinite { line, cell } => {
+                write!(f, "line {line}: {cell:?} is not a finite number")
             }
             Self::RaggedRow { line, found, expected } => {
                 write!(f, "line {line}: {found} cells, expected {expected}")
@@ -100,6 +111,9 @@ pub fn parse_csv(text: &str, header: bool) -> Result<Dataset, CsvError> {
                 line: line_no,
                 cell: cell.to_string(),
             })?;
+            if !v.is_finite() {
+                return Err(CsvError::NonFinite { line: line_no, cell: cell.to_string() });
+            }
             row.push(v);
         }
         rows.push(row);
@@ -180,6 +194,18 @@ mod tests {
     fn bad_number_is_error() {
         let err = parse_csv("1,x\n", false).unwrap_err();
         assert!(matches!(err, CsvError::BadNumber { line: 1, .. }));
+    }
+
+    #[test]
+    fn non_finite_cells_are_errors() {
+        for cell in ["NaN", "inf", "-inf"] {
+            let err = parse_csv(&format!("1,2\n3,{cell}\n"), false).unwrap_err();
+            assert!(
+                matches!(&err, CsvError::NonFinite { line: 2, cell: c } if c == cell),
+                "{cell}: {err:?}"
+            );
+            assert!(err.to_string().contains("line 2"), "{err}");
+        }
     }
 
     #[test]

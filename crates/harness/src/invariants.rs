@@ -616,8 +616,8 @@ pub enum Knob {
     Threads,
     /// Telemetry off vs on (`MULTICLUST_TELEMETRY`).
     Telemetry,
-    /// No trace sink vs a temp-file sink with telemetry on
-    /// (`MULTICLUST_TRACE`); the file must be a well-formed trace.
+    /// No trace sink vs a temp-file sink with telemetry on (`--trace`);
+    /// the file must be a well-formed trace.
     Trace,
     /// Allocation accounting off vs on (`MULTICLUST_ALLOC`); the on run
     /// must count allocations.

@@ -7,7 +7,7 @@
 //! connections open: handlers observe the stop flag on the next timeout
 //! and exit, and [`Server::run`] joins them all before returning — no
 //! leaked threads. Every request executes under a `serve.<op>` telemetry
-//! span, feeding the `multiclust-trace/v1` sink and the `--metrics`
+//! span, feeding the `multiclust-trace/v2` sink and the `--metrics`
 //! stream exactly like a CLI run; independently of the telemetry switch
 //! the server keeps its own per-op counters and latency quantile
 //! sketches for the `stats` op.
@@ -772,7 +772,7 @@ fn op_stats(shared: &Shared, id: &Value) -> Value {
     // to the server's stderr.
     fields.push((
         "events_dropped".to_string(),
-        Value::Int(multiclust_telemetry::snapshot().dropped_events as i64),
+        Value::Int(multiclust_telemetry::dropped_events() as i64),
     ));
     fields.push((
         "trace.write_errors".to_string(),

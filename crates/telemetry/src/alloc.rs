@@ -6,8 +6,8 @@
 //! Accounting is **off by default**. The wrapper delegates straight to
 //! [`std::alloc::System`] and pays exactly one relaxed atomic load per
 //! call when disabled — the same contract as the parent crate's event
-//! switch. Enable with `MULTICLUST_ALLOC=1` (read once, from the crate's
-//! cold-path env init or [`init_from_env`]) or [`set_alloc_enabled`].
+//! switch. Enable with `MULTICLUST_ALLOC=1` (read by [`crate::init`]) or
+//! [`set_alloc_enabled`].
 //!
 //! ## Attribution model
 //!
@@ -38,18 +38,20 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
+
+use crate::Switch;
 
 /// Maximum distinct span paths with their own accounting slot; later
 /// paths fold into slot 0.
 pub const MAX_ALLOC_SLOTS: usize = 256;
 
-/// 0 = uninitialised (treated as off), 1 = off, 2 = on. The allocator
-/// itself never initialises from the environment — reading an env var
-/// can allocate, and the allocator must not recurse — so state 0 stays
-/// "off" until a cold path outside the allocator calls [`init_from_env`].
-static ALLOC_STATE: AtomicU8 = AtomicU8::new(0);
+/// The accounting switch. The allocator reads it with
+/// [`Switch::armed`], never from the environment — reading an env var
+/// allocates, and the allocator must not recurse — so it stays off until
+/// [`crate::init`] runs in ordinary code.
+pub(crate) static ALLOC: Switch = Switch::new();
 
 struct Slot {
     count: AtomicU64,
@@ -90,34 +92,14 @@ thread_local! {
 /// Whether allocation accounting is currently on (one relaxed load).
 #[inline]
 pub fn alloc_enabled() -> bool {
-    ALLOC_STATE.load(Ordering::Relaxed) == 2
+    ALLOC.get()
 }
 
 /// Turns allocation accounting on or off for the whole process,
 /// overriding the environment. Existing tallies are kept — use
 /// [`reset_alloc`] to zero them.
 pub fn set_alloc_enabled(on: bool) {
-    ALLOC_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Reads `MULTICLUST_ALLOC` once and arms the allocator accordingly.
-/// Must be called from ordinary code (CLI startup, the telemetry env
-/// init) — never from inside the allocator.
-pub fn init_from_env() {
-    if ALLOC_STATE.load(Ordering::Relaxed) != 0 {
-        return;
-    }
-    let on = std::env::var("MULTICLUST_ALLOC").is_ok_and(|v| {
-        let v = v.trim().to_ascii_lowercase();
-        !(v.is_empty() || v == "0" || v == "false" || v == "off")
-    });
-    // Only flip from "uninitialised" so a racing `set_alloc_enabled` wins.
-    let _ = ALLOC_STATE.compare_exchange(
-        0,
-        if on { 2 } else { 1 },
-        Ordering::Relaxed,
-        Ordering::Relaxed,
-    );
+    ALLOC.set(on);
 }
 
 /// Resolves (or creates) the accounting slot for a span path. Returns 0
@@ -258,7 +240,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     #[inline]
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
-        if ALLOC_STATE.load(Ordering::Relaxed) == 2 && !ptr.is_null() {
+        if ALLOC.armed() && !ptr.is_null() {
             record_alloc(layout.size());
         }
         ptr
@@ -267,7 +249,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     #[inline]
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc_zeroed(layout);
-        if ALLOC_STATE.load(Ordering::Relaxed) == 2 && !ptr.is_null() {
+        if ALLOC.armed() && !ptr.is_null() {
             record_alloc(layout.size());
         }
         ptr
@@ -276,7 +258,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     #[inline]
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        if ALLOC_STATE.load(Ordering::Relaxed) == 2 {
+        if ALLOC.armed() {
             record_dealloc(layout.size());
         }
     }
@@ -284,7 +266,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     #[inline]
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = System.realloc(ptr, layout, new_size);
-        if ALLOC_STATE.load(Ordering::Relaxed) == 2 && !new_ptr.is_null() {
+        if ALLOC.armed() && !new_ptr.is_null() {
             record_dealloc(layout.size());
             record_alloc(new_size);
         }

@@ -19,12 +19,17 @@
 //! results are bit-identical with the switch on or off (enforced by
 //! `tests/telemetry.rs` at the workspace root).
 //!
-//! ## Enabling
+//! ## Configuration
 //!
-//! * programmatically, via [`set_enabled`] (what the CLI's `--telemetry`
-//!   flag does), or
-//! * through the environment: `MULTICLUST_TELEMETRY=1` (any value other
-//!   than `0`/`false`/`off`/empty), read once on first use.
+//! The environment is read once, by [`init`]: `MULTICLUST_TELEMETRY`
+//! (recording, default off), `MULTICLUST_ALLOC` (allocation accounting,
+//! default off) and `MULTICLUST_FLIGHT` (the flight recorder, default
+//! on), each parsed the same way — `0`/`false`/`off` is off, any other
+//! non-empty value is on. The CLI calls [`init`] at startup; otherwise
+//! the first read of any of the three switches does. [`set_enabled`],
+//! [`alloc::set_alloc_enabled`] and [`flight::set_flight`] override it,
+//! and the CLI's `--telemetry`, `--trace` and `--metrics` flags turn
+//! recording on.
 //!
 //! ## Model
 //!
@@ -45,9 +50,10 @@
 //! * **Allocation accounting** ([`alloc`]) attributes heap traffic to the
 //!   active span via a counting global allocator, off by default
 //!   (`MULTICLUST_ALLOC=1`).
-//! * **Metrics stream** ([`metrics`]) samples counters, quantiles and
-//!   alloc gauges to a JSONL file on a wall-clock interval
-//!   (`--metrics` / `MULTICLUST_METRICS`).
+//! * **Files** — the `--trace` sink ([`trace`]), the `--metrics` sampler
+//!   ([`metrics`]) and the flight recorder's dump ([`flight`]) all write
+//!   the one `multiclust-trace/v2` JSONL format, read back by
+//!   [`trace::read_trace`].
 
 // `deny`, not `forbid`: the `alloc` module implements the unsafe
 // `GlobalAlloc` trait and opts out locally; everything else stays safe.
@@ -75,73 +81,82 @@ pub use sketch::Sketch;
 /// events are dropped and counted in `dropped_events`.
 pub const MAX_EVENTS: usize = 1 << 16;
 
-// ---- global switch ---------------------------------------------------------
+// ---- switches ------------------------------------------------------------
 
-/// 0 = uninitialised (read env on first use), 1 = off, 2 = on.
-static STATE: AtomicU8 = AtomicU8::new(0);
+/// A process-wide on/off switch armed from the environment by [`init`]:
+/// 0 = not yet read, 1 = off, 2 = on.
+pub(crate) struct Switch(AtomicU8);
 
-/// Whether telemetry is currently recording. One relaxed atomic load on
-/// the fast path; the first call reads `MULTICLUST_TELEMETRY` once.
-#[inline]
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_from_env(),
+impl Switch {
+    pub(crate) const fn new() -> Self {
+        Self(AtomicU8::new(0))
+    }
+
+    /// Whether the switch is on: one relaxed load, plus [`init`] on the
+    /// very first read in a process that did not call it.
+    #[inline]
+    pub(crate) fn get(&self) -> bool {
+        match self.0.load(Ordering::Relaxed) {
+            2 => true,
+            1 => false,
+            _ => {
+                init();
+                self.armed()
+            }
+        }
+    }
+
+    /// Whether the switch is on, without ever reading the environment
+    /// (not yet read counts as off) — the allocator's read.
+    #[inline]
+    pub(crate) fn armed(&self) -> bool {
+        self.0.load(Ordering::Relaxed) == 2
+    }
+
+    pub(crate) fn set(&self, on: bool) {
+        self.0.store(1 + u8::from(on), Ordering::Relaxed);
+    }
+
+    /// Sets the switch only if it was never set, so an explicit setter
+    /// that ran first keeps its value.
+    fn arm(&self, on: bool) {
+        let _ = self.0.compare_exchange(0, 1 + u8::from(on), Ordering::Relaxed, Ordering::Relaxed);
     }
 }
 
+static TELEMETRY: Switch = Switch::new();
+
+/// Reads the telemetry environment into the three switches. Safe to
+/// repeat: a switch that is already set keeps its value. Runs in ordinary
+/// code, never inside the allocator (reading the environment allocates).
 #[cold]
-fn init_from_env() -> bool {
-    let mut on = std::env::var("MULTICLUST_TELEMETRY").is_ok_and(|v| {
-        let v = v.trim().to_ascii_lowercase();
-        !(v.is_empty() || v == "0" || v == "false" || v == "off")
-    });
-    // Arm the counting allocator here — this is ordinary (cold) code,
-    // where reading an env var is safe; the allocator itself never is.
-    alloc::init_from_env();
-    // `MULTICLUST_TRACE=<path>` implies recording: open the sink and turn
-    // telemetry on so the trace actually has content.
-    if let Ok(path) = std::env::var("MULTICLUST_TRACE") {
-        let path = path.trim();
-        if !path.is_empty() && !trace::trace_enabled() {
-            match trace::set_trace_path(Some(std::path::Path::new(path))) {
-                Ok(()) => on = true,
-                Err(e) => eprintln!("multiclust: cannot open MULTICLUST_TRACE={path}: {e}"),
-            }
-        }
+pub fn init() {
+    TELEMETRY.arm(env_on("MULTICLUST_TELEMETRY", false));
+    alloc::ALLOC.arm(env_on("MULTICLUST_ALLOC", false));
+    flight::FLIGHT.arm(env_on("MULTICLUST_FLIGHT", true));
+}
+
+/// The one on/off parser: `0`/`false`/`off` is off, any other non-empty
+/// value is on, and an unset or empty variable means `default`.
+fn env_on(var: &str, default: bool) -> bool {
+    match std::env::var(var).map(|v| v.trim().to_ascii_lowercase()) {
+        Ok(v) if v.is_empty() => default,
+        Ok(v) => !matches!(v.as_str(), "0" | "false" | "off"),
+        Err(_) => default,
     }
-    // `MULTICLUST_METRICS=<path>` likewise implies recording: start the
-    // sampler so the snapshots have content.
-    if let Ok(path) = std::env::var("MULTICLUST_METRICS") {
-        let path = path.trim();
-        if !path.is_empty() && !metrics::metrics_enabled() {
-            let interval = std::env::var("MULTICLUST_METRICS_INTERVAL_MS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .map(std::time::Duration::from_millis)
-                .unwrap_or(metrics::DEFAULT_INTERVAL);
-            match metrics::start_metrics(std::path::Path::new(path), interval) {
-                Ok(()) => on = true,
-                Err(e) => eprintln!("multiclust: cannot open MULTICLUST_METRICS={path}: {e}"),
-            }
-        }
-    }
-    // Only flip from "uninitialised" so a racing `set_enabled` wins.
-    let _ = STATE.compare_exchange(
-        0,
-        if on { 2 } else { 1 },
-        Ordering::Relaxed,
-        Ordering::Relaxed,
-    );
-    STATE.load(Ordering::Relaxed) == 2
+}
+
+/// Whether telemetry is currently recording (one relaxed atomic load).
+#[inline]
+pub fn enabled() -> bool {
+    TELEMETRY.get()
 }
 
 /// Turns telemetry on or off for the whole process, overriding the
 /// environment. Flipping the switch does not clear already-recorded data
 /// — use [`reset`] for that.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    TELEMETRY.set(on);
 }
 
 // ---- registry --------------------------------------------------------------
@@ -234,12 +249,9 @@ impl Drop for SpanGuard {
         // Registry lock released before the sink lock is taken. The span
         // also lands in the flight ring, and both carry the thread's
         // request/connection correlation context when one is installed.
-        if flight::flight_enabled() {
-            flight::record_span(&path, ns);
-        }
+        flight::record_span(&path, ns);
         if trace::trace_enabled() {
-            let ctx = flight::current_request();
-            trace::write_span(&path, ns, ctx.as_ref().map(|(r, c)| (r.as_str(), *c)));
+            trace::write_span(path, ns);
         }
     }
 }
@@ -320,9 +332,7 @@ pub fn event(name: &str, fields: &[(&str, f64)]) {
     });
     // The sink is the durable record: it keeps streaming past the
     // in-memory cap. Registry lock released before the sink lock.
-    if flight::flight_enabled() {
-        flight::record_event(name);
-    }
+    flight::record_event(name);
     if trace::trace_enabled() {
         trace::write_event(seq, name, fields);
     }
@@ -357,6 +367,12 @@ pub struct Snapshot {
     pub events: Vec<Event>,
     /// Events dropped after [`MAX_EVENTS`] was reached.
     pub dropped_events: u64,
+}
+
+/// Events dropped after [`MAX_EVENTS`] was reached — one field read,
+/// without the copy [`snapshot`] makes.
+pub fn dropped_events() -> u64 {
+    with_registry(|r| r.dropped_events)
 }
 
 /// Copies the current registry contents, folding in the allocator's slot
@@ -490,35 +506,20 @@ impl Snapshot {
             self.histograms
                 .iter()
                 .map(|(name, h)| {
-                    let buckets = Value::Array(
-                        h.occupied()
-                            .map(|(lo, c)| Value::Array(vec![int(lo), int(c)]))
-                            .collect(),
-                    );
-                    let body = Value::Object(vec![
-                        ("count".into(), int(h.count)),
-                        ("sum".into(), int(h.sum)),
-                        ("p50".into(), int(h.p50())),
-                        ("p90".into(), int(h.p90())),
-                        ("p99".into(), int(h.p99())),
-                        ("max".into(), int(h.max)),
-                        ("buckets".into(), buckets),
-                    ]);
-                    (name.clone(), body)
+                    let buckets = h
+                        .occupied()
+                        .map(|(lo, c)| Value::Array(vec![int(lo), int(c)]))
+                        .collect();
+                    let mut body = sketch_fields(h);
+                    body.push(("buckets".into(), Value::Array(buckets)));
+                    (name.clone(), Value::Object(body))
                 })
                 .collect(),
         );
         let alloc = Value::Object(
             self.alloc
                 .iter()
-                .map(|(path, a)| {
-                    let body = Value::Object(vec![
-                        ("count".into(), int(a.count)),
-                        ("bytes".into(), int(a.bytes)),
-                        ("peak".into(), int(a.peak)),
-                    ]);
-                    (path.clone(), body)
-                })
+                .map(|(path, a)| (path.clone(), alloc_value(a)))
                 .collect(),
         );
         let events = Value::Array(
@@ -548,6 +549,28 @@ impl Snapshot {
     }
 }
 
+/// A sketch's `count`, `sum`, `p50`, `p90`, `p99` and `max` — its
+/// summary in the JSON report and in every `snapshot` line.
+pub(crate) fn sketch_fields(s: &Sketch) -> Vec<(String, Value)> {
+    vec![
+        ("count".into(), int(s.count)),
+        ("sum".into(), int(s.sum)),
+        ("p50".into(), int(s.p50())),
+        ("p90".into(), int(s.p90())),
+        ("p99".into(), int(s.p99())),
+        ("max".into(), int(s.max)),
+    ]
+}
+
+/// One path's allocation accounting as `{count, bytes, peak}`.
+pub(crate) fn alloc_value(a: &AllocStat) -> Value {
+    Value::Object(vec![
+        ("count".into(), int(a.count)),
+        ("bytes".into(), int(a.bytes)),
+        ("peak".into(), int(a.peak)),
+    ])
+}
+
 /// `u64` → JSON integer, clamped into `i64` (the vendored value model's
 /// integer type).
 pub(crate) fn int(v: u64) -> Value {
@@ -563,22 +586,39 @@ pub(crate) fn float(v: f64) -> Value {
     }
 }
 
-/// String field `key` of a parsed JSONL object, if present and a string.
-pub(crate) fn field_str<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a str> {
-    obj.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
-        Value::String(s) => Some(s.as_str()),
-        _ => None,
-    })
+/// Field `key` of a parsed JSONL object, if present.
+pub(crate) fn field<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// Non-negative integer field `key` of a parsed JSONL object (a
-/// non-negative float is truncated), if present.
+/// String field `key` of a parsed JSONL object, if present and a string.
+pub(crate) fn field_str<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a str> {
+    field(obj, key)?.as_str()
+}
+
+/// Non-negative integer field `key` of a parsed JSONL object, if present.
 pub(crate) fn field_u64(obj: &[(String, Value)], key: &str) -> Option<u64> {
-    obj.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
+    as_u64(field(obj, key)?)
+}
+
+/// Object field `key` of a parsed JSONL object, if present and an object.
+pub(crate) fn field_obj<'a>(
+    obj: &'a [(String, Value)],
+    key: &str,
+) -> Option<&'a [(String, Value)]> {
+    match field(obj, key)? {
+        Value::Object(o) => Some(o),
+        _ => None,
+    }
+}
+
+/// A non-negative integer value (a non-negative float is truncated).
+pub(crate) fn as_u64(v: &Value) -> Option<u64> {
+    match v {
         Value::Int(i) => u64::try_from(*i).ok(),
         Value::Float(f) if *f >= 0.0 => Some(*f as u64),
         _ => None,
-    })
+    }
 }
 
 /// One lock for every in-crate test that flips the global switch or

@@ -1,167 +1,76 @@
-//! Periodic metrics snapshots: the `multiclust-metrics/v1` JSONL stream.
+//! Periodic metrics snapshots: the `--metrics` producer of the
+//! [`multiclust-trace/v2`](crate::trace) format.
 //!
 //! [`start_metrics`] spawns one telemetry-owned sampler thread that
-//! writes a snapshot line to the given file on a wall-clock interval —
-//! counters, quantiles from the duration/histogram sketches, allocator
-//! gauges, and the dropped-event count — so a long fit (or, later, the
-//! resident service) has a live, dashboardable signal without waiting for
-//! the end-of-run trace flush. The stream is observational only: the
-//! sampler reads the registry under its lock but never writes to it,
-//! never touches stdout, and never consumes randomness, so output stays
-//! byte-identical with the stream on or off.
+//! writes a `snapshot` line — counters, span and histogram quantiles,
+//! allocator gauges and the dropped-event count — on a wall-clock
+//! interval ([`INTERVAL`] from the CLI), so a long fit or the resident
+//! service has a live signal without waiting for the end-of-run trace
+//! flush. The stream is observational only: the sampler reads the
+//! registry under its lock but never writes to it, never touches stdout,
+//! and never consumes randomness, so output stays byte-identical with the
+//! stream on or off.
 //!
-//! ## Line types
-//!
-//! ```text
-//! {"type":"meta","schema":"multiclust-metrics/v1","interval_ms":200}
-//! {"type":"snapshot","seq":0,"elapsed_ms":0,"counters":{...},
-//!  "quantiles":{"span:kmeans.fit":{"count":1,"p50":...,"p90":...,"p99":...,"max":...}},
-//!  "alloc":{"enabled":true,"count":...,"bytes":...,"live":...,"peak":...},
-//!  "events_dropped":0}
-//! {"type":"end","snapshots":4}                      // on stop
-//! ```
-//!
-//! A snapshot is written immediately on start and a final one on
+//! The producer `meta` line carries `source` and `interval_ms`. A
+//! snapshot is written immediately on start and a final one on
 //! [`stop_metrics`], so even a run shorter than the interval yields at
-//! least two snapshot lines. Span-duration sketches are keyed
-//! `span:<path>`, plain histograms by their own name.
+//! least two; the `end` line counts them in `snapshots`.
 
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::BufWriter;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::sync::Mutex;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::Value;
 
-use crate::alloc::{alloc_enabled, alloc_totals};
-use crate::sketch::Sketch;
-use crate::{float, int};
+use crate::int;
+use crate::trace::Writer;
 
-/// Schema identifier on the stream's first line.
-pub const METRICS_SCHEMA: &str = "multiclust-metrics/v1";
+/// The CLI's wall-clock sampling interval.
+pub const INTERVAL: Duration = Duration::from_millis(200);
 
-/// Default wall-clock sampling interval (`MULTICLUST_METRICS_INTERVAL_MS`
-/// overrides).
-pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(200);
+/// The running sampler: its stop channel and thread.
+static SAMPLER: Mutex<Option<(Sender<()>, JoinHandle<()>)>> = Mutex::new(None);
 
-struct Sampler {
-    stop: Arc<AtomicBool>,
-    handle: JoinHandle<()>,
-}
-
-static SAMPLER: Mutex<Option<Sampler>> = Mutex::new(None);
-
-/// Whether a metrics stream is currently running.
-pub fn metrics_enabled() -> bool {
-    SAMPLER.lock().unwrap_or_else(|p| p.into_inner()).is_some()
-}
-
-fn quantile_obj(s: &Sketch) -> Value {
-    Value::Object(vec![
-        ("count".into(), int(s.count)),
-        ("mean".into(), float(s.mean())),
-        ("p50".into(), int(s.p50())),
-        ("p90".into(), int(s.p90())),
-        ("p99".into(), int(s.p99())),
-        ("max".into(), int(s.max)),
-    ])
-}
-
-fn snapshot_line(seq: u64, started: Instant) -> Value {
-    let snap = crate::snapshot();
-    let counters = Value::Object(
-        snap.counters.iter().map(|(k, &v)| (k.clone(), int(v))).collect(),
-    );
-    let mut quantiles: Vec<(String, Value)> = snap
-        .durations
-        .iter()
-        .map(|(path, s)| (format!("span:{path}"), quantile_obj(s)))
-        .collect();
-    quantiles.extend(snap.histograms.iter().map(|(name, s)| (name.clone(), quantile_obj(s))));
-    let gauges = alloc_totals();
-    let alloc = Value::Object(vec![
-        ("enabled".into(), Value::Bool(alloc_enabled())),
-        ("count".into(), int(gauges.count)),
-        ("bytes".into(), int(gauges.bytes)),
-        ("live".into(), Value::Int(gauges.live)),
-        ("peak".into(), int(gauges.peak)),
-    ]);
-    Value::Object(vec![
-        ("type".into(), Value::String("snapshot".into())),
-        ("seq".into(), int(seq)),
-        ("elapsed_ms".into(), int(started.elapsed().as_millis() as u64)),
-        ("counters".into(), counters),
-        ("quantiles".into(), Value::Object(quantiles)),
-        ("alloc".into(), alloc),
-        ("events_dropped".into(), int(snap.dropped_events)),
-    ])
-}
-
-fn write_line(w: &mut BufWriter<File>, value: &Value) {
-    if let Ok(json) = serde_json::to_string(value) {
-        let _ = w.write_all(json.as_bytes());
-        let _ = w.write_all(b"\n");
-    }
-}
-
-/// Opens `path` (truncating), writes the schema meta line, and spawns the
+/// Opens `path` (truncating), writes the meta lines, and spawns the
 /// sampler thread. Any previously running stream is stopped first. Does
 /// not flip the main telemetry switch — callers that want content in the
 /// snapshots should also call [`crate::set_enabled`] (the CLI's
 /// `--metrics` does both).
 pub fn start_metrics(path: &Path, interval: Duration) -> std::io::Result<()> {
     stop_metrics();
-    let file = File::create(path)?;
-    let mut writer = BufWriter::new(file);
-    write_line(
-        &mut writer,
-        &Value::Object(vec![
-            ("type".into(), Value::String("meta".into())),
-            ("schema".into(), Value::String(METRICS_SCHEMA.into())),
-            ("interval_ms".into(), int(interval.as_millis() as u64)),
-        ]),
-    );
-    let _ = writer.flush();
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_seen = Arc::clone(&stop);
     let interval = interval.max(Duration::from_millis(1));
+    let meta = vec![
+        ("source".into(), Value::String("metrics".into())),
+        ("interval_ms".into(), int(interval.as_millis() as u64)),
+    ];
+    let mut writer = Writer::new(BufWriter::new(File::create(path)?), meta);
+    writer.flush();
+    let (stop, stopped) = mpsc::channel();
     let handle = std::thread::Builder::new()
         .name("multiclust-metrics".into())
         .spawn(move || {
-            let started = Instant::now();
             let mut seq = 0u64;
+            // Wait on the stop channel rather than sleeping, so a stop
+            // returns at once even at long intervals.
             loop {
-                write_line(&mut writer, &snapshot_line(seq, started));
-                let _ = writer.flush();
+                writer.snapshot(seq, &crate::snapshot());
+                writer.flush();
                 seq += 1;
-                // Sleep in short slices so stop latency stays low even at
-                // long intervals; on stop, emit one final snapshot so the
-                // stream always ends with the run's complete totals.
-                let mut slept = Duration::ZERO;
-                while slept < interval {
-                    if stop_seen.load(Ordering::Acquire) {
-                        write_line(&mut writer, &snapshot_line(seq, started));
-                        write_line(
-                            &mut writer,
-                            &Value::Object(vec![
-                                ("type".into(), Value::String("end".into())),
-                                ("snapshots".into(), int(seq + 1)),
-                            ]),
-                        );
-                        let _ = writer.flush();
-                        return;
-                    }
-                    let step = (interval - slept).min(Duration::from_millis(20));
-                    std::thread::sleep(step);
-                    slept += step;
+                if stopped.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
+                    break;
                 }
             }
+            // One final snapshot, so the stream always ends with the
+            // run's complete totals.
+            writer.snapshot(seq, &crate::snapshot());
+            writer.finish(vec![("snapshots".into(), int(seq + 1))]);
         })?;
     let mut guard = SAMPLER.lock().unwrap_or_else(|p| p.into_inner());
-    *guard = Some(Sampler { stop, handle });
+    *guard = Some((stop, handle));
     Ok(())
 }
 
@@ -169,9 +78,9 @@ pub fn start_metrics(path: &Path, interval: Duration) -> std::io::Result<()> {
 /// joins it. No-op when no stream is running.
 pub fn stop_metrics() {
     let sampler = SAMPLER.lock().unwrap_or_else(|p| p.into_inner()).take();
-    if let Some(s) = sampler {
-        s.stop.store(true, Ordering::Release);
-        let _ = s.handle.join();
+    if let Some((stop, handle)) = sampler {
+        let _ = stop.send(());
+        let _ = handle.join();
     }
 }
 
@@ -192,7 +101,7 @@ mod tests {
         let first: Value = serde_json::from_str(lines[0]).unwrap();
         let Value::Object(obj) = &first else { panic!("meta not an object") };
         assert!(obj.iter().any(|(k, v)| {
-            k == "schema" && matches!(v, Value::String(s) if s == METRICS_SCHEMA)
+            k == "schema" && matches!(v, Value::String(s) if s == crate::trace::TRACE_SCHEMA)
         }));
         let snapshots = lines
             .iter()
@@ -207,5 +116,21 @@ mod tests {
         assert!(snapshots >= 2, "only {snapshots} snapshot lines:\n{body}");
         assert!(body.contains("\"type\":\"end\"") || body.contains("\"type\": \"end\""));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn write_failures_are_counted() {
+        // `/dev/full` accepts opens but fails every write with ENOSPC.
+        // Skip where it doesn't exist.
+        let full = Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let _guard = crate::TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        crate::reset();
+        start_metrics(full, Duration::from_millis(5)).expect("/dev/full opens");
+        stop_metrics();
+        assert!(crate::trace::trace_write_errors() > 0, "full stream must be counted");
+        crate::reset();
     }
 }

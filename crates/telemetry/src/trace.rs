@@ -1,55 +1,71 @@
-//! Structured trace export: the `multiclust-trace/v1` JSONL sink.
+//! The telemetry file format, `multiclust-trace/v2`: one JSONL codec —
+//! one [`Writer`] and one reader, [`read_trace`] — for all three
+//! producers. They differ only in how much they keep:
 //!
-//! When a sink is open (via [`set_trace_path`], the CLI's `--trace`, or
-//! the `MULTICLUST_TRACE` environment variable) every completed span and
-//! every structured event is streamed to disk as one JSON object per
-//! line, ahead of the in-memory registry's [`crate::MAX_EVENTS`] cap —
-//! the file is the durable record, the registry only the live summary.
-//! Counters and histograms are *not* streamed per update (they are hot);
-//! their final values are appended by [`flush_trace`] together with an
-//! `end` line.
+//! * the trace sink ([`set_trace_path`], the CLI's `--trace`) streams
+//!   every completed span and every event, on past the registry's
+//!   [`crate::MAX_EVENTS`] cap, and [`flush_trace`] closes it with one
+//!   `snapshot` of the registry;
+//! * the metrics sampler ([`crate::metrics`], `--metrics`) writes a
+//!   `snapshot` on a wall-clock interval;
+//! * the flight recorder's dump ([`crate::flight`]) writes the last
+//!   records of each thread's ring.
 //!
 //! ## Line types
 //!
 //! ```text
-//! {"type":"meta","schema":"multiclust-trace/v1"}      // always first
-//! {"type":"meta","command":"kmeans","seed":42,...}    // optional, repeatable
-//! {"type":"span","path":"kmeans.fit","ns":81234}      // one per completion
+//! {"type":"meta","schema":"multiclust-trace/v2"}          // always line 1
+//! {"type":"meta","source":"trace"}                        // producer fields, run context
 //! {"type":"span","path":"serve.fit","ns":91234,"request_id":"t3","conn":2}
-//! {"type":"event","seq":0,"name":"kmeans.iter","fields":{...}}
-//! {"type":"counter","name":"kernels.exact","value":9} // at flush
-//! {"type":"hist","name":"...","count":3,"sum":7}      // at flush
-//! {"type":"end","events_dropped":0,"lines":17}        // always last
+//! {"type":"event","seq":0,"name":"kmeans.iter","fields":{"iter":0,...}}
+//! {"type":"error","seq":7,"thread":1,"us":1042,"name":"serve.fit.internal","request_id":"t3"}
+//! {"type":"snapshot","seq":0,"elapsed_ms":3,"counters":{...},"quantiles":{...},
+//!  "alloc":{"enabled":false,...,"paths":{...}},"events_dropped":0}
+//! {"type":"end","lines":17,"write_errors":0}              // always last
 //! ```
 //!
-//! The determinism contract of the parent crate extends to the sink:
-//! writing a trace never consumes randomness or changes control flow, so
+//! `span`, `event` and `error` lines are [`Record`]s. Flight records add
+//! `seq`, `thread` and `us`; their events carry no `fields`, and only the
+//! ring writes `error` lines. `request_id`/`conn` appear on records made
+//! inside a request. A `snapshot` holds every counter, one quantile
+//! object per span-duration sketch (`span:<path>`) and histogram (`count`,
+//! `sum`, `p50`, `p90`, `p99`, `max`), the allocation gauges with
+//! per-path accounting under `paths`, and `events_dropped`.
+//!
+//! The determinism contract of the parent crate extends to every file:
+//! writing one never consumes randomness or changes control flow, so
 //! clustering output — and the process's stdout — is byte-identical with
-//! the sink on or off (enforced by `tests/cli.rs` and the harness's
-//! `trace-invariance` invariant).
+//! any producer on or off (enforced by `tests/cli.rs`, `scripts/check.sh`
+//! and the harness's `trace-invariance` invariant).
 
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufRead, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use serde::Value;
 
-use crate::{field_str, field_u64, AllocStat, Event};
+use crate::alloc::{alloc_enabled, alloc_totals};
+use crate::{
+    alloc_value, as_u64, field_obj, field_str, field_u64, float, int, sketch_fields, AllocStat,
+    Event, Sketch, Snapshot,
+};
 
-/// Schema identifier written as the first line of every trace file.
-pub const TRACE_SCHEMA: &str = "multiclust-trace/v1";
+/// Schema identifier on the first line of every telemetry file.
+pub const TRACE_SCHEMA: &str = "multiclust-trace/v2";
 
-/// Lines the sink failed to serialize or write (full disk, closed pipe).
-/// Failures stay swallowed at the call site — a full disk must not panic
-/// inside a span guard's `Drop` — but they are *counted* here and
-/// surfaced as the `trace.write_errors` counter in [`crate::snapshot`]
-/// and as `write_errors` on the trace `end` line.
+/// The fields of one JSONL object line, in order.
+pub(crate) type Fields = Vec<(String, Value)>;
+
+/// Lines any [`Writer`] failed to serialize or write (full disk, closed
+/// pipe), surfaced as the `trace.write_errors` counter in
+/// [`crate::snapshot`].
 static WRITE_ERRORS: AtomicU64 = AtomicU64::new(0);
 
-/// Sink write failures so far (serialization or I/O).
+/// Telemetry file write failures so far (serialization or I/O).
 pub fn trace_write_errors() -> u64 {
     WRITE_ERRORS.load(Ordering::Relaxed)
 }
@@ -59,14 +75,149 @@ pub(crate) fn reset_write_errors() {
     WRITE_ERRORS.store(0, Ordering::Relaxed);
 }
 
-/// 0 = no sink, 1 = sink open. Checked with one relaxed load on the hot
-/// path before touching the sink mutex.
-static TRACE_STATE: AtomicU8 = AtomicU8::new(0);
+fn text(s: &str) -> Value {
+    Value::String(s.to_string())
+}
+
+// ---- writing ---------------------------------------------------------------
+
+/// The one JSONL writer of every telemetry file: the schema line first,
+/// the `end` line last, and a count of lines and write failures between.
+pub(crate) struct Writer<W: Write> {
+    out: W,
+    lines: u64,
+    errors: u64,
+    started: Instant,
+}
+
+impl<W: Write> Writer<W> {
+    /// Starts a file: the schema line, then `meta` — the producer's
+    /// fields — on a second `meta` line.
+    pub(crate) fn new(out: W, meta: Fields) -> Self {
+        let mut w = Self::resume(out);
+        w.line("meta", vec![("schema".into(), text(TRACE_SCHEMA))]);
+        w.line("meta", meta);
+        w
+    }
+
+    /// Continues a file that already has its schema line (an outer trace
+    /// sink reopened in append mode).
+    pub(crate) fn resume(out: W) -> Self {
+        Self { out, lines: 0, errors: 0, started: Instant::now() }
+    }
+
+    /// Writes `{"type":ty, ...fields}`. A failure must not panic inside a
+    /// span guard's `Drop`, so it is counted instead of returned.
+    pub(crate) fn line(&mut self, ty: &str, mut fields: Fields) {
+        fields.insert(0, ("type".to_string(), text(ty)));
+        self.object(fields);
+    }
+
+    /// Writes one object line whose first field is its `type`.
+    fn object(&mut self, obj: Fields) {
+        let ok = serde_json::to_string(&Value::Object(obj)).is_ok_and(|json| {
+            self.out.write_all(json.as_bytes()).is_ok() && self.out.write_all(b"\n").is_ok()
+        });
+        self.lines += 1;
+        if !ok {
+            self.fail();
+        }
+    }
+
+    fn fail(&mut self) {
+        self.errors += 1;
+        WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Writes one `span`, `event` or `error` line; `fields` is an event's
+    /// payload.
+    pub(crate) fn record(&mut self, r: Record, fields: Option<&[(&str, f64)]>) {
+        let span = r.kind == "span";
+        let mut obj = Fields::with_capacity(9);
+        obj.push(("type".into(), Value::String(r.kind)));
+        for (key, v) in [("seq", r.seq), ("thread", r.thread), ("us", r.us)] {
+            if let Some(v) = v {
+                obj.push((key.into(), int(v)));
+            }
+        }
+        obj.push((if span { "path" } else { "name" }.into(), Value::String(r.name)));
+        if span {
+            obj.push(("ns".into(), int(r.dur_ns)));
+        }
+        if let Some(fields) = fields {
+            let fields = fields.iter().map(|(k, v)| (k.to_string(), float(*v))).collect();
+            obj.push(("fields".into(), Value::Object(fields)));
+        }
+        if let Some(id) = r.request_id {
+            obj.push(("request_id".into(), Value::String(id)));
+        }
+        if let Some(conn) = r.conn {
+            obj.push(("conn".into(), int(conn)));
+        }
+        self.object(obj);
+    }
+
+    /// Writes one `snapshot` line of `snap`, the producer's `seq`-th.
+    pub(crate) fn snapshot(&mut self, seq: u64, snap: &Snapshot) {
+        let quantiles = |s: &Sketch| Value::Object(sketch_fields(s));
+        let mut sketches: Fields = snap
+            .durations
+            .iter()
+            .map(|(path, s)| (format!("span:{path}"), quantiles(s)))
+            .collect();
+        sketches.extend(snap.histograms.iter().map(|(name, s)| (name.clone(), quantiles(s))));
+        let paths = snap.alloc.iter().map(|(path, a)| (path.clone(), alloc_value(a))).collect();
+        let gauges = alloc_totals();
+        let alloc = vec![
+            ("enabled".into(), Value::Bool(alloc_enabled())),
+            ("count".into(), int(gauges.count)),
+            ("bytes".into(), int(gauges.bytes)),
+            ("live".into(), Value::Int(gauges.live)),
+            ("peak".into(), int(gauges.peak)),
+            ("paths".into(), Value::Object(paths)),
+        ];
+        let counters = snap.counters.iter().map(|(k, &v)| (k.clone(), int(v))).collect();
+        let elapsed_ms = u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX);
+        self.line(
+            "snapshot",
+            vec![
+                ("seq".into(), int(seq)),
+                ("elapsed_ms".into(), int(elapsed_ms)),
+                ("counters".into(), Value::Object(counters)),
+                ("quantiles".into(), Value::Object(sketches)),
+                ("alloc".into(), Value::Object(alloc)),
+                ("events_dropped".into(), int(snap.dropped_events)),
+            ],
+        );
+    }
+
+    pub(crate) fn flush(&mut self) {
+        if self.out.flush().is_err() {
+            self.fail();
+        }
+    }
+
+    /// Writes the `end` line — `extra`, then the line count (the end line
+    /// included) and this writer's failures so far — and flushes. Returns
+    /// the output and the writer's total failure count.
+    pub(crate) fn finish(mut self, mut extra: Fields) -> (W, u64) {
+        extra.push(("lines".into(), int(self.lines + 1)));
+        extra.push(("write_errors".into(), int(self.errors)));
+        self.line("end", extra);
+        self.flush();
+        (self.out, self.errors)
+    }
+}
+
+// ---- the trace sink --------------------------------------------------------
+
+/// Whether a sink is open: one relaxed load on the hot path before
+/// touching the sink mutex.
+static TRACE_ON: AtomicBool = AtomicBool::new(false);
 
 struct Sink {
-    writer: BufWriter<File>,
+    writer: Writer<BufWriter<File>>,
     path: PathBuf,
-    lines: u64,
 }
 
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
@@ -74,7 +225,7 @@ static SINK: Mutex<Option<Sink>> = Mutex::new(None);
 /// Whether a trace sink is currently open.
 #[inline]
 pub fn trace_enabled() -> bool {
-    TRACE_STATE.load(Ordering::Relaxed) == 1
+    TRACE_ON.load(Ordering::Relaxed)
 }
 
 /// Runs `f` on the sink slot, surviving lock poisoning.
@@ -84,8 +235,8 @@ fn with_sink<T>(f: impl FnOnce(&mut Option<Sink>) -> T) -> T {
 }
 
 /// Opens (`Some`) or closes (`None`) the trace sink. Opening truncates
-/// the file and writes the schema line; closing discards the sink
-/// without an `end` line — use [`flush_trace`] for a well-formed finish.
+/// the file and writes the meta lines; closing discards the sink without
+/// an `end` line — use [`flush_trace`] for a well-formed finish.
 pub fn set_trace_path(path: Option<&Path>) -> std::io::Result<()> {
     open_trace(path, false)
 }
@@ -96,202 +247,145 @@ pub fn trace_path() -> Option<PathBuf> {
 }
 
 /// Like [`set_trace_path`], but `append = true` reopens an existing file
-/// without truncating or rewriting the schema line (used to restore an
+/// without truncating or rewriting the meta lines (used to restore an
 /// outer sink after a nested redirect, e.g. the harness's
 /// trace-invariance check running under `--trace`).
 pub fn open_trace(path: Option<&Path>, append: bool) -> std::io::Result<()> {
-    match path {
-        None => {
-            TRACE_STATE.store(0, Ordering::Relaxed);
-            with_sink(|s| *s = None);
-            Ok(())
-        }
+    let sink = match path {
+        None => None,
         Some(p) => {
-            let file = if append {
-                File::options().append(true).create(true).open(p)?
+            let writer = if append {
+                Writer::resume(BufWriter::new(File::options().append(true).create(true).open(p)?))
             } else {
-                File::create(p)?
+                let meta = vec![("source".into(), text("trace"))];
+                Writer::new(BufWriter::new(File::create(p)?), meta)
             };
-            let mut sink =
-                Sink { writer: BufWriter::new(file), path: p.to_path_buf(), lines: 0 };
-            if !append {
-                sink.write_line(&Value::Object(vec![
-                    ("type".into(), Value::String("meta".into())),
-                    ("schema".into(), Value::String(TRACE_SCHEMA.into())),
-                ]));
-            }
-            with_sink(|s| *s = Some(sink));
-            TRACE_STATE.store(1, Ordering::Relaxed);
-            Ok(())
+            Some(Sink { writer, path: p.to_path_buf() })
         }
-    }
+    };
+    TRACE_ON.store(sink.is_some(), Ordering::Relaxed);
+    with_sink(|s| *s = sink);
+    Ok(())
 }
 
-impl Sink {
-    /// Serializes one value as a JSONL line. I/O errors must not panic
-    /// inside a span guard's `Drop`, so they are swallowed here — but
-    /// counted in [`WRITE_ERRORS`] so the loss is visible in the registry
-    /// and on the `end` line instead of silent.
-    fn write_line(&mut self, value: &Value) {
-        match serde_json::to_string(value) {
-            Ok(json) => {
-                let ok = self.writer.write_all(json.as_bytes()).is_ok()
-                    && self.writer.write_all(b"\n").is_ok();
-                if !ok {
-                    WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-                }
-                self.lines += 1;
-            }
-            Err(_) => {
-                WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-            }
+/// Runs `f` on the open sink's writer; no-op without a sink.
+fn write(f: impl FnOnce(&mut Writer<BufWriter<File>>)) {
+    with_sink(|s| {
+        if let Some(sink) = s {
+            f(&mut sink.writer);
         }
-    }
+    });
 }
 
 /// Appends a free-form metadata line (`{"type":"meta", ...fields}`) —
 /// run context such as command, seed, thread count, kernel mode, dataset
 /// shape. No-op without an open sink.
 pub fn trace_meta(fields: &[(&str, Value)]) {
-    if !trace_enabled() {
-        return;
+    if trace_enabled() {
+        let fields = fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        write(|w| w.line("meta", fields));
     }
-    let mut obj = vec![("type".to_string(), Value::String("meta".into()))];
-    obj.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
-    with_sink(|s| {
-        if let Some(sink) = s {
-            sink.write_line(&Value::Object(obj));
-        }
-    });
 }
 
-/// Streams one completed span. Called from `SpanGuard::drop` after the
-/// registry lock has been released — the two locks are never nested.
-/// Spans completed inside a request context (see [`crate::flight`])
-/// additionally carry `request_id`/`conn` fields, so a trace line joins
-/// the same correlation key as the flight ring and the client transcript.
-pub(crate) fn write_span(path: &str, ns: u64, ctx: Option<(&str, u64)>) {
-    with_sink(|s| {
-        if let Some(sink) = s {
-            let mut obj = vec![
-                ("type".into(), Value::String("span".into())),
-                ("path".into(), Value::String(path.to_string())),
-                ("ns".into(), crate::int(ns)),
-            ];
-            if let Some((request_id, conn)) = ctx {
-                obj.push(("request_id".into(), Value::String(request_id.to_string())));
-                obj.push(("conn".into(), crate::int(conn)));
-            }
-            sink.write_line(&Value::Object(obj));
-        }
-    });
+/// Streams one completed span, with the thread's request context if one
+/// is installed (see [`crate::flight`]). Called from `SpanGuard::drop`
+/// after the registry lock has been released — the two locks are never
+/// nested.
+pub(crate) fn write_span(path: String, ns: u64) {
+    let (request_id, conn) = crate::flight::current_request().unzip();
+    let kind = "span".into();
+    let span = Record { kind, name: path, dur_ns: ns, request_id, conn, ..Record::default() };
+    write(|w| w.record(span, None));
 }
 
 /// Streams one structured event (including those past the in-memory cap).
 pub(crate) fn write_event(seq: u64, name: &str, fields: &[(&str, f64)]) {
-    with_sink(|s| {
-        if let Some(sink) = s {
-            let fields = Value::Object(
-                fields.iter().map(|(k, v)| (k.to_string(), crate::float(*v))).collect(),
-            );
-            sink.write_line(&Value::Object(vec![
-                ("type".into(), Value::String("event".into())),
-                ("seq".into(), crate::int(seq)),
-                ("name".into(), Value::String(name.to_string())),
-                ("fields".into(), fields),
-            ]));
-        }
-    });
+    let (kind, name) = ("event".into(), name.to_string());
+    let event = Record { seq: Some(seq), kind, name, ..Record::default() };
+    write(|w| w.record(event, Some(fields)));
 }
 
-/// Appends final counter and histogram values plus the `end` line, flushes
-/// and closes the sink. No-op without an open sink. Call once, at the end
-/// of the run being traced.
+/// Appends a final `snapshot` of the registry plus the `end` line,
+/// flushes and closes the sink. No-op without an open sink. Call once, at
+/// the end of the run being traced.
 pub fn flush_trace() {
     if !trace_enabled() {
         return;
     }
-    // Snapshot first (registry lock), then write (sink lock) — sequential,
-    // never nested.
+    // Snapshot first (registry lock), then take the sink (sink lock) —
+    // sequential, never nested.
     let snap = crate::snapshot();
-    TRACE_STATE.store(0, Ordering::Relaxed);
-    with_sink(|s| {
-        let Some(mut sink) = s.take() else { return };
-        for (name, v) in &snap.counters {
-            sink.write_line(&Value::Object(vec![
-                ("type".into(), Value::String("counter".into())),
-                ("name".into(), Value::String(name.clone())),
-                ("value".into(), crate::int(*v)),
-            ]));
-        }
-        for (name, h) in &snap.histograms {
-            sink.write_line(&Value::Object(vec![
-                ("type".into(), Value::String("hist".into())),
-                ("name".into(), Value::String(name.clone())),
-                ("count".into(), crate::int(h.count)),
-                ("sum".into(), crate::int(h.sum)),
-                ("p50".into(), crate::int(h.p50())),
-                ("p90".into(), crate::int(h.p90())),
-                ("p99".into(), crate::int(h.p99())),
-                ("max".into(), crate::int(h.max)),
-            ]));
-        }
-        // Per-phase allocation accounting (present only when
-        // `MULTICLUST_ALLOC` was on and something allocated).
-        for (path, a) in &snap.alloc {
-            sink.write_line(&Value::Object(vec![
-                ("type".into(), Value::String("alloc".into())),
-                ("path".into(), Value::String(path.clone())),
-                ("count".into(), crate::int(a.count)),
-                ("bytes".into(), crate::int(a.bytes)),
-                ("peak".into(), crate::int(a.peak)),
-            ]));
-        }
-        let lines = sink.lines + 1;
-        sink.write_line(&Value::Object(vec![
-            ("type".into(), Value::String("end".into())),
-            ("events_dropped".into(), crate::int(snap.dropped_events)),
-            ("write_errors".into(), crate::int(trace_write_errors())),
-            ("lines".into(), crate::int(lines)),
-        ]));
-        if sink.writer.flush().is_err() {
-            WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-        }
-    });
+    TRACE_ON.store(false, Ordering::Relaxed);
+    let Some(mut sink) = with_sink(Option::take) else { return };
+    sink.writer.snapshot(0, &snap);
+    sink.writer.finish(Fields::new());
 }
 
 // ---- reading ---------------------------------------------------------------
 
-/// A parsed trace file.
+/// One `span`, `event` or `error` line. `seq`, `thread` and `us` are set
+/// on flight records; a trace-sink event has only `seq`, its registry
+/// sequence number.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Record {
+    /// Sequence number (flight: the merge order across threads).
+    pub seq: Option<u64>,
+    /// Flight segment id of the recording thread.
+    pub thread: Option<u64>,
+    /// `"span"`, `"event"` or `"error"`.
+    pub kind: String,
+    /// Flight: microseconds since the recorder's first record.
+    pub us: Option<u64>,
+    /// Span duration in nanoseconds (0 for events and errors).
+    pub dur_ns: u64,
+    /// Span path, event name or error label.
+    pub name: String,
+    /// Correlated request id, if the record was made inside a request.
+    pub request_id: Option<String>,
+    /// Correlated connection id.
+    pub conn: Option<u64>,
+}
+
+/// A parsed telemetry file, from any of the three producers.
 #[derive(Debug, Default)]
 pub struct TraceFile {
     /// Schema identifier from the opening meta line.
     pub schema: Option<String>,
-    /// All metadata fields, merged across meta lines in order.
+    /// The fields of every later meta line, in order: the producer's
+    /// (`source`, `capacity`, …) and the run context (`command`, …).
     pub meta: Vec<(String, Value)>,
-    /// Individual span completions in stream order.
+    /// Every `span`, `event` and `error` line in stream order.
+    pub records: Vec<Record>,
+    /// Individual span completions `(path, ns)` in stream order.
     pub spans: Vec<(String, u64)>,
     /// Structured events in stream order.
     pub events: Vec<Event>,
-    /// Final counter values from the flush.
+    /// Counter values from the last snapshot.
     pub counters: BTreeMap<String, u64>,
-    /// Per-span-path allocation accounting from the flush (empty unless
-    /// the run had `MULTICLUST_ALLOC=1`).
+    /// Per-span-path allocation accounting from the last snapshot (empty
+    /// unless the run had `MULTICLUST_ALLOC=1`).
     pub alloc: BTreeMap<String, AllocStat>,
-    /// Whether the `end` line was present (the run flushed cleanly).
+    /// Whether the `end` line was present (the producer finished cleanly).
     pub ended: bool,
-    /// Events dropped from the in-memory registry (the trace itself keeps
-    /// streaming past the cap).
+    /// Events dropped from the in-memory registry, from the last snapshot
+    /// (the trace itself keeps streaming past the cap).
     pub events_dropped: u64,
-    /// Sink write failures reported on the `end` line.
+    /// Write failures reported on the `end` line.
     pub write_errors: u64,
     /// Total parsed lines.
     pub lines: usize,
 }
 
-/// Parses a `multiclust-trace/v1` JSONL file. Every line must be a JSON
+impl TraceFile {
+    /// Integer meta field `key` (e.g. a flight dump's `capacity`).
+    pub fn meta_u64(&self, key: &str) -> Option<u64> {
+        field_u64(&self.meta, key)
+    }
+}
+
+/// Parses a `multiclust-trace/v2` JSONL file. Every line must be a JSON
 /// object with a known `type`; the error message carries the 1-based line
-/// number of the first offence.
+/// number of the first offence. Any other schema is refused.
 pub fn read_trace(path: &Path) -> Result<TraceFile, String> {
     let file = File::open(path).map_err(|e| format!("opening {}: {e}", path.display()))?;
     let reader = std::io::BufReader::new(file);
@@ -310,83 +404,74 @@ pub fn read_trace(path: &Path) -> Result<TraceFile, String> {
         out.lines += 1;
         let ty = field_str(&obj, "type")
             .ok_or_else(|| format!("line {lineno}: missing \"type\""))?;
+        let missing = |key: &str| format!("line {lineno}: {ty} without \"{key}\"");
         match ty {
-            "meta" => {
-                for (k, v) in &obj {
-                    match k.as_str() {
-                        "type" => {}
-                        "schema" => {
-                            if out.schema.is_none() {
-                                out.schema = Some(match v {
-                                    Value::String(s) => s.clone(),
-                                    _ => return Err(format!(
-                                        "line {lineno}: \"schema\" must be a string"
-                                    )),
-                                });
-                            }
-                        }
-                        _ => out.meta.push((k.clone(), v.clone())),
-                    }
+            "meta" if out.schema.is_none() => {
+                let schema = field_str(&obj, "schema").ok_or_else(|| missing("schema"))?;
+                if schema != TRACE_SCHEMA {
+                    let expected = TRACE_SCHEMA;
+                    return Err(format!("unsupported schema {schema:?} (expected {expected:?})"));
                 }
+                out.schema = Some(schema.to_string());
             }
-            "span" => {
-                let path = field_str(&obj, "path")
-                    .ok_or_else(|| format!("line {lineno}: span without \"path\""))?;
-                let ns = field_u64(&obj, "ns")
-                    .ok_or_else(|| format!("line {lineno}: span without \"ns\""))?;
-                out.spans.push((path.to_string(), ns));
+            "meta" => out.meta.extend(obj.iter().filter(|(k, _)| k != "type").cloned()),
+            "span" | "event" | "error" => {
+                let key = if ty == "span" { "path" } else { "name" };
+                let name = field_str(&obj, key).ok_or_else(|| missing(key))?;
+                let dur_ns = match ty {
+                    "span" => field_u64(&obj, "ns").ok_or_else(|| missing("ns"))?,
+                    _ => 0,
+                };
+                let record = Record {
+                    seq: field_u64(&obj, "seq"),
+                    thread: field_u64(&obj, "thread"),
+                    kind: ty.to_string(),
+                    us: field_u64(&obj, "us"),
+                    dur_ns,
+                    name: name.to_string(),
+                    request_id: field_str(&obj, "request_id").map(String::from),
+                    conn: field_u64(&obj, "conn"),
+                };
+                if ty == "span" {
+                    out.spans.push((record.name.clone(), dur_ns));
+                } else if ty == "event" {
+                    // Flight events carry no payload.
+                    let fields = match obj.iter().find(|(k, _)| k == "fields") {
+                        None => Vec::new(),
+                        Some((_, Value::Object(f))) => event_fields(f, lineno)?,
+                        Some(_) => {
+                            return Err(format!("line {lineno}: \"fields\" must be an object"));
+                        }
+                    };
+                    let seq = record.seq.unwrap_or(out.events.len() as u64);
+                    out.events.push(Event { seq, name: record.name.clone(), fields });
+                }
+                out.records.push(record);
             }
-            "event" => {
-                let name = field_str(&obj, "name")
-                    .ok_or_else(|| format!("line {lineno}: event without \"name\""))?;
-                let seq = field_u64(&obj, "seq").unwrap_or(out.events.len() as u64);
-                let fields = obj
+            "snapshot" => {
+                out.counters = field_obj(&obj, "counters")
+                    .unwrap_or_default()
                     .iter()
-                    .find(|(k, _)| k == "fields")
-                    .and_then(|(_, v)| match v {
-                        Value::Object(f) => Some(f),
-                        _ => None,
-                    })
-                    .ok_or_else(|| format!("line {lineno}: event without \"fields\""))?;
-                let fields: Vec<(String, f64)> = fields
+                    .filter_map(|(name, v)| Some((name.clone(), as_u64(v)?)))
+                    .collect();
+                let paths = field_obj(&obj, "alloc").and_then(|a| field_obj(a, "paths"));
+                out.alloc = paths
+                    .unwrap_or_default()
                     .iter()
-                    .map(|(k, v)| {
-                        let f = match v {
-                            Value::Int(i) => *i as f64,
-                            Value::Float(f) => *f,
-                            Value::Null => f64::NAN,
-                            _ => return Err(format!(
-                                "line {lineno}: event field {k:?} is not numeric"
-                            )),
+                    .filter_map(|(path, v)| {
+                        let Value::Object(a) = v else { return None };
+                        let stat = AllocStat {
+                            count: field_u64(a, "count").unwrap_or(0),
+                            bytes: field_u64(a, "bytes").unwrap_or(0),
+                            peak: field_u64(a, "peak").unwrap_or(0),
                         };
-                        Ok((k.clone(), f))
+                        Some((path.clone(), stat))
                     })
-                    .collect::<Result<_, String>>()?;
-                out.events.push(Event { seq, name: name.to_string(), fields });
-            }
-            "counter" => {
-                let name = field_str(&obj, "name")
-                    .ok_or_else(|| format!("line {lineno}: counter without \"name\""))?;
-                let value = field_u64(&obj, "value")
-                    .ok_or_else(|| format!("line {lineno}: counter without \"value\""))?;
-                out.counters.insert(name.to_string(), value);
-            }
-            "hist" => {} // summary only; nothing to accumulate
-            "alloc" => {
-                let path = field_str(&obj, "path")
-                    .ok_or_else(|| format!("line {lineno}: alloc without \"path\""))?;
-                out.alloc.insert(
-                    path.to_string(),
-                    AllocStat {
-                        count: field_u64(&obj, "count").unwrap_or(0),
-                        bytes: field_u64(&obj, "bytes").unwrap_or(0),
-                        peak: field_u64(&obj, "peak").unwrap_or(0),
-                    },
-                );
+                    .collect();
+                out.events_dropped = field_u64(&obj, "events_dropped").unwrap_or(0);
             }
             "end" => {
                 out.ended = true;
-                out.events_dropped = field_u64(&obj, "events_dropped").unwrap_or(0);
                 out.write_errors = field_u64(&obj, "write_errors").unwrap_or(0);
             }
             other => return Err(format!("line {lineno}: unknown line type {other:?}")),
@@ -395,14 +480,26 @@ pub fn read_trace(path: &Path) -> Result<TraceFile, String> {
     if out.lines == 0 {
         return Err(format!("{}: empty trace", path.display()));
     }
-    match &out.schema {
-        None => return Err("missing schema meta line".to_string()),
-        Some(s) if s != TRACE_SCHEMA => {
-            return Err(format!("unsupported schema {s:?} (expected {TRACE_SCHEMA:?})"));
-        }
-        Some(_) => {}
+    if out.schema.is_none() {
+        return Err("missing schema meta line".to_string());
     }
     Ok(out)
+}
+
+/// An event's named numeric fields (`null` reads back as NaN).
+fn event_fields(fields: &[(String, Value)], lineno: usize) -> Result<Vec<(String, f64)>, String> {
+    fields
+        .iter()
+        .map(|(k, v)| {
+            let f = match v {
+                Value::Int(i) => *i as f64,
+                Value::Float(f) => *f,
+                Value::Null => f64::NAN,
+                _ => return Err(format!("line {lineno}: event field {k:?} is not numeric")),
+            };
+            Ok((k.clone(), f))
+        })
+        .collect()
 }
 
 // ---- span-tree exporters ---------------------------------------------------
@@ -574,7 +671,7 @@ mod tests {
     #[test]
     fn read_trace_rejects_malformed_lines() {
         let path = tmp("malformed.jsonl");
-        std::fs::write(&path, "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v1\"}\nnot json\n").unwrap();
+        std::fs::write(&path, "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v2\"}\nnot json\n").unwrap();
         let err = read_trace(&path).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
         let _ = std::fs::remove_file(&path);
@@ -620,9 +717,9 @@ mod tests {
         std::fs::write(
             &path,
             concat!(
-                "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v1\"}\n",
+                "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v2\"}\n",
                 "{\"type\":\"span\",\"path\":\"fit\",\"ns\":1000}\n",
-                "{\"type\":\"alloc\",\"path\":\"fit\",\"count\":3,\"bytes\":4096,\"peak\":2048}\n",
+                "{\"type\":\"snapshot\",\"alloc\":{\"paths\":{\"fit\":{\"count\":3,\"bytes\":4096,\"peak\":2048}}}}\n",
                 "{\"type\":\"end\",\"events_dropped\":0,\"write_errors\":7,\"lines\":4}\n",
             ),
         )

@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use multiclust_telemetry::flight;
+use multiclust_telemetry::trace::{read_trace, TraceFile};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,19 +25,19 @@ fn dump_path(tag: &str, seed: u64) -> PathBuf {
     ))
 }
 
-fn dump(tag: &str, seed: u64) -> flight::FlightFile {
+fn dump(tag: &str, seed: u64) -> TraceFile {
     let path = dump_path(tag, seed);
     flight::dump_to_file(&path)
         .expect("dump writes")
         .expect("recorder enabled");
-    let parsed = flight::read_flight(&path).expect("dump re-parses");
+    let parsed = read_trace(&path).expect("dump re-parses");
     let _ = std::fs::remove_file(&path);
     parsed
 }
 
 /// `(kind, name, request_id)` with the interleaving-dependent parts
 /// (seq, timestamps, thread segment ids) stripped, sorted.
-fn canonical(f: &flight::FlightFile) -> Vec<(String, String, Option<String>)> {
+fn canonical(f: &TraceFile) -> Vec<(String, String, Option<String>)> {
     let mut rows: Vec<(String, String, Option<String>)> = f
         .records
         .iter()
@@ -49,22 +50,22 @@ fn canonical(f: &flight::FlightFile) -> Vec<(String, String, Option<String>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Overfilling a 16-slot ring from one thread keeps exactly the last
-    /// 16 records in order and counts every older one as overwritten.
+    /// Overfilling a 256-slot ring from one thread keeps exactly the last
+    /// 256 records in order and counts every older one as overwritten.
     #[test]
     fn wraparound_keeps_exactly_the_newest_capacity_records(seed in 0u64..100_000) {
         let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let cap = 16usize;
+        let cap = flight::DEFAULT_CAPACITY;
         let total = StdRng::seed_from_u64(seed).gen_range(cap + 1..cap * 4);
-        flight::set_flight(Some(cap));
+        flight::set_flight(true);
         for i in 0..total {
             flight::record_event(&format!("r{i:03}"));
         }
         let parsed = dump("wrap", seed);
-        flight::set_flight(Some(flight::DEFAULT_CAPACITY));
+        flight::set_flight(true);
 
         prop_assert_eq!(parsed.records.len(), cap);
-        prop_assert_eq!(parsed.overwritten, (total - cap) as u64);
+        prop_assert_eq!(parsed.meta_u64("overwritten"), Some((total - cap) as u64));
         let names: Vec<String> = parsed.records.iter().map(|r| r.name.clone()).collect();
         let expected: Vec<String> =
             (total - cap..total).map(|i| format!("r{i:03}")).collect();
@@ -78,7 +79,7 @@ proptest! {
     #[test]
     fn dump_is_thread_partition_invariant_below_capacity(seed in 0u64..100_000) {
         let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let cap = 64usize;
+        let cap = flight::DEFAULT_CAPACITY;
         let total = StdRng::seed_from_u64(seed ^ 0xabcd).gen_range(1..=cap);
         let record = |i: usize| {
             flight::set_request(&format!("q{i:03}"), i as u64 + 1);
@@ -86,13 +87,13 @@ proptest! {
             flight::clear_request();
         };
 
-        flight::set_flight(Some(cap));
+        flight::set_flight(true);
         for i in 0..total {
             record(i);
         }
         let single = canonical(&dump("one", seed));
 
-        flight::set_flight(Some(cap));
+        flight::set_flight(true);
         std::thread::scope(|scope| {
             for t in 0..4usize {
                 scope.spawn(move || {
@@ -103,7 +104,7 @@ proptest! {
             }
         });
         let partitioned = canonical(&dump("four", seed));
-        flight::set_flight(Some(flight::DEFAULT_CAPACITY));
+        flight::set_flight(true);
 
         prop_assert_eq!(single, partitioned);
     }

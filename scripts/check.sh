@@ -91,7 +91,7 @@ grep -q 'floors: PASS' "$tmp/floors.txt"
 ./target/release/multiclust kmeans --input "$tmp/data.csv" --k 3 --seed 1 \
     --trace "$tmp/run.trace.jsonl" > "$tmp/traced2.csv"
 cmp "$tmp/plain.csv" "$tmp/traced2.csv"
-head -1 "$tmp/run.trace.jsonl" | grep -q 'multiclust-trace/v1'
+head -1 "$tmp/run.trace.jsonl" | grep -q 'multiclust-trace/v2'
 grep -q '"type":"end"' "$tmp/run.trace.jsonl"
 ./target/release/multiclust trace "$tmp/run.trace.jsonl" | grep -q 'kmeans.fit'
 ./target/release/multiclust trace --collapse "$tmp/run.trace.jsonl" \
@@ -101,7 +101,7 @@ grep -q 'kmeans.iter' "$tmp/diag.txt"
 
 # Resource observability: allocation accounting must never change a
 # single stdout byte, and the `--metrics` sampler must leave behind a
-# parseable multiclust-metrics/v1 stream with at least two snapshots
+# parseable multiclust-trace/v2 stream with at least two snapshots
 # (first immediate, last at stop) plus an end line.
 MULTICLUST_ALLOC=1 ./target/release/multiclust kmeans \
     --input "$tmp/data.csv" --k 3 --seed 1 \
@@ -113,14 +113,14 @@ MULTICLUST_ALLOC=1 ./target/release/multiclust kmeans \
     --input "$tmp/data.csv" --k 3 --seed 1 \
     --metrics "$tmp/run.metrics.jsonl" > "$tmp/metrics.csv"
 cmp "$tmp/plain.csv" "$tmp/metrics.csv"
-head -1 "$tmp/run.metrics.jsonl" | grep -q 'multiclust-metrics/v1'
+head -1 "$tmp/run.metrics.jsonl" | grep -q 'multiclust-trace/v2'
 snapshots=$(grep -c '"type":"snapshot"' "$tmp/run.metrics.jsonl")
 test "$snapshots" -ge 2
 grep -q '"type":"end"' "$tmp/run.metrics.jsonl"
 
 # A corrupt trace must fail diagnose with a clean error naming the bad
 # line — no panic, no usage dump.
-printf '{"type":"meta","schema":"multiclust-trace/v1"}\n{"type":"ev' \
+printf '{"type":"meta","schema":"multiclust-trace/v2"}\n{"type":"ev' \
     > "$tmp/corrupt.jsonl"
 if ./target/release/multiclust diagnose "$tmp/corrupt.jsonl" \
     > /dev/null 2> "$tmp/corrupt.err"; then
@@ -246,13 +246,22 @@ dump=$(sed -n 's/^loadtest: flight dump: \(.*\) (first failing request .*)$/\1/p
 req=$(sed -n 's/^loadtest: flight dump: .* (first failing request \(.*\))$/\1/p' \
     "$tmp/panic.err")
 test -n "$dump" && test -n "$req"
-head -1 "$dump" | grep -q 'multiclust-flight/v1'
+head -1 "$dump" | grep -q 'multiclust-trace/v2'
 grep -q "\"request_id\":\"$req\"" "$dump"
 ./target/release/multiclust flight "$dump" > "$tmp/flight.txt"
 # The summary shows the *last* errors, so assert it correlates request
 # ids at all; the specific failing id is pinned in the raw dump above.
 grep -q 'request_id=t' "$tmp/flight.txt"
 grep -q 'serve.fit.internal' "$tmp/flight.txt"
+
+# One format, one reader: every view accepts every producer's file — the
+# `--trace` sink, the `--metrics` stream and the flight dump.
+for file in "$tmp/run.trace.jsonl" "$tmp/run.metrics.jsonl" "$dump"; do
+    ./target/release/multiclust trace "$file" > /dev/null
+    ./target/release/multiclust trace --collapse "$file" > /dev/null
+    ./target/release/multiclust diagnose "$file" > /dev/null
+    ./target/release/multiclust flight "$file" > /dev/null
+done
 
 # The recorder must never leak into the protocol: the scripted serve
 # session replayed with the recorder forced off is byte-identical to the

@@ -56,9 +56,9 @@ commands:
   bench        [--smoke] [--out <file>] [--seed <n>]
                [--compare <BENCH_*.json>] [--inject-naive]
                [--check-floors <BENCH_*.json>]
-  trace        <trace.jsonl> | --collapse <trace.jsonl>
-  diagnose     <trace.jsonl> [--json]
-  flight       <flight.jsonl>
+  trace        <file.jsonl> | --collapse <file.jsonl>
+  diagnose     <file.jsonl> [--json]
+  flight       <file.jsonl>
   trend        [--dir <dir>] [--slo <report.json>]
   serve        [--listen tcp:<host:port>|unix:<path>] [--capacity <n>]
                (default 127.0.0.1:0; env MULTICLUST_LISTEN)
@@ -74,20 +74,18 @@ common flags: --header            first CSV line is a header row
               --seed <n>          RNG seed (default 42)
               --telemetry[=json]  report spans/counters/convergence traces
                                   on stderr (stdout stays pipeable CSV)
-              --trace <file>      stream a multiclust-trace/v1 JSONL trace
-                                  of the run to <file> (implies telemetry;
-                                  stdout stays byte-identical)
-              --metrics <file>    stream periodic multiclust-metrics/v1
-                                  JSONL snapshots (counters, quantiles,
-                                  allocation gauges) to <file> while the
-                                  run executes (implies telemetry);
-                                  MULTICLUST_METRICS_INTERVAL_MS sets the
-                                  sampling interval (default 200)
+              --trace <file>      stream every span and event of the run
+                                  to <file> (implies telemetry; stdout
+                                  stays byte-identical)
+              --metrics <file>    write a snapshot of counters, quantiles
+                                  and allocation gauges to <file> every
+                                  200 ms (implies telemetry)
+              (both write multiclust-trace/v2 JSONL, as do flight dumps;
+               `trace`, `diagnose` and `flight` read all three)
 
 environment:  MULTICLUST_ALLOC=1  attribute heap allocations (count/bytes/
-                                  peak) to the active span; surfaced by
-                                  --telemetry, --trace and --metrics;
-                                  stdout stays byte-identical
+                                  peak) to the active span; stdout stays
+                                  byte-identical
 
 output: CSV on stdout — one column per solution, label per object,
         -1 for noise; `subspace` prints one cluster per line instead;
@@ -101,9 +99,9 @@ output: CSV on stdout — one column per solution, label per object,
         `trace` prints a per-phase time attribution (or
         collapsed flamegraph stacks with --collapse); `diagnose` prints
         convergence findings and exits non-zero on a violated objective
-        contract; `flight` summarizes a multiclust-flight/v1 recorder
-        dump (record counts, hottest names, last errors with their
-        request ids); `trend` tabulates all BENCH_*.json trajectories
+        contract; `flight` summarizes a file's records, above all a
+        flight dump's (record counts, hottest names, last errors with
+        their request ids); `trend` tabulates all BENCH_*.json trajectories
         plus per-op latency quantiles from LOADTEST_*.json reports
         (--slo gates a candidate report's p99 against those baselines
         and exits non-zero on a regression);
@@ -121,9 +119,9 @@ output: CSV on stdout — one column per solution, label per object,
 ";
 
 fn main() -> ExitCode {
-    // Allocation accounting must be live before the command allocates
-    // anything worth attributing (no-op unless MULTICLUST_ALLOC=1).
-    multiclust::telemetry::alloc::init_from_env();
+    // Read the telemetry environment before the command allocates
+    // anything worth attributing.
+    multiclust::telemetry::init();
     let result = run(std::env::args().skip(1).collect());
     // Finalize the trace sink (counters, end line) whether the command
     // succeeded or not; no-op when no sink is open. The metrics sampler
@@ -290,15 +288,19 @@ fn run(args: Vec<String>) -> Result<Outcome, CliError> {
             return Err(format!("unexpected argument {stray:?} (expected a --flag)").into());
         }
     }
+    // `--trace` and `--metrics` imply recording: there is nothing to
+    // stream or sample otherwise.
     let telemetry = telemetry_mode(&flags)?;
-    if telemetry.is_some() {
+    if telemetry.is_some() || flags.get("trace").is_some() || flags.get("metrics").is_some() {
         multiclust::telemetry::set_enabled(true);
     }
     if let Some(path) = flags.get("trace") {
         setup_trace(path, command, &flags)?;
     }
     if let Some(path) = flags.get("metrics") {
-        setup_metrics(path, &flags)?;
+        use multiclust::telemetry::metrics;
+        metrics::start_metrics(Path::new(path), metrics::INTERVAL)
+            .map_err(|e| format!("flag --metrics: cannot open {path}: {e}"))?;
     }
     let outcome = match command.as_str() {
         "kmeans" => cmd_kmeans(&flags).map(Outcome::ok).map_err(CliError::from),
@@ -340,7 +342,6 @@ fn setup_trace(path: &str, command: &str, flags: &Flags) -> Result<(), String> {
     use multiclust::telemetry::trace;
     trace::set_trace_path(Some(Path::new(path)))
         .map_err(|e| format!("flag --trace: cannot open {path}: {e}"))?;
-    multiclust::telemetry::set_enabled(true);
     let kernel_mode = match multiclust::linalg::kernels::kernel_mode() {
         multiclust::linalg::kernels::KernelMode::Blocked => "blocked",
         multiclust::linalg::kernels::KernelMode::Naive => "naive",
@@ -351,26 +352,6 @@ fn setup_trace(path: &str, command: &str, flags: &Flags) -> Result<(), String> {
         ("threads", Value::Int(multiclust::parallel::current_threads() as i64)),
         ("kernel_mode", Value::String(kernel_mode.to_string())),
     ]);
-    Ok(())
-}
-
-/// Opens the `--metrics` snapshot stream. Implies telemetry (there is
-/// nothing to sample otherwise); stdout stays byte-identical because
-/// snapshots go to their own file from the sampler thread.
-fn setup_metrics(path: &str, flags: &Flags) -> Result<(), String> {
-    use multiclust::telemetry::metrics;
-    let interval_ms: u64 = match std::env::var("MULTICLUST_METRICS_INTERVAL_MS") {
-        Ok(v) => v.parse().map_err(|_| {
-            format!("MULTICLUST_METRICS_INTERVAL_MS: cannot parse {v:?} as milliseconds")
-        })?,
-        Err(_) => flags.parsed_or("metrics-interval-ms", 200u64)?,
-    };
-    metrics::start_metrics(
-        Path::new(path),
-        std::time::Duration::from_millis(interval_ms.max(1)),
-    )
-    .map_err(|e| format!("flag --metrics: cannot open {path}: {e}"))?;
-    multiclust::telemetry::set_enabled(true);
     Ok(())
 }
 
@@ -625,22 +606,27 @@ fn cmd_bench(flags: &Flags) -> Result<Outcome, String> {
     Ok(Outcome { output: json, passed })
 }
 
+/// Reads the telemetry file that `trace`, `diagnose` and `flight` work
+/// on: the first argument, or `trace --collapse <file>`. A file that won't
+/// open or parse (a crashed or still-running producer) is a data problem,
+/// not a usage mistake: report the named line cleanly, skip the usage dump.
+fn read_telemetry_file<'a>(
+    command: &str,
+    flags: &'a Flags,
+) -> Result<(&'a str, multiclust::telemetry::trace::TraceFile), CliError> {
+    let path = flags
+        .get("collapse")
+        .or(flags.positional.first())
+        .ok_or_else(|| format!("{command} needs a <file.jsonl> argument"))?;
+    let parsed = multiclust::telemetry::trace::read_trace(Path::new(path))
+        .map_err(|e| CliError::plain(format!("{command} {path}: {e}")))?;
+    Ok((path, parsed))
+}
+
 fn cmd_trace(flags: &Flags) -> Result<String, CliError> {
     use multiclust::telemetry::trace;
-    let (path, collapse) = match flags.get("collapse") {
-        Some(p) => (p.as_str(), true),
-        None => {
-            let p = flags.positional.first().ok_or_else(|| {
-                "trace needs a <trace.jsonl> argument (or --collapse <file>)".to_string()
-            })?;
-            (p.as_str(), false)
-        }
-    };
-    // A trace file that won't open or parse is a data problem, not a
-    // usage mistake: report the named line cleanly, skip the usage dump.
-    let parsed = trace::read_trace(Path::new(path))
-        .map_err(|e| CliError::plain(format!("trace {path}: {e}")))?;
-    if collapse {
+    let (path, parsed) = read_telemetry_file("trace", flags)?;
+    if flags.get("collapse").is_some() {
         Ok(trace::collapse_spans(&parsed))
     } else {
         let mut out = format!(
@@ -656,16 +642,8 @@ fn cmd_trace(flags: &Flags) -> Result<String, CliError> {
 }
 
 fn cmd_diagnose(flags: &Flags) -> Result<Outcome, CliError> {
-    use multiclust::telemetry::{diagnose, trace};
-    let path = flags
-        .positional
-        .first()
-        .ok_or_else(|| "diagnose needs a <trace.jsonl> argument".to_string())?;
-    // Truncated or corrupt traces (a crashed or still-running producer)
-    // are expected inputs here: fail with the offending line number, not
-    // a panic or a usage dump.
-    let parsed = trace::read_trace(Path::new(path))
-        .map_err(|e| CliError::plain(format!("diagnose {path}: {e}")))?;
+    use multiclust::telemetry::diagnose;
+    let (_, parsed) = read_telemetry_file("diagnose", flags)?;
     let report = diagnose::analyze(&parsed, &diagnose::DiagnoseOptions::default());
     let output = if flags.bool("json") {
         format!("{}\n", report.to_json())
@@ -675,19 +653,12 @@ fn cmd_diagnose(flags: &Flags) -> Result<Outcome, CliError> {
     Ok(Outcome { output, passed: !report.has_errors() })
 }
 
-/// Reads a flight-recorder dump and prints its human summary: record
-/// counts by kind, the hottest names, and the last errors with their
-/// correlated request ids.
+/// Prints the record summary of a telemetry file (typically a flight
+/// dump): counts by kind, the hottest names, and the last errors with
+/// their correlated request ids.
 fn cmd_flight(flags: &Flags) -> Result<Outcome, CliError> {
-    use multiclust::telemetry::flight;
-    let path = flags
-        .positional
-        .first()
-        .ok_or_else(|| "flight needs a <flight.jsonl> argument".to_string())?;
-    // A dump that won't parse is a data problem, not a usage mistake.
-    let parsed = flight::read_flight(Path::new(path))
-        .map_err(|e| CliError::plain(format!("flight {path}: {e}")))?;
-    Ok(Outcome::ok(flight::summary(&parsed)))
+    let (_, parsed) = read_telemetry_file("flight", flags)?;
+    Ok(Outcome::ok(multiclust::telemetry::flight::summary(&parsed)))
 }
 
 /// Sorted `<PREFIX>_*.json` paths in `dir`, with the prefix stripped off

@@ -499,7 +499,7 @@ fn bench_check_floors_gate() {
 }
 
 /// PR-5 acceptance: `--trace <file>` leaves stdout byte-identical while
-/// streaming a `multiclust-trace/v1` JSONL file that every downstream
+/// streaming a `multiclust-trace/v2` JSONL file that every downstream
 /// tool (`trace`, `trace --collapse`, `diagnose`) accepts.
 #[test]
 fn trace_flag_streams_jsonl_without_touching_stdout() {
@@ -529,7 +529,7 @@ fn trace_flag_streams_jsonl_without_touching_stdout() {
             .unwrap_or_else(|e| panic!("trace line {}: {e}: {line}", i + 1));
     }
     assert!(
-        raw.starts_with(r#"{"type":"meta","schema":"multiclust-trace/v1"}"#),
+        raw.starts_with(r#"{"type":"meta","schema":"multiclust-trace/v2"}"#),
         "first line announces the schema: {raw}"
     );
     assert!(raw.contains(r#""command":"kmeans""#), "{raw}");
@@ -572,7 +572,7 @@ fn diagnose_flags_non_monotone_trajectory() {
     fs::write(
         &bad,
         concat!(
-            "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v1\"}\n",
+            "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v2\"}\n",
             "{\"type\":\"event\",\"seq\":0,\"name\":\"kmeans.iter\",",
             "\"fields\":{\"restart\":0.0,\"iter\":0.0,\"inertia\":100.0}}\n",
             "{\"type\":\"event\",\"seq\":1,\"name\":\"kmeans.iter\",",
@@ -649,7 +649,7 @@ fn trend_tabulates_checked_in_baselines() {
 /// PR-7 acceptance: a run with `MULTICLUST_ALLOC=1`, `--trace` and
 /// `--metrics` leaves stdout byte-identical, the trace summary gains
 /// per-phase `alloc.peak` attribution, and the metrics file is parseable
-/// `multiclust-metrics/v1` JSONL with at least two snapshots.
+/// `multiclust-trace/v2` JSONL with at least two snapshots.
 #[test]
 fn alloc_and_metrics_instrumentation_keeps_stdout_identical() {
     let dir = workdir("alloc-metrics");
@@ -699,7 +699,7 @@ fn alloc_and_metrics_instrumentation_keeps_stdout_identical() {
         }
     }
     assert!(
-        raw.starts_with(r#"{"type":"meta","schema":"multiclust-metrics/v1""#),
+        raw.starts_with(r#"{"type":"meta","schema":"multiclust-trace/v2""#),
         "first line announces the schema: {raw}"
     );
     assert!(snapshots >= 2, "expected ≥ 2 snapshots, got {snapshots}: {raw}");
@@ -717,14 +717,14 @@ fn diagnose_corrupt_trace_fails_cleanly() {
     let truncated = dir.join("truncated.jsonl");
     fs::write(
         &truncated,
-        "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v1\"}\n{\"type\":\"event\",\"seq\":0,\"na",
+        "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v2\"}\n{\"type\":\"event\",\"seq\":0,\"na",
     )
     .unwrap();
     // …and a line that is not JSON at all.
     let invalid = dir.join("invalid.jsonl");
     fs::write(
         &invalid,
-        "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v1\"}\nnot json at all\n",
+        "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v2\"}\nnot json at all\n",
     )
     .unwrap();
 

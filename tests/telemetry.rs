@@ -5,12 +5,12 @@
 //! 2. the JSON exporter emits text the vendored `serde_json` parses;
 //! 3. telemetry never perturbs results — k-means and COALA outputs are
 //!    bit-identical with the switch on or off;
-//! 4. the trace sink streams parseable `multiclust-trace/v1` JSONL and
+//! 4. the trace sink streams parseable `multiclust-trace/v2` JSONL and
 //!    never perturbs results either;
 //! 5. events past the in-memory cap are counted, not silently lost;
 //! 6. the counting allocator attributes heap traffic to spans without
 //!    moving a single label;
-//! 7. the `--metrics` sampler streams parseable `multiclust-metrics/v1`
+//! 7. the `--metrics` sampler streams parseable `multiclust-trace/v2`
 //!    snapshots with at least two data points per run;
 //! 8. the Gaussian affinity build's work counters follow the roofline
 //!    model exactly.
@@ -151,7 +151,7 @@ fn trace_sink_streams_parseable_jsonl_without_perturbing_results() {
         assert!(matches!(v, serde_json::Value::Object(_)), "line {}", i + 1);
     }
     // The first line announces the schema and the reader saw it.
-    assert!(raw.starts_with(r#"{"type":"meta","schema":"multiclust-trace/v1"}"#), "{raw}");
+    assert!(raw.starts_with(r#"{"type":"meta","schema":"multiclust-trace/v2"}"#), "{raw}");
     assert_eq!(parsed.schema.as_deref(), Some(trace::TRACE_SCHEMA));
     assert!(parsed.ended, "end line written by flush");
     assert_eq!(parsed.events_dropped, 0);
@@ -239,7 +239,7 @@ fn alloc_accounting_attributes_spans_without_perturbing_results() {
 }
 
 /// The PR-7 metrics stream: a sampler attached for the duration of a fit
-/// leaves behind a parseable `multiclust-metrics/v1` JSONL file — a meta
+/// leaves behind a parseable `multiclust-trace/v2` JSONL file — a meta
 /// line, at least two snapshots (first immediate, last at stop), and an
 /// end line whose snapshot count matches.
 #[test]
@@ -290,7 +290,7 @@ fn metrics_stream_emits_parseable_snapshots() {
         }
     }
     assert!(
-        raw.starts_with(r#"{"type":"meta","schema":"multiclust-metrics/v1""#),
+        raw.starts_with(r#"{"type":"meta","schema":"multiclust-trace/v2""#),
         "{raw}"
     );
     assert!(snapshots >= 2, "expected at least 2 snapshots, got {snapshots}:\n{raw}");
