@@ -47,7 +47,8 @@ pub fn fit_dispatch() -> FitDispatch {
 
 /// Address of the lazily-booted in-process server shared by the
 /// `serve-equivalence` invariant. The server lives for the rest of the
-/// process; its accept loop is idle between checks.
+/// process; between checks its accept loop sleeps in a blocking
+/// `accept()` and costs no wake-ups.
 pub fn shared_server_addr() -> Result<String, String> {
     static ADDR: OnceLock<Result<String, String>> = OnceLock::new();
     ADDR.get_or_init(|| {

@@ -184,7 +184,8 @@ fn number(v: &Value) -> Option<f64> {
 }
 
 /// Parses the `data`/`path` pair of a request. Ragged or empty inline
-/// matrices are rejected here — `Dataset::from_rows` would panic.
+/// matrices are rejected here — `Dataset::from_rows` would panic — and
+/// so are non-finite cells.
 fn parse_source(obj: &[(String, Value)]) -> Result<DataSource, ProtocolError> {
     match (field(obj, "data"), field_str(obj, "path")?) {
         (Some(_), Some(_)) => Err(ProtocolError::bad_request(
@@ -215,6 +216,13 @@ fn parse_source(obj: &[(String, Value)]) -> Result<DataSource, ProtocolError> {
                             "\"data\" row {i} cell {j} is not a number"
                         )));
                     };
+                    // The codec reads an overflowing literal such as
+                    // `1e999` as ±inf; no family or model takes that.
+                    if !x.is_finite() {
+                        return Err(ProtocolError::bad_request(format!(
+                            "\"data\" row {i} cell {j} is not finite"
+                        )));
+                    }
                     parsed.push(x);
                 }
                 match width {
@@ -506,6 +514,18 @@ mod tests {
         let e = parse_err(r#"{"op":"fit","family":"kmeans","data":[[1,2],[3]]}"#);
         assert_eq!(e.code, "bad-request");
         assert!(e.message.contains("ragged"), "{}", e.message);
+    }
+
+    #[test]
+    fn non_finite_data_is_rejected_for_fit_and_assign() {
+        let e = parse_err(r#"{"op":"fit","family":"kmeans","k":2,"data":[[1e999,0],[1,1]]}"#);
+        assert_eq!(e.code, "bad-request");
+        assert_eq!(e.message, "\"data\" row 0 cell 0 is not finite");
+        let e = parse_err(r#"{"op":"assign","model":"m","data":[[-1e999,0],[1e999,1]]}"#);
+        assert_eq!(e.code, "bad-request");
+        assert_eq!(e.message, "\"data\" row 0 cell 0 is not finite");
+        let e = parse_err(r#"{"op":"assign","model":"m","data":[[0,0],[1,-1e999]]}"#);
+        assert_eq!(e.message, "\"data\" row 1 cell 1 is not finite");
     }
 
     #[test]

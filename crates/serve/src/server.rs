@@ -2,21 +2,27 @@
 //! `multiclust-serve/v1` protocol, and keeps every fitted model in a
 //! bounded LRU [`ModelRegistry`].
 //!
-//! Each connection gets a handler thread with a short read timeout, so a
-//! `shutdown` request drains cleanly even while other clients hold their
-//! connections open: handlers observe the stop flag on the next timeout
-//! and exit, and [`Server::run`] joins them all before returning — no
-//! leaked threads. Every request executes under a `serve.<op>` telemetry
-//! span, feeding the `multiclust-trace/v2` sink and the `--metrics`
-//! stream exactly like a CLI run; independently of the telemetry switch
-//! the server keeps its own per-op counters and latency quantile
-//! sketches for the `stats` op.
+//! [`Server::run`] blocks in `accept()`, so a new connection reaches its
+//! handler thread as soon as the kernel queues it. Shutdown wakes that
+//! blocked call once: the handler that answers `shutdown` sets the stop
+//! flag, then opens and drops one connection to the bound address (the
+//! loopback address of the same family when bound to `0.0.0.0` or
+//! `::`). The loop checks the flag after every `accept()` returns.
+//!
+//! Handler sockets carry a short read timeout for the drain alone: a
+//! handler idling on a kept-open connection sees the stop flag on its
+//! next timeout and exits, and [`Server::run`] joins them all before
+//! returning — no leaked threads. Every request executes under a
+//! `serve.<op>` telemetry span, feeding the `multiclust-trace/v2` sink
+//! and the `--metrics` stream exactly like a CLI run; independently of
+//! the telemetry switch the server keeps its own per-op counters and
+//! latency quantile sketches for the `stats` op.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
+use std::io::{BufReader, ErrorKind, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -35,7 +41,7 @@ use crate::protocol::{
     self, BoundedLine, DataSource, ProtocolError, Request, SCHEMA,
 };
 use crate::registry::{FittedModel, ModelRegistry};
-use crate::{ChaosConfig, FitDispatch, FitSpec, Listen};
+use crate::{client, ChaosConfig, FitDispatch, FitSpec, Listen};
 
 /// Server construction parameters.
 pub struct ServerConfig {
@@ -71,6 +77,9 @@ struct Shared {
     registry: Mutex<ModelRegistry>,
     stats: Mutex<Stats>,
     stop: AtomicBool,
+    // Where the `shutdown` handler connects to wake the accept loop; for
+    // a Unix listener also the socket file `run` removes on exit.
+    wake: Listen,
     start: Instant,
     max_line: usize,
     chaos: ChaosConfig,
@@ -92,7 +101,6 @@ enum ListenerKind {
 pub struct Server {
     listener: ListenerKind,
     shared: Arc<Shared>,
-    unix_path: Option<PathBuf>,
     addr: String,
 }
 
@@ -100,18 +108,19 @@ impl Server {
     /// Binds the address and prepares the shared state. The request-line
     /// cap is read from `MULTICLUST_SERVE_MAX_LINE` at bind time.
     pub fn bind(listen: &Listen, config: ServerConfig) -> std::io::Result<Server> {
-        let (listener, unix_path, addr) = match listen {
+        let (listener, wake, addr) = match listen {
             Listen::Tcp(a) => {
                 let l = TcpListener::bind(a.as_str())?;
                 let bound = l.local_addr()?;
-                (ListenerKind::Tcp(l), None, format!("tcp:{bound}"))
+                let wake = Listen::Tcp(wake_addr(bound).to_string());
+                (ListenerKind::Tcp(l), wake, format!("tcp:{bound}"))
             }
             Listen::Unix(p) => {
                 // A stale socket file from a dead server blocks the bind;
                 // remove it (a live server would still hold the listener).
                 let _ = std::fs::remove_file(p);
                 let l = UnixListener::bind(p)?;
-                (ListenerKind::Unix(l), Some(p.clone()), format!("unix:{}", p.display()))
+                (ListenerKind::Unix(l), listen.clone(), format!("unix:{}", p.display()))
             }
         };
         let shared = Arc::new(Shared {
@@ -119,13 +128,14 @@ impl Server {
             registry: Mutex::new(ModelRegistry::new(config.capacity)),
             stats: Mutex::new(Stats::default()),
             stop: AtomicBool::new(false),
+            wake,
             start: Instant::now(),
             max_line: protocol::max_line_bytes(),
             chaos: config.chaos,
             chaos_seq: AtomicU64::new(0),
             conn_seq: AtomicU64::new(0),
         });
-        Ok(Server { listener, shared, unix_path, addr })
+        Ok(Server { listener, shared, addr })
     }
 
     /// The bound address in `tcp:host:port` / `unix:path` form — feed it
@@ -135,56 +145,65 @@ impl Server {
     }
 
     /// Serves until a `shutdown` request, then joins every handler
-    /// thread and removes a Unix socket file if one was bound.
+    /// thread and removes a Unix socket file if one was bound. A failure
+    /// confined to one incoming connection drops that connection and
+    /// leaves a `serve.accept.<kind>` flight error; any other `accept()`
+    /// error ends the run with `Err`, after the same drain.
     pub fn run(self) -> std::io::Result<ServerSummary> {
-        match &self.listener {
-            ListenerKind::Tcp(l) => l.set_nonblocking(true)?,
-            ListenerKind::Unix(l) => l.set_nonblocking(true)?,
-        }
+        let Server { listener, shared, .. } = self;
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shared.stop.load(Ordering::SeqCst) {
-            let conn = match &self.listener {
-                ListenerKind::Tcp(l) => match l.accept() {
-                    Ok((s, _)) => {
-                        s.set_nodelay(true).ok();
-                        s.set_read_timeout(Some(Duration::from_millis(50)))?;
-                        let reader = s.try_clone()?;
-                        Some((boxed_read(reader), boxed_write(s)))
+        let result = loop {
+            let accepted = match &listener {
+                ListenerKind::Tcp(l) => l.accept().map(|(s, _)| {
+                    s.set_nodelay(true).ok();
+                    split(s, TcpStream::set_read_timeout, TcpStream::try_clone)
+                }),
+                ListenerKind::Unix(l) => l
+                    .accept()
+                    .map(|(s, _)| split(s, UnixStream::set_read_timeout, UnixStream::try_clone)),
+            };
+            // Checked after every wake-up: the connection that woke the
+            // loop for shutdown is dropped unserved.
+            if shared.stop.load(Ordering::SeqCst) {
+                break Ok(());
+            }
+            let failed = match accepted {
+                Ok(Ok((reader, writer))) => {
+                    let conn_shared = Arc::clone(&shared);
+                    match std::thread::Builder::new()
+                        .name("serve-conn".to_string())
+                        .spawn(move || handle_connection(&conn_shared, reader, writer))
+                    {
+                        Ok(handle) => {
+                            handlers.retain(|h| !h.is_finished());
+                            handlers.push(handle);
+                            continue;
+                        }
+                        Err(_) => "spawn",
                     }
-                    Err(e) if would_block(&e) => None,
-                    Err(e) => return Err(e),
-                },
-                ListenerKind::Unix(l) => match l.accept() {
-                    Ok((s, _)) => {
-                        s.set_read_timeout(Some(Duration::from_millis(50)))?;
-                        let reader = s.try_clone()?;
-                        Some((boxed_read(reader), boxed_write(s)))
+                }
+                Ok(Err(step)) => step,
+                Err(e) => match accept_error_kind(&e) {
+                    Some(kind) => kind,
+                    None => {
+                        shared.stop.store(true, Ordering::SeqCst);
+                        break Err(e);
                     }
-                    Err(e) if would_block(&e) => None,
-                    Err(e) => return Err(e),
                 },
             };
-            match conn {
-                Some((reader, writer)) => {
-                    let shared = Arc::clone(&self.shared);
-                    handlers.push(
-                        std::thread::Builder::new()
-                            .name("serve-conn".to_string())
-                            .spawn(move || handle_connection(&shared, reader, writer))
-                            .expect("spawn connection handler"),
-                    );
-                    handlers.retain(|h| !h.is_finished());
-                }
-                None => std::thread::sleep(Duration::from_millis(5)),
-            }
-        }
+            multiclust_telemetry::flight::record_error(&format!("serve.accept.{failed}"), None);
+        };
+        // Close the listener before joining: a wake connect still queued
+        // behind a full backlog then fails instead of holding its handler.
+        drop(listener);
         for h in handlers {
             let _ = h.join();
         }
-        if let Some(p) = &self.unix_path {
+        if let Listen::Unix(p) = &shared.wake {
             let _ = std::fs::remove_file(p);
         }
-        let stats = self.shared.stats.lock().unwrap_or_else(|e| e.into_inner());
+        result?;
+        let stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
         Ok(ServerSummary {
             requests: stats.requests.values().sum(),
             errors: stats.errors,
@@ -192,19 +211,42 @@ impl Server {
     }
 }
 
-fn boxed_read(r: impl Read + Send + 'static) -> Box<dyn Read + Send> {
-    Box::new(r)
+/// The address that reaches a listener bound to `bound`: an unspecified
+/// IP (`0.0.0.0`, `::`) becomes the loopback address of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
-fn boxed_write(w: impl Write + Send + 'static) -> Box<dyn Write + Send> {
-    Box::new(w)
+/// Classifies an `accept()` error: `Some(kind)` for a failure confined
+/// to the one incoming connection, which the loop drops and survives;
+/// `None` for a failure of the listener itself, which ends the run.
+fn accept_error_kind(e: &std::io::Error) -> Option<&'static str> {
+    match e.kind() {
+        ErrorKind::Interrupted => Some("interrupted"),
+        ErrorKind::ConnectionAborted => Some("connection-aborted"),
+        ErrorKind::ConnectionReset => Some("connection-reset"),
+        _ => None,
+    }
 }
 
-fn would_block(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
+type Halves = (Box<dyn Read + Send>, Box<dyn Write + Send>);
+
+/// Splits an accepted stream into a handler's read and write halves,
+/// with the read timeout the shutdown drain relies on. `Err` names the
+/// failed step for the flight record.
+fn split<S: Read + Write + Send + 'static>(
+    stream: S,
+    set_read_timeout: fn(&S, Option<Duration>) -> std::io::Result<()>,
+    try_clone: fn(&S) -> std::io::Result<S>,
+) -> Result<Halves, &'static str> {
+    set_read_timeout(&stream, Some(Duration::from_millis(50))).map_err(|_| "read-timeout")?;
+    let reader = try_clone(&stream).map_err(|_| "clone")?;
+    Ok((Box::new(reader), Box::new(stream)))
 }
 
 fn handle_connection(
@@ -325,6 +367,10 @@ fn handle_connection(
         }
         if shutdown {
             shared.stop.store(true, Ordering::SeqCst);
+            // Wake the accept loop. If this connect fails because the
+            // backlog is full, the queued connections wake `accept()`
+            // instead, so the error is safe to ignore.
+            let _ = client::Connection::open(&shared.wake);
             return;
         }
     }
@@ -792,4 +838,32 @@ fn op_stats(shared: &Shared, id: &Value) -> Value {
         },
     ));
     Value::Object(fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accept_errors_of_one_connection_are_survivable() {
+        for (kind, name) in [
+            (ErrorKind::Interrupted, "interrupted"),
+            (ErrorKind::ConnectionAborted, "connection-aborted"),
+            (ErrorKind::ConnectionReset, "connection-reset"),
+        ] {
+            assert_eq!(accept_error_kind(&kind.into()), Some(name));
+        }
+        for kind in [ErrorKind::InvalidInput, ErrorKind::OutOfMemory, ErrorKind::Other] {
+            assert_eq!(accept_error_kind(&kind.into()), None, "{kind:?} ends the run");
+        }
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_ips_to_loopback() {
+        let wake = |s: &str| wake_addr(s.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:4100"), "127.0.0.1:4100");
+        assert_eq!(wake("[::]:4100"), "[::1]:4100");
+        assert_eq!(wake("10.1.2.3:4100"), "10.1.2.3:4100");
+        assert_eq!(wake("[::1]:4100"), "[::1]:4100");
+    }
 }

@@ -136,6 +136,22 @@ fi
 # Baseline trend over the checked-in BENCH_*.json reports.
 ./target/release/multiclust trend | grep -q 'kmeans-n1000'
 
+# wait_serve PID: waits for a server sent `shutdown` and returns its exit
+# status. The accept loop blocks until shutdown wakes it, so a wake that
+# never lands would hang here; fail the gate after 10 s instead.
+wait_serve() {
+    for _ in $(seq 1 100); do
+        kill -0 "$1" 2> /dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "$1" 2> /dev/null; then
+        kill "$1"
+        echo "check.sh: serve did not exit after shutdown" >&2
+        exit 1
+    fi
+    wait "$1"
+}
+
 # Resident service smoke: boot `serve` on a temp Unix socket, play a
 # scripted fit/assign/compare/evict/list session through `client`, and
 # diff the transcript against the checked-in golden — responses are a
@@ -168,7 +184,7 @@ for threads in 1 4; do
         --request '{"id":"st","op":"stats"}' > "$tmp/serve-$threads.stats"
     ./target/release/multiclust client --connect "unix:$sock" \
         --request '{"id":"bye","op":"shutdown"}' > /dev/null
-    wait "$serve_pid"
+    wait_serve "$serve_pid"
     if [ -S "$sock" ]; then
         echo "check.sh: serve left its socket file behind" >&2
         exit 1
@@ -278,7 +294,7 @@ done
     --script "$tmp/serve-session.txt" > "$tmp/serve-noflight.out"
 ./target/release/multiclust client --connect "unix:$sock" \
     --request '{"id":"bye","op":"shutdown"}' > /dev/null
-wait "$serve_pid"
+wait_serve "$serve_pid"
 cmp "$tmp/serve-1.out" "$tmp/serve-noflight.out"
 
 # Latency SLO trend gate: the checked-in LOADTEST_*.json reports must

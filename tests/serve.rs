@@ -9,7 +9,8 @@ use std::fs;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use multiclust::harness::{all_families, catalog, fit_dispatch, FitInput};
 use multiclust::serve::{client, Listen, Server, ServerConfig};
@@ -30,7 +31,15 @@ fn workdir(name: &str) -> PathBuf {
 fn boot(
     capacity: usize,
 ) -> (Listen, std::thread::JoinHandle<multiclust::serve::ServerSummary>) {
-    let listen = Listen::parse("127.0.0.1:0").unwrap();
+    boot_at("127.0.0.1:0", capacity)
+}
+
+/// [`boot`] on any `--listen` address.
+fn boot_at(
+    addr: &str,
+    capacity: usize,
+) -> (Listen, std::thread::JoinHandle<multiclust::serve::ServerSummary>) {
+    let listen = Listen::parse(addr).unwrap();
     let config = ServerConfig {
         capacity,
         dispatch: fit_dispatch(),
@@ -464,4 +473,47 @@ fn unix_socket_via_env_cleans_up_on_shutdown() {
     client::roundtrip(&listen, r#"{"id":"2","op":"shutdown"}"#).unwrap();
     assert!(child.wait().unwrap().success());
     assert!(!sock.exists(), "socket file removed on clean shutdown");
+}
+
+/// A request on a fresh connection is served when it arrives: the accept
+/// loop blocks in `accept()` rather than polling, so the median `list`
+/// over new connections stays far below a 5 ms poll interval.
+#[test]
+fn fresh_connection_is_served_without_an_accept_poll() {
+    let (listen, handle) = boot(1);
+    let mut micros: Vec<u128> = (0..21)
+        .map(|i| {
+            let started = Instant::now();
+            let resp = client::roundtrip(&listen, &format!(r#"{{"id":"{i}","op":"list"}}"#))
+                .expect("list roundtrip");
+            assert!(resp.contains(r#""ok":true"#), "{resp}");
+            started.elapsed().as_micros()
+        })
+        .collect();
+    micros.sort_unstable();
+    client::roundtrip(&listen, r#"{"id":"bye","op":"shutdown"}"#).unwrap();
+    handle.join().expect("server thread joins");
+    assert!(micros[10] < 2500, "median fresh-connection list took {} us: {micros:?}", micros[10]);
+}
+
+/// `shutdown` wakes an accept loop that has sat idle in `accept()`, on
+/// a loopback, an unspecified (`0.0.0.0`) and a Unix-socket address; a
+/// hang fails the test after 5 s instead of stalling the suite.
+#[test]
+fn shutdown_wakes_an_idle_accept_loop() {
+    let dir = workdir("idle-shutdown");
+    let unix = format!("unix:{}", dir.join("idle.sock").display());
+    for addr in ["127.0.0.1:0", "0.0.0.0:0", unix.as_str()] {
+        let (listen, handle) = boot_at(addr, 1);
+        std::thread::sleep(Duration::from_millis(200));
+        let resp = client::roundtrip(&listen, r#"{"id":"bye","op":"shutdown"}"#)
+            .expect("shutdown roundtrip");
+        assert!(resp.contains(r#""ok":true"#), "{addr}: {resp}");
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(handle.join().is_ok()));
+        let returned_ok = rx
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("{addr}: run() did not return within 5 s of shutdown"));
+        assert!(returned_ok, "{addr}: run() returned Err");
+    }
 }
