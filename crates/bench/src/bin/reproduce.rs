@@ -4,22 +4,13 @@
 //! reproduce all        # every experiment, in slide order
 //! reproduce e13        # one experiment
 //! reproduce list       # available ids
-//! reproduce --json all # timing trajectory in the shared bench schema
 //! ```
 //!
 //! With telemetry enabled (`MULTICLUST_TELEMETRY=1`), every experiment is
 //! followed by a per-experiment metrics section on **stderr** — spans,
 //! counters and convergence-event digests recorded while it ran — so the
 //! report on stdout stays diffable against previous runs.
-//!
-//! With `--json`, stdout carries a [`BenchReport`] instead (the same
-//! schema `multiclust bench` writes to `BENCH_PR*.json`, one entry per
-//! experiment with its wall-clock and any kernel counters), and the text
-//! reports move to stderr so the trajectory file stays parseable.
-//!
-//! [`BenchReport`]: multiclust_bench::report::BenchReport
 
-use multiclust_bench::report::{BenchEntry, BenchReport};
 use std::process::ExitCode;
 
 /// Runs one experiment; when telemetry is on, scopes the registry to this
@@ -42,43 +33,10 @@ fn run_with_metrics(id: &str) -> Option<String> {
     Some(report)
 }
 
-/// Times one experiment for the `--json` trajectory; the text report goes
-/// to stderr. Kernel counters are harvested when telemetry is on.
-fn run_timed(id: &str) -> Option<BenchEntry> {
-    let telemetry = multiclust_telemetry::enabled();
-    if telemetry {
-        multiclust_telemetry::reset();
-    }
-    let t = std::time::Instant::now();
-    let report = multiclust_bench::run(id)?;
-    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    eprint!("{report}");
-    let counters = if telemetry {
-        multiclust_telemetry::snapshot()
-            .counters
-            .into_iter()
-            .filter(|(name, _)| name.starts_with("kernels."))
-            .collect()
-    } else {
-        Default::default()
-    };
-    Some(BenchEntry {
-        id: id.to_string(),
-        family: "reproduce".to_string(),
-        n: 0,
-        wall_ms,
-        baseline_ms: None,
-        speedup: None,
-        counters,
-    })
-}
-
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    args.retain(|a| a != "--json");
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "list" || args[0] == "--help" {
-        eprintln!("usage: reproduce [--json] <id>|all|list\n\navailable experiments:");
+        eprintln!("usage: reproduce <id>|all|list\n\navailable experiments:");
         for (id, desc) in multiclust_bench::EXPERIMENTS {
             eprintln!("  {id:<5} {desc}");
         }
@@ -94,25 +52,13 @@ fn main() -> ExitCode {
         args.iter().map(String::as_str).collect()
     };
     let mut failed = false;
-    let mut trajectory = BenchReport::new("reproduce");
     for id in ids {
-        if json {
-            match run_timed(id) {
-                Some(entry) => trajectory.entries.push(entry),
-                None => {
-                    eprintln!("unknown experiment id: {id} (try `reproduce list`)");
-                    failed = true;
-                }
-            }
-        } else if let Some(report) = run_with_metrics(id) {
+        if let Some(report) = run_with_metrics(id) {
             print!("{report}");
         } else {
             eprintln!("unknown experiment id: {id} (try `reproduce list`)");
             failed = true;
         }
-    }
-    if json {
-        println!("{}", trajectory.to_json());
     }
     if failed {
         ExitCode::FAILURE

@@ -1,119 +1,6 @@
-//! Plain-text table rendering for experiment reports, plus the JSON
-//! schema shared by `multiclust bench`, `reproduce --json` and the
-//! checked-in `BENCH_PR4.json` trajectory files.
+//! Plain-text table rendering for experiment reports.
 
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Schema tag stamped into every benchmark report; bump on breaking
-/// changes so trajectory tooling can tell formats apart. v2 adds the
-/// kernel work accounting (`kernels.flops` / `kernels.bytes_touched`
-/// counters and the derived bytes-per-FLOP roofline column); v1 reports
-/// remain readable — every v1 field kept its meaning.
-pub const BENCH_SCHEMA: &str = "multiclust-bench/v2";
-
-/// Older schema tags [`BenchReport::from_json`] still accepts (checked-in
-/// trajectory baselines are never rewritten).
-pub const BENCH_SCHEMA_COMPAT: &[&str] = &["multiclust-bench/v1"];
-
-/// One timed workload (or experiment) inside a [`BenchReport`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BenchEntry {
-    /// Stable identifier, e.g. `kmeans-n10000` or an experiment id.
-    pub id: String,
-    /// Workload family (`kmeans`, `coala`, …) or `reproduce`.
-    pub family: String,
-    /// Number of objects (0 when not applicable).
-    pub n: usize,
-    /// Wall-clock of the run under the distance-kernel engine, in ms.
-    pub wall_ms: f64,
-    /// Wall-clock of the same run under the naive reference kernels, when
-    /// a comparison run was made.
-    pub baseline_ms: Option<f64>,
-    /// `baseline_ms / wall_ms`, when a baseline exists.
-    pub speedup: Option<f64>,
-    /// Kernel-telemetry counters recorded during an engine run.
-    pub counters: BTreeMap<String, u64>,
-}
-
-/// A benchmark report: what `multiclust bench` writes to `BENCH_PR*.json`
-/// and `reproduce --json` prints, in one shared format.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BenchReport {
-    /// Always [`BENCH_SCHEMA`].
-    pub schema: String,
-    /// Free-form label of the producing run (e.g. `bench` or `reproduce`).
-    pub label: String,
-    /// Thread count the run executed with.
-    pub threads: usize,
-    /// Per-workload results, in execution order.
-    pub entries: Vec<BenchEntry>,
-}
-
-impl BenchReport {
-    /// An empty report stamped with the current schema and thread count.
-    pub fn new(label: &str) -> Self {
-        Self {
-            schema: BENCH_SCHEMA.to_string(),
-            label: label.to_string(),
-            threads: multiclust_parallel::current_threads(),
-            entries: Vec::new(),
-        }
-    }
-
-    /// Pretty-printed JSON (the on-disk / stdout format).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serializes")
-    }
-
-    /// Parses a report and checks the schema tag (current or any
-    /// [`BENCH_SCHEMA_COMPAT`] version).
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let report: BenchReport =
-            serde_json::from_str(s).map_err(|e| e.to_string())?;
-        if report.schema != BENCH_SCHEMA
-            && !BENCH_SCHEMA_COMPAT.contains(&report.schema.as_str())
-        {
-            return Err(format!(
-                "unsupported bench schema {:?} (expected {BENCH_SCHEMA:?})",
-                report.schema
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Aligned text table of the entries (for logs; JSON is the contract).
-    /// `B/FLOP` is the roofline column: bytes touched per floating-point
-    /// operation from the engine run's work counters — low (≈5, the 16d/3d
-    /// floor of one exact distance) means compute-shaped work, higher
-    /// means the workload is memory-traffic-bound; `-` when the run
-    /// carried no work counters (v1 reports, naive-only runs).
-    pub fn render_text(&self) -> String {
-        let mut t = Table::new(&["id", "n", "engine_ms", "naive_ms", "speedup", "B/FLOP"]);
-        for e in &self.entries {
-            t.row(&[
-                e.id.clone(),
-                e.n.to_string(),
-                f3(e.wall_ms),
-                e.baseline_ms.map_or_else(|| "-".into(), f3),
-                e.speedup.map_or_else(|| "-".into(), |s| format!("{s:.2}x")),
-                e.bytes_per_flop().map_or_else(|| "-".into(), |r| format!("{r:.2}")),
-            ]);
-        }
-        section(&format!("bench: {}", self.label), &t.render())
-    }
-}
-
-impl BenchEntry {
-    /// Bytes touched per FLOP from the kernel work counters, when the
-    /// entry carries both (`None` for v1 reports or zero-flop runs).
-    pub fn bytes_per_flop(&self) -> Option<f64> {
-        let flops = *self.counters.get("kernels.flops")?;
-        let bytes = *self.counters.get("kernels.bytes_touched")?;
-        (flops > 0).then(|| bytes as f64 / flops as f64)
-    }
-}
 
 /// A simple aligned text table.
 #[derive(Clone, Debug, Default)]
@@ -182,7 +69,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_aligned_columns() -> Result<(), String> {
+    fn renders_aligned_columns() {
         let mut t = Table::new(&["name", "value"]);
         t.row(&["x".into(), "1".into()]);
         t.row(&["longer-name".into(), "2.5".into()]);
@@ -192,10 +79,8 @@ mod tests {
         assert!(lines[2].starts_with("x"));
         assert!(lines[3].starts_with("longer-name"));
         // All data lines have equal prefix width up to the value column.
-        let col = lines[3].find("2.5").ok_or("value cell missing from row 2")?;
-        let first = lines[2].find('1').ok_or("value cell missing from row 1")?;
-        assert_eq!(first, col);
-        Ok(())
+        let col = lines[3].find("2.5").unwrap();
+        assert_eq!(lines[2].find('1').unwrap(), col);
     }
 
     #[test]
@@ -203,85 +88,5 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn bench_report_round_trips_through_json() -> Result<(), String> {
-        let mut report = BenchReport::new("unit");
-        report.entries.push(BenchEntry {
-            id: "kmeans-n160".into(),
-            family: "kmeans".into(),
-            n: 160,
-            wall_ms: 1.25,
-            baseline_ms: Some(2.5),
-            speedup: Some(2.0),
-            counters: [("kernels.exact".to_string(), 42u64)].into_iter().collect(),
-        });
-        let back = BenchReport::from_json(&report.to_json())?;
-        assert_eq!(back, report);
-        Ok(())
-    }
-
-    #[test]
-    fn bench_report_rejects_wrong_schema() {
-        let mut report = BenchReport::new("unit");
-        report.schema = "something-else".into();
-        let err = BenchReport::from_json(&report.to_json()).unwrap_err();
-        assert!(err.contains("unsupported bench schema"), "{err}");
-    }
-
-    #[test]
-    fn bench_report_accepts_v1_baselines() -> Result<(), String> {
-        let mut report = BenchReport::new("unit");
-        report.schema = "multiclust-bench/v1".into();
-        let back = BenchReport::from_json(&report.to_json())?;
-        assert_eq!(back.schema, "multiclust-bench/v1");
-        Ok(())
-    }
-
-    #[test]
-    fn roofline_column_derives_from_work_counters() {
-        let mut report = BenchReport::new("unit");
-        report.entries.push(BenchEntry {
-            id: "kmeans-n160".into(),
-            family: "kmeans".into(),
-            n: 160,
-            wall_ms: 1.0,
-            baseline_ms: None,
-            speedup: None,
-            counters: [
-                ("kernels.flops".to_string(), 300u64),
-                ("kernels.bytes_touched".to_string(), 1600u64),
-            ]
-            .into_iter()
-            .collect(),
-        });
-        assert_eq!(report.entries[0].bytes_per_flop(), Some(1600.0 / 300.0));
-        let text = report.render_text();
-        assert!(text.contains("B/FLOP"), "{text}");
-        assert!(text.contains("5.33"), "{text}");
-        // Entries without work counters render a dash, not a panic.
-        report.entries[0].counters.clear();
-        assert_eq!(report.entries[0].bytes_per_flop(), None);
-        assert!(report.render_text().contains('-'));
-    }
-
-    #[test]
-    fn bench_report_text_has_one_row_per_entry() {
-        let mut report = BenchReport::new("unit");
-        for id in ["a", "b"] {
-            report.entries.push(BenchEntry {
-                id: id.into(),
-                family: "f".into(),
-                n: 1,
-                wall_ms: 1.0,
-                baseline_ms: None,
-                speedup: None,
-                counters: BTreeMap::new(),
-            });
-        }
-        let text = report.render_text();
-        assert!(text.contains("bench: unit"));
-        assert_eq!(text.matches("\n").count() >= 5, true, "{text}");
     }
 }

@@ -403,7 +403,7 @@ pub fn gaussian_affinity_matrix(d: usize, flat: &[f64], denom: f64) -> Matrix {
 
 /// The naive reference implementations: what every call site computed
 /// before the engine existed, kept for equivalence testing and as the
-/// speedup baseline of `multiclust bench`.
+/// `Naive` kernel mode.
 pub mod reference {
     use super::SymmetricMatrix;
     use crate::vector::{dist, sq_dist};
@@ -492,8 +492,8 @@ impl AssignStats {
     /// kernel-call tallies analytically: an exact `sq_dist` over `d`
     /// coordinates costs ~3d flops (sub, mul, add per lane), a dot-form
     /// estimate ~2d, and either reads two `d`-length `f64` rows (16d
-    /// bytes). Coarse by design — the counters are a roofline model for
-    /// `multiclust bench`, not a hardware profile — and aggregated once
+    /// bytes). Coarse by design — the counters are a roofline model read
+    /// by the `benchmark/` probes, not a hardware profile — and aggregated once
     /// per pass so the hot loops stay counter-free.
     fn record(&self, d: usize) {
         let d = d as u64;

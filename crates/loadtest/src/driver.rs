@@ -40,7 +40,7 @@ use crate::spec::{Arrival, Expectation, ScenarioSpec};
 
 /// A deliberate corruption of the run that the scenario's expectations
 /// **must** catch — the loadtest testing itself, mirroring
-/// `bench --inject-naive` and `verify --inject`.
+/// `verify --inject`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Inject {
     /// Reseeds every served fit (`seed + 1`) — the harness registry's

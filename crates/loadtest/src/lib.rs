@@ -21,12 +21,9 @@
 //!   summary, whether it came from a live run or a re-loaded report;
 //! * [`report`] — renders and re-parses the verdict document, including
 //!   the `--canonical` form whose bytes are identical across thread
-//!   counts;
-//! * [`trend`] — latency trend tables and the SLO gate over checked-in
-//!   `LOADTEST_*.json` reports (the latency analogue of the bench
-//!   layer's `BENCH_*.json` trend/compare).
+//!   counts.
 //!
-//! Like the bench and verify layers, the loadtest distrusts itself:
+//! Like the verify layer, the loadtest distrusts itself:
 //! `--inject` wires a known fault (reusing the harness fault registry's
 //! names plus two chaos faults) and the scenario **must** fail; `--judge`
 //! re-rules a stored report and `--doctor-report` proves a corrupted one
@@ -39,7 +36,6 @@ pub mod driver;
 pub mod judge;
 pub mod report;
 pub mod spec;
-pub mod trend;
 
 pub use driver::{run_scenario, BootMode, Inject, RunOptions, RunRecord};
 pub use judge::{judge, verdict, Judged, LatencySummary, Measured};

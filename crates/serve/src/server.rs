@@ -546,7 +546,19 @@ fn op_fit(
                 labels.len()
             )));
         }
-        Some(labels) => Clustering::from_options(labels),
+        Some(labels) => {
+            // `Clustering` sizes its member lists by the largest label, so
+            // an out-of-range label would ask the allocator for that much
+            // and abort the process.
+            if let Some((i, Some(v))) =
+                labels.iter().enumerate().find(|(_, l)| l.is_some_and(|v| v >= n))
+            {
+                return Err(ProtocolError::bad_request(format!(
+                    "\"given\" label {i} is {v}, dataset has {n} objects"
+                )));
+            }
+            Clustering::from_options(labels)
+        }
         // Default reference: one all-encompassing cluster, the neutral
         // "no prior structure" input for the alternative paradigms.
         None => Clustering::from_labels(&vec![0usize; n]),

@@ -34,13 +34,13 @@ grep -q 'parallel.tasks' "$tmp/traced.json"
 MULTICLUST_THREADS=1 ./target/release/multiclust verify > "$tmp/verify1.txt"
 MULTICLUST_THREADS=4 ./target/release/multiclust verify > "$tmp/verify4.txt"
 cmp "$tmp/verify1.txt" "$tmp/verify4.txt"
-grep -q 'all .* checks passed' "$tmp/verify1.txt"
+grep -q 'all 741 checks passed across 8 families' "$tmp/verify1.txt"
 
 # Distance-kernel engine: flipping the runtime kernel switch must not
-# change a command's stdout by a single byte, and the bench smoke run
-# must exit 0 with a parseable report naming every family. k = 3 only
-# runs the exhaustive sweep; k = 16 on 400 rows also reaches the warm
-# Hamerly and panel-dot passes (k ≥ PRUNE_MIN_K and ≥ one SIMD stripe).
+# change a command's stdout by a single byte. k = 3 only runs the
+# exhaustive sweep; k = 16 on 400 rows also reaches the warm Hamerly and
+# panel-dot passes (k ≥ PRUNE_MIN_K and ≥ one SIMD stripe). That those
+# passes actually prune is telemetry contract 9 in tests/telemetry.rs.
 MULTICLUST_KERNELS=naive ./target/release/multiclust kmeans \
     --input "$tmp/data.csv" --k 3 --seed 1 > "$tmp/naive.csv"
 MULTICLUST_KERNELS=blocked ./target/release/multiclust kmeans \
@@ -55,34 +55,6 @@ MULTICLUST_KERNELS=naive ./target/release/multiclust kmeans \
 MULTICLUST_KERNELS=blocked ./target/release/multiclust kmeans \
     --input "$tmp/grid.csv" --k 16 --seed 1 > "$tmp/blocked16.csv"
 cmp "$tmp/blocked16.csv" "$tmp/naive16.csv"
-./target/release/multiclust bench --smoke > "$tmp/bench.json" 2> "$tmp/bench.err"
-grep -q '"schema": "multiclust-bench/v2"' "$tmp/bench.json"
-grep -q '"kernels.flops"' "$tmp/bench.json"
-grep -q '"kernels.bytes_touched"' "$tmp/bench.json"
-grep -q 'B/FLOP' "$tmp/bench.err"
-for family in kmeans spectral coala dec-kmeans meta proclus; do
-    grep -q "\"id\": \"$family-n" "$tmp/bench.json"
-done
-
-# Perf-regression gate: the current tree must pass against the checked-in
-# baseline, and the gate must prove it can fire by failing when the engine
-# is deliberately swapped for the naive kernels.
-./target/release/multiclust bench --smoke --compare BENCH_PR4.json \
-    > "$tmp/gate.json" 2> "$tmp/gate.err"
-grep -q 'gate: PASS' "$tmp/gate.err"
-if ./target/release/multiclust bench --smoke --inject-naive \
-    --compare BENCH_PR4.json > /dev/null 2> "$tmp/gate-bad.err"; then
-    echo "check.sh: injected naive regression was NOT caught" >&2
-    exit 1
-fi
-grep -q 'gate: FAIL' "$tmp/gate-bad.err"
-
-# Per-family speedup floors: the frozen PR-6 report must show every
-# family at or above 1.0x over the naive kernels (the PR-6 acceptance
-# bar: no family ships with a negative speedup).
-./target/release/multiclust bench --check-floors BENCH_PR6.json \
-    > "$tmp/floors.txt"
-grep -q 'floors: PASS' "$tmp/floors.txt"
 
 # Trace export + convergence diagnostics: `--trace` leaves stdout
 # byte-identical while streaming a versioned JSONL file that the
@@ -132,9 +104,6 @@ if grep -q 'usage:' "$tmp/corrupt.err"; then
     echo "check.sh: data error printed the usage dump" >&2
     exit 1
 fi
-
-# Baseline trend over the checked-in BENCH_*.json reports.
-./target/release/multiclust trend | grep -q 'kmeans-n1000'
 
 # wait_serve PID: waits for a server sent `shutdown` and returns its exit
 # status. The accept loop blocks until shutdown wakes it, so a wake that
@@ -296,23 +265,5 @@ done
     --request '{"id":"bye","op":"shutdown"}' > /dev/null
 wait_serve "$serve_pid"
 cmp "$tmp/serve-1.out" "$tmp/serve-noflight.out"
-
-# Latency SLO trend gate: the checked-in LOADTEST_*.json reports must
-# tabulate, the checked-in smoke report must pass its own gate, and a
-# doctored copy whose p99s grew a thousandfold must fail.
-./target/release/multiclust trend > "$tmp/trend.txt"
-grep -q 'loadtest latency trend' "$tmp/trend.txt"
-grep -q 'PR10_smoke' "$tmp/trend.txt"
-./target/release/multiclust trend --slo LOADTEST_PR10_smoke.json \
-    > "$tmp/slo.txt"
-grep -q 'slo gate: PASS' "$tmp/slo.txt"
-sed 's/"p99": \([0-9][0-9]*\)/"p99": \1000/' LOADTEST_PR10_smoke.json \
-    > "$tmp/doctored-slo.json"
-if ./target/release/multiclust trend --slo "$tmp/doctored-slo.json" \
-    > "$tmp/slo-bad.txt" 2>&1; then
-    echo "check.sh: a thousandfold p99 regression passed the SLO gate" >&2
-    exit 1
-fi
-grep -q 'slo gate: FAIL' "$tmp/slo-bad.txt"
 
 echo "check.sh: all gates passed"

@@ -49,7 +49,6 @@
 
 pub use multiclust_alternative as alternative;
 pub use multiclust_base as base;
-pub use multiclust_bench as bench;
 pub use multiclust_core as core;
 pub use multiclust_data as data;
 pub use multiclust_harness as harness;

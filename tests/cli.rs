@@ -359,42 +359,6 @@ fn verify_with_telemetry_keeps_stdout_identical() {
     );
 }
 
-/// PR-4 acceptance: `multiclust bench --smoke` exits 0 and emits a
-/// parseable [`BenchReport`] on stdout with exactly one entry per
-/// benchmarked family, kernel counters included; `--out` writes the same
-/// bytes to a file.
-#[test]
-fn bench_smoke_emits_parseable_json() {
-    use multiclust::bench::perf::FAMILIES;
-    use multiclust::bench::report::BenchReport;
-
-    let dir = workdir("bench");
-    let out_path = dir.join("bench.json");
-    let out = bin()
-        .args(["bench", "--smoke", "--out", out_path.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
-    let report = BenchReport::from_json(&stdout).expect("stdout parses as a bench report");
-    let families: Vec<&str> = report.entries.iter().map(|e| e.family.as_str()).collect();
-    assert_eq!(families, FAMILIES, "one entry per family, in order");
-    for e in &report.entries {
-        assert!(e.wall_ms > 0.0, "{}", e.id);
-        assert!(e.baseline_ms.is_some() && e.speedup.is_some(), "{}", e.id);
-        assert!(
-            e.counters.keys().any(|k| k.starts_with("kernels.")),
-            "{} carries kernel counters",
-            e.id
-        );
-    }
-    assert_eq!(fs::read_to_string(&out_path).unwrap(), stdout, "--out mirrors stdout");
-
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert!(stderr.contains("bench: bench --smoke"), "table on stderr: {stderr}");
-}
-
 /// Flipping the runtime kernel switch must not change any command's
 /// stdout by a single byte: the engine is a pure optimization.
 #[test]
@@ -439,63 +403,6 @@ fn kernel_mode_switch_keeps_stdout_identical() {
         assert!(blocked.status.success(), "{args:?} under blocked");
         assert_eq!(blocked.stdout, naive.stdout, "{args:?} diverged under blocked");
     }
-}
-
-/// PR-6 acceptance: `bench --check-floors` validates a checked-in report
-/// against the per-family speedup floors — the committed BENCH_PR6.json
-/// passes, and a doctored report with a sub-floor family fails with the
-/// offending row named.
-#[test]
-fn bench_check_floors_gate() {
-    let report = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_PR6.json");
-    let out = bin()
-        .args(["bench", "--check-floors", report.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    // Like `verify`, the audit table is the command's product: it goes to
-    // stdout and the exit code carries the verdict.
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(out.status.success(), "committed report must clear the floors: {stdout}");
-    assert!(stdout.contains("floors: PASS"), "{stdout}");
-
-    // Doctor one dec-kmeans entry below its 1.0× floor.
-    let dir = workdir("check-floors");
-    let text = fs::read_to_string(&report).unwrap();
-    let mut doc: serde_json::Value = serde_json::from_str(&text).unwrap();
-    {
-        let serde_json::Value::Object(root) = &mut doc else { panic!("object") };
-        let serde_json::Value::Array(entries) =
-            root.iter_mut().find(|(k, _)| k == "entries").map(|(_, v)| v).unwrap()
-        else {
-            panic!("entries")
-        };
-        let mut hit = false;
-        for e in entries.iter_mut() {
-            let serde_json::Value::Object(fields) = e else { continue };
-            let is_dec = fields.iter().any(|(k, v)| {
-                k == "family" && matches!(v, serde_json::Value::String(s) if s == "dec-kmeans")
-            });
-            if is_dec {
-                for (k, v) in fields.iter_mut() {
-                    if k == "speedup" {
-                        *v = serde_json::Value::Float(0.62);
-                        hit = true;
-                    }
-                }
-            }
-        }
-        assert!(hit, "report has a dec-kmeans entry to doctor");
-    }
-    let doctored = dir.join("doctored.json");
-    fs::write(&doctored, serde_json::to_string(&doc).unwrap()).unwrap();
-    let out = bin()
-        .args(["bench", "--check-floors", doctored.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(!out.status.success(), "sub-floor family must fail: {stdout}");
-    assert!(stdout.contains("floors: FAIL"), "{stdout}");
-    assert!(stdout.contains("dec-kmeans"), "{stdout}");
 }
 
 /// PR-5 acceptance: `--trace <file>` leaves stdout byte-identical while
@@ -603,47 +510,6 @@ fn diagnose_flags_non_monotone_trajectory() {
         && matches!(v, serde_json::Value::Bool(true))));
     assert!(root.iter().any(|(k, v)| k == "schema"
         && matches!(v, serde_json::Value::String(s) if s == "multiclust-diagnose/v1")));
-}
-
-/// PR-5 acceptance: the perf-regression gate passes the real tree against
-/// the checked-in baseline and fails when the engine is swapped out for
-/// the naive kernels.
-#[test]
-fn bench_compare_gate_passes_clean_and_catches_injected_regression() {
-    let baseline = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_PR4.json");
-    let baseline = baseline.to_str().unwrap();
-
-    let clean = bin()
-        .args(["bench", "--smoke", "--compare", baseline])
-        .output()
-        .expect("binary runs");
-    let stderr = String::from_utf8_lossy(&clean.stderr).to_string();
-    assert!(clean.status.success(), "clean tree must pass the gate: {stderr}");
-    assert!(stderr.contains("gate: PASS"), "{stderr}");
-    assert!(stderr.contains("engine-activity"), "{stderr}");
-
-    let injected = bin()
-        .args(["bench", "--smoke", "--inject-naive", "--compare", baseline])
-        .output()
-        .expect("binary runs");
-    let stderr = String::from_utf8_lossy(&injected.stderr).to_string();
-    assert!(!injected.status.success(), "naive swap must fail the gate: {stderr}");
-    assert!(stderr.contains("gate: FAIL"), "{stderr}");
-    assert!(stderr.contains("REGRESSION"), "{stderr}");
-}
-
-/// `trend` tabulates every checked-in `BENCH_*.json` in the repo root.
-#[test]
-fn trend_tabulates_checked_in_baselines() {
-    let out = bin()
-        .args(["trend", "--dir", env!("CARGO_MANIFEST_DIR")])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(text.contains("bench trend"), "{text}");
-    assert!(text.contains("kmeans-n1000"), "{text}");
-    assert!(text.contains("PR4"), "column per baseline: {text}");
 }
 
 /// PR-7 acceptance: a run with `MULTICLUST_ALLOC=1`, `--trace` and
@@ -831,4 +697,84 @@ fn telemetry_text_mode_and_bad_mode() {
         .expect("binary runs");
     assert!(!bad.status.success());
     assert!(String::from_utf8_lossy(&bad.stderr).contains("--telemetry"));
+}
+
+/// A label file may hold only integers below its row count (negatives
+/// are noise): `1.7` is not silently truncated, and `1e12` is refused
+/// before `Clustering` tries to allocate by it. Both commands that read
+/// label files fail with one clean line naming the file and row.
+#[test]
+fn out_of_range_or_fractional_labels_fail_cleanly() {
+    let dir = workdir("bad-labels");
+    let data = dir.join("data.csv");
+    fs::write(&data, "0,0\n0.1,0\n5,5\n5.1,5\n").unwrap();
+    let good = dir.join("good.csv");
+    fs::write(&good, "0\n0\n1\n-1\n").unwrap();
+    let huge = dir.join("huge.csv");
+    fs::write(&huge, "0\n0\n1\n1e12\n").unwrap();
+    let fractional = dir.join("fractional.csv");
+    fs::write(&fractional, "0\n0\n1.7\n1\n").unwrap();
+
+    for (labels, row, value) in [(&huge, 4, "1000000000000"), (&fractional, 3, "1.7")] {
+        let labels = labels.to_str().unwrap();
+        let runs = [
+            bin().args(["compare", "--a", good.to_str().unwrap(), "--b", labels]).output(),
+            bin()
+                .args(["alternative", "--input", data.to_str().unwrap(), "--given", labels])
+                .args(["--k", "2"])
+                .output(),
+        ];
+        for out in runs {
+            let out = out.expect("binary runs");
+            assert!(!out.status.success(), "{labels} must be rejected");
+            let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+            assert_eq!(
+                stderr,
+                format!(
+                    "error: label file {labels} row {row}: label {value} is not an integer \
+                     below the row count 4\n"
+                ),
+                "one clean line, no usage dump"
+            );
+        }
+    }
+}
+
+/// `--trace` parses `--seed` as every command does, so a seed past
+/// `i64::MAX` runs traced exactly as untraced and lands in the meta line
+/// as its decimal string.
+#[test]
+fn trace_accepts_every_seed_the_command_accepts() {
+    let dir = workdir("trace-seed");
+    let input = dir.join("data.csv");
+    fs::write(&input, "0,0\n0.1,0\n5,5\n5.1,5\n").unwrap();
+    let trace_path = dir.join("run.trace.jsonl");
+    let base_args =
+        ["kmeans", "--input", input.to_str().unwrap(), "--k", "2", "--seed", "18446744073709551615"];
+
+    let plain = bin().args(base_args).output().expect("binary runs");
+    assert!(plain.status.success(), "{}", String::from_utf8_lossy(&plain.stderr));
+    let traced = bin()
+        .args(base_args)
+        .args(["--trace", trace_path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(traced.status.success(), "{}", String::from_utf8_lossy(&traced.stderr));
+    assert_eq!(plain.stdout, traced.stdout, "stdout must stay byte-identical");
+
+    let parsed = multiclust::telemetry::trace::read_trace(&trace_path).expect("trace parses");
+    assert!(parsed.ended, "flushed end line");
+    let raw = fs::read_to_string(&trace_path).unwrap();
+    assert!(raw.contains(r#""seed":"18446744073709551615""#), "{raw}");
+}
+
+/// The retired timing commands are gone: each is an unknown command.
+#[test]
+fn retired_bench_and_trend_commands_are_unknown() {
+    for command in ["bench", "trend"] {
+        let out = bin().arg(command).output().expect("binary runs");
+        assert!(!out.status.success(), "{command}");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(stderr.starts_with(&format!("error: unknown command {command:?}")), "{stderr}");
+    }
 }

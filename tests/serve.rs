@@ -517,3 +517,27 @@ fn shutdown_wakes_an_idle_accept_loop() {
         assert!(returned_ok, "{addr}: run() returned Err");
     }
 }
+
+/// A `given` label past the dataset is a `bad-request`, not an abort:
+/// `Clustering` sizes its member lists by the largest label, so a label
+/// of four billion would otherwise ask the allocator for ~96 GB and kill
+/// the process. The same server answers the next request.
+#[test]
+fn out_of_range_given_label_is_a_bad_request() {
+    let (listen, handle) = boot(4);
+    let mut conn = client::Connection::open(&listen).unwrap();
+    let resp = conn
+        .roundtrip(
+            r#"{"id":"g","op":"fit","family":"coala","k":2,"data":[[0,0],[0.2,0.1],[9,9],[9.2,9.1]],"given":[0,0,1,4000000000]}"#,
+        )
+        .unwrap();
+    assert!(resp.contains(r#""code":"bad-request""#), "{resp}");
+    assert!(
+        resp.contains(r#"\"given\" label 3 is 4000000000, dataset has 4 objects"#),
+        "names the label: {resp}"
+    );
+    let list = conn.roundtrip(r#"{"id":"ls","op":"list"}"#).unwrap();
+    assert!(list.contains(r#""ok":true"#), "{list}");
+    conn.roundtrip(r#"{"id":"bye","op":"shutdown"}"#).unwrap();
+    handle.join().expect("server thread joins");
+}

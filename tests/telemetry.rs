@@ -13,16 +13,20 @@
 //! 7. the `--metrics` sampler streams parseable `multiclust-trace/v2`
 //!    snapshots with at least two data points per run;
 //! 8. the Gaussian affinity build's work counters follow the roofline
-//!    model exactly.
+//!    model exactly;
+//! 9. the blocked kernels' pruning counters tick on fixed inputs, and
+//!    stay at zero when the engine falls back to the naive kernels.
 
 use std::sync::Mutex;
 
 use multiclust::alternative::Coala;
-use multiclust::base::KMeans;
+use multiclust::base::{KMeans, SpectralClustering};
 use multiclust::core::Clustering;
 use multiclust::data::synthetic::four_blob_square;
-use multiclust::data::seeded_rng;
+use multiclust::data::{seeded_rng, Dataset};
+use multiclust::linalg::kernels::{set_kernel_mode, KernelMode};
 use multiclust::{parallel, telemetry};
+use rand::Rng;
 
 /// The switch, the registry and the thread override are process-global;
 /// every test in this binary serializes on this lock and leaves telemetry
@@ -323,4 +327,68 @@ fn affinity_work_counters_follow_the_roofline_model() {
     assert_eq!(counter("kernels.estimates"), pairs);
     assert_eq!(counter("kernels.flops"), 3 * d * pairs + (pairs - screened));
     assert_eq!(counter("kernels.bytes_touched"), 16 * d * pairs + 16 * n * d);
+}
+
+/// Fits k-means (k = 16) on a 400-row grid — 16 cells on a 4 × 4 lattice
+/// spaced 10, uniform jitter in 0..4, d = 3 — and spectral clustering on
+/// two small blobs, both under `mode`. Returns each fit's
+/// `(kernels.estimates, kernels.assign.skipped)`. The kernel mode is
+/// restored to the environment's even if a fit panics.
+fn pruning_counters(mode: KernelMode) -> [(u64, u64); 2] {
+    struct Restore;
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_kernel_mode(None);
+        }
+    }
+    let _restore = Restore;
+    set_kernel_mode(Some(mode));
+    let counters = || {
+        let snap = telemetry::snapshot();
+        telemetry::reset();
+        let get = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        (get("kernels.estimates"), get("kernels.assign.skipped"))
+    };
+
+    let mut rng = seeded_rng(11);
+    let grid: Vec<f64> = (0..400)
+        .flat_map(|i| {
+            let c = i % 16;
+            [
+                (c % 4) as f64 * 10.0 + rng.gen_range(0.0..4.0),
+                (c / 4) as f64 * 10.0 + rng.gen_range(0.0..4.0),
+                rng.gen_range(0.0..4.0),
+            ]
+        })
+        .collect();
+    telemetry::reset();
+    KMeans::new(16).fit(&Dataset::from_flat(3, grid), &mut seeded_rng(1));
+    let kmeans = counters();
+
+    let blobs: Vec<f64> = (0..40)
+        .flat_map(|i| {
+            let centre = if i < 20 { 0.0 } else { 10.0 };
+            [centre + rng.gen_range(0.0..1.0), centre + rng.gen_range(0.0..1.0)]
+        })
+        .collect();
+    SpectralClustering::new(2, 1.0).fit(&Dataset::from_flat(2, blobs), &mut seeded_rng(1));
+    [kmeans, counters()]
+}
+
+/// The blocked kernels' pruning is deterministic, so it is checked by
+/// counting, not timing: on fixed inputs the warm Hamerly scans estimate
+/// and skip candidates, and the spectral affinity triangle goes through
+/// the panel path. Forcing the naive kernels zeroes the same counters,
+/// which is what a silent fallback would look like — so the assertions
+/// on the blocked half can fire.
+#[test]
+fn blocked_kernels_prune_and_naive_kernels_do_not() {
+    let (blocked, naive) = serialized(|| {
+        (pruning_counters(KernelMode::Blocked), pruning_counters(KernelMode::Naive))
+    });
+    let [(kmeans_estimates, kmeans_skipped), (spectral_estimates, _)] = blocked;
+    assert!(kmeans_estimates > 0, "k-means screened no candidates: {blocked:?}");
+    assert!(kmeans_skipped > 0, "k-means skipped no candidates: {blocked:?}");
+    assert!(spectral_estimates > 0, "spectral affinity left the panel path: {blocked:?}");
+    assert_eq!(naive, [(0, 0), (0, 0)], "naive kernels must not prune");
 }
