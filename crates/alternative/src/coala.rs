@@ -75,6 +75,9 @@ impl Coala {
         let n = data.len();
         assert!(n >= self.k, "need at least k objects");
         let _span = multiclust_telemetry::span("coala.fit");
+        // Allocated before any other work, so an n too large for it fails
+        // at once.
+        let mut blocked = Blocked::new(n, constraints);
         // The blocked mode computes the pairwise distance matrix once and reuses
         // it across every merge step (the naive path recomputes up to
         // n²/2 distances per step). Capped so the condensed triangle stays
@@ -133,9 +136,7 @@ impl Coala {
                         if qual.is_none_or(|(_, _, best)| d < best) {
                             qual = Some((i, j, d));
                         }
-                        if constraints.allows_merge(&groups[i], &groups[j])
-                            && diss.is_none_or(|(_, _, best)| d < best)
-                        {
+                        if !blocked.get(i, j) && diss.is_none_or(|(_, _, best)| d < best) {
                             diss = Some((i, j, d));
                         }
                         j += 1;
@@ -179,6 +180,7 @@ impl Coala {
                     ],
                 );
             }
+            blocked.merge(i, j, groups.len());
             let merged = groups.swap_remove(j);
             groups[i].extend(merged);
         }
@@ -206,6 +208,79 @@ impl Coala {
             solutions: Solutions::Two,
             subspace: SubspaceAwareness::NotApplicable,
             flexibility: Flexibility::Specialized,
+        }
+    }
+}
+
+/// Group-level cannot-link matrix: bit `(a, b)` is set iff some
+/// cannot-link spans groups `a` and `b`, i.e. iff
+/// [`ConstraintSet::allows_merge`] would refuse the pair. One bit row of
+/// `⌈n/64⌉` words per group replaces the per-member hash lookups of the
+/// merge scan; a merge ORs two rows (and columns) and mirrors the
+/// `swap_remove` of the group list, so row and column indices keep naming
+/// the same groups as `groups`.
+struct Blocked {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Blocked {
+    /// The singleton groups' matrix: bit `(a, b)` = `is_cannot_link(a, b)`.
+    ///
+    /// # Panics
+    /// Panics when the `n · ⌈n/64⌉`-word matrix cannot be allocated, so an
+    /// oversized request fails instead of aborting the process.
+    fn new(n: usize, constraints: &ConstraintSet) -> Self {
+        let words = n.div_ceil(64);
+        let len = n.checked_mul(words);
+        let mut bits = Vec::new();
+        if len.is_none_or(|len| bits.try_reserve_exact(len).is_err()) {
+            panic!("COALA: cannot allocate the {n}-group cannot-link matrix");
+        }
+        bits.resize(n * words, 0);
+        let mut blocked = Self { words, bits };
+        for pair in constraints.cannot_links() {
+            let (a, b) = (pair.first(), pair.second());
+            if b < n {
+                blocked.set(a, b, true);
+                blocked.set(b, a, true);
+            }
+        }
+        blocked
+    }
+
+    fn get(&self, a: usize, b: usize) -> bool {
+        self.bits[a * self.words + b / 64] >> (b % 64) & 1 == 1
+    }
+
+    fn set(&mut self, a: usize, b: usize, on: bool) {
+        let word = &mut self.bits[a * self.words + b / 64];
+        let mask = 1u64 << (b % 64);
+        if on {
+            *word |= mask;
+        } else {
+            *word &= !mask;
+        }
+    }
+
+    /// Merges group `j` into group `i < j` out of `g` groups, then moves
+    /// group `g − 1` into slot `j` as `Vec::swap_remove(j)` does.
+    fn merge(&mut self, i: usize, j: usize, g: usize) {
+        let w = self.words;
+        let last = g - 1;
+        for t in 0..w {
+            self.bits[i * w + t] |= self.bits[j * w + t];
+        }
+        for a in 0..g {
+            let on = self.get(i, a);
+            self.set(a, i, on);
+        }
+        if j != last {
+            self.bits.copy_within(last * w..(last + 1) * w, j * w);
+            for a in 0..last {
+                let on = self.get(j, a);
+                self.set(a, j, on);
+            }
         }
     }
 }
@@ -309,6 +384,103 @@ mod tests {
             1.0,
             "with no constraints both merges coincide"
         );
+    }
+
+    /// Reference merge scan: a serial double loop that asks
+    /// [`ConstraintSet::allows_merge`] for every pair and sums
+    /// [`average_link`] afresh — the oracle the bitset scan must match.
+    fn reference_fit(coala: Coala, data: &Dataset, constraints: &ConstraintSet) -> CoalaResult {
+        let n = data.len();
+        let mut groups: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        let (mut quality_merges, mut dissimilarity_merges) = (0, 0);
+        while groups.len() > coala.k {
+            let mut qual: Option<(usize, usize, f64)> = None;
+            let mut diss: Option<(usize, usize, f64)> = None;
+            for i in 0..groups.len() {
+                for j in (i + 1)..groups.len() {
+                    let d = average_link(data, &groups[i], &groups[j]);
+                    if qual.is_none_or(|(_, _, best)| d < best) {
+                        qual = Some((i, j, d));
+                    }
+                    if constraints.allows_merge(&groups[i], &groups[j])
+                        && diss.is_none_or(|(_, _, best)| d < best)
+                    {
+                        diss = Some((i, j, d));
+                    }
+                }
+            }
+            let (qi, qj, d_qual) = qual.unwrap();
+            let (i, j) = match diss {
+                Some((di, dj, d_diss)) if d_qual >= coala.w * d_diss => {
+                    dissimilarity_merges += 1;
+                    (di, dj)
+                }
+                _ => {
+                    quality_merges += 1;
+                    (qi, qj)
+                }
+            };
+            let merged = groups.swap_remove(j);
+            groups[i].extend(merged);
+        }
+        CoalaResult {
+            clustering: Clustering::from_members(n, &groups),
+            quality_merges,
+            dissimilarity_merges,
+        }
+    }
+
+    /// The blocked-matrix scan takes exactly the reference's merges on
+    /// cannot-link sets that do not come from a clustering (so they are
+    /// neither transitive nor block-shaped).
+    #[test]
+    fn blocked_matrix_matches_allows_merge_reference() {
+        use rand::Rng;
+        let mut rng = seeded_rng(85);
+        for n in [8, 40, 97] {
+            let mut data = Dataset::with_dims(2);
+            for _ in 0..n {
+                data.push_row(&[rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)]);
+            }
+            let mut constraints = ConstraintSet::new();
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    if rng.gen_bool(0.15) {
+                        constraints.add_cannot_link(a, b);
+                    }
+                }
+            }
+            for k in [1, 2, 5] {
+                for w in [1e-6, 0.8, 1e6] {
+                    let got = Coala::new(k, w).fit_with_constraints(&data, &constraints);
+                    let want = reference_fit(Coala::new(k, w), &data, &constraints);
+                    assert_eq!(
+                        got.clustering.assignments(),
+                        want.clustering.assignments(),
+                        "n={n} k={k} w={w}"
+                    );
+                    assert_eq!(got.quality_merges, want.quality_merges, "n={n} k={k} w={w}");
+                    assert_eq!(
+                        got.dissimilarity_merges, want.dissimilarity_merges,
+                        "n={n} k={k} w={w}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An `n` whose group matrix cannot exist fails with a message instead
+    /// of aborting the process on allocation failure.
+    #[test]
+    #[should_panic(expected = "cannot allocate")]
+    fn oversized_group_matrix_panics() {
+        let _ = Blocked::new(1 << 32, &ConstraintSet::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot allocate")]
+    fn overflowing_group_matrix_panics() {
+        let _ = Blocked::new(usize::MAX / 2, &ConstraintSet::new());
     }
 
     #[test]

@@ -23,9 +23,10 @@ use crate::Clusterer;
 pub struct SpectralClustering {
     k: usize,
     sigma: f64,
-    /// Above this many objects the embedding switches from a full Jacobi
-    /// eigendecomposition (`O(n³)`) to block power iteration for just the
-    /// top `k` eigenvectors (`O(k·n²)` per sweep).
+    /// Above this many objects the embedding switches from a full
+    /// tridiagonal-QL eigendecomposition (`O(n³)`) to block power iteration
+    /// for just the top `k` eigenvectors (`O(k·n²)` per sweep). The default
+    /// is the measured crossover of the two solvers at `k = 4`.
     dense_eigen_limit: usize,
 }
 
@@ -37,11 +38,11 @@ impl SpectralClustering {
     pub fn new(k: usize, sigma: f64) -> Self {
         assert!(k >= 1, "k must be at least 1");
         assert!(sigma > 0.0, "sigma must be positive");
-        Self { k, sigma, dense_eigen_limit: 220 }
+        Self { k, sigma, dense_eigen_limit: 600 }
     }
 
     /// Overrides the size above which the top-k power-iteration solver is
-    /// used instead of the full Jacobi decomposition.
+    /// used instead of the full tridiagonal-QL decomposition.
     #[must_use]
     pub fn with_dense_eigen_limit(mut self, limit: usize) -> Self {
         self.dense_eigen_limit = limit;
@@ -85,10 +86,10 @@ impl SpectralClustering {
         })
     }
 
-    /// The spectral embedding: rows of the top-`k` eigenvectors of
-    /// `D^{-1/2} W D^{-1/2}`, row-normalised.
-    pub fn embed(&self, data: &Dataset) -> Dataset {
-        let _span = multiclust_telemetry::span("spectral.embed");
+    /// The normalised affinity `D^{-1/2} W D^{-1/2}` of [`Self::affinity`].
+    ///
+    /// Isolated objects (zero degree) get a zero row and column.
+    pub fn normalized_affinity(&self, data: &Dataset) -> Matrix {
         let n = data.len();
         let mut w = {
             let _span = multiclust_telemetry::span("affinity");
@@ -105,13 +106,13 @@ impl SpectralClustering {
                     0.0
                 }
             });
-        // Normalise `W` into `D^{-1/2} W D^{-1/2}`. The blocked mode scales
-        // the affinity matrix in place, saving the second `n×n` allocation
-        // (for bench-scale n this is megabytes of traffic); naive keeps the
-        // historical out-of-place build as the reference. Both evaluate
-        // `dinv[i] * w * dinv[j]` in the same association order, so the
-        // scaled entries are bit-identical either way.
-        let norm_w = if kernels::kernel_mode() != KernelMode::Naive {
+        // The blocked mode scales the affinity matrix in place, saving the
+        // second `n×n` allocation (for bench-scale n this is megabytes of
+        // traffic); naive keeps the historical out-of-place build as the
+        // reference. Both evaluate `dinv[i] * w * dinv[j]` in the same
+        // association order, so the scaled entries are bit-identical either
+        // way.
+        if kernels::kernel_mode() != KernelMode::Naive {
             multiclust_parallel::par_chunks_mut(w.as_mut_slice(), n, |start, row| {
                 let di = dinv_sqrt[start / n];
                 for (j, v) in row.iter_mut().enumerate() {
@@ -121,33 +122,28 @@ impl SpectralClustering {
             w
         } else {
             Matrix::par_from_fn(n, n, |i, j| dinv_sqrt[i] * w[(i, j)] * dinv_sqrt[j])
-        };
-        // Top-k eigenvectors as embedding rows. For small n a full Jacobi
-        // decomposition is cheap; beyond the limit, block power iteration
-        // computes only the k needed vectors (the normalised affinity's
-        // spectrum lies in [-1, 1], so shift = 1 makes the algebraically
-        // largest eigenvalues dominant in magnitude).
-        let mut rows: Vec<Vec<f64>> = if n <= self.dense_eigen_limit {
-            let eig = SymmetricEigen::new(&norm_w);
-            (0..n)
-                .map(|i| (0..self.k).map(|c| eig.vectors[(i, c)]).collect())
-                .collect()
+        }
+    }
+
+    /// The spectral embedding: rows of the top-`k` eigenvectors of
+    /// `D^{-1/2} W D^{-1/2}`, row-normalised.
+    pub fn embed(&self, data: &Dataset) -> Dataset {
+        let _span = multiclust_telemetry::span("spectral.embed");
+        let norm_w = self.normalized_affinity(data);
+        // Up to the limit the full tridiagonal-QL decomposition is the
+        // faster solver; beyond it, block power iteration computes only the
+        // k needed vectors (the normalised affinity's spectrum lies in
+        // [-1, 1], so shift = 1 makes the algebraically largest eigenvalues
+        // dominant in magnitude).
+        if data.len() <= self.dense_eigen_limit {
+            embedding(&SymmetricEigen::new(&norm_w).vectors, self.k)
         } else {
             // The start block only seeds a subspace iteration; a fixed
             // internal seed keeps `embed` deterministic.
             let mut rng = StdRng::seed_from_u64(0x5eed_cafe);
             let top = top_eigenpairs(&norm_w, self.k, 1.0, 1e-10, 500, &mut rng);
-            (0..n)
-                .map(|i| (0..self.k).map(|c| top.vectors[(i, c)]).collect())
-                .collect()
-        };
-        for row in &mut rows {
-            if !normalize(row) {
-                // Isolated object: park it at a fixed unit vector.
-                row[0] = 1.0;
-            }
+            embedding(&top.vectors, self.k)
         }
-        Dataset::from_rows(&rows)
     }
 
     /// Clusters the dataset through the spectral embedding.
@@ -159,6 +155,23 @@ impl SpectralClustering {
             .fit(&embedded, rng)
             .clustering
     }
+}
+
+/// The spectral embedding read off eigenvector columns sorted by
+/// descending eigenvalue: row `i` is object `i`'s entries in the first `k`
+/// columns, normalised to unit length. An isolated object (an all-zero
+/// row) is parked at the fixed unit vector `e₀`.
+pub fn embedding(vectors: &Matrix, k: usize) -> Dataset {
+    let rows: Vec<Vec<f64>> = (0..vectors.rows())
+        .map(|i| {
+            let mut row = vectors.row(i)[..k].to_vec();
+            if !normalize(&mut row) {
+                row[0] = 1.0;
+            }
+            row
+        })
+        .collect();
+    Dataset::from_rows(&rows)
 }
 
 impl Clusterer for SpectralClustering {
@@ -283,8 +296,8 @@ mod power_path_tests {
     use multiclust_data::synthetic::gaussian_blobs;
     use multiclust_data::seeded_rng;
 
-    /// The power-iteration path and the full Jacobi path must agree on the
-    /// final clustering.
+    /// The power-iteration path and the full dense-eigensolver path must
+    /// agree on the final clustering.
     #[test]
     fn power_iteration_path_matches_jacobi_path() {
         let mut rng = seeded_rng(65);
@@ -299,12 +312,12 @@ mod power_path_tests {
         let via_power = SpectralClustering::new(3, 2.0)
             .with_dense_eigen_limit(10)
             .fit(&data, &mut seeded_rng(66));
-        let via_jacobi = SpectralClustering::new(3, 2.0)
+        let via_dense = SpectralClustering::new(3, 2.0)
             .with_dense_eigen_limit(10_000)
             .fit(&data, &mut seeded_rng(66));
         assert!(adjusted_rand_index(&via_power, &truth_c) > 0.99);
         assert_eq!(
-            adjusted_rand_index(&via_power, &via_jacobi),
+            adjusted_rand_index(&via_power, &via_dense),
             1.0,
             "both eigen paths induce the same partition"
         );

@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the linear-algebra kernels the clustering methods
-//! sit on, including the Jacobi-vs-power-iteration scaling that motivates
+//! sit on, including the dense-QL-vs-power-iteration scaling that motivates
 //! `SpectralClustering`'s eigen-solver switch and serial-vs-parallel
 //! comparisons of the kernels wired through `multiclust-parallel`
 //! (toggled with `set_threads`, so both variants run the same code path
@@ -30,7 +30,7 @@ fn bench_eigen_scaling(c: &mut Criterion) {
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     for &n in &[32usize, 96, 192] {
         let a = random_symmetric(n, 6001);
-        group.bench_with_input(BenchmarkId::new("jacobi_full", n), &a, |b, a| {
+        group.bench_with_input(BenchmarkId::new("dense_full", n), &a, |b, a| {
             b.iter(|| black_box(SymmetricEigen::new(black_box(a))))
         });
         group.bench_with_input(BenchmarkId::new("power_top3", n), &a, |b, a| {

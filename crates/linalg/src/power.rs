@@ -1,13 +1,14 @@
 //! Top-`k` eigenpairs of symmetric matrices by block power iteration
 //! (simultaneous/orthogonal iteration).
 //!
-//! The cyclic Jacobi solver computes *all* eigenpairs in `O(n³)` per sweep
-//! — fine for covariance matrices (`n = d`), wasteful for spectral
-//! clustering, whose `n × n` affinity only needs its top `k ≪ n`
+//! The dense tridiagonal-QL solver ([`crate::SymmetricEigen`]) computes
+//! *all* eigenpairs in `O(n³)` — fine for covariance matrices (`n = d`) and
+//! for affinities up to several hundred objects, wasteful beyond that for
+//! spectral clustering, whose `n × n` affinity only needs its top `k ≪ n`
 //! eigenvectors. Orthogonal iteration multiplies a random `n × k` block by
 //! the matrix and re-orthonormalises until the invariant subspace
-//! converges: `O(k·n²)` per iteration, a large win for `n` in the
-//! hundreds-to-thousands range where spectral methods operate.
+//! converges: `O(k·n²)` per iteration, which overtakes the dense solver
+//! once `n` reaches the high hundreds.
 //!
 //! For matrices with eigenvalues of mixed sign, pass a `shift` making the
 //! target eigenvalues the largest in magnitude (spectral methods use the

@@ -3,7 +3,7 @@
 //! The tutorial's orthogonal-transformation paradigm (slides 50–51) uses the
 //! SVD of a learned distance metric `D = H · S · A` and then *inverts the
 //! stretcher*: `M = H · S⁻¹ · A`. This module provides exactly that
-//! decomposition, built on the Jacobi symmetric eigensolver: we
+//! decomposition, built on the tridiagonal-QL symmetric eigensolver: we
 //! eigendecompose `AᵀA` to obtain `V` and the singular values, then recover
 //! `U` column by column (with Gram–Schmidt completion for rank-deficient
 //! inputs).

@@ -52,6 +52,27 @@ proptest! {
         prop_assert!(e.values.windows(2).all(|w| w[0] >= w[1] - 1e-12));
     }
 
+    /// Every eigenpair satisfies `A·v = λ·v`, the eigenvectors are
+    /// orthonormal and the values descend, at every size up to 40.
+    #[test]
+    fn eigen_pairs_are_accurate_and_orthonormal(n in 1usize..=40, a in symmetric_matrix(n)) {
+        let e = SymmetricEigen::new(&a);
+        let tol = 1e-10 * a.max_abs().max(1.0);
+        for j in 0..n {
+            let v = e.eigenvector(j);
+            let residual = a
+                .matvec(&v)
+                .iter()
+                .zip(&v)
+                .map(|(av, x)| (av - e.values[j] * x).abs())
+                .fold(0.0f64, f64::max);
+            prop_assert!(residual <= tol, "pair {}: residual {}", j, residual);
+        }
+        let vtv = e.vectors.transpose().matmul(&e.vectors);
+        prop_assert!(vtv.approx_eq(&Matrix::identity(n), 1e-12 * n as f64));
+        prop_assert!(e.values.windows(2).all(|w| w[0] >= w[1]));
+    }
+
     #[test]
     fn svd_reconstructs(a in square_matrix(3)) {
         let svd = Svd::new(&a);

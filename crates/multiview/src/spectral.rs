@@ -11,12 +11,12 @@
 //! stressing unreliable sources.
 
 use multiclust_core::Clustering;
-use multiclust_data::{Dataset, MultiViewDataset};
-use multiclust_linalg::vector::{normalize, sq_dist};
+use multiclust_data::MultiViewDataset;
 use multiclust_linalg::{Matrix, SymmetricEigen};
 use rand::rngs::StdRng;
 
-use multiclust_base::KMeans;
+use multiclust_base::spectral::embedding;
+use multiclust_base::{KMeans, SpectralClustering};
 
 /// Multi-view spectral clustering configuration.
 #[derive(Clone, Debug)]
@@ -53,31 +53,6 @@ impl MultiViewSpectral {
         self
     }
 
-    /// The normalised affinity `D^{-1/2} W D^{-1/2}` of one view.
-    fn normalized_affinity(view: &Dataset, sigma: f64) -> Matrix {
-        let n = view.len();
-        let denom = 2.0 * sigma * sigma;
-        let mut w = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let a = (-sq_dist(view.row(i), view.row(j)) / denom).exp();
-                w[(i, j)] = a;
-                w[(j, i)] = a;
-            }
-        }
-        let dinv: Vec<f64> = (0..n)
-            .map(|i| {
-                let deg: f64 = (0..n).map(|j| w[(i, j)]).sum();
-                if deg > 0.0 {
-                    1.0 / deg.sqrt()
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        Matrix::from_fn(n, n, |i, j| dinv[i] * w[(i, j)] * dinv[j])
-    }
-
     /// Clusters the multi-view dataset through the combined embedding.
     ///
     /// # Panics
@@ -104,7 +79,7 @@ impl MultiViewSpectral {
             if weight == 0.0 {
                 continue;
             }
-            let norm_w = Self::normalized_affinity(mv.view(v), sigma);
+            let norm_w = SpectralClustering::new(self.k, sigma).normalized_affinity(mv.view(v));
             combined = &combined + &norm_w.scaled(weight);
         }
         let eig = SymmetricEigen::new(&combined);
@@ -116,15 +91,7 @@ impl MultiViewSpectral {
                 &[("eigengap", eig.values[self.k - 1] - eig.values[self.k])],
             );
         }
-        let mut rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| (0..self.k).map(|c| eig.vectors[(i, c)]).collect())
-            .collect();
-        for row in &mut rows {
-            if !normalize(row) {
-                row[0] = 1.0;
-            }
-        }
-        let embedded = Dataset::from_rows(&rows);
+        let embedded = embedding(&eig.vectors, self.k);
         KMeans::new(self.k).with_restarts(4).fit(&embedded, rng).clustering
     }
 }
@@ -151,6 +118,7 @@ mod tests {
     use super::*;
     use multiclust_core::measures::diss::adjusted_rand_index;
     use multiclust_data::synthetic::gauss;
+    use multiclust_data::Dataset;
     use multiclust_data::seeded_rng;
     use rand::Rng;
 

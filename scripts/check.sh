@@ -8,6 +8,10 @@ cargo test -q --offline --workspace
 # The benchmark is a package of its own (outside `--workspace`) that
 # imports the harness and the linalg kernels; build and test it too.
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
+# Its smoke pass runs every workload, untraced and traced: each run must
+# check correct (label digests repeat, ARI floors hold) and report every
+# metric BENCHMARK.json lists, or run.sh exits non-zero.
+CARGO_TARGET_DIR=.bench_build bash benchmark/run.sh --smoke > /dev/null
 
 # Second pass with telemetry globally enabled: instrumentation must never
 # change a single result, so the identical suite has to stay green.
