@@ -3,9 +3,7 @@
 //! * **layout** — flat row-major dataset storage vs nested `Vec<Vec<f64>>`
 //!   in the k-means assignment hot loop (the perf-book locality argument);
 //! * **pruning** — CLIQUE lattice search with vs without apriori pruning
-//!   (slide 71);
-//! * **parallel** — sequential vs threaded lattice evaluation (the
-//!   `multiclust-parallel` scoped pool).
+//!   (slide 71).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -77,23 +75,5 @@ fn bench_pruning(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_lattice(c: &mut Criterion) {
-    let spec = ViewSpec { dims: 4, clusters: 3, separation: 10.0, noise: 0.4 };
-    let p = planted_views(2_000, &[spec], 6, &mut seeded_rng(7003));
-    let data = p.dataset.min_max_normalized();
-
-    let mut group = c.benchmark_group("ablation_parallel");
-    group.sample_size(10).measurement_time(Duration::from_secs(4));
-    group.bench_function("sequential", |b| {
-        b.iter(|| black_box(Clique::new(6, 0.05).fit(black_box(&data))))
-    });
-    group.bench_function("threaded_parallel", |b| {
-        b.iter(|| {
-            black_box(Clique::new(6, 0.05).with_parallel(true).fit(black_box(&data)))
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(ablations, bench_layout, bench_pruning, bench_parallel_lattice);
+criterion_group!(ablations, bench_layout, bench_pruning);
 criterion_main!(ablations);

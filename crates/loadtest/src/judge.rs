@@ -1,109 +1,12 @@
-//! The judged-expectations layer: turns a run record (or a re-loaded
-//! report) into per-expectation verdicts.
+//! The judged-expectations layer: rules each scenario expectation
+//! against a finished run's [`RunRecord`].
 //!
-//! The judge never looks at the live server — it rules purely on a
-//! [`Measured`] summary, which can come from a run that just finished
-//! *or* be re-extracted from a `multiclust-loadtest-report/v1` file
-//! (`loadtest --judge`). That split is what the doctored-report
-//! self-test leans on: corrupt the summary, re-judge, and the verdict
-//! must flip.
-
-use std::collections::BTreeMap;
+//! The judge never looks at the live server, only at the record. The
+//! doctored-record self-test leans on that: corrupt the record, re-judge,
+//! and the verdict must flip.
 
 use crate::driver::RunRecord;
 use crate::spec::Expectation;
-
-/// Latency percentiles for one op, in microseconds (the report's
-/// `timing.latency_us` rows; mergeable sketches collapse to this at the
-/// report boundary).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LatencySummary {
-    /// Responses recorded.
-    pub count: u64,
-    /// Median latency.
-    pub p50: u64,
-    /// 90th percentile.
-    pub p90: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// Worst response.
-    pub max: u64,
-}
-
-impl LatencySummary {
-    /// The named quantile (`p50`/`p90`/`p99`), in microseconds.
-    pub fn quantile(&self, name: &str) -> u64 {
-        match name {
-            "p50" => self.p50,
-            "p90" => self.p90,
-            _ => self.p99,
-        }
-    }
-}
-
-/// Everything the judge rules on, decoupled from how the run happened.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Measured {
-    /// Planned operations.
-    pub planned: u64,
-    /// Errors across all codes.
-    pub errors_total: u64,
-    /// Errors per structured code.
-    pub errors_by_code: BTreeMap<String, u64>,
-    /// Per-op latency, `None` when the report was canonicalized (its
-    /// `timing` section is null) — latency expectations then fail with a
-    /// message saying so rather than silently passing.
-    pub latency_us: Option<BTreeMap<String, LatencySummary>>,
-    /// Best (ARI, NMI) per family against any planted truth.
-    pub quality: BTreeMap<String, (f64, f64)>,
-    /// Served fits compared against the in-process reference.
-    pub serve_checked: u64,
-    /// Byte-level divergences from the reference.
-    pub serve_mismatches: u64,
-    /// Telemetry events dropped during the run.
-    pub events_dropped: u64,
-    /// Peak live heap in bytes when alloc accounting was on.
-    pub alloc_peak: Option<u64>,
-    /// Workload ops the server's chaos layer deliberately slowed.
-    pub chaos_slowed: u64,
-    /// Workload ops the server's chaos layer deliberately dropped.
-    pub chaos_dropped: u64,
-}
-
-impl Measured {
-    /// Collapses a live run record into the judge's view.
-    pub fn from_record(record: &RunRecord) -> Measured {
-        let latency = record
-            .latency
-            .iter()
-            .map(|(op, sketch)| {
-                (
-                    op.clone(),
-                    LatencySummary {
-                        count: sketch.count,
-                        p50: sketch.p50(),
-                        p90: sketch.p90(),
-                        p99: sketch.p99(),
-                        max: sketch.max,
-                    },
-                )
-            })
-            .collect();
-        Measured {
-            planned: record.planned,
-            errors_total: record.errors_by_code.values().sum(),
-            errors_by_code: record.errors_by_code.clone(),
-            latency_us: Some(latency),
-            quality: record.quality.clone(),
-            serve_checked: record.serve_checked,
-            serve_mismatches: record.serve_mismatches,
-            events_dropped: record.events_dropped,
-            alloc_peak: record.alloc_peak,
-            chaos_slowed: record.chaos_slowed,
-            chaos_dropped: record.chaos_dropped,
-        }
-    }
-}
 
 /// One expectation's ruling: what was measured, and whether it passed.
 #[derive(Clone, Debug, PartialEq)]
@@ -118,11 +21,11 @@ pub struct Judged {
 }
 
 /// Rules on every expectation in scenario order.
-pub fn judge(expectations: &[Expectation], m: &Measured) -> Vec<Judged> {
+pub fn judge(expectations: &[Expectation], record: &RunRecord) -> Vec<Judged> {
     expectations
         .iter()
         .map(|e| {
-            let (measured, pass) = rule(e, m);
+            let (measured, pass) = rule(e, record);
             Judged { expectation: e.clone(), measured, pass }
         })
         .collect()
@@ -133,36 +36,31 @@ pub fn verdict(judged: &[Judged]) -> bool {
     judged.iter().all(|j| j.pass)
 }
 
-fn rule(e: &Expectation, m: &Measured) -> (String, bool) {
+fn rule(e: &Expectation, m: &RunRecord) -> (String, bool) {
     match e {
-        Expectation::Latency { op, quantile, max_ms } => {
-            let Some(latency) = &m.latency_us else {
-                return (
-                    "report has no timing section (canonical reports cannot be \
-                     judged on latency)"
-                        .to_string(),
-                    false,
-                );
-            };
-            match latency.get(op) {
-                None => (format!("no {op} responses recorded"), false),
-                Some(s) => {
-                    let us = s.quantile(quantile);
-                    (
-                        format!(
-                            "{op} {quantile} = {:.3} ms over {} responses (ceiling {max_ms} ms)",
-                            us as f64 / 1000.0,
-                            s.count
-                        ),
-                        us <= max_ms * 1000,
-                    )
-                }
+        Expectation::Latency { op, quantile, max_ms } => match m.latency.get(op) {
+            None => (format!("no {op} responses recorded"), false),
+            Some(s) => {
+                let us = match quantile.as_str() {
+                    "p50" => s.p50(),
+                    "p90" => s.p90(),
+                    _ => s.p99(),
+                };
+                (
+                    format!(
+                        "{op} {quantile} = {:.3} ms over {} responses (ceiling {max_ms} ms)",
+                        us as f64 / 1000.0,
+                        s.count
+                    ),
+                    us <= max_ms * 1000,
+                )
             }
-        }
+        },
         Expectation::ErrorRate { max } => {
-            let rate = m.errors_total as f64 / (m.planned.max(1)) as f64;
+            let errors: u64 = m.errors_by_code.values().sum();
+            let rate = errors as f64 / (m.planned.max(1)) as f64;
             (
-                format!("{} errors / {} planned = {rate:.4} (max {max})", m.errors_total, m.planned),
+                format!("{errors} errors / {} planned = {rate:.4} (max {max})", m.planned),
                 rate <= *max,
             )
         }
@@ -206,64 +104,72 @@ fn rule(e: &Expectation, m: &Measured) -> (String, bool) {
     }
 }
 
-/// Corrupts a measured summary the way a dishonest report would: latency
-/// three orders of magnitude up, quality floored, phantom internal
-/// errors, dropped telemetry and a serve mismatch. A judge worth its
-/// name must fail a scenario on at least one of these — `loadtest
-/// --doctor-report` asserts exactly that (negated in check.sh).
-pub fn doctor(m: &mut Measured) {
-    if let Some(latency) = &mut m.latency_us {
-        for s in latency.values_mut() {
-            s.p50 = s.p50.saturating_mul(1000).max(1_000_000);
-            s.p90 = s.p90.saturating_mul(1000).max(1_000_000);
-            s.p99 = s.p99.saturating_mul(1000).max(1_000_000);
-            s.max = s.max.saturating_mul(1000).max(1_000_000);
-        }
-    }
-    for q in m.quality.values_mut() {
-        *q = (0.0, 0.0);
-    }
-    m.events_dropped += 7;
-    m.errors_total += 13;
-    *m.errors_by_code.entry("internal".to_string()).or_insert(0) += 13;
-    if m.serve_checked == 0 {
-        m.serve_checked = 1;
-    }
-    m.serve_mismatches += 1;
-    // A chaos layer that claims it never fired when the scenario demanded
-    // it must not pass a chaos-fired expectation.
-    m.chaos_slowed = m.chaos_slowed.wrapping_add(3);
-    m.chaos_dropped = m.chaos_dropped.wrapping_add(5);
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use multiclust_telemetry::Sketch;
+    use std::collections::BTreeMap;
 
-    fn clean() -> Measured {
-        let mut latency = BTreeMap::new();
-        latency.insert(
-            "fit".to_string(),
-            LatencySummary { count: 10, p50: 900, p90: 1_800, p99: 2_500, max: 3_000 },
-        );
-        let mut quality = BTreeMap::new();
-        quality.insert("kmeans".to_string(), (0.97, 0.95));
-        Measured {
-            planned: 12,
-            errors_total: 0,
+    /// Corrupts a record the way a dishonest one would: latency three
+    /// orders of magnitude up, quality floored, phantom internal errors,
+    /// dropped telemetry, a serve mismatch and chaos counters that do not
+    /// match the plan. A judge worth its name must fail a scenario on
+    /// each of these.
+    fn doctor(m: &mut RunRecord) {
+        for s in m.latency.values_mut() {
+            let slow = s.max.saturating_mul(1000).max(1_000_000);
+            *s = Sketch::default();
+            s.record(slow);
+        }
+        for q in m.quality.values_mut() {
+            *q = (0.0, 0.0);
+        }
+        m.events_dropped += 7;
+        *m.errors_by_code.entry("internal".to_string()).or_insert(0) += 13;
+        if m.serve_checked == 0 {
+            m.serve_checked = 1;
+        }
+        m.serve_mismatches += 1;
+        m.chaos_slowed = m.chaos_slowed.wrapping_add(3);
+        m.chaos_dropped = m.chaos_dropped.wrapping_add(5);
+    }
+
+    /// A clean three-fit run that meets every expectation below.
+    pub(crate) fn clean() -> RunRecord {
+        let mut fit = Sketch::default();
+        for us in [800, 900, 1_000] {
+            fit.record(us);
+        }
+        RunRecord {
+            scenario: "unit".to_string(),
+            seed: 5,
+            boot: "in-process",
+            inject: None,
+            planned: 3,
+            responded: 3,
+            by_op: BTreeMap::from([("fit".to_string(), 3)]),
+            by_family: BTreeMap::from([("kmeans".to_string(), 3)]),
             errors_by_code: BTreeMap::new(),
-            latency_us: Some(latency),
-            quality,
-            serve_checked: 10,
+            error_samples: Vec::new(),
+            flight_dump: Some("flight/multiclust-flight-1-serve.jsonl".to_string()),
+            chaos_slowed: 0,
+            chaos_dropped: 0,
+            registry_models: 3,
+            registry_evictions: 0,
+            capacity: 8,
+            quality: BTreeMap::from([("kmeans".to_string(), (0.97, 0.95))]),
+            serve_checked: 3,
             serve_mismatches: 0,
             events_dropped: 0,
             alloc_peak: None,
-            chaos_slowed: 0,
-            chaos_dropped: 0,
+            digest: 0xdead_beef,
+            latency: BTreeMap::from([("fit".to_string(), fit)]),
+            wall_ms: 12,
+            threads: 2,
         }
     }
 
-    fn expectations() -> Vec<Expectation> {
+    pub(crate) fn expectations() -> Vec<Expectation> {
         vec![
             Expectation::Latency {
                 op: "fit".to_string(),
@@ -297,8 +203,7 @@ mod tests {
         doctor(&mut m);
         let judged = judge(&expectations(), &m);
         assert!(!verdict(&judged));
-        // Specifically latency, error rate, quality, events-dropped and
-        // serve-equivalence must all flip.
+        // Every expectation that reads a number must flip.
         let fails: Vec<&str> =
             judged.iter().filter(|j| !j.pass).map(|j| j.expectation.kind()).collect();
         for kind in [
@@ -311,15 +216,6 @@ mod tests {
         ] {
             assert!(fails.contains(&kind), "{kind} should fail: {fails:?}");
         }
-    }
-
-    #[test]
-    fn canonical_reports_cannot_vouch_for_latency() {
-        let mut m = clean();
-        m.latency_us = None;
-        let judged = judge(&expectations(), &m);
-        assert!(!judged[0].pass);
-        assert!(judged[0].measured.contains("no timing section"));
     }
 
     #[test]

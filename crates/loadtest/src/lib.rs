@@ -17,17 +17,14 @@
 //!   `multiclust-serve/v1` protocol and collects the run record —
 //!   latency sketches on one side, interleaving-invariant aggregates
 //!   (counts, error codes, quality, the transcript digest) on the other;
-//! * [`judge`] — rules each expectation against a [`judge::Measured`]
-//!   summary, whether it came from a live run or a re-loaded report;
-//! * [`report`] — renders and re-parses the verdict document, including
-//!   the `--canonical` form whose bytes are identical across thread
-//!   counts.
+//! * [`judge`] — rules each expectation against the [`RunRecord`];
+//! * [`report`] — renders the verdict document, including the
+//!   `--canonical` form whose bytes are identical across thread counts.
 //!
 //! Like the verify layer, the loadtest distrusts itself:
 //! `--inject` wires a known fault (reusing the harness fault registry's
-//! names plus two chaos faults) and the scenario **must** fail; `--judge`
-//! re-rules a stored report and `--doctor-report` proves a corrupted one
-//! cannot sneak past the judge.
+//! names plus two chaos faults) and the scenario **must** fail; the
+//! judge's unit tests prove a doctored record cannot sneak past it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +35,6 @@ pub mod report;
 pub mod spec;
 
 pub use driver::{run_scenario, BootMode, Inject, RunOptions, RunRecord};
-pub use judge::{judge, verdict, Judged, LatencySummary, Measured};
-pub use report::{ParsedReport, REPORT_SCHEMA};
+pub use judge::{judge, verdict, Judged};
+pub use report::REPORT_SCHEMA;
 pub use spec::{Expectation, ScenarioSpec, SCHEMA};

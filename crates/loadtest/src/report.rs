@@ -7,16 +7,11 @@
 //! nulls the wall-clock half and redacts latency measurements from the
 //! judged expectations, leaving bytes that are identical across thread
 //! counts — the replay gate `cmp`s two such renderings directly.
-//!
-//! Reports are also an *input*: [`parse`] re-extracts the expectations
-//! and the measured summary so `loadtest --judge <report>` can re-rule
-//! on a stored run, and `--doctor-report` can prove the judge actually
-//! reads the numbers it rules on.
 
 use serde::Value;
 
 use crate::driver::RunRecord;
-use crate::judge::{Judged, LatencySummary, Measured};
+use crate::judge::Judged;
 use crate::spec::{self, Expectation};
 
 /// Schema tag every report carries.
@@ -199,244 +194,16 @@ pub fn render(report: &Value) -> String {
     s
 }
 
-// ---------------------------------------------------------------------
-// Reports as input: --judge / --doctor-report
-// ---------------------------------------------------------------------
-
-/// A report re-loaded for judging.
-#[derive(Clone, Debug)]
-pub struct ParsedReport {
-    /// Scenario name the report claims.
-    pub scenario: String,
-    /// Report verdict as stored (`PASS`/`FAIL`).
-    pub verdict: String,
-    /// The expectations as written into the report.
-    pub expectations: Vec<Expectation>,
-    /// The measured summary the judge rules on.
-    pub measured: Measured,
-}
-
-type Fields = [(String, Value)];
-
-fn get<'a>(fields: &'a Fields, name: &str) -> Option<&'a Value> {
-    fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-fn err<T>(path: &str, what: impl std::fmt::Display) -> Result<T, String> {
-    Err(format!("report field {path:?}: {what}"))
-}
-
-fn object_at<'a>(fields: &'a Fields, path: &str) -> Result<&'a Fields, String> {
-    match get(fields, path) {
-        Some(Value::Object(inner)) => Ok(inner),
-        Some(_) => err(path, "expected an object"),
-        None => err(path, "missing"),
-    }
-}
-
-fn u64_at(fields: &Fields, path: &str) -> Result<u64, String> {
-    match get(fields, path) {
-        Some(Value::Int(i)) if *i >= 0 => Ok(*i as u64),
-        Some(_) => err(path, "expected a non-negative integer"),
-        None => err(path, "missing"),
-    }
-}
-
-fn f64_of(v: &Value, path: &str) -> Result<f64, String> {
-    match v {
-        Value::Float(f) => Ok(*f),
-        Value::Int(i) => Ok(*i as f64),
-        _ => err(path, "expected a number"),
-    }
-}
-
-fn count_map(fields: &Fields, path: &str) -> Result<std::collections::BTreeMap<String, u64>, String> {
-    let inner = object_at(fields, path)?;
-    let mut out = std::collections::BTreeMap::new();
-    for (k, v) in inner {
-        match v {
-            Value::Int(i) if *i >= 0 => {
-                out.insert(k.clone(), *i as u64);
-            }
-            _ => return err(&format!("{path}.{k}"), "expected a non-negative integer"),
-        }
-    }
-    Ok(out)
-}
-
-/// Parses a stored report back into its expectations and measured
-/// summary (the judge's inputs).
-pub fn parse(text: &str) -> Result<ParsedReport, String> {
-    let value =
-        serde_json::parse_value(text).map_err(|e| format!("report is not valid JSON: {e}"))?;
-    let Value::Object(fields) = &value else {
-        return err("report", "expected a JSON object");
-    };
-    match get(fields, "schema") {
-        Some(Value::String(s)) if s == REPORT_SCHEMA => {}
-        Some(Value::String(s)) => {
-            return err("schema", format_args!("expected {REPORT_SCHEMA:?}, got {s:?}"))
-        }
-        _ => return err("schema", "missing"),
-    }
-    let scenario = match get(fields, "scenario") {
-        Some(Value::String(s)) => s.clone(),
-        _ => return err("scenario", "missing"),
-    };
-    let verdict = match get(fields, "verdict") {
-        Some(Value::String(s)) => s.clone(),
-        _ => return err("verdict", "missing"),
-    };
-    let requests = object_at(fields, "requests")?;
-    let errors = object_at(fields, "errors")?;
-    let serve = object_at(fields, "serve_equivalence")?;
-    let chaos = object_at(fields, "chaos")?;
-    let latency_us = match get(fields, "timing") {
-        Some(Value::Null) | None => None,
-        Some(Value::Object(timing)) => {
-            let rows = object_at(timing, "latency_us")?;
-            let mut out = std::collections::BTreeMap::new();
-            for (op, row) in rows {
-                let Value::Object(r) = row else {
-                    return err(&format!("timing.latency_us.{op}"), "expected an object");
-                };
-                out.insert(
-                    op.clone(),
-                    LatencySummary {
-                        count: u64_at(r, "count")?,
-                        p50: u64_at(r, "p50")?,
-                        p90: u64_at(r, "p90")?,
-                        p99: u64_at(r, "p99")?,
-                        max: u64_at(r, "max")?,
-                    },
-                );
-            }
-            Some(out)
-        }
-        Some(_) => return err("timing", "expected an object or null"),
-    };
-    let mut quality = std::collections::BTreeMap::new();
-    for (family, row) in object_at(fields, "quality")? {
-        let Value::Object(r) = row else {
-            return err(&format!("quality.{family}"), "expected an object");
-        };
-        let ari = f64_of(
-            get(r, "ari").unwrap_or(&Value::Null),
-            &format!("quality.{family}.ari"),
-        )?;
-        let nmi = f64_of(
-            get(r, "nmi").unwrap_or(&Value::Null),
-            &format!("quality.{family}.nmi"),
-        )?;
-        quality.insert(family.clone(), (ari, nmi));
-    }
-    let alloc_peak = match get(fields, "alloc") {
-        Some(Value::Object(a)) => Some(u64_at(a, "peak")?),
-        _ => None,
-    };
-    let expectations_value = match get(fields, "expectations") {
-        Some(Value::Array(items)) => items,
-        _ => return err("expectations", "expected an array"),
-    };
-    let mut expectations = Vec::with_capacity(expectations_value.len());
-    for (i, item) in expectations_value.iter().enumerate() {
-        // The stored rows are spec expectations plus `measured`/`pass`;
-        // the spec parser ignores extra fields, so they re-parse as-is.
-        expectations
-            .push(spec::parse_expectation(item, i).map_err(|e| format!("report {e}"))?);
-    }
-    Ok(ParsedReport {
-        scenario,
-        verdict,
-        expectations,
-        measured: Measured {
-            planned: u64_at(requests, "planned")?,
-            errors_total: u64_at(errors, "total")?,
-            errors_by_code: count_map(errors, "by_code")?,
-            latency_us,
-            quality,
-            serve_checked: u64_at(serve, "checked")?,
-            serve_mismatches: u64_at(serve, "mismatches")?,
-            events_dropped: u64_at(fields, "events_dropped")?,
-            alloc_peak,
-            chaos_slowed: u64_at(chaos, "slowed")?,
-            chaos_dropped: u64_at(chaos, "dropped")?,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::judge::{self, Judged};
-    use multiclust_telemetry::Sketch;
-    use std::collections::BTreeMap;
-
-    fn record() -> RunRecord {
-        let mut latency = BTreeMap::new();
-        let mut fit = Sketch::default();
-        for us in [800, 900, 1_000] {
-            fit.record(us);
-        }
-        latency.insert("fit".to_string(), fit);
-        let mut quality = BTreeMap::new();
-        quality.insert("kmeans".to_string(), (0.9375, 0.91));
-        RunRecord {
-            scenario: "unit".to_string(),
-            seed: 5,
-            boot: "in-process",
-            inject: None,
-            planned: 3,
-            responded: 3,
-            by_op: BTreeMap::from([("fit".to_string(), 3)]),
-            by_family: BTreeMap::from([("kmeans".to_string(), 3)]),
-            errors_by_code: BTreeMap::new(),
-            error_samples: Vec::new(),
-            flight_dump: Some("/tmp/multiclust-flight-1-serve.jsonl".to_string()),
-            chaos_slowed: 0,
-            chaos_dropped: 0,
-            registry_models: 3,
-            registry_evictions: 0,
-            capacity: 8,
-            quality,
-            serve_checked: 3,
-            serve_mismatches: 0,
-            events_dropped: 0,
-            alloc_peak: None,
-            digest: 0xdead_beef,
-            latency,
-            wall_ms: 12,
-            threads: 2,
-        }
-    }
-
-    fn judged(record: &RunRecord) -> Vec<Judged> {
-        let expectations = vec![
-            Expectation::Latency { op: "fit".to_string(), quantile: "p99".to_string(), max_ms: 50 },
-            Expectation::ServeEquivalence,
-        ];
-        judge::judge(&expectations, &judge::Measured::from_record(record))
-    }
-
-    #[test]
-    fn full_report_roundtrips_into_the_judges_inputs() {
-        let r = record();
-        let j = judged(&r);
-        let text = render(&build(&r, &j, false));
-        let parsed = parse(&text).unwrap();
-        assert_eq!(parsed.scenario, "unit");
-        assert_eq!(parsed.verdict, "PASS");
-        assert_eq!(parsed.expectations.len(), 2);
-        assert_eq!(parsed.measured, judge::Measured::from_record(&r));
-        // Re-judging a faithful report reproduces the verdict.
-        let again = judge::judge(&parsed.expectations, &parsed.measured);
-        assert!(judge::verdict(&again));
-    }
+    use crate::judge::tests::{clean, expectations};
+    use crate::judge::judge;
 
     #[test]
     fn canonical_rendering_nulls_the_wall_clock_half() {
-        let r = record();
-        let j = judged(&r);
+        let r = clean();
+        let j = judge(&expectations(), &r);
         let text = render(&build(&r, &j, true));
         assert!(text.contains("\"timing\": null"), "{text}");
         assert!(text.contains(REDACTED), "{text}");
@@ -444,27 +211,8 @@ mod tests {
         // The machine-specific dump path is nulled too.
         assert!(text.contains("\"flight_dump\": null"), "{text}");
         assert!(!text.contains("multiclust-flight-1-serve"), "{text}");
-        // A canonical report refuses to vouch for latency on re-judge.
-        let parsed = parse(&text).unwrap();
-        let again = judge::judge(&parsed.expectations, &parsed.measured);
-        assert!(!again[0].pass);
-    }
-
-    #[test]
-    fn doctored_report_flips_the_verdict() {
-        let r = record();
-        let j = judged(&r);
-        let text = render(&build(&r, &j, false));
-        let mut parsed = parse(&text).unwrap();
-        judge::doctor(&mut parsed.measured);
-        let again = judge::judge(&parsed.expectations, &parsed.measured);
-        assert!(!judge::verdict(&again));
-    }
-
-    #[test]
-    fn wrong_schema_is_one_clean_line() {
-        let e = parse(r#"{"schema": "nope"}"#).unwrap_err();
-        assert!(e.contains("multiclust-loadtest-report/v1"), "{e}");
-        assert!(!e.contains('\n'), "one clean line: {e}");
+        // The full rendering keeps both.
+        let full = render(&build(&r, &j, false));
+        assert!(full.contains("wall_ms") && full.contains("multiclust-flight-1-serve"), "{full}");
     }
 }

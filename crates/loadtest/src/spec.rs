@@ -440,7 +440,7 @@ fn parse_mix(v: &Value) -> Result<MixSpec, String> {
     Ok(mix)
 }
 
-pub(crate) fn parse_expectation(v: &Value, i: usize) -> Result<Expectation, String> {
+fn parse_expectation(v: &Value, i: usize) -> Result<Expectation, String> {
     let path = format!("expectations[{i}]");
     let fields = as_object(v, &path)?;
     let kind = string_at(fields, &path, "kind")?;

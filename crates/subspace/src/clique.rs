@@ -21,8 +21,6 @@ pub struct Clique {
     pub xi: u32,
     /// Density threshold `τ` as a fraction of `n`.
     pub tau: f64,
-    /// Evaluate lattice levels in parallel.
-    pub parallel: bool,
 }
 
 /// CLIQUE output.
@@ -44,14 +42,7 @@ impl Clique {
     pub fn new(xi: u32, tau: f64) -> Self {
         assert!(xi >= 1, "ξ must be at least 1");
         assert!(tau > 0.0 && tau <= 1.0, "τ must lie in (0, 1]");
-        Self { xi, tau, parallel: false }
-    }
-
-    /// Enables parallel lattice evaluation.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
+        Self { xi, tau }
     }
 
     /// Minimum object count for a dense unit given `n` objects.
@@ -67,7 +58,7 @@ impl Clique {
             let grid = SubspaceGrid::build(data, dims, self.xi);
             !grid.dense_cells(min_count).is_empty()
         };
-        let lattice = bottom_up_search(data.dims(), has_dense, self.parallel);
+        let lattice = bottom_up_search(data.dims(), has_dense);
         let clusters = self.clusters_of(data, &lattice.subspaces, min_count);
         CliqueResult {
             clusters,
@@ -205,15 +196,6 @@ mod tests {
             res.stats.max_level <= 1,
             "uniform data yields no multi-dimensional dense subspaces"
         );
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (data, _) = planted(175);
-        let seq = Clique::new(8, 0.05).fit(&data);
-        let par = Clique::new(8, 0.05).with_parallel(true).fit(&data);
-        assert_eq!(seq.dense_subspaces, par.dense_subspaces);
-        assert_eq!(seq.clusters.len(), par.clusters.len());
     }
 
     #[test]

@@ -25,8 +25,6 @@ pub struct Enclus {
     pub omega: f64,
     /// Minimum interest `ε` (nats) for a reported subspace.
     pub epsilon: f64,
-    /// Evaluate lattice levels in parallel.
-    pub parallel: bool,
 }
 
 /// One ranked subspace.
@@ -58,14 +56,7 @@ impl Enclus {
         assert!(xi >= 1, "ξ must be at least 1");
         assert!(omega > 0.0, "ω must be positive");
         assert!(epsilon >= 0.0, "ε must be non-negative");
-        Self { xi, omega, epsilon, parallel: false }
-    }
-
-    /// Enables parallel lattice evaluation.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
+        Self { xi, omega, epsilon }
     }
 
     /// Entropy of one subspace of `data` under this grid (Miller–Madow
@@ -81,7 +72,7 @@ impl Enclus {
         let low_entropy = |dims: &[usize]| -> bool {
             SubspaceGrid::build(data, dims, self.xi).entropy(n) <= self.omega
         };
-        let lattice = bottom_up_search(data.dims(), low_entropy, self.parallel);
+        let lattice = bottom_up_search(data.dims(), low_entropy);
         let single_h: Vec<f64> = (0..data.dims())
             .map(|i| self.subspace_entropy(data, &[i]))
             .collect();

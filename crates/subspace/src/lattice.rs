@@ -9,10 +9,8 @@
 //! projections of a failing subspace are pruned without a database scan,
 //! exactly the apriori principle (Agrawal & Srikant 1994).
 //!
-//! The driver is generic over the predicate, counts evaluated/pruned
-//! candidates (the E10 pruning-factor experiment), and can evaluate a
-//! level's candidates in parallel via `multiclust-parallel`; the surviving
-//! set is identical to the sequential scan at any thread count.
+//! The driver is generic over the predicate and counts evaluated/pruned
+//! candidates (the E10 pruning-factor experiment).
 
 use std::collections::HashSet;
 
@@ -41,11 +39,10 @@ pub struct LatticeResult {
 /// Runs the bottom-up search over `d` attributes.
 ///
 /// `predicate(subspace) -> bool` must be **anti-monotone**: if it fails for
-/// `S`, it fails for every superset of `S`. `parallel` evaluates each
-/// level's candidates concurrently (the predicate must be `Sync`).
-pub fn bottom_up_search<F>(d: usize, predicate: F, parallel: bool) -> LatticeResult
+/// `S`, it fails for every superset of `S`.
+pub fn bottom_up_search<F>(d: usize, predicate: F) -> LatticeResult
 where
-    F: Fn(&[usize]) -> bool + Sync,
+    F: Fn(&[usize]) -> bool,
 {
     let _span = multiclust_telemetry::span("lattice.bottom_up_search");
     let mut stats = LatticeStats::default();
@@ -53,7 +50,7 @@ where
 
     // Level 1.
     let level1: Vec<Vec<usize>> = (0..d).map(|i| vec![i]).collect();
-    let mut frontier = evaluate_level(&level1, &predicate, parallel, &mut stats);
+    let mut frontier = evaluate_level(&level1, &predicate, &mut stats);
     stats.max_level = usize::from(!frontier.is_empty());
     surviving.extend(frontier.iter().cloned());
     record_level(1, d, 0, frontier.len());
@@ -80,7 +77,7 @@ where
             }
         }
         stats.pruned_by_apriori += pruned_here;
-        frontier = evaluate_level(&to_evaluate, &predicate, parallel, &mut stats);
+        frontier = evaluate_level(&to_evaluate, &predicate, &mut stats);
         record_level(level, to_evaluate.len(), pruned_here, frontier.len());
         if !frontier.is_empty() {
             stats.max_level += 1;
@@ -143,34 +140,13 @@ fn record_level(level: usize, evaluated: usize, pruned: usize, survivors: usize)
 fn evaluate_level<F>(
     candidates: &[Vec<usize>],
     predicate: &F,
-    parallel: bool,
     stats: &mut LatticeStats,
 ) -> Vec<Vec<usize>>
 where
-    F: Fn(&[usize]) -> bool + Sync,
+    F: Fn(&[usize]) -> bool,
 {
     stats.evaluated += candidates.len();
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    if !parallel || candidates.len() < 8 {
-        return candidates
-            .iter()
-            .filter(|s| predicate(s))
-            .cloned()
-            .collect();
-    }
-    // Parallel evaluation: each candidate's verdict depends only on the
-    // candidate itself, so the filtered set matches the sequential scan.
-    let keep = multiclust_parallel::par_map_indexed(candidates.len(), 4, |i| {
-        predicate(&candidates[i])
-    });
-    candidates
-        .iter()
-        .zip(&keep)
-        .filter(|(_, &k)| k)
-        .map(|(c, _)| c.clone())
-        .collect()
+    candidates.iter().filter(|s| predicate(s)).cloned().collect()
 }
 
 /// Apriori join: two sorted `k`-subspaces sharing their first `k−1`
@@ -217,7 +193,7 @@ mod tests {
 
     #[test]
     fn finds_full_downward_closed_family() {
-        let res = bottom_up_search(6, subset_of_012, false);
+        let res = bottom_up_search(6, subset_of_012);
         // All non-empty subsets of {0,1,2}: 7.
         assert_eq!(res.subspaces.len(), 7);
         assert!(res.subspaces.contains(&vec![0, 1, 2]));
@@ -226,7 +202,7 @@ mod tests {
 
     #[test]
     fn pruning_skips_supersets_of_failures() {
-        let res = bottom_up_search(6, subset_of_012, false);
+        let res = bottom_up_search(6, subset_of_012);
         // Level 1 evaluates 6; level 2 candidates joining {0},{1},{2} are
         // {01,02,12}: dims 3..5 never spawn candidates.
         assert_eq!(res.stats.evaluated, 6 + 3 + 1);
@@ -250,18 +226,10 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let res = bottom_up_search(3, |s: &[usize]| pass.contains(s), false);
+        let res = bottom_up_search(3, |s: &[usize]| pass.contains(s));
         assert!(res.subspaces.contains(&vec![0, 2]));
         assert!(!res.subspaces.contains(&vec![0, 1, 2]));
         assert_eq!(res.stats.pruned_by_apriori, 1);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let seq = bottom_up_search(8, subset_of_012, false);
-        let par = bottom_up_search(8, subset_of_012, true);
-        assert_eq!(seq.subspaces, par.subspaces);
-        assert_eq!(seq.stats.evaluated, par.stats.evaluated);
     }
 
     #[test]
@@ -273,7 +241,7 @@ mod tests {
 
     #[test]
     fn empty_predicate_stops_immediately() {
-        let res = bottom_up_search(5, |_: &[usize]| false, false);
+        let res = bottom_up_search(5, |_: &[usize]| false);
         assert!(res.subspaces.is_empty());
         assert_eq!(res.stats.evaluated, 5);
         assert_eq!(res.stats.max_level, 0);

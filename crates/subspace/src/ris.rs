@@ -29,8 +29,6 @@ pub struct Ris {
     /// Minimum *normalised* quality for a subspace to be reported
     /// (1.0 = exactly the uniform expectation).
     pub min_quality: f64,
-    /// Evaluate lattice levels in parallel.
-    pub parallel: bool,
 }
 
 /// One ranked subspace.
@@ -60,7 +58,7 @@ impl Ris {
     pub fn new(eps: f64, min_pts: usize) -> Self {
         assert!(eps > 0.0, "ε must be positive");
         assert!(min_pts >= 1, "min_pts must be at least 1");
-        Self { eps, min_pts, min_quality: 1.5, parallel: false }
+        Self { eps, min_pts, min_quality: 1.5 }
     }
 
     /// Sets the normalised quality threshold.
@@ -68,13 +66,6 @@ impl Ris {
     pub fn with_min_quality(mut self, q: f64) -> Self {
         assert!(q >= 0.0, "quality threshold must be non-negative");
         self.min_quality = q;
-        self
-    }
-
-    /// Enables parallel lattice evaluation.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -121,7 +112,7 @@ impl Ris {
         let has_core = |dims: &[usize]| -> bool {
             self.density_profile(data, dims).0 > 0
         };
-        let lattice = bottom_up_search(data.dims(), has_core, self.parallel);
+        let lattice = bottom_up_search(data.dims(), has_core);
         let mut ranked: Vec<RankedDensity> = lattice
             .subspaces
             .iter()

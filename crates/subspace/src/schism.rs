@@ -29,8 +29,6 @@ pub struct Schism {
     pub xi: u32,
     /// Null-model tail probability `p` (smaller ⇒ stricter threshold).
     pub p: f64,
-    /// Evaluate lattice levels in parallel.
-    pub parallel: bool,
 }
 
 /// SCHISM output.
@@ -52,14 +50,7 @@ impl Schism {
     pub fn new(xi: u32, p: f64) -> Self {
         assert!(xi >= 1, "ξ must be at least 1");
         assert!(p > 0.0 && p < 1.0, "p must lie in (0, 1)");
-        Self { xi, p, parallel: false }
-    }
-
-    /// Enables parallel lattice evaluation.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
+        Self { xi, p }
     }
 
     /// The adaptive threshold `τ(s)` as a fraction of `n` (slide 73).
@@ -93,7 +84,7 @@ impl Schism {
             let weakest = ((deviation_term(n, self.p) * n as f64).ceil() as usize).max(1);
             !grid.dense_cells(weakest).is_empty()
         };
-        let lattice = bottom_up_search(data.dims(), floor_threshold, self.parallel);
+        let lattice = bottom_up_search(data.dims(), floor_threshold);
         // Post-filter with the exact per-level threshold.
         let interesting: Vec<Vec<usize>> = lattice
             .subspaces

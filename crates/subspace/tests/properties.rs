@@ -37,7 +37,7 @@ proptest! {
     fn lattice_pruning_is_lossless(maximal in maximal_sets(6)) {
         let d = 6;
         let pred = |s: &[usize]| maximal.iter().any(|m| is_subset(s, m));
-        let pruned = bottom_up_search(d, pred, false);
+        let pruned = bottom_up_search(d, pred);
         let naive = exhaustive_search(d, d, pred);
         let mut a = pruned.subspaces.clone();
         let mut b = naive.subspaces.clone();

@@ -24,8 +24,6 @@
 //! Errors make [`DiagnoseReport::has_errors`] true (the CLI `diagnose`
 //! command exits non-zero); warnings are advisory.
 
-use serde::Value;
-
 use crate::trace::TraceFile;
 
 /// Monotone direction a trajectory's objective is declared to follow.
@@ -212,53 +210,6 @@ impl DiagnoseReport {
             out.push_str("  no findings\n");
         }
         out
-    }
-
-    /// Machine-readable JSON report.
-    pub fn to_json(&self) -> String {
-        let trajectories = Value::Array(
-            self.trajectories
-                .iter()
-                .map(|t| {
-                    Value::Object(vec![
-                        ("label".into(), Value::String(t.label.clone())),
-                        ("points".into(), crate::int(t.points as u64)),
-                        ("first".into(), crate::float(t.first)),
-                        ("last".into(), crate::float(t.last)),
-                        (
-                            "monotone".into(),
-                            Value::String(
-                                match t.monotone {
-                                    Monotone::Decreasing => "decreasing",
-                                    Monotone::None => "none",
-                                }
-                                .into(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        let findings = Value::Array(
-            self.findings
-                .iter()
-                .map(|f| {
-                    Value::Object(vec![
-                        ("severity".into(), Value::String(f.severity.as_str().into())),
-                        ("rule".into(), Value::String(f.rule.into())),
-                        ("trajectory".into(), Value::String(f.trajectory.clone())),
-                        ("detail".into(), Value::String(f.detail.clone())),
-                    ])
-                })
-                .collect(),
-        );
-        let root = Value::Object(vec![
-            ("schema".into(), Value::String("multiclust-diagnose/v1".into())),
-            ("errors".into(), Value::Bool(self.has_errors())),
-            ("trajectories".into(), trajectories),
-            ("findings".into(), findings),
-        ]);
-        serde_json::to_string(&root).expect("value tree serialization is infallible")
     }
 }
 
@@ -573,18 +524,5 @@ mod tests {
         )]);
         let r = analyze(&t, &DiagnoseOptions::default());
         assert!(r.findings.iter().any(|f| f.rule == "budget-exhausted"), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn json_report_parses_and_flags_errors() {
-        let t = trace_with(vec![
-            kmeans_iter(0.0, 0.0, 1.0),
-            kmeans_iter(0.0, 1.0, 2.0),
-        ]);
-        let r = analyze(&t, &DiagnoseOptions::default());
-        let json = r.to_json();
-        let parsed: Value = serde_json::from_str(&json).expect("valid JSON");
-        let Value::Object(fields) = parsed else { panic!("object root") };
-        assert!(fields.iter().any(|(k, v)| k == "errors" && *v == Value::Bool(true)));
     }
 }

@@ -1,7 +1,8 @@
 //! Std-only telemetry for the `multiclust` workspace: hierarchical spans
 //! with wall-clock timing, monotonic counters, log-scale histograms and
 //! structured per-iteration events, collected into a process-global,
-//! thread-safe registry with human-readable and JSON exporters.
+//! thread-safe registry with a human-readable report
+//! ([`Snapshot::to_text`]) and one file format ([`trace`]).
 //!
 //! ## Overhead policy
 //!
@@ -35,13 +36,12 @@
 //!
 //! * **Spans** ([`span`]) aggregate wall-clock time by hierarchical path:
 //!   a span opened while another span is open on the *same thread* nests
-//!   under it (`"coala.fit/merge_scan"`). Aggregation records call count,
-//!   total and maximum duration per path.
+//!   under it (`"coala.fit/merge_scan"`). Each path aggregates into one
+//!   duration sketch: call count, total, maximum and quantiles.
 //! * **Counters** ([`counter_add`]) are monotonic `u64` sums.
 //! * **Histograms** ([`histogram_record`]) record `u64` samples into
 //!   mergeable log-bucketed quantile sketches ([`Sketch`]: p50/p90/p99/
-//!   max with ≤ 1/16 relative bucket error). Span durations feed the
-//!   same sketch type, keyed by span path.
+//!   max with ≤ 1/16 relative bucket error).
 //! * **Events** ([`event`]) are ordered structured records — a name plus
 //!   named `f64` fields — for convergence traces (per-iteration
 //!   objectives, merge decisions, lattice level sizes). The registry
@@ -161,17 +161,6 @@ pub fn set_enabled(on: bool) {
 
 // ---- registry --------------------------------------------------------------
 
-/// Aggregated statistics of one span path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Times a span with this path completed.
-    pub count: u64,
-    /// Total wall-clock nanoseconds across completions.
-    pub total_ns: u64,
-    /// Longest single completion in nanoseconds.
-    pub max_ns: u64,
-}
-
 /// One structured event: an ordered record with named numeric fields.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Event {
@@ -185,11 +174,9 @@ pub struct Event {
 
 #[derive(Debug, Default)]
 struct Inner {
-    spans: BTreeMap<String, SpanStat>,
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Sketch>,
-    /// Per-span-path duration sketches (nanoseconds), recorded alongside
-    /// the scalar [`SpanStat`] so readers get p50/p90/p99 per phase.
+    /// Per-span-path duration sketches (nanoseconds).
     durations: BTreeMap<String, Sketch>,
     events: Vec<Event>,
     dropped_events: u64,
@@ -239,13 +226,7 @@ impl Drop for SpanGuard {
         SPAN_STACK.with(|s| {
             s.borrow_mut().pop();
         });
-        with_registry(|r| {
-            let stat = r.spans.entry(path.clone()).or_default();
-            stat.count += 1;
-            stat.total_ns += ns;
-            stat.max_ns = stat.max_ns.max(ns);
-            r.durations.entry(path.clone()).or_default().record(ns);
-        });
+        with_registry(|r| r.durations.entry(path.clone()).or_default().record(ns));
         // Registry lock released before the sink lock is taken. The span
         // also lands in the flight ring, and both carry the thread's
         // request/connection correlation context when one is installed.
@@ -319,7 +300,7 @@ pub fn event(name: &str, fields: &[(&str, f64)]) {
         if r.events.len() >= MAX_EVENTS {
             r.dropped_events += 1;
             // Truncation is data, not a silent loss: surface it as a
-            // counter so both exporters show it alongside everything else.
+            // counter so the report and the files show it.
             *r.counters.entry("telemetry.events_dropped".to_string()).or_insert(0) += 1;
             return seq;
         }
@@ -352,13 +333,12 @@ pub fn reset() {
 /// A point-in-time copy of everything the registry recorded.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
-    /// Span statistics by hierarchical path.
-    pub spans: BTreeMap<String, SpanStat>,
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
     /// Quantile sketches by name.
     pub histograms: BTreeMap<String, Sketch>,
-    /// Span-duration sketches by path (nanoseconds).
+    /// Span-duration sketches by hierarchical path (nanoseconds): call
+    /// count, total (`sum`), `max` and quantiles.
     pub durations: BTreeMap<String, Sketch>,
     /// Allocation accounting per span path (empty when `MULTICLUST_ALLOC`
     /// is off or nothing allocated).
@@ -377,10 +357,9 @@ pub fn dropped_events() -> u64 {
 
 /// Copies the current registry contents, folding in the allocator's slot
 /// table and the trace sink's write-error count (as `trace.write_errors`,
-/// so both exporters surface sink failures alongside everything else).
+/// so the report surfaces sink failures alongside everything else).
 pub fn snapshot() -> Snapshot {
     let mut snap = with_registry(|r| Snapshot {
-        spans: r.spans.clone(),
         counters: r.counters.clone(),
         histograms: r.histograms.clone(),
         durations: r.durations.clone(),
@@ -401,20 +380,17 @@ impl Snapshot {
     /// per-event-name digests.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        if !self.spans.is_empty() {
+        if !self.durations.is_empty() {
             out.push_str("spans (path  count  total_ms  p50_ms  p99_ms  max_ms):\n");
-            for (path, s) in &self.spans {
-                let q = self.durations.get(path);
-                let p50 = q.map_or(0, |d| d.p50());
-                let p99 = q.map_or(0, |d| d.p99());
+            for (path, d) in &self.durations {
                 let _ = writeln!(
                     out,
                     "  {path}  {}  {:.3}  {:.3}  {:.3}  {:.3}",
-                    s.count,
-                    s.total_ns as f64 / 1e6,
-                    p50 as f64 / 1e6,
-                    p99 as f64 / 1e6,
-                    s.max_ns as f64 / 1e6,
+                    d.count,
+                    d.sum as f64 / 1e6,
+                    d.p50() as f64 / 1e6,
+                    d.p99() as f64 / 1e6,
+                    d.max as f64 / 1e6,
                 );
             }
         }
@@ -474,83 +450,10 @@ impl Snapshot {
         }
         out
     }
-
-    /// Compact JSON report (parses with the vendored `serde_json`).
-    /// Non-finite floats are emitted as `null` so the output is always
-    /// valid JSON.
-    pub fn to_json(&self) -> String {
-        let spans = Value::Array(
-            self.spans
-                .iter()
-                .map(|(path, s)| {
-                    let q = self.durations.get(path);
-                    Value::Object(vec![
-                        ("path".into(), Value::String(path.clone())),
-                        ("count".into(), int(s.count)),
-                        ("total_ns".into(), int(s.total_ns)),
-                        ("p50_ns".into(), int(q.map_or(0, |d| d.p50()))),
-                        ("p90_ns".into(), int(q.map_or(0, |d| d.p90()))),
-                        ("p99_ns".into(), int(q.map_or(0, |d| d.p99()))),
-                        ("max_ns".into(), int(s.max_ns)),
-                    ])
-                })
-                .collect(),
-        );
-        let counters = Value::Object(
-            self.counters
-                .iter()
-                .map(|(name, &v)| (name.clone(), int(v)))
-                .collect(),
-        );
-        let histograms = Value::Object(
-            self.histograms
-                .iter()
-                .map(|(name, h)| {
-                    let buckets = h
-                        .occupied()
-                        .map(|(lo, c)| Value::Array(vec![int(lo), int(c)]))
-                        .collect();
-                    let mut body = sketch_fields(h);
-                    body.push(("buckets".into(), Value::Array(buckets)));
-                    (name.clone(), Value::Object(body))
-                })
-                .collect(),
-        );
-        let alloc = Value::Object(
-            self.alloc
-                .iter()
-                .map(|(path, a)| (path.clone(), alloc_value(a)))
-                .collect(),
-        );
-        let events = Value::Array(
-            self.events
-                .iter()
-                .map(|e| {
-                    let fields = Value::Object(
-                        e.fields.iter().map(|(k, v)| (k.clone(), float(*v))).collect(),
-                    );
-                    Value::Object(vec![
-                        ("seq".into(), int(e.seq)),
-                        ("name".into(), Value::String(e.name.clone())),
-                        ("fields".into(), fields),
-                    ])
-                })
-                .collect(),
-        );
-        let root = Value::Object(vec![
-            ("spans".into(), spans),
-            ("counters".into(), counters),
-            ("histograms".into(), histograms),
-            ("alloc".into(), alloc),
-            ("events".into(), events),
-            ("dropped_events".into(), int(self.dropped_events)),
-        ]);
-        serde_json::to_string(&root).expect("value tree serialization is infallible")
-    }
 }
 
 /// A sketch's `count`, `sum`, `p50`, `p90`, `p99` and `max` — its
-/// summary in the JSON report and in every `snapshot` line.
+/// summary in every `snapshot` line.
 pub(crate) fn sketch_fields(s: &Sketch) -> Vec<(String, Value)> {
     vec![
         ("count".into(), int(s.count)),
@@ -656,7 +559,7 @@ mod tests {
             assert!(snap.counters.is_empty());
             assert!(snap.histograms.is_empty());
             assert!(snap.events.is_empty());
-            assert!(snap.spans.is_empty());
+            assert!(snap.durations.is_empty());
         });
     }
 
@@ -680,9 +583,9 @@ mod tests {
                 let _inner = span("inner");
             }
             let snap = snapshot();
-            assert_eq!(snap.spans["outer"].count, 1);
-            assert_eq!(snap.spans["outer/inner"].count, 1);
-            assert!(snap.spans["outer"].total_ns >= snap.spans["outer/inner"].total_ns);
+            assert_eq!(snap.durations["outer"].count, 1);
+            assert_eq!(snap.durations["outer/inner"].count, 1);
+            assert!(snap.durations["outer"].sum >= snap.durations["outer/inner"].sum);
         });
     }
 
@@ -716,7 +619,7 @@ mod tests {
             let d = &snap.durations["timed"];
             assert_eq!(d.count, 5);
             assert!(d.p99() >= d.p50());
-            assert!(snap.spans["timed"].max_ns >= d.p50());
+            assert!(d.max >= d.p50());
         });
     }
 
@@ -729,26 +632,6 @@ mod tests {
             assert_eq!(snap.events.len(), 2);
             assert!(snap.events[0].seq < snap.events[1].seq);
             assert_eq!(snap.events[1].fields[0], ("i".to_string(), 1.0));
-        });
-    }
-
-    #[test]
-    fn json_round_trips_through_vendored_serde_json() {
-        serialized(|| {
-            counter_add("quotes\"and\\slashes", 7);
-            event("e", &[("nan", f64::NAN), ("v", 1.5)]);
-            let _s = span("s");
-            drop(_s);
-            let json = snapshot().to_json();
-            let parsed: Value = serde_json::from_str(&json).expect("valid JSON");
-            let Value::Object(fields) = parsed else {
-                panic!("root must be an object")
-            };
-            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-            assert_eq!(
-                keys,
-                ["spans", "counters", "histograms", "alloc", "events", "dropped_events"]
-            );
         });
     }
 
@@ -771,8 +654,8 @@ mod tests {
             assert!(stat.count >= 1);
             assert!(stat.bytes >= 50_000, "bytes = {}", stat.bytes);
             assert!(stat.peak >= 50_000, "peak = {}", stat.peak);
-            let json = snap.to_json();
-            assert!(json.contains("alloc_test.phase"), "{json}");
+            let text = snap.to_text();
+            assert!(text.contains("alloc_test.phase"), "{text}");
             alloc::reset_alloc();
         });
     }

@@ -4,6 +4,9 @@ set -eu
 cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# `cargo test` never builds the criterion benches; type-check them so an
+# API change cannot break them unnoticed.
+cargo check --offline --benches -p multiclust-bench
 
 # The benchmark is a package of its own (outside `--workspace`) that
 # imports the harness and the linalg kernels; build and test it too.
@@ -18,19 +21,19 @@ CARGO_TARGET_DIR=.bench_build bash benchmark/run.sh --smoke > /dev/null
 MULTICLUST_TELEMETRY=1 cargo test -q --offline --workspace
 
 # CLI telemetry smoke: stdout byte-identical with and without the flag,
-# stderr carries a valid report.
+# stderr carries the text report.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 printf '1,2\n1.1,2.1\n0.9,1.9\n8,9\n8.1,9.2\n7.9,8.8\n4,0\n4.1,0.2\n' > "$tmp/data.csv"
 ./target/release/multiclust kmeans --input "$tmp/data.csv" --k 3 --seed 1 \
     > "$tmp/plain.csv" 2> "$tmp/plain.err"
 ./target/release/multiclust kmeans --input "$tmp/data.csv" --k 3 --seed 1 \
-    --telemetry=json > "$tmp/traced.csv" 2> "$tmp/traced.json"
+    --telemetry > "$tmp/traced.csv" 2> "$tmp/traced.txt"
 cmp "$tmp/plain.csv" "$tmp/traced.csv"
 test ! -s "$tmp/plain.err"
-grep -q '"spans"' "$tmp/traced.json"
-grep -q 'kmeans.iter' "$tmp/traced.json"
-grep -q 'parallel.tasks' "$tmp/traced.json"
+grep -q '^spans' "$tmp/traced.txt"
+grep -q 'kmeans.iter' "$tmp/traced.txt"
+grep -q 'parallel.tasks' "$tmp/traced.txt"
 
 # Verification harness: the full invariant × family matrix plus the golden
 # fixtures must pass, and the report must be bit-identical whether the
@@ -180,8 +183,7 @@ cmp "$tmp/serve-1.out" tests/golden/serve_session.golden
 # `multiclust loadtest scenarios/smoke.json --canonical \
 #   --golden tests/golden/loadtest_smoke.json --bless`).
 MULTICLUST_THREADS=1 ./target/release/multiclust loadtest scenarios/smoke.json \
-    --canonical --out "$tmp/loadtest-full.json" \
-    > "$tmp/loadtest-1.json" 2> "$tmp/loadtest-1.err"
+    --canonical > "$tmp/loadtest-1.json" 2> "$tmp/loadtest-1.err"
 MULTICLUST_THREADS=4 ./target/release/multiclust loadtest scenarios/smoke.json \
     --canonical > "$tmp/loadtest-4.json" 2> /dev/null
 cmp "$tmp/loadtest-1.json" "$tmp/loadtest-4.json"
@@ -205,18 +207,10 @@ grep -q 'PASS chaos-fired' "$tmp/loadtest-chaos.err"
 ./target/release/multiclust loadtest scenarios/quality.json > /dev/null 2>&1
 
 # The loadtest distrusts itself: a server whose dispatch consumes
-# different randomness MUST fail serve-equivalence...
+# different randomness MUST fail serve-equivalence.
 if ./target/release/multiclust loadtest scenarios/smoke.json \
     --inject serve-perturbs-rng > /dev/null 2>&1; then
     echo "check.sh: loadtest passed under an injected rng perturbation" >&2
-    exit 1
-fi
-# ...and a doctored report MUST NOT sneak past the judge (while the
-# faithful report re-judges clean).
-./target/release/multiclust loadtest --judge "$tmp/loadtest-full.json" > /dev/null 2>&1
-if ./target/release/multiclust loadtest --doctor-report "$tmp/loadtest-full.json" \
-    > /dev/null 2>&1; then
-    echo "check.sh: the judge accepted a doctored loadtest report" >&2
     exit 1
 fi
 

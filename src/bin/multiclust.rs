@@ -54,7 +54,7 @@ commands:
   verify       [--family <name>] [--inject <fault>] [--seed <n>]
                [--golden-dir <dir>|none] [--bless]
   trace        <file.jsonl> | --collapse <file.jsonl>
-  diagnose     <file.jsonl> [--json]
+  diagnose     <file.jsonl>
   flight       <file.jsonl>
   serve        [--listen tcp:<host:port>|unix:<path>] [--capacity <n>]
                (default 127.0.0.1:0; env MULTICLUST_LISTEN)
@@ -62,13 +62,11 @@ commands:
                (reads request lines from stdin when neither flag is given;
                 env MULTICLUST_LISTEN when --connect is omitted)
   loadtest     <scenario.json> [--boot in-process|binary]
-               [--inject <fault>] [--canonical] [--out <file>]
-               [--golden <file> [--bless]]
-               | --judge <report.json> | --doctor-report <report.json>
+               [--inject <fault>] [--canonical] [--golden <file> [--bless]]
 
 common flags: --header            first CSV line is a header row
               --seed <n>          RNG seed (default 42)
-              --telemetry[=json]  report spans/counters/convergence traces
+              --telemetry         report spans/counters/convergence traces
                                   on stderr (stdout stays pipeable CSV)
               --trace <file>      stream every span and event of the run
                                   to <file> (implies telemetry; stdout
@@ -102,8 +100,7 @@ output: CSV on stdout — one column per solution, label per object,
         prints a multiclust-loadtest-report/v1 verdict on stdout (the
         human summary goes to stderr; exit code mirrors the verdict;
         --canonical nulls the wall-clock sections so the bytes replay
-        identically across MULTICLUST_THREADS; --judge re-rules a stored
-        report and --doctor-report proves a corrupted one fails).
+        identically across MULTICLUST_THREADS).
 ";
 
 fn main() -> ExitCode {
@@ -177,15 +174,17 @@ impl Outcome {
     }
 }
 
-/// Parsed flag map: `--key value` pairs plus boolean `--header`, plus
-/// positional arguments (only `trace` and `diagnose` accept them).
+/// Parsed flag map: `--key value` (or `--key=value`) pairs, the bare
+/// [`BOOLEAN_FLAGS`], and positional arguments (only `trace`, `diagnose`,
+/// `flight` and `loadtest` accept them).
 struct Flags {
     map: HashMap<String, String>,
     positional: Vec<String>,
 }
 
-/// Flags taking no value: bare `--flag` means "true".
-const BOOLEAN_FLAGS: &[&str] = &["header", "telemetry", "bless", "json", "canonical"];
+/// Flags taking no value: bare `--flag` means "true", and `--flag=value`
+/// is refused rather than read as "on".
+const BOOLEAN_FLAGS: &[&str] = &["header", "telemetry", "bless", "canonical"];
 
 impl Flags {
     fn parse(args: &[String]) -> Result<Self, String> {
@@ -200,6 +199,9 @@ impl Flags {
             };
             if let Some((key, value)) = key.split_once('=') {
                 // `--key=value` form.
+                if BOOLEAN_FLAGS.contains(&key) {
+                    return Err(format!("flag --{key} takes no value"));
+                }
                 map.insert(key.to_string(), value.to_string());
                 i += 1;
             } else if BOOLEAN_FLAGS.contains(&key) {
@@ -247,24 +249,6 @@ impl Flags {
     }
 }
 
-/// How `--telemetry` wants its stderr report rendered.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TelemetryMode {
-    Text,
-    Json,
-}
-
-fn telemetry_mode(flags: &Flags) -> Result<Option<TelemetryMode>, String> {
-    match flags.get("telemetry").map(String::as_str) {
-        None => Ok(None),
-        Some("true") | Some("text") => Ok(Some(TelemetryMode::Text)),
-        Some("json") => Ok(Some(TelemetryMode::Json)),
-        Some(other) => Err(format!(
-            "flag --telemetry: unknown mode {other:?} (expected nothing, `text` or `json`)"
-        )),
-    }
-}
-
 fn run(args: Vec<String>) -> Result<Outcome, CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Err(CliError::from("no command given".to_string()));
@@ -277,8 +261,8 @@ fn run(args: Vec<String>) -> Result<Outcome, CliError> {
     }
     // `--trace` and `--metrics` imply recording: there is nothing to
     // stream or sample otherwise.
-    let telemetry = telemetry_mode(&flags)?;
-    if telemetry.is_some() || flags.get("trace").is_some() || flags.get("metrics").is_some() {
+    let telemetry = flags.bool("telemetry");
+    if telemetry || flags.get("trace").is_some() || flags.get("metrics").is_some() {
         multiclust::telemetry::set_enabled(true);
     }
     if let Some(path) = flags.get("trace") {
@@ -290,11 +274,11 @@ fn run(args: Vec<String>) -> Result<Outcome, CliError> {
             .map_err(|e| format!("flag --metrics: cannot open {path}: {e}"))?;
     }
     let outcome = match command.as_str() {
-        "kmeans" => cmd_kmeans(&flags).map(Outcome::ok).map_err(CliError::from),
-        "dbscan" => cmd_dbscan(&flags).map(Outcome::ok).map_err(CliError::from),
-        "dec-kmeans" => cmd_dec_kmeans(&flags).map(Outcome::ok).map_err(CliError::from),
+        "kmeans" => cmd_kmeans(&flags).map(Outcome::ok),
+        "dbscan" => cmd_dbscan(&flags).map(Outcome::ok),
+        "dec-kmeans" => cmd_dec_kmeans(&flags).map(Outcome::ok),
         "alternative" => cmd_alternative(&flags).map(Outcome::ok),
-        "subspace" => cmd_subspace(&flags).map(Outcome::ok).map_err(CliError::from),
+        "subspace" => cmd_subspace(&flags).map(Outcome::ok),
         "compare" => cmd_compare(&flags).map(Outcome::ok),
         "verify" => cmd_verify(&flags).map_err(CliError::from),
         "trace" => cmd_trace(&flags).map(Outcome::ok),
@@ -308,14 +292,8 @@ fn run(args: Vec<String>) -> Result<Outcome, CliError> {
     }?;
     // Telemetry goes to stderr so stdout CSV stays byte-identical to a run
     // without the flag and keeps piping cleanly.
-    match telemetry {
-        Some(TelemetryMode::Json) => {
-            eprintln!("{}", multiclust::telemetry::snapshot().to_json());
-        }
-        Some(TelemetryMode::Text) => {
-            eprint!("{}", multiclust::telemetry::snapshot().to_text());
-        }
-        None => {}
+    if telemetry {
+        eprint!("{}", multiclust::telemetry::snapshot().to_text());
     }
     Ok(outcome)
 }
@@ -344,10 +322,12 @@ fn setup_trace(path: &str, command: &str, flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn load_data(flags: &Flags) -> Result<Dataset, String> {
+/// Reads `--input`. A file that won't open or parse is a runtime error:
+/// one clean line, no usage dump.
+fn load_data(flags: &Flags) -> Result<Dataset, CliError> {
     let path = flags.str("input")?;
     let data = read_csv(Path::new(path), flags.bool("header"))
-        .map_err(|e| format!("reading {path}: {e}"))?;
+        .map_err(|e| CliError::plain(format!("reading {path}: {e}")))?;
     // Dataset shape into the run metadata (no-op without a sink).
     multiclust::telemetry::trace::trace_meta(&[
         ("dataset_n", Value::Int(data.len() as i64)),
@@ -361,7 +341,8 @@ fn load_data(flags: &Flags) -> Result<Dataset, String> {
 /// count, is refused: `Clustering` sizes its member lists by the largest
 /// label, so a label of 1e12 would abort on allocation.
 fn load_labels(path: &str) -> Result<Clustering, CliError> {
-    let ds = read_csv(Path::new(path), false).map_err(|e| format!("reading {path}: {e}"))?;
+    let ds = read_csv(Path::new(path), false)
+        .map_err(|e| CliError::plain(format!("reading {path}: {e}")))?;
     if ds.dims() != 1 {
         return Err(format!("label file {path} must have exactly one column").into());
     }
@@ -411,7 +392,7 @@ fn check_k(k: usize, n: usize) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_kmeans(flags: &Flags) -> Result<String, String> {
+fn cmd_kmeans(flags: &Flags) -> Result<String, CliError> {
     let data = load_data(flags)?;
     let k: usize = flags.parsed("k")?;
     check_k(k, data.len())?;
@@ -420,7 +401,7 @@ fn cmd_kmeans(flags: &Flags) -> Result<String, String> {
     Ok(render_solutions(&[&res.clustering]))
 }
 
-fn cmd_dbscan(flags: &Flags) -> Result<String, String> {
+fn cmd_dbscan(flags: &Flags) -> Result<String, CliError> {
     let data = load_data(flags)?;
     let eps: f64 = flags.parsed("eps")?;
     let min_pts: usize = flags.parsed("min-pts")?;
@@ -428,7 +409,7 @@ fn cmd_dbscan(flags: &Flags) -> Result<String, String> {
     Ok(render_solutions(&[&c]))
 }
 
-fn cmd_dec_kmeans(flags: &Flags) -> Result<String, String> {
+fn cmd_dec_kmeans(flags: &Flags) -> Result<String, CliError> {
     let data = load_data(flags)?;
     let ks: Vec<usize> = flags
         .str("ks")?
@@ -436,14 +417,14 @@ fn cmd_dec_kmeans(flags: &Flags) -> Result<String, String> {
         .map(|s| s.trim().parse().map_err(|_| format!("bad k {s:?} in --ks")))
         .collect::<Result<_, _>>()?;
     if ks.len() < 2 {
-        return Err("--ks needs at least two comma-separated cluster counts".into());
+        return Err("--ks needs at least two comma-separated cluster counts".to_string().into());
     }
     for &k in &ks {
         check_k(k, data.len())?;
     }
     let lambda: f64 = flags.parsed_or("lambda", 1.0)?;
     if lambda < 0.0 {
-        return Err("--lambda must be non-negative".into());
+        return Err("--lambda must be non-negative".to_string().into());
     }
     let mut rng = seeded_rng(flags.parsed_or("seed", 42u64)?);
     let res = DecKMeans::new(&ks).with_lambda(lambda).fit(&data, &mut rng);
@@ -491,7 +472,7 @@ fn cmd_alternative(flags: &Flags) -> Result<String, CliError> {
     Ok(render_solutions(&[&given, &alternative]))
 }
 
-fn cmd_subspace(flags: &Flags) -> Result<String, String> {
+fn cmd_subspace(flags: &Flags) -> Result<String, CliError> {
     let data = load_data(flags)?.min_max_normalized();
     let xi: u32 = flags.parsed("xi")?;
     let tau: f64 = flags.parsed("tau")?;
@@ -506,7 +487,7 @@ fn cmd_subspace(flags: &Flags) -> Result<String, String> {
         }
         "rescu" => rescu_select(&mined.clusters, size_times_dims, 0.9),
         "statpc" => statpc_select(&mined.clusters, data.len(), 0.01),
-        other => return Err(format!("unknown selection {other:?}")),
+        other => return Err(format!("unknown selection {other:?}").into()),
     };
     let mut out = String::new();
     out.push_str("# cluster_id, dims, objects\n");
@@ -596,12 +577,7 @@ fn cmd_diagnose(flags: &Flags) -> Result<Outcome, CliError> {
     use multiclust::telemetry::diagnose;
     let (_, parsed) = read_telemetry_file("diagnose", flags)?;
     let report = diagnose::analyze(&parsed, &diagnose::DiagnoseOptions::default());
-    let output = if flags.bool("json") {
-        format!("{}\n", report.to_json())
-    } else {
-        report.render_text()
-    };
-    Ok(Outcome { output, passed: !report.has_errors() })
+    Ok(Outcome { output: report.render_text(), passed: !report.has_errors() })
 }
 
 /// Prints the record summary of a telemetry file (typically a flight
@@ -707,29 +683,6 @@ fn cmd_client(flags: &Flags) -> Result<Outcome, CliError> {
 fn cmd_loadtest(flags: &Flags) -> Result<Outcome, CliError> {
     use multiclust::loadtest::{driver, judge, report, ScenarioSpec};
 
-    // --judge / --doctor-report re-rule a stored report without running
-    // anything; --doctor-report corrupts the measured summary first and
-    // is expected to FAIL (negated in check.sh — the judge proving it
-    // actually reads the numbers).
-    if flags.get("judge").is_some() || flags.get("doctor-report").is_some() {
-        let doctor = flags.get("doctor-report").is_some();
-        let path = flags
-            .get("doctor-report")
-            .or_else(|| flags.get("judge"))
-            .expect("checked above");
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::plain(format!("reading {path}: {e}")))?;
-        let mut parsed = report::parse(&text).map_err(CliError::plain)?;
-        if doctor {
-            judge::doctor(&mut parsed.measured);
-        }
-        let judged = judge::judge(&parsed.expectations, &parsed.measured);
-        let passed = judge::verdict(&judged);
-        print_judgements(&parsed.scenario, &judged);
-        let verdict = if passed { "PASS" } else { "FAIL" };
-        return Ok(Outcome { output: format!("{verdict}\n"), passed });
-    }
-
     let Some(path) = flags.positional.first() else {
         return Err("loadtest needs a scenario file (e.g. scenarios/smoke.json)"
             .to_string()
@@ -751,15 +704,9 @@ fn cmd_loadtest(flags: &Flags) -> Result<Outcome, CliError> {
     };
     let record =
         driver::run_scenario(&spec, &driver::RunOptions { boot, inject }).map_err(CliError::plain)?;
-    let judged = judge::judge(&spec.expectations, &judge::Measured::from_record(&record));
+    let judged = judge::judge(&spec.expectations, &record);
     let mut passed = judge::verdict(&judged);
     let rendered = report::render(&report::build(&record, &judged, flags.bool("canonical")));
-    if let Some(out) = flags.get("out") {
-        // The file always carries the full report (timing included) so
-        // it can be re-judged on latency later.
-        std::fs::write(out, report::render(&report::build(&record, &judged, false)))
-            .map_err(|e| CliError::plain(format!("writing {out}: {e}")))?;
-    }
     eprintln!(
         "loadtest {}: {} planned, {} responded, {} errors, {} ms wall",
         spec.name,

@@ -2,8 +2,8 @@
 //! through the real binary and pins the contract — a passing smoke run
 //! with a parseable `multiclust-loadtest-report/v1` verdict, canonical
 //! reports byte-identical across `MULTICLUST_THREADS`, every injectable
-//! fault caught by its scenario, clean one-line rejection of malformed
-//! specs, and the judge/doctor self-test. No raw sleeps anywhere: the
+//! fault caught by its scenario, and clean one-line rejection of
+//! malformed specs. No raw sleeps anywhere: the
 //! driver's readiness comes from the serve ready line and its pacing
 //! from barriers, so these tests are wall-clock-robust by construction.
 
@@ -218,27 +218,4 @@ fn unknown_fault_names_the_registry() {
     assert!(!out.status.success());
     let err = stderr(&out);
     assert!(err.contains("slow-handler") && err.contains("serve-perturbs-rng"), "{err}");
-}
-
-#[test]
-fn judge_accepts_a_faithful_report_and_rejects_a_doctored_one() {
-    let dir = workdir("judge");
-    let report = dir.join("full.json");
-    let out = run(
-        &["loadtest", &scenario("smoke.json"), "--out", report.to_str().unwrap()],
-        &[],
-    );
-    assert!(out.status.success(), "{}", stderr(&out));
-
-    // The stored report carries timing, so the judge can re-rule on
-    // every expectation — and agrees with the live verdict.
-    let judged = run(&["loadtest", "--judge", report.to_str().unwrap()], &[]);
-    assert!(judged.status.success(), "{}", stderr(&judged));
-    assert_eq!(stdout(&judged).trim(), "PASS");
-
-    // The same report, doctored before judging, must fail: the judge
-    // reads the numbers, not the stored verdict.
-    let doctored = run(&["loadtest", "--doctor-report", report.to_str().unwrap()], &[]);
-    assert!(!doctored.status.success(), "a doctored report must not pass");
-    assert_eq!(stdout(&doctored).trim(), "FAIL");
 }

@@ -2,7 +2,8 @@
 //!
 //! 1. the registry is thread-safe — counters bumped from pool worker
 //!    threads sum exactly;
-//! 2. the JSON exporter emits text the vendored `serde_json` parses;
+//! 2. the trace sink writes JSON the vendored `serde_json` parses, even
+//!    for names that need escaping and non-finite event fields;
 //! 3. telemetry never perturbs results — k-means and COALA outputs are
 //!    bit-identical with the switch on or off;
 //! 4. the trace sink streams parseable `multiclust-trace/v2` JSONL and
@@ -66,7 +67,12 @@ fn counters_from_pool_threads_sum_exactly() {
 
 #[test]
 fn json_export_parses_with_vendored_serde_json() {
-    serialized(|| {
+    use multiclust::telemetry::trace;
+
+    let path = std::env::temp_dir()
+        .join(format!("multiclust-test-json-{}.jsonl", std::process::id()));
+    let (raw, parsed) = serialized(|| {
+        trace::open_trace(Some(&path), false).expect("open trace sink");
         telemetry::counter_add("needs\"escaping\\here", 3);
         telemetry::histogram_record("h", 1023);
         telemetry::event("e", &[("value", 0.125), ("weird", f64::INFINITY)]);
@@ -74,19 +80,25 @@ fn json_export_parses_with_vendored_serde_json() {
             let _outer = telemetry::span("outer");
             let _inner = telemetry::span("inner");
         }
-        let json = telemetry::snapshot().to_json();
-        let parsed: serde_json::Value =
-            serde_json::from_str(&json).expect("telemetry JSON must parse");
-        let serde_json::Value::Object(fields) = parsed else {
-            panic!("telemetry JSON root must be an object");
-        };
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["spans", "counters", "histograms", "alloc", "events", "dropped_events"]);
-        // The nested span path made it through.
-        assert!(json.contains("outer/inner"), "{json}");
-        // Non-finite field values must degrade to null, not break the JSON.
-        assert!(json.contains("\"weird\":null"), "{json}");
+        trace::flush_trace();
+        let raw = std::fs::read_to_string(&path).expect("trace file exists");
+        (raw, trace::read_trace(&path).expect("trace parses"))
     });
+    let _ = std::fs::remove_file(&path);
+
+    for line in raw.lines() {
+        serde_json::from_str::<serde_json::Value>(line)
+            .unwrap_or_else(|e| panic!("{e}: {line}"));
+    }
+    // The escaped counter name survives the round trip.
+    assert_eq!(parsed.counters["needs\"escaping\\here"], 3);
+    // The nested span path made it through.
+    assert!(parsed.spans.iter().any(|(p, _)| p == "outer/inner"), "{raw}");
+    // Non-finite field values degrade to null and read back as NaN.
+    assert!(raw.contains("\"weird\":null"), "{raw}");
+    let e = parsed.events.iter().find(|e| e.name == "e").expect("event streamed");
+    assert_eq!(e.fields[0], ("value".to_string(), 0.125));
+    assert!(e.fields[1].0 == "weird" && e.fields[1].1.is_nan(), "{:?}", e.fields);
 }
 
 /// Runs k-means and COALA with fixed seeds, returning everything
@@ -113,7 +125,7 @@ fn results_bit_identical_with_telemetry_on_and_off() {
         let snap = telemetry::snapshot();
         assert!(snap.events.iter().any(|e| e.name == "kmeans.iter"));
         assert!(snap.events.iter().any(|e| e.name == "coala.merge"));
-        assert!(snap.spans.contains_key("kmeans.fit"));
+        assert!(snap.durations.contains_key("kmeans.fit"));
         (off, on)
     });
     // …and changed nothing: same labels, same SSE bits, same partition.
@@ -173,8 +185,8 @@ fn trace_sink_streams_parseable_jsonl_without_perturbing_results() {
 
 /// Overflowing the in-memory event cap increments the
 /// `telemetry.events_dropped` counter (no more silent truncation) and
-/// both exporters surface it — while an attached trace sink still streams
-/// every event past the cap.
+/// the report and the trace's end line surface it — while an attached
+/// trace sink still streams every event past the cap.
 #[test]
 fn event_cap_overflow_is_counted_and_streamed() {
     use multiclust::telemetry::trace;
@@ -198,7 +210,6 @@ fn event_cap_overflow_is_counted_and_streamed() {
     assert_eq!(snap.dropped_events, overflow);
     assert_eq!(snap.counters["telemetry.events_dropped"], overflow);
     assert!(snap.to_text().contains("telemetry.events_dropped"), "{}", snap.to_text());
-    assert!(snap.to_json().contains("telemetry.events_dropped"), "{}", snap.to_json());
 
     // The sink is the durable record: nothing dropped there.
     let streamed = parsed.events.iter().filter(|e| e.name == "cap.test").count() as u64;
@@ -209,7 +220,7 @@ fn event_cap_overflow_is_counted_and_streamed() {
 
 /// The PR-7 counting allocator: switching accounting on attributes heap
 /// traffic to the span that was active at allocation time, shows up in
-/// both exporters, and reproduces every result bit-for-bit.
+/// the text report, and reproduces every result bit-for-bit.
 #[test]
 fn alloc_accounting_attributes_spans_without_perturbing_results() {
     use multiclust::telemetry::alloc;
@@ -239,7 +250,6 @@ fn alloc_accounting_attributes_spans_without_perturbing_results() {
     assert!(kmeans.count > 0, "k-means fit must allocate");
     assert!(kmeans.bytes > 0 && kmeans.peak > 0);
     assert!(snap.to_text().contains("alloc (path"), "{}", snap.to_text());
-    assert!(snap.to_json().contains("\"alloc\""), "{}", snap.to_json());
 }
 
 /// The PR-7 metrics stream: a sampler attached for the duration of a fit
