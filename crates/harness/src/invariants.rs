@@ -694,7 +694,7 @@ impl Knob {
                 if !parsed.ended {
                     return Err("trace missing the end line (flush incomplete)".to_string());
                 }
-                if parsed.spans.is_empty() && parsed.events.is_empty() {
+                if parsed.records.is_empty() {
                     return Err("trace recorded no spans or events for the fit".to_string());
                 }
                 Ok(())

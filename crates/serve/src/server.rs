@@ -14,7 +14,7 @@
 //! next timeout and exits, and [`Server::run`] joins them all before
 //! returning — no leaked threads. Every request executes under a
 //! `serve.<op>` telemetry span, feeding the `multiclust-trace/v2` sink
-//! and the `--metrics` stream exactly like a CLI run; independently of
+//! exactly like a CLI run; independently of
 //! the telemetry switch the server keeps its own per-op counters and
 //! latency quantile sketches for the `stats` op.
 

@@ -23,7 +23,7 @@
 //! per-slot is a flow, not a residence census; the per-slot **peak** is
 //! the high-water mark of that flow and the number to read for "how much
 //! memory did this phase hold". A process-wide live/peak pair is kept
-//! exactly (every alloc/free updates it) for the metrics gauges.
+//! exactly (every alloc/free updates it) for the snapshot's gauges.
 //!
 //! ## Safety
 //!
@@ -74,7 +74,7 @@ impl Slot {
 static SLOTS: [Slot; MAX_ALLOC_SLOTS] = [const { Slot::new() }; MAX_ALLOC_SLOTS];
 
 /// Process-wide live bytes / high-water mark, updated on every alloc and
-/// free regardless of slot — the exact gauges the metrics stream samples.
+/// free regardless of slot — the exact gauges a `snapshot` line carries.
 static GLOBAL_LIVE: AtomicI64 = AtomicI64::new(0);
 static GLOBAL_PEAK: AtomicI64 = AtomicI64::new(0);
 
@@ -140,7 +140,8 @@ pub struct AllocStat {
     pub peak: u64,
 }
 
-/// Process-wide gauges for the metrics stream.
+/// Process-wide gauges, written into the `alloc` object of a trace's
+/// final `snapshot` line.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AllocGauges {
     /// Total allocations charged since start/reset.

@@ -13,16 +13,15 @@
 //!   costs (PROCLUS) and alternating surrogates (Dec-kMeans) are not
 //!   declared and only get the warning rules.
 //! * **oscillation** (*warning*) — the objective delta alternates sign
-//!   for [`DiagnoseOptions::oscillation_min`]+ consecutive steps.
-//! * **stall** (*warning*) — relative improvement stays below
-//!   [`DiagnoseOptions::stall_rtol`] for more than
-//!   [`DiagnoseOptions::stall_window`] consecutive iterations.
+//!   for 6+ consecutive steps.
+//! * **stall** (*warning*) — relative improvement stays below 1e-6 for
+//!   more than 8 consecutive iterations.
 //! * **budget-exhausted** (*warning*) — a `*.done` event reports
 //!   `iterations >= budget`: the loop ran out of iterations rather than
 //!   converging.
 //!
-//! Errors make [`DiagnoseReport::has_errors`] true (the CLI `diagnose`
-//! command exits non-zero); warnings are advisory.
+//! Errors make [`DiagnoseReport::has_errors`] true (`multiclust trace`
+//! exits non-zero); warnings are advisory.
 
 use crate::trace::TraceFile;
 
@@ -92,31 +91,16 @@ const SPECS: &[TrajectorySpec] = &[
     },
 ];
 
-/// Tunable thresholds for the rules.
-#[derive(Clone, Copy, Debug)]
-pub struct DiagnoseOptions {
-    /// Relative tolerance for a monotone step going the wrong way.
-    pub monotone_rtol: f64,
-    /// Relative improvement below which a step counts as stalled.
-    pub stall_rtol: f64,
-    /// Stalled steps tolerated before the stall warning fires.
-    pub stall_window: usize,
-    /// Consecutive sign alternations before the oscillation warning fires.
-    pub oscillation_min: usize,
-}
+/// Relative tolerance for a monotone step going the wrong way.
+const MONOTONE_RTOL: f64 = 1e-9;
+/// Relative improvement below which a step counts as stalled.
+const STALL_RTOL: f64 = 1e-6;
+/// Stalled steps tolerated before the stall warning fires.
+const STALL_WINDOW: usize = 8;
+/// Consecutive sign alternations before the oscillation warning fires.
+const OSCILLATION_MIN: usize = 6;
 
-impl Default for DiagnoseOptions {
-    fn default() -> Self {
-        Self {
-            monotone_rtol: 1e-9,
-            stall_rtol: 1e-6,
-            stall_window: 8,
-            oscillation_min: 6,
-        }
-    }
-}
-
-/// Finding severity: errors fail the `diagnose` command, warnings don't.
+/// Finding severity: errors fail `multiclust trace`, warnings don't.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Severity {
     /// Advisory: worth a look, not a contract violation.
@@ -213,10 +197,6 @@ impl DiagnoseReport {
     }
 }
 
-fn field(fields: &[(String, f64)], name: &str) -> Option<f64> {
-    fields.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
-}
-
 /// One segmented trajectory: label plus (iter, value) points.
 struct Segment {
     label: String,
@@ -233,16 +213,14 @@ fn segments(trace: &TraceFile) -> Vec<Segment> {
         // (key bits, segment index into `out`, last iter) per open stream.
         let mut open: Vec<(u64, usize, f64)> = Vec::new();
         let mut seg_count = 0usize;
-        for e in trace.events.iter().filter(|e| e.name == spec.event) {
-            let (Some(iter), Some(value)) = (
-                field(&e.fields, spec.iter_field),
-                field(&e.fields, spec.value_field),
-            ) else {
+        for e in trace.of_kind("event").filter(|e| e.name == spec.event) {
+            let (Some(iter), Some(value)) = (e.field(spec.iter_field), e.field(spec.value_field))
+            else {
                 continue;
             };
             let key = spec
                 .key_field
-                .and_then(|k| field(&e.fields, k))
+                .and_then(|k| e.field(k))
                 .unwrap_or(0.0)
                 .to_bits();
             match open.iter_mut().find(|(k, _, _)| *k == key) {
@@ -285,7 +263,7 @@ fn segments(trace: &TraceFile) -> Vec<Segment> {
 
 /// Analyzes a parsed trace: segments the objective trajectories and
 /// applies the monotonicity, oscillation, stall and budget rules.
-pub fn analyze(trace: &TraceFile, opts: &DiagnoseOptions) -> DiagnoseReport {
+pub fn analyze(trace: &TraceFile) -> DiagnoseReport {
     let mut report = DiagnoseReport::default();
     for seg in segments(trace) {
         let vals: Vec<f64> = seg.points.iter().map(|&(_, v)| v).collect();
@@ -301,8 +279,7 @@ pub fn analyze(trace: &TraceFile, opts: &DiagnoseOptions) -> DiagnoseReport {
         if seg.monotone == Monotone::Decreasing {
             let offences: Vec<usize> = (1..vals.len())
                 .filter(|&i| {
-                    let tol = opts.monotone_rtol
-                        * vals[i - 1].abs().max(vals[i].abs()).max(1.0);
+                    let tol = MONOTONE_RTOL * vals[i - 1].abs().max(vals[i].abs()).max(1.0);
                     vals[i] > vals[i - 1] + tol
                 })
                 .collect();
@@ -335,7 +312,7 @@ pub fn analyze(trace: &TraceFile, opts: &DiagnoseOptions) -> DiagnoseReport {
                 alternations = 0;
             }
         }
-        if max_alternations >= opts.oscillation_min {
+        if max_alternations >= OSCILLATION_MIN {
             report.findings.push(Finding {
                 severity: Severity::Warning,
                 rule: "oscillation",
@@ -354,13 +331,13 @@ pub fn analyze(trace: &TraceFile, opts: &DiagnoseOptions) -> DiagnoseReport {
         let mut worst: Option<(usize, f64)> = None;
         for (i, w) in vals.windows(2).enumerate() {
             let rel = (w[1] - w[0]).abs() / w[0].abs().max(1e-300);
-            if rel < opts.stall_rtol {
+            if rel < STALL_RTOL {
                 run += 1;
                 // `i + 1` is the last index of this plateau; flag only if
                 // the trajectory moves significantly again afterwards.
-                if run > opts.stall_window {
+                if run > STALL_WINDOW {
                     let resumes = vals[i + 1..].windows(2).any(|w| {
-                        (w[1] - w[0]).abs() / w[0].abs().max(1e-300) >= opts.stall_rtol
+                        (w[1] - w[0]).abs() / w[0].abs().max(1e-300) >= STALL_RTOL
                     });
                     if resumes && worst.is_none() {
                         worst = Some((i + 1, rel));
@@ -377,17 +354,15 @@ pub fn analyze(trace: &TraceFile, opts: &DiagnoseOptions) -> DiagnoseReport {
                 trajectory: seg.label.clone(),
                 detail: format!(
                     "relative improvement stayed below {:.0e} for more than {} iterations (through iteration {})",
-                    opts.stall_rtol, opts.stall_window, seg.points[at].0
+                    STALL_RTOL, STALL_WINDOW, seg.points[at].0
                 ),
             });
         }
     }
 
     // Budget exhaustion: `*.done` events carrying iterations + budget.
-    for e in trace.events.iter().filter(|e| e.name.ends_with(".done")) {
-        if let (Some(iterations), Some(budget)) =
-            (field(&e.fields, "iterations"), field(&e.fields, "budget"))
-        {
+    for e in trace.of_kind("event").filter(|e| e.name.ends_with(".done")) {
+        if let (Some(iterations), Some(budget)) = (e.field("iterations"), e.field("budget")) {
             if iterations >= budget {
                 report.findings.push(Finding {
                     severity: Severity::Warning,
@@ -406,21 +381,22 @@ pub fn analyze(trace: &TraceFile, opts: &DiagnoseOptions) -> DiagnoseReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Event;
+    use crate::trace::Record;
 
     fn trace_with(events: Vec<(&str, Vec<(&str, f64)>)>) -> TraceFile {
-        let mut t = TraceFile::default();
-        t.schema = Some(crate::trace::TRACE_SCHEMA.to_string());
-        t.events = events
+        let records = events
             .into_iter()
             .enumerate()
-            .map(|(i, (name, fields))| Event {
-                seq: i as u64,
+            .map(|(i, (name, fields))| Record {
+                seq: Some(i as u64),
+                kind: "event".to_string(),
                 name: name.to_string(),
-                fields: fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+                fields: Some(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect()),
+                ..Record::default()
             })
             .collect();
-        t
+        let schema = Some(crate::trace::TRACE_SCHEMA.to_string());
+        TraceFile { schema, records, ..TraceFile::default() }
     }
 
     fn kmeans_iter(restart: f64, iter: f64, inertia: f64) -> (&'static str, Vec<(&'static str, f64)>) {
@@ -434,7 +410,7 @@ mod tests {
             kmeans_iter(0.0, 1.0, 5.0),
             kmeans_iter(0.0, 2.0, 4.0),
         ]);
-        let r = analyze(&t, &DiagnoseOptions::default());
+        let r = analyze(&t);
         assert_eq!(r.trajectories.len(), 1);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert!(!r.has_errors());
@@ -447,7 +423,7 @@ mod tests {
             kmeans_iter(0.0, 1.0, 5.0),
             kmeans_iter(0.0, 2.0, 7.5),
         ]);
-        let r = analyze(&t, &DiagnoseOptions::default());
+        let r = analyze(&t);
         assert!(r.has_errors());
         assert_eq!(r.findings[0].rule, "non-monotone");
         assert!(r.findings[0].detail.contains("iteration 2"), "{}", r.findings[0].detail);
@@ -461,7 +437,7 @@ mod tests {
             kmeans_iter(0.0, 1.0, 5.0),
             kmeans_iter(1.0, 1.0, 12.0),
         ]);
-        let r = analyze(&t, &DiagnoseOptions::default());
+        let r = analyze(&t);
         assert_eq!(r.trajectories.len(), 2);
         assert!(!r.has_errors());
     }
@@ -476,7 +452,7 @@ mod tests {
             kmeans_iter(0.0, 0.0, 8.0),
             kmeans_iter(0.0, 1.0, 3.0),
         ]);
-        let r = analyze(&t, &DiagnoseOptions::default());
+        let r = analyze(&t);
         assert_eq!(r.trajectories.len(), 2);
         assert!(!r.has_errors());
     }
@@ -490,7 +466,7 @@ mod tests {
         }
         events.push(kmeans_iter(0.0, 13.0, 10.0));
         let t = trace_with(events);
-        let r = analyze(&t, &DiagnoseOptions::default());
+        let r = analyze(&t);
         assert!(r.findings.iter().any(|f| f.rule == "stall"), "{:?}", r.findings);
 
         // Converged plateau at the end: no stall warning.
@@ -499,7 +475,7 @@ mod tests {
             events.push(kmeans_iter(0.0, i as f64, 50.0));
         }
         let t = trace_with(events);
-        let r = analyze(&t, &DiagnoseOptions::default());
+        let r = analyze(&t);
         assert!(r.findings.iter().all(|f| f.rule != "stall"), "{:?}", r.findings);
     }
 
@@ -511,7 +487,7 @@ mod tests {
             })
             .collect();
         let t = trace_with(events);
-        let r = analyze(&t, &DiagnoseOptions::default());
+        let r = analyze(&t);
         assert!(r.findings.iter().any(|f| f.rule == "oscillation"), "{:?}", r.findings);
         assert!(!r.has_errors(), "oscillation is a warning");
     }
@@ -522,7 +498,7 @@ mod tests {
             "kmeans.done",
             vec![("sse", 1.0), ("iterations", 100.0), ("budget", 100.0)],
         )]);
-        let r = analyze(&t, &DiagnoseOptions::default());
+        let r = analyze(&t);
         assert!(r.findings.iter().any(|f| f.rule == "budget-exhausted"), "{:?}", r.findings);
     }
 }

@@ -42,11 +42,10 @@
 //! the `segments` merged and the records `overwritten` by wraparound.
 //! One `span`, `event` or `error` line per record follows, sorted by the
 //! global `seq` and carrying `thread` and `us`; the `end` line counts the
-//! `records`. `multiclust flight <file>` reads any telemetry file back
-//! with [`read_trace`](crate::trace::read_trace) and prints [`summary`].
+//! `records`. `multiclust trace <file>` reads it back with
+//! [`read_trace`](crate::trace::read_trace), like a `--trace` file.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -57,7 +56,7 @@ use std::time::Instant;
 use serde::Value;
 
 use crate::int;
-use crate::trace::{Record, TraceFile, Writer};
+use crate::trace::{Record, Writer};
 use crate::Switch;
 
 /// Records retained per thread segment.
@@ -242,11 +241,17 @@ fn record(kind: u64, name: &str, request: Option<&str>, dur_ns: u64) {
             *slot = register(epoch);
         }
         let Some(handle) = slot.as_ref() else { return };
-        let ctx = CONTEXT.try_with(|c| c.borrow().clone()).ok().flatten();
-        let conn = ctx.as_ref().map_or(0, |(_, c)| *c);
-        // An explicit request id wins but still picks up the context's conn.
-        let req = request.unwrap_or_else(|| ctx.as_ref().map_or("", |(r, _)| r.as_str()));
-        handle.seg.write(kind, us, conn, dur_ns, name, req);
+        // The context is borrowed for the write, never copied: the record
+        // path stays allocation-free inside a request.
+        let write = |ctx: Option<&(String, u64)>| {
+            let conn = ctx.map_or(0, |(_, c)| *c);
+            // An explicit request id wins but still picks up the context's conn.
+            let req = request.unwrap_or_else(|| ctx.map_or("", |(r, _)| r.as_str()));
+            handle.seg.write(kind, us, conn, dur_ns, name, req);
+        };
+        if CONTEXT.try_with(|c| write(c.borrow().as_ref())).is_err() {
+            write(None);
+        }
     });
 }
 
@@ -318,6 +323,7 @@ fn dump<W: Write>(out: W) -> Option<(W, u64, u64)> {
                 name: load_str(&w[5..5 + NAME_WORDS]),
                 request_id: (!request.is_empty()).then_some(request),
                 conn: (conn != 0).then_some(conn),
+                fields: None,
             });
         }
     }
@@ -331,7 +337,7 @@ fn dump<W: Write>(out: W) -> Option<(W, u64, u64)> {
     ];
     let mut writer = Writer::new(out, meta);
     for r in records {
-        writer.record(r, None);
+        writer.record(r);
     }
     let (out, errors) = writer.finish(vec![("records".into(), int(count))]);
     Some((out, count, errors))
@@ -367,60 +373,6 @@ pub fn default_dump_path(tag: &str) -> PathBuf {
         .map(PathBuf::from)
         .unwrap_or_else(|_| std::env::temp_dir());
     dir.join(format!("multiclust-flight-{}-{tag}.jsonl", std::process::id()))
-}
-
-// ---- summary ---------------------------------------------------------------
-
-/// Human-readable digest of a telemetry file's records: counts by kind,
-/// the hottest names, and the most recent errors with their request ids
-/// — the first thing to read after an auto-dump names a file.
-pub fn summary(trace: &TraceFile) -> String {
-    use std::fmt::Write as _;
-    let meta = |key: &str| trace.meta_u64(key).unwrap_or(0);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "flight dump: {} records from {} thread segments (capacity {}/thread, {} overwritten{})",
-        trace.records.len(),
-        meta("segments"),
-        meta("capacity"),
-        meta("overwritten"),
-        if trace.ended { "" } else { "; NO end line — truncated dump" },
-    );
-    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut by_name: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for r in &trace.records {
-        *by_kind.entry(r.kind.as_str()).or_insert(0) += 1;
-        let e = by_name.entry(r.name.as_str()).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += r.dur_ns;
-    }
-    if !by_kind.is_empty() {
-        let kinds: Vec<String> =
-            by_kind.iter().map(|(k, n)| format!("{k} {n}")).collect();
-        let _ = writeln!(out, "kinds: {}", kinds.join(", "));
-    }
-    if !by_name.is_empty() {
-        out.push_str("names (name  count  total_ms):\n");
-        for (name, (count, total_ns)) in &by_name {
-            let _ = writeln!(out, "  {name}  {count}  {:.3}", *total_ns as f64 / 1e6);
-        }
-    }
-    let errors: Vec<&Record> = trace.records.iter().filter(|r| r.kind == "error").collect();
-    if !errors.is_empty() {
-        let _ = writeln!(out, "last errors ({} total):", errors.len());
-        for r in errors.iter().rev().take(8) {
-            let _ = writeln!(
-                out,
-                "  seq {}  {}  request_id={}  conn={}",
-                r.seq.unwrap_or(0),
-                r.name,
-                r.request_id.as_deref().unwrap_or("-"),
-                r.conn.map_or("-".to_string(), |c| c.to_string()),
-            );
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -473,9 +425,33 @@ mod tests {
             assert_eq!(err.kind, "error");
             assert_eq!(err.request_id.as_deref(), Some("req-43"));
             assert_eq!(err.conn, None);
-            let text = summary(&flight);
-            assert!(text.contains("req-43"), "{text}");
+            let text = crate::trace::last_errors(&flight);
+            assert!(text.contains("seq 3  internal  request_id=req-43  conn=-"), "{text}");
             let _ = std::fs::remove_file(&path);
+        });
+    }
+
+    #[test]
+    fn records_inside_a_request_do_not_allocate() {
+        use crate::alloc::{alloc_by_path, set_alloc_enabled, set_current_slot, swap_current_slot};
+        serialized(|| {
+            // Segment registration allocates, once per thread: do it first.
+            record_span("warm-up", 1);
+            set_request("req-7", 3);
+            set_alloc_enabled(true);
+            let prev = swap_current_slot(crate::alloc::slot_for_path("test.flight.record"));
+            for i in 0..100 {
+                record_span("serve.fit", i);
+            }
+            set_current_slot(prev);
+            clear_request();
+            let charged = alloc_by_path()
+                .into_iter()
+                .find(|(path, _)| path == "test.flight.record")
+                .map_or(0, |(_, stat)| stat.count);
+            set_alloc_enabled(false);
+            crate::alloc::reset_alloc();
+            assert_eq!(charged, 0, "allocations charged to the record path");
         });
     }
 
@@ -533,20 +509,6 @@ mod tests {
             );
             let _ = std::fs::remove_file(&path);
         });
-    }
-
-    #[test]
-    fn reader_rejects_wrong_schema_and_garbage() {
-        let path = tmp("badschema.jsonl");
-        std::fs::write(&path, "{\"type\":\"meta\",\"schema\":\"other/v9\"}\n").unwrap();
-        assert!(read_trace(&path).unwrap_err().contains("unsupported schema"));
-        std::fs::write(
-            &path,
-            "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v2\"}\nnope\n",
-        )
-        .unwrap();
-        assert!(read_trace(&path).unwrap_err().contains("line 2"));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

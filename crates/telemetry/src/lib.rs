@@ -29,8 +29,7 @@
 //! non-empty value is on. The CLI calls [`init`] at startup; otherwise
 //! the first read of any of the three switches does. [`set_enabled`],
 //! [`alloc::set_alloc_enabled`] and [`flight::set_flight`] override it,
-//! and the CLI's `--telemetry`, `--trace` and `--metrics` flags turn
-//! recording on.
+//! and the CLI's `--telemetry` and `--trace` flags turn recording on.
 //!
 //! ## Model
 //!
@@ -50,10 +49,10 @@
 //! * **Allocation accounting** ([`alloc`]) attributes heap traffic to the
 //!   active span via a counting global allocator, off by default
 //!   (`MULTICLUST_ALLOC=1`).
-//! * **Files** — the `--trace` sink ([`trace`]), the `--metrics` sampler
-//!   ([`metrics`]) and the flight recorder's dump ([`flight`]) all write
-//!   the one `multiclust-trace/v2` JSONL format, read back by
-//!   [`trace::read_trace`].
+//! * **Files** — the `--trace` sink ([`trace`]) and the flight recorder's
+//!   dump ([`flight`]) both write the one `multiclust-trace/v2` JSONL
+//!   format, read back by [`trace::read_trace`] (the CLI's
+//!   `multiclust trace`).
 
 // `deny`, not `forbid`: the `alloc` module implements the unsafe
 // `GlobalAlloc` trait and opts out locally; everything else stays safe.
@@ -62,7 +61,6 @@
 pub mod alloc;
 pub mod diagnose;
 pub mod flight;
-pub mod metrics;
 pub mod sketch;
 pub mod trace;
 

@@ -1,15 +1,17 @@
 //! The telemetry file format, `multiclust-trace/v2`: one JSONL codec —
-//! one [`Writer`] and one reader, [`read_trace`] — for all three
-//! producers. They differ only in how much they keep:
+//! one [`Writer`] and one reader, [`read_trace`] — for both producers.
+//! They differ only in how much they keep:
 //!
 //! * the trace sink ([`set_trace_path`], the CLI's `--trace`) streams
 //!   every completed span and every event, on past the registry's
 //!   [`crate::MAX_EVENTS`] cap, and [`flush_trace`] closes it with one
 //!   `snapshot` of the registry;
-//! * the metrics sampler ([`crate::metrics`], `--metrics`) writes a
-//!   `snapshot` on a wall-clock interval;
 //! * the flight recorder's dump ([`crate::flight`]) writes the last
 //!   records of each thread's ring.
+//!
+//! The CLI's `multiclust trace <file>` reads either: a header, the phase
+//! table ([`phase_summary`]), the last errors ([`last_errors`]) and the
+//! convergence report ([`crate::diagnose`]).
 //!
 //! ## Line types
 //!
@@ -50,8 +52,8 @@ use serde::Value;
 
 use crate::alloc::{alloc_enabled, alloc_totals};
 use crate::{
-    alloc_value, as_u64, field_obj, field_str, field_u64, float, int, sketch_fields, AllocStat,
-    Event, Sketch, Snapshot,
+    alloc_value, as_u64, field, field_obj, field_str, field_u64, float, int, sketch_fields,
+    AllocStat, Sketch, Snapshot,
 };
 
 /// Schema identifier on the first line of every telemetry file.
@@ -129,9 +131,8 @@ impl<W: Write> Writer<W> {
         WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Writes one `span`, `event` or `error` line; `fields` is an event's
-    /// payload.
-    pub(crate) fn record(&mut self, r: Record, fields: Option<&[(&str, f64)]>) {
+    /// Writes one `span`, `event` or `error` line.
+    pub(crate) fn record(&mut self, r: Record) {
         let span = r.kind == "span";
         let mut obj = Fields::with_capacity(9);
         obj.push(("type".into(), Value::String(r.kind)));
@@ -144,8 +145,8 @@ impl<W: Write> Writer<W> {
         if span {
             obj.push(("ns".into(), int(r.dur_ns)));
         }
-        if let Some(fields) = fields {
-            let fields = fields.iter().map(|(k, v)| (k.to_string(), float(*v))).collect();
+        if let Some(fields) = r.fields {
+            let fields = fields.into_iter().map(|(k, v)| (k, float(v))).collect();
             obj.push(("fields".into(), Value::Object(fields)));
         }
         if let Some(id) = r.request_id {
@@ -295,14 +296,15 @@ pub(crate) fn write_span(path: String, ns: u64) {
     let (request_id, conn) = crate::flight::current_request().unzip();
     let kind = "span".into();
     let span = Record { kind, name: path, dur_ns: ns, request_id, conn, ..Record::default() };
-    write(|w| w.record(span, None));
+    write(|w| w.record(span));
 }
 
 /// Streams one structured event (including those past the in-memory cap).
 pub(crate) fn write_event(seq: u64, name: &str, fields: &[(&str, f64)]) {
     let (kind, name) = ("event".into(), name.to_string());
-    let event = Record { seq: Some(seq), kind, name, ..Record::default() };
-    write(|w| w.record(event, Some(fields)));
+    let fields = Some(fields.iter().map(|(k, v)| (k.to_string(), *v)).collect());
+    let event = Record { seq: Some(seq), kind, name, fields, ..Record::default() };
+    write(|w| w.record(event));
 }
 
 /// Appends a final `snapshot` of the registry plus the `end` line,
@@ -325,7 +327,7 @@ pub fn flush_trace() {
 
 /// One `span`, `event` or `error` line. `seq`, `thread` and `us` are set
 /// on flight records; a trace-sink event has only `seq`, its registry
-/// sequence number.
+/// sequence number, and its `fields`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Record {
     /// Sequence number (flight: the merge order across threads).
@@ -344,9 +346,19 @@ pub struct Record {
     pub request_id: Option<String>,
     /// Correlated connection id.
     pub conn: Option<u64>,
+    /// A trace-sink event's named numeric payload (`null` reads back as
+    /// NaN); `None` on spans, errors and flight events.
+    pub fields: Option<Vec<(String, f64)>>,
 }
 
-/// A parsed telemetry file, from any of the three producers.
+impl Record {
+    /// Numeric field `key` of an event's payload.
+    pub fn field(&self, key: &str) -> Option<f64> {
+        self.fields.iter().flatten().find(|(k, _)| k == key).map(|&(_, v)| v)
+    }
+}
+
+/// A parsed telemetry file, from either producer.
 #[derive(Debug, Default)]
 pub struct TraceFile {
     /// Schema identifier from the opening meta line.
@@ -356,10 +368,6 @@ pub struct TraceFile {
     pub meta: Vec<(String, Value)>,
     /// Every `span`, `event` and `error` line in stream order.
     pub records: Vec<Record>,
-    /// Individual span completions `(path, ns)` in stream order.
-    pub spans: Vec<(String, u64)>,
-    /// Structured events in stream order.
-    pub events: Vec<Event>,
     /// Counter values from the last snapshot.
     pub counters: BTreeMap<String, u64>,
     /// Per-span-path allocation accounting from the last snapshot (empty
@@ -381,18 +389,29 @@ impl TraceFile {
     pub fn meta_u64(&self, key: &str) -> Option<u64> {
         field_u64(&self.meta, key)
     }
+
+    /// String meta field `key` (e.g. the producer's `source`).
+    pub fn meta_str(&self, key: &str) -> Option<&str> {
+        field_str(&self.meta, key)
+    }
+
+    /// The records of one kind (`"span"`, `"event"` or `"error"`).
+    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a Record> + 'a {
+        self.records.iter().filter(move |r| r.kind == kind)
+    }
 }
 
-/// Parses a `multiclust-trace/v2` JSONL file. Every line must be a JSON
-/// object with a known `type`; the error message carries the 1-based line
-/// number of the first offence. Any other schema is refused.
+/// Parses a `multiclust-trace/v2` JSONL file. The first line must be the
+/// schema line, and every line a JSON object with a known `type`; any
+/// other schema is refused. The error message names the 1-based line of
+/// the first offence.
 pub fn read_trace(path: &Path) -> Result<TraceFile, String> {
     let file = File::open(path).map_err(|e| format!("opening {}: {e}", path.display()))?;
     let reader = std::io::BufReader::new(file);
     let mut out = TraceFile::default();
     for (idx, line) in reader.lines().enumerate() {
         let lineno = idx + 1;
-        let line = line.map_err(|e| format!("reading line {lineno}: {e}"))?;
+        let line = line.map_err(|e| format!("line {lineno}: unreadable: {e}"))?;
         if line.trim().is_empty() {
             continue;
         }
@@ -410,9 +429,14 @@ pub fn read_trace(path: &Path) -> Result<TraceFile, String> {
                 let schema = field_str(&obj, "schema").ok_or_else(|| missing("schema"))?;
                 if schema != TRACE_SCHEMA {
                     let expected = TRACE_SCHEMA;
-                    return Err(format!("unsupported schema {schema:?} (expected {expected:?})"));
+                    return Err(format!(
+                        "line {lineno}: unsupported schema {schema:?} (expected {expected:?})"
+                    ));
                 }
                 out.schema = Some(schema.to_string());
+            }
+            _ if out.schema.is_none() => {
+                return Err(format!("line {lineno}: {ty} before the schema line"));
             }
             "meta" => out.meta.extend(obj.iter().filter(|(k, _)| k != "type").cloned()),
             "span" | "event" | "error" => {
@@ -422,7 +446,12 @@ pub fn read_trace(path: &Path) -> Result<TraceFile, String> {
                     "span" => field_u64(&obj, "ns").ok_or_else(|| missing("ns"))?,
                     _ => 0,
                 };
-                let record = Record {
+                let fields = match field(&obj, "fields") {
+                    None => None,
+                    Some(Value::Object(f)) if ty == "event" => Some(event_fields(f, lineno)?),
+                    Some(_) => return Err(format!("line {lineno}: malformed \"fields\"")),
+                };
+                out.records.push(Record {
                     seq: field_u64(&obj, "seq"),
                     thread: field_u64(&obj, "thread"),
                     kind: ty.to_string(),
@@ -431,22 +460,8 @@ pub fn read_trace(path: &Path) -> Result<TraceFile, String> {
                     name: name.to_string(),
                     request_id: field_str(&obj, "request_id").map(String::from),
                     conn: field_u64(&obj, "conn"),
-                };
-                if ty == "span" {
-                    out.spans.push((record.name.clone(), dur_ns));
-                } else if ty == "event" {
-                    // Flight events carry no payload.
-                    let fields = match obj.iter().find(|(k, _)| k == "fields") {
-                        None => Vec::new(),
-                        Some((_, Value::Object(f))) => event_fields(f, lineno)?,
-                        Some(_) => {
-                            return Err(format!("line {lineno}: \"fields\" must be an object"));
-                        }
-                    };
-                    let seq = record.seq.unwrap_or(out.events.len() as u64);
-                    out.events.push(Event { seq, name: record.name.clone(), fields });
-                }
-                out.records.push(record);
+                    fields,
+                });
             }
             "snapshot" => {
                 out.counters = field_obj(&obj, "counters")
@@ -477,11 +492,8 @@ pub fn read_trace(path: &Path) -> Result<TraceFile, String> {
             other => return Err(format!("line {lineno}: unknown line type {other:?}")),
         }
     }
-    if out.lines == 0 {
-        return Err(format!("{}: empty trace", path.display()));
-    }
     if out.schema.is_none() {
-        return Err("missing schema meta line".to_string());
+        return Err("line 1: empty file, expected the schema line".to_string());
     }
     Ok(out)
 }
@@ -509,10 +521,10 @@ fn event_fields(fields: &[(String, Value)], lineno: usize) -> Result<Vec<(String
 fn span_totals(trace: &TraceFile) -> BTreeMap<String, (u64, u64, u64)> {
     // path → (count, total_ns, self_ns)
     let mut totals: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-    for (path, ns) in &trace.spans {
-        let e = totals.entry(path.clone()).or_insert((0, 0, 0));
+    for span in trace.of_kind("span") {
+        let e = totals.entry(span.name.clone()).or_insert((0, 0, 0));
         e.0 += 1;
-        e.1 += ns;
+        e.1 += span.dur_ns;
     }
     let keys: Vec<String> = totals.keys().cloned().collect();
     for path in &keys {
@@ -604,6 +616,29 @@ pub fn phase_summary(trace: &TraceFile) -> String {
     out
 }
 
+/// Errors listed by [`last_errors`].
+const LAST_ERRORS: usize = 8;
+
+/// The newest [`LAST_ERRORS`] `error` records, newest first, with their
+/// correlated request and connection ids; empty when the file has none.
+pub fn last_errors(trace: &TraceFile) -> String {
+    let errors: Vec<&Record> = trace.of_kind("error").collect();
+    if errors.is_empty() {
+        return String::new();
+    }
+    let mut out = format!("last errors ({} total):\n", errors.len());
+    for r in errors.iter().rev().take(LAST_ERRORS) {
+        out.push_str(&format!(
+            "  seq {}  {}  request_id={}  conn={}\n",
+            r.seq.unwrap_or(0),
+            r.name,
+            r.request_id.as_deref().unwrap_or("-"),
+            r.conn.map_or("-".to_string(), |c| c.to_string()),
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,9 +677,10 @@ mod tests {
             assert_eq!(trace.schema.as_deref(), Some(TRACE_SCHEMA));
             assert!(trace.ended);
             assert_eq!(trace.counters["c"], 7);
-            assert_eq!(trace.events.len(), 1);
-            assert_eq!(trace.events[0].fields[0], ("x".to_string(), 1.5));
-            let paths: Vec<&str> = trace.spans.iter().map(|(p, _)| p.as_str()).collect();
+            let events: Vec<&Record> = trace.of_kind("event").collect();
+            assert_eq!(events.len(), 1);
+            assert_eq!(events[0].field("x"), Some(1.5));
+            let paths: Vec<&str> = trace.of_kind("span").map(|r| r.name.as_str()).collect();
             assert!(paths.contains(&"outer"));
             assert!(paths.contains(&"outer/inner"));
             assert_eq!(field_str(&trace.meta, "command"), Some("test"));
@@ -654,12 +690,15 @@ mod tests {
 
     #[test]
     fn collapse_and_summary_attribute_self_time() {
-        let mut trace = TraceFile::default();
-        trace.spans = vec![
-            ("fit".into(), 10_000_000),
-            ("fit/assign".into(), 6_000_000),
-            ("fit/assign".into(), 2_000_000),
-        ];
+        let span = |name: &str, dur_ns| Record {
+            kind: "span".into(),
+            name: name.into(),
+            dur_ns,
+            ..Record::default()
+        };
+        let records =
+            vec![span("fit", 10_000_000), span("fit/assign", 6_000_000), span("fit/assign", 2_000_000)];
+        let trace = TraceFile { records, ..TraceFile::default() };
         let collapsed = collapse_spans(&trace);
         assert!(collapsed.contains("fit 2000\n"), "{collapsed}");
         assert!(collapsed.contains("fit;assign 8000\n"), "{collapsed}");
@@ -674,6 +713,13 @@ mod tests {
         std::fs::write(&path, "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v2\"}\nnot json\n").unwrap();
         let err = read_trace(&path).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+        // An empty file, or one that opens with anything but the schema
+        // line, fails on line 1.
+        for text in ["", "{\"type\":\"span\",\"path\":\"fit\",\"ns\":1}\n"] {
+            std::fs::write(&path, text).unwrap();
+            let err = read_trace(&path).unwrap_err();
+            assert!(err.starts_with("line 1: "), "{err}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -744,7 +790,7 @@ mod tests {
             }
             flush_trace();
             let trace = read_trace(&path).expect("parseable");
-            assert_eq!(trace.events.len(), crate::MAX_EVENTS + 10);
+            assert_eq!(trace.of_kind("event").count(), crate::MAX_EVENTS + 10);
             assert_eq!(trace.events_dropped, 10);
             let _ = std::fs::remove_file(&path);
         });

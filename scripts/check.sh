@@ -64,44 +64,34 @@ MULTICLUST_KERNELS=blocked ./target/release/multiclust kmeans \
 cmp "$tmp/blocked16.csv" "$tmp/naive16.csv"
 
 # Trace export + convergence diagnostics: `--trace` leaves stdout
-# byte-identical while streaming a versioned JSONL file that the
-# attribution, flamegraph and diagnose views all accept; a healthy
-# k-means trajectory diagnoses clean.
+# byte-identical while streaming a versioned JSONL file that `trace`
+# reads back as the attribution table, the flamegraph stacks and the
+# convergence report; a healthy k-means trajectory diagnoses clean.
 ./target/release/multiclust kmeans --input "$tmp/data.csv" --k 3 --seed 1 \
     --trace "$tmp/run.trace.jsonl" > "$tmp/traced2.csv"
 cmp "$tmp/plain.csv" "$tmp/traced2.csv"
 head -1 "$tmp/run.trace.jsonl" | grep -q 'multiclust-trace/v2'
 grep -q '"type":"end"' "$tmp/run.trace.jsonl"
-./target/release/multiclust trace "$tmp/run.trace.jsonl" | grep -q 'kmeans.fit'
+./target/release/multiclust trace "$tmp/run.trace.jsonl" > "$tmp/trace.txt"
+grep -q 'kmeans.fit' "$tmp/trace.txt"
+grep -q 'kmeans.iter' "$tmp/trace.txt"
 ./target/release/multiclust trace --collapse "$tmp/run.trace.jsonl" \
     | grep -q '^kmeans.fit '
-./target/release/multiclust diagnose "$tmp/run.trace.jsonl" > "$tmp/diag.txt"
-grep -q 'kmeans.iter' "$tmp/diag.txt"
 
 # Resource observability: allocation accounting must never change a
-# single stdout byte, and the `--metrics` sampler must leave behind a
-# parseable multiclust-trace/v2 stream with at least two snapshots
-# (first immediate, last at stop) plus an end line.
+# single stdout byte.
 MULTICLUST_ALLOC=1 ./target/release/multiclust kmeans \
     --input "$tmp/data.csv" --k 3 --seed 1 \
     --trace "$tmp/alloc.trace.jsonl" > "$tmp/alloc.csv"
 cmp "$tmp/plain.csv" "$tmp/alloc.csv"
 ./target/release/multiclust trace "$tmp/alloc.trace.jsonl" \
     | grep -q 'alloc.peak'
-MULTICLUST_ALLOC=1 ./target/release/multiclust kmeans \
-    --input "$tmp/data.csv" --k 3 --seed 1 \
-    --metrics "$tmp/run.metrics.jsonl" > "$tmp/metrics.csv"
-cmp "$tmp/plain.csv" "$tmp/metrics.csv"
-head -1 "$tmp/run.metrics.jsonl" | grep -q 'multiclust-trace/v2'
-snapshots=$(grep -c '"type":"snapshot"' "$tmp/run.metrics.jsonl")
-test "$snapshots" -ge 2
-grep -q '"type":"end"' "$tmp/run.metrics.jsonl"
 
-# A corrupt trace must fail diagnose with a clean error naming the bad
+# A corrupt trace must fail `trace` with a clean error naming the bad
 # line — no panic, no usage dump.
 printf '{"type":"meta","schema":"multiclust-trace/v2"}\n{"type":"ev' \
     > "$tmp/corrupt.jsonl"
-if ./target/release/multiclust diagnose "$tmp/corrupt.jsonl" \
+if ./target/release/multiclust trace "$tmp/corrupt.jsonl" \
     > /dev/null 2> "$tmp/corrupt.err"; then
     echo "check.sh: corrupt trace was NOT rejected" >&2
     exit 1
@@ -216,8 +206,8 @@ fi
 
 # Flight-recorder correlation: an injected panicking fit handler must
 # fail the scenario, and the failing verdict must hand back a flight
-# dump whose records — and the `multiclust flight` summary over them —
-# name the first failing request id.
+# dump whose records — and the `last errors` section `multiclust trace`
+# prints over them — name the first failing request id.
 if MULTICLUST_FLIGHT_DIR="$tmp" ./target/release/multiclust loadtest \
     scenarios/smoke.json --inject panic-fit \
     > /dev/null 2> "$tmp/panic.err"; then
@@ -231,19 +221,17 @@ req=$(sed -n 's/^loadtest: flight dump: .* (first failing request \(.*\))$/\1/p'
 test -n "$dump" && test -n "$req"
 head -1 "$dump" | grep -q 'multiclust-trace/v2'
 grep -q "\"request_id\":\"$req\"" "$dump"
-./target/release/multiclust flight "$dump" > "$tmp/flight.txt"
-# The summary shows the *last* errors, so assert it correlates request
+./target/release/multiclust trace "$dump" > "$tmp/flight.txt"
+# The section shows the *last* errors, so assert it correlates request
 # ids at all; the specific failing id is pinned in the raw dump above.
 grep -q 'request_id=t' "$tmp/flight.txt"
 grep -q 'serve.fit.internal' "$tmp/flight.txt"
 
-# One format, one reader: every view accepts every producer's file — the
-# `--trace` sink, the `--metrics` stream and the flight dump.
-for file in "$tmp/run.trace.jsonl" "$tmp/run.metrics.jsonl" "$dump"; do
+# One format, one reader: both views of `trace` accept both producers'
+# files — the `--trace` sink and the flight dump.
+for file in "$tmp/run.trace.jsonl" "$dump"; do
     ./target/release/multiclust trace "$file" > /dev/null
     ./target/release/multiclust trace --collapse "$file" > /dev/null
-    ./target/release/multiclust diagnose "$file" > /dev/null
-    ./target/release/multiclust flight "$file" > /dev/null
 done
 
 # The recorder must never leak into the protocol: the scripted serve

@@ -15,7 +15,8 @@
 //! ```
 //!
 //! Common flags: `--header` (first CSV line is a header), `--seed <u64>`
-//! (default 42).
+//! (default 42), `--telemetry` and `--trace <file>`. Any other flag must be
+//! one the command lists; a misspelt flag is a usage error.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -54,8 +55,6 @@ commands:
   verify       [--family <name>] [--inject <fault>] [--seed <n>]
                [--golden-dir <dir>|none] [--bless]
   trace        <file.jsonl> | --collapse <file.jsonl>
-  diagnose     <file.jsonl>
-  flight       <file.jsonl>
   serve        [--listen tcp:<host:port>|unix:<path>] [--capacity <n>]
                (default 127.0.0.1:0; env MULTICLUST_LISTEN)
   client       [--connect <addr>] [--request <json> | --script <file>]
@@ -71,11 +70,9 @@ common flags: --header            first CSV line is a header row
               --trace <file>      stream every span and event of the run
                                   to <file> (implies telemetry; stdout
                                   stays byte-identical)
-              --metrics <file>    write a snapshot of counters, quantiles
-                                  and allocation gauges to <file> every
-                                  200 ms (implies telemetry)
-              (both write multiclust-trace/v2 JSONL, as do flight dumps;
-               `trace`, `diagnose` and `flight` read all three)
+              (multiclust-trace/v2 JSONL, as are flight dumps; `trace`
+               reads both)
+              any other flag is refused unless the command lists it
 
 environment:  MULTICLUST_ALLOC=1  attribute heap allocations (count/bytes/
                                   peak) to the active span; stdout stays
@@ -85,12 +82,10 @@ output: CSV on stdout — one column per solution, label per object,
         -1 for noise; `subspace` prints one cluster per line instead;
         `compare` prints agreement measures; `verify` prints the
         invariant × family matrix and exits non-zero on any violation;
-        `trace` prints a per-phase time attribution (or
-        collapsed flamegraph stacks with --collapse); `diagnose` prints
-        convergence findings and exits non-zero on a violated objective
-        contract; `flight` summarizes a file's records, above all a
-        flight dump's (record counts, hottest names, last errors with
-        their request ids);
+        `trace` prints a per-phase time attribution, the last errors
+        with their request ids and the convergence findings, and exits
+        non-zero on a violated objective contract (--collapse prints
+        collapsed flamegraph stacks instead);
         `serve` prints one `{\"type\":\"ready\",...}` line with the bound
         address, then answers multiclust-serve/v1 request lines (fit/
         assign/compare/list/evict/stats/dump — `dump` writes the flight
@@ -109,10 +104,8 @@ fn main() -> ExitCode {
     multiclust::telemetry::init();
     let result = run(std::env::args().skip(1).collect());
     // Finalize the trace sink (counters, end line) whether the command
-    // succeeded or not; no-op when no sink is open. The metrics sampler
-    // stops afterwards so its final snapshot sees the flushed counters.
+    // succeeded or not; no-op when no sink is open.
     multiclust::telemetry::trace::flush_trace();
-    multiclust::telemetry::metrics::stop_metrics();
     match result {
         Ok(Outcome { output, passed }) => {
             print!("{output}");
@@ -175,8 +168,8 @@ impl Outcome {
 }
 
 /// Parsed flag map: `--key value` (or `--key=value`) pairs, the bare
-/// [`BOOLEAN_FLAGS`], and positional arguments (only `trace`, `diagnose`,
-/// `flight` and `loadtest` accept them).
+/// [`BOOLEAN_FLAGS`], and positional arguments (only `trace` and
+/// `loadtest` accept them).
 struct Flags {
     map: HashMap<String, String>,
     positional: Vec<String>,
@@ -186,18 +179,48 @@ struct Flags {
 /// is refused rather than read as "on".
 const BOOLEAN_FLAGS: &[&str] = &["header", "telemetry", "bless", "canonical"];
 
+/// Flags every command accepts.
+const COMMON_FLAGS: &[&str] = &["header", "seed", "telemetry", "trace"];
+
+/// The flags `command` accepts on top of [`COMMON_FLAGS`]; an unknown
+/// command is a usage error.
+fn command_flags(command: &str) -> Result<&'static [&'static str], String> {
+    Ok(match command {
+        "kmeans" => &["input", "k"],
+        "dbscan" => &["input", "eps", "min-pts"],
+        "dec-kmeans" => &["input", "ks", "lambda"],
+        "alternative" => &["input", "given", "k", "method", "w"],
+        "subspace" => &["input", "xi", "tau", "select", "beta", "alpha"],
+        "compare" => &["a", "b"],
+        "verify" => &["family", "inject", "golden-dir", "bless"],
+        "trace" => &["collapse"],
+        "serve" => &["listen", "capacity"],
+        "client" => &["connect", "request", "script"],
+        "loadtest" => &["boot", "inject", "canonical", "golden", "bless"],
+        "help" | "--help" | "-h" => &[],
+        other => return Err(format!("unknown command {other:?}")),
+    })
+}
+
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `args`, refusing any flag outside [`COMMON_FLAGS`] and
+    /// `accepted`: a misspelt flag must not silently fall back to its
+    /// default.
+    fn parse(args: &[String], accepted: &[&str]) -> Result<Self, String> {
         let mut map = HashMap::new();
         let mut positional = Vec::new();
         let mut i = 0;
         while i < args.len() {
-            let Some(key) = args[i].strip_prefix("--") else {
+            let Some(flag) = args[i].strip_prefix("--") else {
                 positional.push(args[i].clone());
                 i += 1;
                 continue;
             };
-            if let Some((key, value)) = key.split_once('=') {
+            let key = flag.split_once('=').map_or(flag, |(key, _)| key);
+            if !COMMON_FLAGS.contains(&key) && !accepted.contains(&key) {
+                return Err(format!("unknown flag --{key}"));
+            }
+            if let Some((key, value)) = flag.split_once('=') {
                 // `--key=value` form.
                 if BOOLEAN_FLAGS.contains(&key) {
                     return Err(format!("flag --{key} takes no value"));
@@ -253,25 +276,19 @@ fn run(args: Vec<String>) -> Result<Outcome, CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Err(CliError::from("no command given".to_string()));
     };
-    let flags = Flags::parse(rest)?;
-    if !matches!(command.as_str(), "trace" | "diagnose" | "flight" | "loadtest") {
+    let flags = Flags::parse(rest, command_flags(command)?)?;
+    if !matches!(command.as_str(), "trace" | "loadtest") {
         if let Some(stray) = flags.positional.first() {
             return Err(format!("unexpected argument {stray:?} (expected a --flag)").into());
         }
     }
-    // `--trace` and `--metrics` imply recording: there is nothing to
-    // stream or sample otherwise.
+    // `--trace` implies recording: there is nothing to stream otherwise.
     let telemetry = flags.bool("telemetry");
-    if telemetry || flags.get("trace").is_some() || flags.get("metrics").is_some() {
+    if telemetry || flags.get("trace").is_some() {
         multiclust::telemetry::set_enabled(true);
     }
     if let Some(path) = flags.get("trace") {
         setup_trace(path, command, &flags)?;
-    }
-    if let Some(path) = flags.get("metrics") {
-        use multiclust::telemetry::metrics;
-        metrics::start_metrics(Path::new(path), metrics::INTERVAL)
-            .map_err(|e| format!("flag --metrics: cannot open {path}: {e}"))?;
     }
     let outcome = match command.as_str() {
         "kmeans" => cmd_kmeans(&flags).map(Outcome::ok),
@@ -281,14 +298,12 @@ fn run(args: Vec<String>) -> Result<Outcome, CliError> {
         "subspace" => cmd_subspace(&flags).map(Outcome::ok),
         "compare" => cmd_compare(&flags).map(Outcome::ok),
         "verify" => cmd_verify(&flags).map_err(CliError::from),
-        "trace" => cmd_trace(&flags).map(Outcome::ok),
-        "diagnose" => cmd_diagnose(&flags),
-        "flight" => cmd_flight(&flags),
+        "trace" => cmd_trace(&flags),
         "serve" => cmd_serve(&flags),
         "client" => cmd_client(&flags),
         "loadtest" => cmd_loadtest(&flags),
-        "help" | "--help" | "-h" => Ok(Outcome::ok(USAGE.to_string())),
-        other => Err(format!("unknown command {other:?}").into()),
+        // `help`, `--help` and `-h`: `command_flags` refused every other name.
+        _ => Ok(Outcome::ok(USAGE.to_string())),
     }?;
     // Telemetry goes to stderr so stdout CSV stays byte-identical to a run
     // without the flag and keeps piping cleanly.
@@ -538,54 +553,47 @@ fn cmd_verify(flags: &Flags) -> Result<Outcome, String> {
     Ok(Outcome { output: report.render_text(), passed: report.passed() })
 }
 
-/// Reads the telemetry file that `trace`, `diagnose` and `flight` work
-/// on: the first argument, or `trace --collapse <file>`. A file that won't
-/// open or parse (a crashed or still-running producer) is a data problem,
-/// not a usage mistake: report the named line cleanly, skip the usage dump.
-fn read_telemetry_file<'a>(
-    command: &str,
-    flags: &'a Flags,
-) -> Result<(&'a str, multiclust::telemetry::trace::TraceFile), CliError> {
+/// `trace <file>`: the one reader of a `--trace` file or a flight dump.
+/// Prints a header naming the producer, the per-phase time attribution,
+/// the last errors and the convergence findings, and fails when a finding
+/// is an error; `trace --collapse <file>` prints flamegraph stacks
+/// instead. A file that won't open or parse (a crashed or still-running
+/// producer) is a data problem, not a usage mistake: report the named line
+/// cleanly, skip the usage dump.
+fn cmd_trace(flags: &Flags) -> Result<Outcome, CliError> {
+    use multiclust::telemetry::{diagnose, trace};
     let path = flags
         .get("collapse")
         .or(flags.positional.first())
-        .ok_or_else(|| format!("{command} needs a <file.jsonl> argument"))?;
-    let parsed = multiclust::telemetry::trace::read_trace(Path::new(path))
-        .map_err(|e| CliError::plain(format!("{command} {path}: {e}")))?;
-    Ok((path, parsed))
-}
-
-fn cmd_trace(flags: &Flags) -> Result<String, CliError> {
-    use multiclust::telemetry::trace;
-    let (path, parsed) = read_telemetry_file("trace", flags)?;
+        .ok_or_else(|| "trace needs a <file.jsonl> argument".to_string())?;
+    let parsed = trace::read_trace(Path::new(path))
+        .map_err(|e| CliError::plain(format!("trace {path}: {e}")))?;
     if flags.get("collapse").is_some() {
-        Ok(trace::collapse_spans(&parsed))
-    } else {
-        let mut out = format!(
-            "trace {path}: {} lines, {} span completions, {} events{}\n",
-            parsed.lines,
-            parsed.spans.len(),
-            parsed.events.len(),
-            if parsed.ended { "" } else { " (NO end line — run did not flush)" }
-        );
-        out.push_str(&trace::phase_summary(&parsed));
-        Ok(out)
+        return Ok(Outcome::ok(trace::collapse_spans(&parsed)));
     }
-}
-
-fn cmd_diagnose(flags: &Flags) -> Result<Outcome, CliError> {
-    use multiclust::telemetry::diagnose;
-    let (_, parsed) = read_telemetry_file("diagnose", flags)?;
-    let report = diagnose::analyze(&parsed, &diagnose::DiagnoseOptions::default());
-    Ok(Outcome { output: report.render_text(), passed: !report.has_errors() })
-}
-
-/// Prints the record summary of a telemetry file (typically a flight
-/// dump): counts by kind, the hottest names, and the last errors with
-/// their correlated request ids.
-fn cmd_flight(flags: &Flags) -> Result<Outcome, CliError> {
-    let (_, parsed) = read_telemetry_file("flight", flags)?;
-    Ok(Outcome::ok(multiclust::telemetry::flight::summary(&parsed)))
+    let source = parsed.meta_str("source").unwrap_or("unknown");
+    let mut out = format!("trace {path}: source {source}");
+    if source == "flight" {
+        let meta = |key: &str| parsed.meta_u64(key).unwrap_or(0);
+        out.push_str(&format!(
+            " (capacity {}/thread, {} segments, {} overwritten)",
+            meta("capacity"),
+            meta("segments"),
+            meta("overwritten"),
+        ));
+    }
+    out.push_str(&format!(
+        ", {} lines, {} span completions, {} events{}\n",
+        parsed.lines,
+        parsed.of_kind("span").count(),
+        parsed.of_kind("event").count(),
+        if parsed.ended { "" } else { " (NO end line — producer did not finish)" }
+    ));
+    out.push_str(&trace::phase_summary(&parsed));
+    out.push_str(&trace::last_errors(&parsed));
+    let report = diagnose::analyze(&parsed);
+    out.push_str(&report.render_text());
+    Ok(Outcome { output: out, passed: !report.has_errors() })
 }
 
 fn cmd_serve(flags: &Flags) -> Result<Outcome, CliError> {

@@ -192,6 +192,21 @@ fn bad_flags_fail_with_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(stderr.contains("flag --header takes no value"), "{stderr}");
     assert!(stderr.contains("usage:"), "{stderr}");
+
+    // A misspelt or retired flag is refused, not ignored: `--sead 7`
+    // would otherwise print labels from the default seed.
+    for flag in [["--sead", "7"], ["--metrics", "x"]] {
+        let out = bin()
+            .args(["kmeans", "--input", input.to_str().unwrap(), "--k", "2"])
+            .args(flag)
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "{flag:?} must be refused");
+        assert!(out.stdout.is_empty(), "{flag:?}: no labels printed");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(stderr.contains(&format!("unknown flag {}", flag[0])), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
 }
 
 #[test]
@@ -380,8 +395,8 @@ fn kernel_mode_switch_keeps_stdout_identical() {
 }
 
 /// PR-5 acceptance: `--trace <file>` leaves stdout byte-identical while
-/// streaming a `multiclust-trace/v2` JSONL file that every downstream
-/// tool (`trace`, `trace --collapse`, `diagnose`) accepts.
+/// streaming a `multiclust-trace/v2` JSONL file that `trace` and
+/// `trace --collapse` read back.
 #[test]
 fn trace_flag_streams_jsonl_without_touching_stdout() {
     let dir = workdir("trace");
@@ -417,15 +432,20 @@ fn trace_flag_streams_jsonl_without_touching_stdout() {
     assert!(raw.contains(r#""dataset_n":80"#), "{raw}");
     assert!(raw.contains(r#""type":"end""#), "flushed end line: {raw}");
 
-    // The attribution and flamegraph views both read it back.
+    // The attribution and flamegraph views both read it back, and a
+    // healthy k-means trajectory diagnoses clean.
     let summary = bin()
         .args(["trace", trace_path.to_str().unwrap()])
         .output()
         .expect("binary runs");
     assert!(summary.status.success());
     let text = String::from_utf8_lossy(&summary.stdout).to_string();
+    assert!(text.starts_with(&format!("trace {}: source trace,", trace_path.display())), "{text}");
     assert!(text.contains("kmeans.fit"), "{text}");
     assert!(text.contains("self%"), "attribution columns: {text}");
+    assert!(text.contains("trajectory kmeans.iter"), "convergence report: {text}");
+    assert!(text.contains("no findings"), "{text}");
+    assert!(!text.contains("last errors"), "no error section without errors: {text}");
 
     let collapsed = bin()
         .args(["trace", "--collapse", trace_path.to_str().unwrap()])
@@ -434,18 +454,10 @@ fn trace_flag_streams_jsonl_without_touching_stdout() {
     assert!(collapsed.status.success());
     let stacks = String::from_utf8_lossy(&collapsed.stdout).to_string();
     assert!(stacks.lines().any(|l| l.starts_with("kmeans.fit ")), "{stacks}");
-
-    // A healthy k-means trace diagnoses clean.
-    let diag = bin()
-        .args(["diagnose", trace_path.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(diag.status.success(), "{}", String::from_utf8_lossy(&diag.stdout));
-    assert!(String::from_utf8_lossy(&diag.stdout).contains("kmeans.iter"));
 }
 
-/// A seeded non-monotone objective trajectory must flip `diagnose` to a
-/// non-zero exit and be named in the report.
+/// A seeded non-monotone objective trajectory must flip `trace` to a
+/// non-zero exit and be named in its convergence report.
 #[test]
 fn diagnose_flags_non_monotone_trajectory() {
     let dir = workdir("diagnose");
@@ -465,25 +477,24 @@ fn diagnose_flags_non_monotone_trajectory() {
     )
     .unwrap();
 
-    let out = bin().args(["diagnose", bad.to_str().unwrap()]).output().expect("runs");
+    let out = bin().args(["trace", bad.to_str().unwrap()]).output().expect("runs");
     assert!(!out.status.success(), "rising objective must fail the run");
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("non-monotone"), "{text}");
     assert!(text.contains("kmeans.iter"), "{text}");
 }
 
-/// PR-7 acceptance: a run with `MULTICLUST_ALLOC=1`, `--trace` and
-/// `--metrics` leaves stdout byte-identical, the trace summary gains
-/// per-phase `alloc.peak` attribution, and the metrics file is parseable
-/// `multiclust-trace/v2` JSONL with at least two snapshots.
+/// PR-7 acceptance: a run with `MULTICLUST_ALLOC=1` and `--trace` leaves
+/// stdout byte-identical, the trace summary gains per-phase `alloc.peak`
+/// attribution, and the trace's final snapshot carries the live
+/// allocation gauges.
 #[test]
-fn alloc_and_metrics_instrumentation_keeps_stdout_identical() {
-    let dir = workdir("alloc-metrics");
+fn alloc_instrumentation_keeps_stdout_identical() {
+    let dir = workdir("alloc");
     let fb = four_blob_square(20, 10.0, 0.6, &mut seeded_rng(809));
     let input = dir.join("data.csv");
     write_csv(&fb.dataset, &input).unwrap();
     let trace_path = dir.join("run.trace.jsonl");
-    let metrics_path = dir.join("run.metrics.jsonl");
     let base_args =
         ["kmeans", "--input", input.to_str().unwrap(), "--k", "4", "--seed", "13"];
 
@@ -492,7 +503,6 @@ fn alloc_and_metrics_instrumentation_keeps_stdout_identical() {
     let instrumented = bin()
         .args(base_args)
         .args(["--trace", trace_path.to_str().unwrap()])
-        .args(["--metrics", metrics_path.to_str().unwrap()])
         .env("MULTICLUST_ALLOC", "1")
         .output()
         .expect("binary runs");
@@ -513,29 +523,18 @@ fn alloc_and_metrics_instrumentation_keeps_stdout_identical() {
     assert!(text.contains("alloc.peak"), "alloc columns in the summary: {text}");
     assert!(text.contains("kmeans.fit"), "{text}");
 
-    // The metrics stream is standalone-JSON-per-line with ≥ 2 snapshots
-    // (first immediate, last at stop) and the schema on the first line.
-    let raw = fs::read_to_string(&metrics_path).expect("metrics file written");
-    let mut snapshots = 0;
-    for (i, line) in raw.lines().enumerate() {
-        serde_json::from_str::<serde_json::Value>(line)
-            .unwrap_or_else(|e| panic!("metrics line {}: {e}: {line}", i + 1));
-        if line.starts_with(r#"{"type":"snapshot""#) {
-            snapshots += 1;
-        }
-    }
-    assert!(
-        raw.starts_with(r#"{"type":"meta","schema":"multiclust-trace/v2""#),
-        "first line announces the schema: {raw}"
-    );
-    assert!(snapshots >= 2, "expected ≥ 2 snapshots, got {snapshots}: {raw}");
-    assert!(raw.contains(r#""alloc":{"enabled":true"#), "alloc gauges sampled: {raw}");
-    assert!(raw.contains(r#""type":"end""#), "end line written on stop: {raw}");
+    // The final snapshot carries the gauges, with accounting on.
+    let raw = fs::read_to_string(&trace_path).expect("trace file written");
+    let snapshot = raw
+        .lines()
+        .find(|l| l.starts_with(r#"{"type":"snapshot""#))
+        .unwrap_or_else(|| panic!("final snapshot written: {raw}"));
+    assert!(snapshot.contains(r#""alloc":{"enabled":true"#), "alloc gauges: {snapshot}");
 }
 
-/// A truncated or corrupt trace must fail `diagnose` (and `trace`) with a
-/// clean single-line error naming the offending line — no panic, and no
-/// usage dump burying the cause.
+/// A truncated or corrupt trace must fail `trace` with a clean
+/// single-line error naming the offending line — no panic, and no usage
+/// dump burying the cause.
 #[test]
 fn diagnose_corrupt_trace_fails_cleanly() {
     let dir = workdir("diagnose-corrupt");
@@ -555,18 +554,18 @@ fn diagnose_corrupt_trace_fails_cleanly() {
     .unwrap();
 
     for (path, what) in [(&truncated, "truncated"), (&invalid, "invalid")] {
-        for cmd in ["diagnose", "trace"] {
-            let out = bin().args([cmd, path.to_str().unwrap()]).output().expect("runs");
-            assert!(!out.status.success(), "{what} trace must fail {cmd}");
-            let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-            assert!(stderr.starts_with("error:"), "clean error line: {stderr}");
-            assert!(stderr.contains("line 2"), "names the offending line: {stderr}");
-            assert!(
-                !stderr.contains("panicked") && !stderr.contains("RUST_BACKTRACE"),
-                "no panic output: {stderr}"
-            );
-            assert!(!stderr.contains("usage:"), "no usage dump on a data error: {stderr}");
-        }
+        let out = bin().args(["trace", path.to_str().unwrap()]).output().expect("runs");
+        assert!(!out.status.success(), "{what} trace must fail");
+        assert!(out.stdout.is_empty(), "{what}: nothing on stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(stderr.starts_with("error:"), "clean error line: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "one line: {stderr}");
+        assert!(stderr.contains("line 2"), "names the offending line: {stderr}");
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("RUST_BACKTRACE"),
+            "no panic output: {stderr}"
+        );
+        assert!(!stderr.contains("usage:"), "no usage dump on a data error: {stderr}");
     }
 }
 

@@ -138,21 +138,12 @@ fn play_concurrent(listen: &Listen, clients: usize) -> Vec<Vec<String>> {
 
 /// The headline rig: the real binary, three simultaneous clients with a
 /// mixed workload, protocol conformance on every response, and a clean
-/// shutdown that flushes the final metrics snapshot.
+/// shutdown that flushes the trace's final snapshot.
 #[test]
 fn concurrent_clients_mixed_workload_clean_shutdown() {
     let dir = workdir("rig");
-    let metrics = dir.join("serve.metrics.jsonl");
     let trace = dir.join("serve.trace.jsonl");
-    let (child, listen) = spawn_serve(
-        &[
-            "--metrics",
-            metrics.to_str().unwrap(),
-            "--trace",
-            trace.to_str().unwrap(),
-        ],
-        &[],
-    );
+    let (child, listen) = spawn_serve(&["--trace", trace.to_str().unwrap()], &[]);
 
     let all = play_concurrent(&listen, 3);
     for (i, responses) in all.iter().enumerate() {
@@ -185,19 +176,17 @@ fn concurrent_clients_mixed_workload_clean_shutdown() {
     shutdown_clean(child, &listen);
 
     // Clean shutdown flushed the telemetry: the trace carries a span per
-    // request and the metrics stream its final snapshot plus end line.
+    // request, then its final snapshot and the end line.
     let trace_raw = fs::read_to_string(&trace).expect("trace written");
     assert!(trace_raw.contains(r#""path":"serve.fit""#), "{trace_raw}");
     assert!(trace_raw.contains(r#""path":"serve.assign""#), "{trace_raw}");
     assert!(trace_raw.contains(r#""path":"serve.compare""#), "{trace_raw}");
-    assert!(trace_raw.contains(r#""type":"end""#), "flushed end line: {trace_raw}");
-    let metrics_raw = fs::read_to_string(&metrics).expect("metrics written");
-    let snapshots = metrics_raw
-        .lines()
-        .filter(|l| l.starts_with(r#"{"type":"snapshot""#))
-        .count();
-    assert!(snapshots >= 2, "≥ 2 snapshots, got {snapshots}: {metrics_raw}");
-    assert!(metrics_raw.contains(r#""type":"end""#), "final snapshot flushed: {metrics_raw}");
+    let tail: Vec<&str> = trace_raw.lines().rev().take(2).collect();
+    assert!(tail[0].starts_with(r#"{"type":"end""#), "flushed end line: {trace_raw}");
+    assert!(
+        tail[1].starts_with(r#"{"type":"snapshot""#) && tail[1].contains(r#""counters""#),
+        "final snapshot flushed: {trace_raw}"
+    );
 }
 
 /// A served `fit` must be bit-identical to the in-process fit for every

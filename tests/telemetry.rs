@@ -11,8 +11,8 @@
 //! 5. events past the in-memory cap are counted, not silently lost;
 //! 6. the counting allocator attributes heap traffic to spans without
 //!    moving a single label;
-//! 7. the `--metrics` sampler streams parseable `multiclust-trace/v2`
-//!    snapshots with at least two data points per run;
+//! 7. a trace file ends with one parseable `snapshot` of the registry
+//!    (counters, quantiles, allocation gauges, dropped events);
 //! 8. the Gaussian affinity build's work counters follow the roofline
 //!    model exactly;
 //! 9. the blocked kernels' pruning counters tick on fixed inputs, and
@@ -93,12 +93,12 @@ fn json_export_parses_with_vendored_serde_json() {
     // The escaped counter name survives the round trip.
     assert_eq!(parsed.counters["needs\"escaping\\here"], 3);
     // The nested span path made it through.
-    assert!(parsed.spans.iter().any(|(p, _)| p == "outer/inner"), "{raw}");
+    assert!(parsed.of_kind("span").any(|r| r.name == "outer/inner"), "{raw}");
     // Non-finite field values degrade to null and read back as NaN.
     assert!(raw.contains("\"weird\":null"), "{raw}");
-    let e = parsed.events.iter().find(|e| e.name == "e").expect("event streamed");
-    assert_eq!(e.fields[0], ("value".to_string(), 0.125));
-    assert!(e.fields[1].0 == "weird" && e.fields[1].1.is_nan(), "{:?}", e.fields);
+    let e = parsed.of_kind("event").find(|e| e.name == "e").expect("event streamed");
+    assert_eq!(e.field("value"), Some(0.125));
+    assert!(e.field("weird").is_some_and(f64::is_nan), "{:?}", e.fields);
 }
 
 /// Runs k-means and COALA with fixed seeds, returning everything
@@ -173,9 +173,9 @@ fn trace_sink_streams_parseable_jsonl_without_perturbing_results() {
     assert_eq!(parsed.events_dropped, 0);
 
     // Real instrumentation made it into the stream.
-    assert!(parsed.spans.iter().any(|(p, _)| p == "kmeans.fit"), "spans: {:?}", parsed.spans);
-    assert!(parsed.events.iter().any(|e| e.name == "kmeans.iter"));
-    assert!(parsed.events.iter().any(|e| e.name == "coala.merge"));
+    assert!(parsed.of_kind("span").any(|r| r.name == "kmeans.fit"), "{raw}");
+    assert!(parsed.of_kind("event").any(|e| e.name == "kmeans.iter"));
+    assert!(parsed.of_kind("event").any(|e| e.name == "coala.merge"));
 
     // And the sink observed without perturbing: identical results.
     assert_eq!(untraced.0, traced.0, "k-means labels");
@@ -212,7 +212,7 @@ fn event_cap_overflow_is_counted_and_streamed() {
     assert!(snap.to_text().contains("telemetry.events_dropped"), "{}", snap.to_text());
 
     // The sink is the durable record: nothing dropped there.
-    let streamed = parsed.events.iter().filter(|e| e.name == "cap.test").count() as u64;
+    let streamed = parsed.of_kind("event").filter(|e| e.name == "cap.test").count() as u64;
     assert_eq!(streamed, telemetry::MAX_EVENTS as u64 + overflow);
     assert_eq!(parsed.events_dropped, overflow, "end line reports the drop count");
     assert_eq!(parsed.counters["telemetry.events_dropped"], overflow);
@@ -252,63 +252,40 @@ fn alloc_accounting_attributes_spans_without_perturbing_results() {
     assert!(snap.to_text().contains("alloc (path"), "{}", snap.to_text());
 }
 
-/// The PR-7 metrics stream: a sampler attached for the duration of a fit
-/// leaves behind a parseable `multiclust-trace/v2` JSONL file — a meta
-/// line, at least two snapshots (first immediate, last at stop), and an
-/// end line whose snapshot count matches.
+/// A trace file closes with one `snapshot` of the registry, written by
+/// the same encoder as every other line: after a fit it carries the
+/// producer's `seq`, every counter, the span quantiles, the allocation
+/// gauges and the dropped-event count, and only the `end` line follows.
 #[test]
-fn metrics_stream_emits_parseable_snapshots() {
-    use multiclust::telemetry::metrics;
+fn trace_ends_with_a_registry_snapshot() {
+    use multiclust::telemetry::trace;
 
     let path = std::env::temp_dir()
-        .join(format!("multiclust-test-metrics-{}.jsonl", std::process::id()));
-    serialized(|| {
-        metrics::start_metrics(&path, std::time::Duration::from_millis(5))
-            .expect("open metrics stream");
+        .join(format!("multiclust-test-snapshot-{}.jsonl", std::process::id()));
+    let parsed = serialized(|| {
+        trace::open_trace(Some(&path), false).expect("open trace sink");
         let _ = fit_both();
-        // No sleep: the sampler writes one snapshot immediately on start
-        // and a final one on stop, so ≥2 snapshots hold by construction
-        // rather than by winning a wall-clock race.
-        metrics::stop_metrics();
+        trace::flush_trace();
+        trace::read_trace(&path).expect("trace parses")
     });
-    let raw = std::fs::read_to_string(&path).expect("metrics file exists");
+    let raw = std::fs::read_to_string(&path).expect("trace file exists");
     let _ = std::fs::remove_file(&path);
 
-    let mut snapshots = 0u64;
-    let mut declared = None;
-    for (i, line) in raw.lines().enumerate() {
-        let v: serde_json::Value = serde_json::from_str(line)
-            .unwrap_or_else(|e| panic!("line {}: {e}: {line}", i + 1));
-        let serde_json::Value::Object(fields) = v else {
-            panic!("line {} is not an object", i + 1)
-        };
-        let ty = fields.iter().find(|(k, _)| k == "type").map(|(_, v)| v.clone());
-        match ty {
-            Some(serde_json::Value::String(s)) if s == "snapshot" => {
-                snapshots += 1;
-                for key in ["seq", "counters", "quantiles", "alloc", "events_dropped"] {
-                    assert!(
-                        fields.iter().any(|(k, _)| k == key),
-                        "snapshot line {} missing {key:?}",
-                        i + 1
-                    );
-                }
-            }
-            Some(serde_json::Value::String(s)) if s == "end" => {
-                declared = fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-                    ("snapshots", serde_json::Value::Int(n)) => Some(*n as u64),
-                    _ => None,
-                });
-            }
-            _ => {}
-        }
+    let lines: Vec<&str> = raw.lines().collect();
+    let snapshots: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].starts_with(r#"{"type":"snapshot""#))
+        .collect();
+    assert_eq!(snapshots, [lines.len() - 2], "one snapshot, just before the end line:\n{raw}");
+    let serde_json::Value::Object(fields) =
+        serde_json::from_str(lines[lines.len() - 2]).expect("snapshot parses")
+    else {
+        panic!("snapshot is not an object")
+    };
+    for key in ["seq", "counters", "quantiles", "alloc", "events_dropped"] {
+        assert!(fields.iter().any(|(k, _)| k == key), "snapshot missing {key:?}: {raw}");
     }
-    assert!(
-        raw.starts_with(r#"{"type":"meta","schema":"multiclust-trace/v2""#),
-        "{raw}"
-    );
-    assert!(snapshots >= 2, "expected at least 2 snapshots, got {snapshots}:\n{raw}");
-    assert_eq!(declared, Some(snapshots), "end line snapshot count");
+    assert!(lines[lines.len() - 1].starts_with(r#"{"type":"end""#), "{raw}");
+    assert!(!parsed.counters.is_empty(), "the fit's counters read back: {raw}");
 }
 
 /// The Gaussian affinity build charges its work by the roofline model:
