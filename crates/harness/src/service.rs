@@ -53,11 +53,7 @@ pub fn shared_server_addr() -> Result<String, String> {
     static ADDR: OnceLock<Result<String, String>> = OnceLock::new();
     ADDR.get_or_init(|| {
         let listen = Listen::parse("127.0.0.1:0")?;
-        let config = ServerConfig {
-            capacity: 8,
-            dispatch: fit_dispatch(),
-            chaos: multiclust_serve::ChaosConfig::default(),
-        };
+        let config = ServerConfig { capacity: 8, dispatch: fit_dispatch() };
         let server = Server::bind(&listen, config)
             .map_err(|e| format!("cannot bind in-process server: {e}"))?;
         let addr = server.local_addr().to_string();

@@ -18,7 +18,9 @@
 //!
 //! The thread count comes from [`set_threads`] if set, else the
 //! `MULTICLUST_THREADS` environment variable, else
-//! [`std::thread::available_parallelism`]. At 1 thread every primitive runs
+//! [`std::thread::available_parallelism`]. The environment and the
+//! hardware are read once per process, on the first region; later changes
+//! to `MULTICLUST_THREADS` are not seen. At 1 thread every primitive runs
 //! the plain serial loop inline. Nested calls from inside a worker also run
 //! inline (no oversubscription, no deadlock). A panic in any closure is
 //! propagated to the caller after all sibling workers finish.
@@ -34,7 +36,7 @@
 use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 use multiclust_telemetry as telemetry;
@@ -53,7 +55,8 @@ thread_local! {
 }
 
 /// Overrides the pool size for this process. `threads == 0` clears the
-/// override, restoring `MULTICLUST_THREADS` / hardware detection.
+/// override, restoring the default that `MULTICLUST_THREADS` or the
+/// hardware gave on first use.
 ///
 /// Results are identical either way; this only changes how much hardware
 /// parallelism is used. Intended for tests and embedders.
@@ -62,21 +65,22 @@ pub fn set_threads(threads: usize) {
 }
 
 /// The number of threads parallel regions may use right now: the
-/// [`set_threads`] override, else `MULTICLUST_THREADS`, else
-/// [`std::thread::available_parallelism`], else 1.
+/// [`set_threads`] override, else the default resolved once per process
+/// from `MULTICLUST_THREADS`, else [`std::thread::available_parallelism`],
+/// else 1.
 pub fn current_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
     let o = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if o > 0 {
         return o;
     }
-    if let Ok(v) = std::env::var("MULTICLUST_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    thread::available_parallelism().map(usize::from).unwrap_or(1)
+    *DEFAULT.get_or_init(|| {
+        std::env::var("MULTICLUST_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| thread::available_parallelism().map(usize::from).unwrap_or(1))
+    })
 }
 
 /// Chunk length for `n` items given a caller-supplied floor: large enough

@@ -41,75 +41,6 @@ pub use protocol::{ProtocolError, Request, SCHEMA};
 pub use registry::{FittedModel, ModelRegistry};
 pub use server::{Server, ServerConfig, ServerSummary};
 
-/// Chaos injection knobs for the load-test harness: deterministic
-/// degradation of the request pipeline, counted by a global sequence
-/// over workload ops (`stats` and `shutdown` are exempt so observers
-/// and clean teardown stay reliable). All-zero means disabled — the
-/// default for every production boot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChaosConfig {
-    /// Sleep before executing every `slow_every`-th workload op
-    /// (0 = never).
-    pub slow_every: u64,
-    /// How long a slowed op sleeps, in milliseconds.
-    pub slow_ms: u64,
-    /// Close the connection without responding on every
-    /// `drop_every`-th workload op (0 = never).
-    pub drop_every: u64,
-}
-
-impl ChaosConfig {
-    /// True when no chaos is configured.
-    pub fn disabled(&self) -> bool {
-        self.slow_every == 0 && self.drop_every == 0
-    }
-
-    /// Parses `MULTICLUST_CHAOS` (`slow_every=N,slow_ms=N,drop_every=N`,
-    /// any subset, unset keys default to 0 = off).
-    pub fn from_env() -> Result<ChaosConfig, String> {
-        match std::env::var("MULTICLUST_CHAOS") {
-            Err(_) => Ok(ChaosConfig::default()),
-            Ok(s) => Self::parse(&s),
-        }
-    }
-
-    /// Parses the `slow_every=N,slow_ms=N,drop_every=N` form.
-    pub fn parse(s: &str) -> Result<ChaosConfig, String> {
-        let mut config = ChaosConfig::default();
-        for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part.split_once('=').ok_or_else(|| {
-                format!("chaos spec {part:?}: expected key=value (slow_every, slow_ms, drop_every)")
-            })?;
-            let value: u64 = value
-                .trim()
-                .parse()
-                .map_err(|_| format!("chaos key {key:?}: cannot parse {value:?} as a count"))?;
-            match key.trim() {
-                "slow_every" => config.slow_every = value,
-                "slow_ms" => config.slow_ms = value,
-                "drop_every" => config.drop_every = value,
-                other => {
-                    return Err(format!(
-                        "unknown chaos key {other:?} (expected slow_every, slow_ms or drop_every)"
-                    ))
-                }
-            }
-        }
-        Ok(config)
-    }
-
-    /// Renders the spec back in its `key=value` form (`off` when disabled).
-    pub fn display(&self) -> String {
-        if self.disabled() {
-            return "off".to_string();
-        }
-        format!(
-            "slow_every={},slow_ms={},drop_every={}",
-            self.slow_every, self.slow_ms, self.drop_every
-        )
-    }
-}
-
 /// Everything a `fit` request resolves to before dispatch: the named
 /// family plus the exact inputs the harness's `FitInput` carries.
 #[derive(Clone, Debug)]
@@ -174,28 +105,6 @@ impl Listen {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chaos_parse_forms() {
-        assert_eq!(ChaosConfig::parse(""), Ok(ChaosConfig::default()));
-        assert_eq!(
-            ChaosConfig::parse("slow_every=3,slow_ms=40,drop_every=2"),
-            Ok(ChaosConfig { slow_every: 3, slow_ms: 40, drop_every: 2 })
-        );
-        assert_eq!(
-            ChaosConfig::parse(" drop_every = 5 "),
-            Ok(ChaosConfig { slow_every: 0, slow_ms: 0, drop_every: 5 })
-        );
-        assert!(ChaosConfig::parse("slow_every").is_err());
-        assert!(ChaosConfig::parse("warp_factor=9").is_err());
-        assert!(ChaosConfig::parse("slow_ms=fast").is_err());
-        assert!(ChaosConfig::default().disabled());
-        assert_eq!(ChaosConfig::default().display(), "off");
-        assert_eq!(
-            ChaosConfig { slow_every: 1, slow_ms: 2, drop_every: 0 }.display(),
-            "slow_every=1,slow_ms=2,drop_every=0"
-        );
-    }
 
     #[test]
     fn listen_parse_forms() {

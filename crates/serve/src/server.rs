@@ -41,7 +41,7 @@ use crate::protocol::{
     self, BoundedLine, DataSource, ProtocolError, Request, SCHEMA,
 };
 use crate::registry::{FittedModel, ModelRegistry};
-use crate::{client, ChaosConfig, FitDispatch, FitSpec, Listen};
+use crate::{client, FitDispatch, FitSpec, Listen};
 
 /// Server construction parameters.
 pub struct ServerConfig {
@@ -49,9 +49,6 @@ pub struct ServerConfig {
     pub capacity: usize,
     /// Executes `fit` requests (supplied by the harness layer).
     pub dispatch: FitDispatch,
-    /// Deterministic degradation for the load-test harness
-    /// (default: disabled).
-    pub chaos: ChaosConfig,
 }
 
 /// What a completed [`Server::run`] reports.
@@ -68,8 +65,6 @@ struct Stats {
     requests: std::collections::BTreeMap<String, u64>,
     errors: u64,
     latency_us: std::collections::BTreeMap<String, Sketch>,
-    chaos_slowed: u64,
-    chaos_dropped: u64,
 }
 
 struct Shared {
@@ -82,10 +77,6 @@ struct Shared {
     wake: Listen,
     start: Instant,
     max_line: usize,
-    chaos: ChaosConfig,
-    // Global workload-op sequence the chaos knobs count on; `stats` and
-    // `shutdown` are exempt so observers and teardown stay reliable.
-    chaos_seq: AtomicU64,
     // Connection ids for request correlation: every record a request
     // leaves behind (span fields, flight ring, trace lines) carries the
     // accepting connection's id alongside the request id.
@@ -131,8 +122,6 @@ impl Server {
             wake,
             start: Instant::now(),
             max_line: protocol::max_line_bytes(),
-            chaos: config.chaos,
-            chaos_seq: AtomicU64::new(0),
             conn_seq: AtomicU64::new(0),
         });
         Ok(Server { listener, shared, addr })
@@ -295,41 +284,9 @@ fn handle_connection(
         let shutdown = matches!(parsed, Ok(Request::Shutdown));
         // Correlation context: the echoed request id plus this
         // connection's id tag every span, trace line and flight record
-        // made while the request executes — including chaos decisions.
+        // made while the request executes.
         let req_id = id_text(&id);
         flight::set_request(req_id.as_deref().unwrap_or(""), conn);
-        // Chaos fires on workload ops only: `stats` answers the load-test
-        // driver's final probe, `dump` is the forensics hook and
-        // `shutdown` tears the rig down, so all three must stay reliable
-        // even under full degradation.
-        let exempt = matches!(
-            parsed,
-            Ok(Request::Stats) | Ok(Request::Dump) | Ok(Request::Shutdown) | Err(_)
-        );
-        if !shared.chaos.disabled() && !exempt {
-            let seq = shared.chaos_seq.fetch_add(1, Ordering::SeqCst) + 1;
-            if shared.chaos.drop_every > 0 && seq % shared.chaos.drop_every == 0 {
-                // Close the connection without a response line: the
-                // client observes an unexpected EOF mid-request — the
-                // transport failure the drivers must survive.
-                let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                stats.chaos_dropped += 1;
-                *stats.requests.entry(op.to_string()).or_insert(0) += 1;
-                stats.errors += 1;
-                drop(stats);
-                multiclust_telemetry::counter_add("serve.chaos.dropped", 1);
-                flight::record_event("serve.chaos.dropped");
-                return;
-            }
-            if shared.chaos.slow_every > 0 && seq % shared.chaos.slow_every == 0 {
-                std::thread::sleep(Duration::from_millis(shared.chaos.slow_ms));
-                let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-                stats.chaos_slowed += 1;
-                drop(stats);
-                multiclust_telemetry::counter_add("serve.chaos.slowed", 1);
-                flight::record_event("serve.chaos.slowed");
-            }
-        }
         // The span covers parse-to-response execution; it lands in the
         // trace sink and the duration sketches exactly like a CLI phase.
         let response = {
@@ -398,8 +355,7 @@ fn error_code(response: &Value) -> Option<&str> {
 }
 
 /// Dumps the flight ring after an `internal` error. The stderr line is
-/// the machine-readable trail (`scripts/check.sh` and the load-test
-/// driver grep it): path, record count, failing op and request id.
+/// the operator's trail: path, record count, failing op and request id.
 fn auto_dump(op: &str, request: Option<&str>) {
     use multiclust_telemetry::flight;
     let path = flight::default_dump_path("serve");
@@ -817,14 +773,6 @@ fn op_stats(shared: &Shared, id: &Value) -> Value {
     fields.push(("models".to_string(), Value::Int(registry.len() as i64)));
     fields.push(("capacity".to_string(), Value::Int(registry.capacity() as i64)));
     fields.push(("evictions".to_string(), Value::Int(registry.evictions() as i64)));
-    fields.push((
-        "chaos".to_string(),
-        Value::Object(vec![
-            ("config".to_string(), Value::String(shared.chaos.display())),
-            ("slowed".to_string(), Value::Int(stats.chaos_slowed as i64)),
-            ("dropped".to_string(), Value::Int(stats.chaos_dropped as i64)),
-        ]),
-    ));
     // Observability health gauges: a client can detect silent telemetry
     // loss (event-cap truncation, a full trace sink) without shell access
     // to the server's stderr.

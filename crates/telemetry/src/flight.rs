@@ -404,7 +404,7 @@ mod tests {
         serialized(|| {
             set_request("req-42", 7);
             record_span("serve.fit", 1234);
-            record_event("serve.chaos.dropped");
+            record_event("kmeans.done");
             clear_request();
             record_error("internal", Some("req-43"));
             let path = tmp("roundtrip.jsonl");

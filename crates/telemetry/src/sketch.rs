@@ -12,9 +12,7 @@
 //!   `+1` absorbs integer rounding in the lowest octaves);
 //! * **lossless merging** — [`Sketch::merge`] adds bucket counts
 //!   pointwise, so a sketch merged from per-thread (or per-request)
-//!   shards is *identical* to the sketch of the pooled stream. This is
-//!   the substrate the loadtest harness's latency percentiles aggregate
-//!   on.
+//!   shards is *identical* to the sketch of the pooled stream.
 //!
 //! The bucket array is allocated once ([`SKETCH_BUCKETS`] entries) and
 //! never grows; recording is O(1) with no allocation.

@@ -167,65 +167,34 @@ done
 cmp "$tmp/serve-1.out" "$tmp/serve-4.out"
 cmp "$tmp/serve-1.out" tests/golden/serve_session.golden
 
-# Load-test gate: the smoke scenario must pass and its canonical report
-# must be a pure function of the scenario — byte-identical across thread
-# counts and against the checked-in golden (refresh with
-# `multiclust loadtest scenarios/smoke.json --canonical \
-#   --golden tests/golden/loadtest_smoke.json --bless`).
-MULTICLUST_THREADS=1 ./target/release/multiclust loadtest scenarios/smoke.json \
-    --canonical > "$tmp/loadtest-1.json" 2> "$tmp/loadtest-1.err"
-MULTICLUST_THREADS=4 ./target/release/multiclust loadtest scenarios/smoke.json \
-    --canonical > "$tmp/loadtest-4.json" 2> /dev/null
-cmp "$tmp/loadtest-1.json" "$tmp/loadtest-4.json"
-cmp "$tmp/loadtest-1.json" tests/golden/loadtest_smoke.json
-grep -q '"schema": "multiclust-loadtest-report/v1"' "$tmp/loadtest-1.json"
-grep -q '"verdict": "PASS"' "$tmp/loadtest-1.json"
-grep -q '"events_dropped": 0' "$tmp/loadtest-1.json"
-grep -q 'PASS serve-equivalence' "$tmp/loadtest-1.err"
-grep -q 'PASS quality-floor' "$tmp/loadtest-1.err"
-
-# Chaos degrades the run but the scenario still passes — and must prove
-# its degradation happened: min-errors on transport, plus the exact
-# chaos-fired counters (slowed/dropped are a pure function of the plan).
-./target/release/multiclust loadtest scenarios/chaos.json \
-    > "$tmp/loadtest-chaos.json" 2> "$tmp/loadtest-chaos.err"
-grep -q '"verdict": "PASS"' "$tmp/loadtest-chaos.json"
-grep -q 'PASS min-errors' "$tmp/loadtest-chaos.err"
-grep -q 'PASS chaos-fired' "$tmp/loadtest-chaos.err"
-
-# Quality floors over the open-loop tick clock.
-./target/release/multiclust loadtest scenarios/quality.json > /dev/null 2>&1
-
-# The loadtest distrusts itself: a server whose dispatch consumes
-# different randomness MUST fail serve-equivalence.
-if ./target/release/multiclust loadtest scenarios/smoke.json \
-    --inject serve-perturbs-rng > /dev/null 2>&1; then
-    echo "check.sh: loadtest passed under an injected rng perturbation" >&2
-    exit 1
-fi
-
-# Flight-recorder correlation: an injected panicking fit handler must
-# fail the scenario, and the failing verdict must hand back a flight
-# dump whose records — and the `last errors` section `multiclust trace`
-# prints over them — name the first failing request id.
-if MULTICLUST_FLIGHT_DIR="$tmp" ./target/release/multiclust loadtest \
-    scenarios/smoke.json --inject panic-fit \
-    > /dev/null 2> "$tmp/panic.err"; then
-    echo "check.sh: loadtest passed under an injected panicking dispatch" >&2
-    exit 1
-fi
-dump=$(sed -n 's/^loadtest: flight dump: \(.*\) (first failing request .*)$/\1/p' \
-    "$tmp/panic.err")
-req=$(sed -n 's/^loadtest: flight dump: .* (first failing request \(.*\))$/\1/p' \
-    "$tmp/panic.err")
-test -n "$dump" && test -n "$req"
+# Flight-recorder correlation: a failing fit on the shipped server
+# leaves its request id in the flight ring, the `dump` op writes the ring
+# to a file, and both the raw dump and the `last errors` section
+# `multiclust trace` prints over it name that id and the failing op.
+sock="$tmp/serve-flight.sock"
+MULTICLUST_FLIGHT_DIR="$tmp" ./target/release/multiclust serve \
+    --listen "unix:$sock" > /dev/null 2> /dev/null &
+serve_pid=$!
+for _ in $(seq 1 200); do
+    [ -S "$sock" ] && break
+    sleep 0.05
+done
+./target/release/multiclust client --connect "unix:$sock" --request \
+    '{"id":"t-given","op":"fit","family":"coala","k":2,"data":[[0,0],[0.2,0.1],[9,9],[9.2,9.1]],"given":[0,0,1,4000000000]}' \
+    > "$tmp/flight-fit.out"
+grep -q '"code":"bad-request"' "$tmp/flight-fit.out"
+./target/release/multiclust client --connect "unix:$sock" \
+    --request '{"id":"d","op":"dump"}' > "$tmp/flight-dump.out"
+./target/release/multiclust client --connect "unix:$sock" \
+    --request '{"id":"bye","op":"shutdown"}' > /dev/null
+wait_serve "$serve_pid"
+dump=$(sed -n 's/.*"path":"\([^"]*\)".*/\1/p' "$tmp/flight-dump.out")
+test -n "$dump"
 head -1 "$dump" | grep -q 'multiclust-trace/v2'
-grep -q "\"request_id\":\"$req\"" "$dump"
+grep -q '"request_id":"t-given"' "$dump"
 ./target/release/multiclust trace "$dump" > "$tmp/flight.txt"
-# The section shows the *last* errors, so assert it correlates request
-# ids at all; the specific failing id is pinned in the raw dump above.
-grep -q 'request_id=t' "$tmp/flight.txt"
-grep -q 'serve.fit.internal' "$tmp/flight.txt"
+grep -q 'request_id=t-given' "$tmp/flight.txt"
+grep -q 'serve.fit.bad-request' "$tmp/flight.txt"
 
 # One format, one reader: both views of `trace` accept both producers'
 # files — the `--trace` sink and the flight dump.

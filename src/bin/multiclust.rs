@@ -60,8 +60,6 @@ commands:
   client       [--connect <addr>] [--request <json> | --script <file>]
                (reads request lines from stdin when neither flag is given;
                 env MULTICLUST_LISTEN when --connect is omitted)
-  loadtest     <scenario.json> [--boot in-process|binary]
-               [--inject <fault>] [--canonical] [--golden <file> [--bless]]
 
 common flags: --header            first CSV line is a header row
               --seed <n>          RNG seed (default 42)
@@ -90,12 +88,7 @@ output: CSV on stdout — one column per solution, label per object,
         address, then answers multiclust-serve/v1 request lines (fit/
         assign/compare/list/evict/stats/dump — `dump` writes the flight
         recorder to a server-side file) until a shutdown request;
-        `client` prints one response line per request; `loadtest` runs a
-        multiclust-loadtest/v1 scenario against the resident service and
-        prints a multiclust-loadtest-report/v1 verdict on stdout (the
-        human summary goes to stderr; exit code mirrors the verdict;
-        --canonical nulls the wall-clock sections so the bytes replay
-        identically across MULTICLUST_THREADS).
+        `client` prints one response line per request.
 ";
 
 fn main() -> ExitCode {
@@ -168,8 +161,8 @@ impl Outcome {
 }
 
 /// Parsed flag map: `--key value` (or `--key=value`) pairs, the bare
-/// [`BOOLEAN_FLAGS`], and positional arguments (only `trace` and
-/// `loadtest` accept them).
+/// [`BOOLEAN_FLAGS`], and positional arguments (only `trace` accepts
+/// them).
 struct Flags {
     map: HashMap<String, String>,
     positional: Vec<String>,
@@ -177,7 +170,7 @@ struct Flags {
 
 /// Flags taking no value: bare `--flag` means "true", and `--flag=value`
 /// is refused rather than read as "on".
-const BOOLEAN_FLAGS: &[&str] = &["header", "telemetry", "bless", "canonical"];
+const BOOLEAN_FLAGS: &[&str] = &["header", "telemetry", "bless"];
 
 /// Flags every command accepts.
 const COMMON_FLAGS: &[&str] = &["header", "seed", "telemetry", "trace"];
@@ -196,7 +189,6 @@ fn command_flags(command: &str) -> Result<&'static [&'static str], String> {
         "trace" => &["collapse"],
         "serve" => &["listen", "capacity"],
         "client" => &["connect", "request", "script"],
-        "loadtest" => &["boot", "inject", "canonical", "golden", "bless"],
         "help" | "--help" | "-h" => &[],
         other => return Err(format!("unknown command {other:?}")),
     })
@@ -277,7 +269,7 @@ fn run(args: Vec<String>) -> Result<Outcome, CliError> {
         return Err(CliError::from("no command given".to_string()));
     };
     let flags = Flags::parse(rest, command_flags(command)?)?;
-    if !matches!(command.as_str(), "trace" | "loadtest") {
+    if command.as_str() != "trace" {
         if let Some(stray) = flags.positional.first() {
             return Err(format!("unexpected argument {stray:?} (expected a --flag)").into());
         }
@@ -301,7 +293,6 @@ fn run(args: Vec<String>) -> Result<Outcome, CliError> {
         "trace" => cmd_trace(&flags),
         "serve" => cmd_serve(&flags),
         "client" => cmd_client(&flags),
-        "loadtest" => cmd_loadtest(&flags),
         // `help`, `--help` and `-h`: `command_flags` refused every other name.
         _ => Ok(Outcome::ok(USAGE.to_string())),
     }?;
@@ -608,14 +599,7 @@ fn cmd_serve(flags: &Flags) -> Result<Outcome, CliError> {
     if capacity == 0 {
         return Err(CliError::from("--capacity must be at least 1".to_string()));
     }
-    // Chaos is opt-in via the environment so the load-test harness can
-    // degrade a binary-booted server; production boots leave it unset.
-    let chaos = multiclust::serve::ChaosConfig::from_env().map_err(CliError::plain)?;
-    let config = ServerConfig {
-        capacity,
-        dispatch: multiclust::harness::fit_dispatch(),
-        chaos,
-    };
+    let config = ServerConfig { capacity, dispatch: multiclust::harness::fit_dispatch() };
     let server = Server::bind(&listen, config)
         .map_err(|e| CliError::plain(format!("cannot listen on {}: {e}", listen.display())))?;
     // The ready line must reach the caller before the accept loop blocks:
@@ -686,97 +670,6 @@ fn cmd_client(flags: &Flags) -> Result<Outcome, CliError> {
         out.push('\n');
     }
     Ok(Outcome::ok(out))
-}
-
-fn cmd_loadtest(flags: &Flags) -> Result<Outcome, CliError> {
-    use multiclust::loadtest::{driver, judge, report, ScenarioSpec};
-
-    let Some(path) = flags.positional.first() else {
-        return Err("loadtest needs a scenario file (e.g. scenarios/smoke.json)"
-            .to_string()
-            .into());
-    };
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::plain(format!("reading {path}: {e}")))?;
-    let spec = ScenarioSpec::parse(&text).map_err(CliError::plain)?;
-    let boot = match flags.get("boot").map(String::as_str) {
-        None | Some("in-process") => driver::BootMode::InProcess,
-        Some("binary") => driver::BootMode::Binary,
-        Some(other) => {
-            return Err(format!("flag --boot: expected in-process or binary, got {other:?}").into())
-        }
-    };
-    let inject = match flags.get("inject") {
-        None => None,
-        Some(name) => Some(driver::Inject::parse(name)?),
-    };
-    let record =
-        driver::run_scenario(&spec, &driver::RunOptions { boot, inject }).map_err(CliError::plain)?;
-    let judged = judge::judge(&spec.expectations, &record);
-    let mut passed = judge::verdict(&judged);
-    let rendered = report::render(&report::build(&record, &judged, flags.bool("canonical")));
-    eprintln!(
-        "loadtest {}: {} planned, {} responded, {} errors, {} ms wall",
-        spec.name,
-        record.planned,
-        record.responded,
-        record.errors_by_code.values().sum::<u64>(),
-        record.wall_ms
-    );
-    print_judgements(&spec.name, &judged);
-    if !passed {
-        // Point the operator straight at the evidence: the server-side
-        // flight dump plus a request id that appears in it.
-        let first_failed = record
-            .error_samples
-            .first()
-            .map(|(_, id)| id.as_str())
-            .unwrap_or("-");
-        match &record.flight_dump {
-            Some(dump) => eprintln!(
-                "loadtest: flight dump: {dump} (first failing request {first_failed})"
-            ),
-            None => eprintln!(
-                "loadtest: no flight dump (recorder disabled; unset MULTICLUST_FLIGHT to re-enable)"
-            ),
-        }
-    }
-    if let Some(golden) = flags.get("golden") {
-        let bless =
-            flags.bool("bless") || std::env::var("MULTICLUST_BLESS").as_deref() == Ok("1");
-        if bless {
-            std::fs::write(golden, &rendered)
-                .map_err(|e| CliError::plain(format!("writing {golden}: {e}")))?;
-            eprintln!("loadtest: blessed {golden}");
-        } else {
-            let expected = std::fs::read_to_string(golden)
-                .map_err(|e| CliError::plain(format!("reading {golden}: {e}")))?;
-            if expected != rendered {
-                eprintln!("loadtest: report diverges from golden {golden} (--bless to refresh)");
-                passed = false;
-            }
-        }
-    }
-    Ok(Outcome { output: rendered, passed })
-}
-
-/// One judgement line per expectation, stderr — stdout stays the JSON
-/// report.
-fn print_judgements(scenario: &str, judged: &[multiclust::loadtest::Judged]) {
-    for j in judged {
-        eprintln!(
-            "  {} {:<17} {}",
-            if j.pass { "PASS" } else { "FAIL" },
-            j.expectation.kind(),
-            j.measured
-        );
-    }
-    let failed = judged.iter().filter(|j| !j.pass).count();
-    if failed == 0 {
-        eprintln!("loadtest {scenario}: PASS ({} expectations)", judged.len());
-    } else {
-        eprintln!("loadtest {scenario}: FAIL ({failed} of {} expectations)", judged.len());
-    }
 }
 
 fn cmd_compare(flags: &Flags) -> Result<String, CliError> {

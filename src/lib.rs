@@ -53,7 +53,6 @@ pub use multiclust_core as core;
 pub use multiclust_data as data;
 pub use multiclust_harness as harness;
 pub use multiclust_linalg as linalg;
-pub use multiclust_loadtest as loadtest;
 pub use multiclust_multiview as multiview;
 pub use multiclust_orthogonal as orthogonal;
 pub use multiclust_parallel as parallel;

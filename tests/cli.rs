@@ -758,10 +758,11 @@ fn trace_accepts_every_seed_the_command_accepts() {
     assert!(raw.contains(r#""seed":"18446744073709551615""#), "{raw}");
 }
 
-/// The retired timing commands are gone: each is an unknown command.
+/// The retired timing commands and the retired load tester are gone:
+/// each is an unknown command.
 #[test]
 fn retired_bench_and_trend_commands_are_unknown() {
-    for command in ["bench", "trend"] {
+    for command in ["bench", "trend", "loadtest"] {
         let out = bin().arg(command).output().expect("binary runs");
         assert!(!out.status.success(), "{command}");
         let stderr = String::from_utf8_lossy(&out.stderr).to_string();

@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 
 use multiclust::harness::{all_families, catalog, fit_dispatch, FitInput};
 use multiclust::serve::{client, Listen, Server, ServerConfig};
+use multiclust::telemetry::trace;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_multiclust"))
@@ -40,11 +41,7 @@ fn boot_at(
     capacity: usize,
 ) -> (Listen, std::thread::JoinHandle<multiclust::serve::ServerSummary>) {
     let listen = Listen::parse(addr).unwrap();
-    let config = ServerConfig {
-        capacity,
-        dispatch: fit_dispatch(),
-        chaos: multiclust::serve::ChaosConfig::default(),
-    };
+    let config = ServerConfig { capacity, dispatch: fit_dispatch() };
     let server = Server::bind(&listen, config).expect("bind ephemeral port");
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().expect("server run"));
@@ -171,7 +168,7 @@ fn concurrent_clients_mixed_workload_clean_shutdown() {
     assert!(stats.contains(r#""fit":6"#), "6 fits recorded: {stats}");
     assert!(stats.contains(r#""models":6"#), "6 models live: {stats}");
     assert!(stats.contains(r#""uptime_ms""#), "{stats}");
-    assert!(stats.contains(r#""events_dropped""#), "{stats}");
+    assert!(stats.contains(r#""events_dropped":0"#), "no telemetry lost: {stats}");
 
     shutdown_clean(child, &listen);
 
@@ -187,6 +184,50 @@ fn concurrent_clients_mixed_workload_clean_shutdown() {
         tail[1].starts_with(r#"{"type":"snapshot""#) && tail[1].contains(r#""counters""#),
         "final snapshot flushed: {trace_raw}"
     );
+}
+
+/// Clients that drop mid-session do not disturb the others: while three
+/// clients play their scripts against the shipped binary, one connection
+/// sends a complete `fit` and closes without reading the answer, and
+/// another sends half a request line and closes. The three sessions stay
+/// byte-identical to a run without the droppers, `stats` counts the
+/// abandoned fit, the fragment is answered as the `bad-json` error any
+/// unterminated last line gets, and shutdown still drains cleanly.
+#[test]
+fn dropped_connections_do_not_disturb_other_clients() {
+    use std::io::Write as _;
+    let (child, listen) = spawn_serve(&[], &[]);
+    let Listen::Tcp(addr) = listen.clone() else { unreachable!("spawn_serve listens on TCP") };
+    let droppers = std::thread::spawn(move || {
+        let abandoned = format!(
+            r#"{{"id":"gone-fit","op":"fit","model":"gone","family":"kmeans","k":2,"seed":9,"data":{BLOBS}}}"#
+        );
+        for line in [format!("{abandoned}\n"), abandoned[..abandoned.len() / 2].to_string()] {
+            let mut conn = std::net::TcpStream::connect(addr.as_str()).expect("dropper connects");
+            conn.write_all(line.as_bytes()).expect("dropper writes");
+        }
+    });
+    let disturbed = play_concurrent(&listen, 3);
+    droppers.join().expect("dropper thread");
+
+    // Both dropped connections are served asynchronously; wait (bounded)
+    // until their requests are counted.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let stats = client::roundtrip(&listen, r#"{"id":"st","op":"stats"}"#).unwrap();
+        if stats.contains(r#""fit":7"#) && stats.contains(r#""invalid":1"#) {
+            break stats;
+        }
+        assert!(Instant::now() < deadline, "dropped requests never counted: {stats}");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(stats.contains(r#""errors":1,"#), "only the fragment errored: {stats}");
+    shutdown_clean(child, &listen);
+
+    let (child, listen) = spawn_serve(&[], &[]);
+    let undisturbed = play_concurrent(&listen, 3);
+    shutdown_clean(child, &listen);
+    assert_eq!(disturbed, undisturbed, "droppers leaked into other clients' responses");
 }
 
 /// A served `fit` must be bit-identical to the in-process fit for every
@@ -379,7 +420,6 @@ fn panicking_dispatch_leaves_request_id_in_flight_dump() {
         dispatch: Arc::new(|spec: &multiclust::serve::FitSpec| {
             panic!("injected dispatch panic: family {:?}", spec.family)
         }),
-        chaos: multiclust::serve::ChaosConfig::default(),
     };
     let server = Server::bind(&listen, config).expect("bind ephemeral port");
     let addr = server.local_addr().to_string();
@@ -409,6 +449,10 @@ fn panicking_dispatch_leaves_request_id_in_flight_dump() {
         "dump correlates the failing request id:\n{raw}"
     );
     assert!(raw.contains("serve.fit.internal"), "error record names the op: {raw}");
+    // The one reader prints the failing id and op in its last-errors list.
+    let parsed = trace::read_trace(std::path::Path::new(path)).expect("dump parses");
+    let errors = trace::last_errors(&parsed);
+    assert!(errors.contains("serve.fit.internal  request_id=boom-req-7"), "{errors}");
     let _ = fs::remove_file(path);
 
     client::roundtrip(&listen, r#"{"id":"bye","op":"shutdown"}"#).unwrap();
