@@ -12,6 +12,10 @@
 //!
 //! and performs the quality merge iff `d_qual < w · d_diss`. Large `w`
 //! prefers quality, small `w` prefers dissimilarity (slide 33).
+//!
+//! Every group pair's average link is computed once and kept across merge
+//! steps in a link cache; a merge recomputes only the pairs whose value
+//! can change, and one serial scan of the cache finds both merges.
 
 use multiclust_core::measures::quality::{average_link, average_link_cached};
 use multiclust_linalg::kernels::{self, KernelMode, SymmetricMatrix};
@@ -78,11 +82,12 @@ impl Coala {
         // Allocated before any other work, so an n too large for it fails
         // at once.
         let mut blocked = Blocked::new(n, constraints);
-        // The blocked mode computes the pairwise distance matrix once and reuses
-        // it across every merge step (the naive path recomputes up to
-        // n²/2 distances per step). Capped so the condensed triangle stays
-        // within a few hundred MB; `average_link_cached` accumulates in the
-        // same order over the same values, so results are bit-identical.
+        // The blocked mode computes the pairwise distance matrix once and
+        // reads every link from it (the naive path sums `dist` afresh).
+        // Capped at n = 16 384, where the condensed triangle is about
+        // 1 GiB — and the link cache below adds the same again.
+        // `average_link_cached` accumulates in the same order over the same
+        // values, so results are bit-identical.
         let dists: Option<SymmetricMatrix> =
             if kernels::kernel_mode() != KernelMode::Naive && n <= 16_384 {
                 Some(kernels::dist_matrix(data.dims(), data.as_slice()))
@@ -93,63 +98,29 @@ impl Coala {
             Some(m) => average_link_cached(m, a, b),
             None => average_link(data, a, b),
         };
+        let mut links = Links::new(n, link);
         let mut groups: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
         let mut quality_merges = 0;
         let mut dissimilarity_merges = 0;
 
         while groups.len() > self.k {
-            // The O(groups²) scan for the best quality merge (globally
-            // closest pair) and the best dissimilarity merge (closest pair
-            // without spanning cannot-links) splits across threads as an
-            // ordered reduction over the lexicographic pair list: chunks
-            // are mapped independently and folded in pair order with a
-            // strict `<`, so the winner is the first minimum in scan order
-            // — bit-identical to the serial double loop.
+            // One serial pass over the cached links, rows in order, finds
+            // the best quality merge (first globally closest pair) and the
+            // best dissimilarity merge (first closest pair no cannot-link
+            // spans) — the serial double loop's winners, strict `<`.
             let g = groups.len();
-            // Pairs are enumerated straight from the linear index (the
-            // lexicographic rank of (i, j) in the strict upper triangle)
-            // instead of materializing the O(g²) pair list every step —
-            // at 10k groups that list alone was 800 MB of churn per merge.
-            let row_start = |i: usize| i * (2 * g - i - 1) / 2;
-            let pair_at = |t: usize| {
-                // Float inverse of the triangular rank, then exact fixup.
-                let disc = ((2 * g - 1) * (2 * g - 1) - 8 * t) as f64;
-                let mut i = (((2 * g - 1) as f64 - disc.sqrt()) / 2.0) as usize;
-                i = i.min(g - 2);
-                while row_start(i) > t {
-                    i -= 1;
-                }
-                while row_start(i + 1) <= t {
-                    i += 1;
-                }
-                (i, i + 1 + (t - row_start(i)))
-            };
-            let (qual, diss) = multiclust_parallel::par_reduce(
-                g * (g - 1) / 2,
-                8,
-                |range| {
-                    let mut qual: Option<(usize, usize, f64)> = None;
-                    let mut diss: Option<(usize, usize, f64)> = None;
-                    let (mut i, mut j) = pair_at(range.start);
-                    for _ in range {
-                        let d = link(&groups[i], &groups[j]);
-                        if qual.is_none_or(|(_, _, best)| d < best) {
-                            qual = Some((i, j, d));
-                        }
-                        if !blocked.get(i, j) && diss.is_none_or(|(_, _, best)| d < best) {
-                            diss = Some((i, j, d));
-                        }
-                        j += 1;
-                        if j == g {
-                            i += 1;
-                            j = i + 1;
-                        }
+            let mut qual: Option<(usize, usize, f64)> = None;
+            let mut diss: Option<(usize, usize, f64)> = None;
+            for a in 0..g - 1 {
+                for (b, &d) in (a + 1..g).zip(links.row(a, g)) {
+                    if qual.is_none_or(|(_, _, best)| d < best) {
+                        qual = Some((a, b, d));
                     }
-                    (qual, diss)
-                },
-                |a, b| (earlier_min(a.0, b.0), earlier_min(a.1, b.1)),
-            )
-            .expect("at least one pair exists");
+                    if diss.is_none_or(|(_, _, best)| d < best) && !blocked.get(a, b) {
+                        diss = Some((a, b, d));
+                    }
+                }
+            }
             let (qi, qj, d_qual) = qual.expect("at least one pair exists");
             // Choose the merge per slide 32: quality iff d_qual < w·d_diss;
             // if no admissible dissimilarity merge exists, quality merges
@@ -183,6 +154,7 @@ impl Coala {
             blocked.merge(i, j, groups.len());
             let merged = groups.swap_remove(j);
             groups[i].extend(merged);
+            links.merge(i, j, &groups, link);
         }
         multiclust_telemetry::counter_add("coala.quality_merges", quality_merges as u64);
         multiclust_telemetry::counter_add(
@@ -285,15 +257,82 @@ impl Blocked {
     }
 }
 
-/// Keeps `a` unless `b` is strictly closer — the fold that preserves
-/// "first minimum in scan order" when chunks are combined in order.
-fn earlier_min(
-    a: Option<(usize, usize, f64)>,
-    b: Option<(usize, usize, f64)>,
-) -> Option<(usize, usize, f64)> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(if y.2 < x.2 { y } else { x }),
-        (x, y) => x.or(y),
+/// The average link of every live group pair, kept across merge steps.
+///
+/// A condensed upper triangle with the fixed stride `n`: pair `(a, b)`,
+/// `a < b`, lives at `a·(2n−a−1)/2 + (b−a−1)`, so each row is one
+/// contiguous slice and the slots of groups past the live count go stale.
+/// A link is always summed `a`-outer, `b`-inner with `a < b`, so a pair
+/// whose two groups did not change keeps its value and its bits.
+struct Links {
+    n: usize,
+    vals: Vec<f64>,
+}
+
+impl Links {
+    /// The singleton groups' links: `link(&[a], &[b])` for every `a < b`.
+    ///
+    /// # Panics
+    /// Panics when the `n(n − 1)/2`-entry cache cannot be allocated, so an
+    /// oversized request fails instead of aborting the process.
+    fn new(n: usize, link: impl Fn(&[usize], &[usize]) -> f64) -> Self {
+        let len = n.checked_mul(n.saturating_sub(1)).map(|len| len / 2);
+        let mut vals = Vec::new();
+        if len.is_none_or(|len| vals.try_reserve_exact(len).is_err()) {
+            panic!("COALA: cannot allocate the {n}-group link cache");
+        }
+        for a in 0..n {
+            for b in a + 1..n {
+                vals.push(link(&[a], &[b]));
+            }
+        }
+        Self { n, vals }
+    }
+
+    /// Index of pair `(a, b)`, `a < b`.
+    fn at(&self, a: usize, b: usize) -> usize {
+        a * (2 * self.n - a - 1) / 2 + (b - a - 1)
+    }
+
+    /// Row `a` of the live triangle: the links `(a, b)` for `a < b < g`.
+    fn row(&self, a: usize, g: usize) -> &[f64] {
+        let start = self.at(a, a + 1);
+        &self.vals[start..start + (g - a - 1)]
+    }
+
+    /// Updates the cache after group `j` merged into group `i < j` and
+    /// `groups.swap_remove(j)` moved the old last group L from slot
+    /// `groups.len()` into slot `j`. The merged group's pairs are
+    /// recomputed. L's pairs `(c, j)` with `c < j` keep their orientation
+    /// and are copied from its old slot; its pairs `(j, c)` with `c > j`
+    /// flipped, so the sum order flipped with them, and they are
+    /// recomputed.
+    fn merge(
+        &mut self,
+        i: usize,
+        j: usize,
+        groups: &[Vec<usize>],
+        link: impl Fn(&[usize], &[usize]) -> f64,
+    ) {
+        let g = groups.len();
+        if j < g {
+            for c in (0..j).filter(|&c| c != i) {
+                let (to, from) = (self.at(c, j), self.at(c, g));
+                self.vals[to] = self.vals[from];
+            }
+            for c in j + 1..g {
+                let to = self.at(j, c);
+                self.vals[to] = link(&groups[j], &groups[c]);
+            }
+        }
+        for c in 0..i {
+            let to = self.at(c, i);
+            self.vals[to] = link(&groups[c], &groups[i]);
+        }
+        for c in i + 1..g {
+            let to = self.at(i, c);
+            self.vals[to] = link(&groups[i], &groups[c]);
+        }
     }
 }
 
@@ -467,6 +506,108 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The link cache's update cases, each checked against the reference
+    /// at every `k` from `n − 1` (one merge) down to 1, with and without
+    /// cannot-links: `n = 2`; a first merge whose `j` is the last slot, so
+    /// nothing moves; and a first merge at `i = 0` whose `j` is not, so the
+    /// last group moves into slot `j` and its pairs above `j` flip.
+    #[test]
+    fn link_cache_updates_match_reference() {
+        let line = |xs: &[f64]| {
+            let mut data = Dataset::with_dims(1);
+            for &x in xs {
+                data.push_row(&[x]);
+            }
+            data
+        };
+        let cases = [
+            ("n = 2", line(&[0.0, 1.0])),
+            ("j is the last slot", line(&[0.0, 10.0, 21.0, 33.0, 33.5])),
+            (
+                "i = 0, the last group moves",
+                line(&[0.0, 0.5, 10.0, 21.0, 33.0, 46.0]),
+            ),
+        ];
+        for (case, data) in &cases {
+            let n = data.len();
+            let alternate: Vec<usize> = (0..n).map(|o| o % 2).collect();
+            let constraint_sets = [
+                ConstraintSet::new(),
+                ConstraintSet::cannot_links_from(&Clustering::from_labels(&alternate)),
+            ];
+            for constraints in &constraint_sets {
+                for k in 1..n {
+                    for w in [1e-6, 0.8, 1e6] {
+                        let got = Coala::new(k, w).fit_with_constraints(data, constraints);
+                        let want = reference_fit(Coala::new(k, w), data, constraints);
+                        assert_eq!(
+                            got.clustering.assignments(),
+                            want.clustering.assignments(),
+                            "{case}: k={k} w={w}"
+                        );
+                        assert_eq!(
+                            got.quality_merges, want.quality_merges,
+                            "{case}: k={k} w={w}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// After every merge the cache holds, bit for bit, what a fresh
+    /// `average_link` gives each live pair — the merged group's pairs and
+    /// the moved group's copied and flipped pairs alike. Random merges
+    /// reach `j` at and below the last slot, and `i = 0`.
+    #[test]
+    fn link_cache_matches_fresh_links_after_every_merge() {
+        use rand::Rng;
+        let mut rng = seeded_rng(86);
+        let mut data = Dataset::with_dims(3);
+        for _ in 0..40 {
+            data.push_row(&[
+                rng.gen_range(0.0..10.0),
+                rng.gen_range(0.0..10.0),
+                rng.gen(),
+            ]);
+        }
+        let link = |a: &[usize], b: &[usize]| average_link(&data, a, b);
+        let mut links = Links::new(data.len(), link);
+        let mut groups: Vec<Vec<usize>> = (0..data.len()).map(|o| vec![o]).collect();
+        while groups.len() > 1 {
+            let i = rng.gen_range(0..groups.len() - 1);
+            let j = rng.gen_range(i + 1..groups.len());
+            let merged = groups.swap_remove(j);
+            groups[i].extend(merged);
+            links.merge(i, j, &groups, link);
+            let g = groups.len();
+            for a in 0..g {
+                for (b, d) in (a + 1..g).zip(links.row(a, g)) {
+                    let fresh = link(&groups[a], &groups[b]);
+                    assert_eq!(
+                        d.to_bits(),
+                        fresh.to_bits(),
+                        "g={g} ({a}, {b}) after ({i}, {j})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An `n` whose link cache cannot exist fails with a message instead of
+    /// aborting the process on allocation failure.
+    #[test]
+    #[should_panic(expected = "cannot allocate the 4294967296-group link cache")]
+    fn oversized_link_cache_panics() {
+        let _ = Links::new(1 << 32, |_, _| 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "link cache")]
+    fn overflowing_link_cache_panics() {
+        let _ = Links::new(usize::MAX / 2, |_, _| 0.0);
     }
 
     /// An `n` whose group matrix cannot exist fails with a message instead

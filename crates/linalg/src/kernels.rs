@@ -217,8 +217,8 @@ impl SymmetricMatrix {
         let (i, j) = if i < j { (i, j) } else { (j, i) };
         // Row i of the strict upper triangle starts after the first i rows,
         // which hold (n−1) + (n−2) + … + (n−i) entries.
-        let row_start = i * (2 * self.n - i - 1) / 2;
-        self.vals[row_start + (j - i - 1)]
+        let row = i * (2 * self.n - i - 1) / 2;
+        self.vals[row + (j - i - 1)]
     }
 
     /// A new matrix with `f` applied to every stored entry (in parallel).

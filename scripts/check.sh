@@ -62,6 +62,19 @@ MULTICLUST_KERNELS=naive ./target/release/multiclust kmeans \
 MULTICLUST_KERNELS=blocked ./target/release/multiclust kmeans \
     --input "$tmp/grid.csv" --k 16 --seed 1 > "$tmp/blocked16.csv"
 cmp "$tmp/blocked16.csv" "$tmp/naive16.csv"
+# COALA reads its links from the distance matrix under `blocked` and sums
+# them afresh under `naive`; both modes, at one thread and at four, must
+# print the same labels.
+awk '{ print (NR - 1) % 16 % 4 }' "$tmp/grid.csv" > "$tmp/grid-given.csv"
+for mode in naive blocked; do
+    for threads in 1 4; do
+        MULTICLUST_KERNELS=$mode MULTICLUST_THREADS=$threads \
+            ./target/release/multiclust alternative --method coala --k 4 --w 0.8 \
+            --input "$tmp/grid.csv" --given "$tmp/grid-given.csv" \
+            > "$tmp/coala-$mode-$threads.csv"
+        cmp "$tmp/coala-naive-1.csv" "$tmp/coala-$mode-$threads.csv"
+    done
+done
 
 # Trace export + convergence diagnostics: `--trace` leaves stdout
 # byte-identical while streaming a versioned JSONL file that `trace`

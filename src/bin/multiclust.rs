@@ -398,6 +398,17 @@ fn check_k(k: usize, n: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// Refuses a parameter outside the range its algorithm's constructor
+/// asserts, so a bad value is a usage error instead of a panic. Every
+/// float range here also excludes NaN and ±∞.
+fn require(in_range: bool, key: &str, range: &str) -> Result<(), String> {
+    if in_range {
+        Ok(())
+    } else {
+        Err(format!("--{key} must be {range}"))
+    }
+}
+
 fn cmd_kmeans(flags: &Flags) -> Result<String, CliError> {
     let data = load_data(flags)?;
     let k: usize = flags.parsed("k")?;
@@ -410,7 +421,9 @@ fn cmd_kmeans(flags: &Flags) -> Result<String, CliError> {
 fn cmd_dbscan(flags: &Flags) -> Result<String, CliError> {
     let data = load_data(flags)?;
     let eps: f64 = flags.parsed("eps")?;
+    require(eps.is_finite() && eps > 0.0, "eps", "positive and finite")?;
     let min_pts: usize = flags.parsed("min-pts")?;
+    require(min_pts >= 1, "min-pts", "at least 1")?;
     let c = Dbscan::new(eps, min_pts).fit(&data);
     Ok(render_solutions(&[&c]))
 }
@@ -429,9 +442,11 @@ fn cmd_dec_kmeans(flags: &Flags) -> Result<String, CliError> {
         check_k(k, data.len())?;
     }
     let lambda: f64 = flags.parsed_or("lambda", 1.0)?;
-    if lambda < 0.0 {
-        return Err("--lambda must be non-negative".to_string().into());
-    }
+    require(
+        lambda.is_finite() && lambda >= 0.0,
+        "lambda",
+        "non-negative and finite",
+    )?;
     let mut rng = seeded_rng(flags.parsed_or("seed", 42u64)?);
     let res = DecKMeans::new(&ks).with_lambda(lambda).fit(&data, &mut rng);
     let refs: Vec<&Clustering> = res.clusterings.iter().collect();
@@ -456,13 +471,12 @@ fn cmd_alternative(flags: &Flags) -> Result<String, CliError> {
     let alternative = match method.as_str() {
         "coala" => {
             let w: f64 = flags.parsed_or("w", 1.0)?;
-            if w <= 0.0 {
-                return Err("--w must be positive".to_string().into());
-            }
+            require(w.is_finite() && w > 0.0, "w", "positive and finite")?;
             Coala::new(k, w).fit(&data, &given).clustering
         }
         "mincentropy" => {
             let w: f64 = flags.parsed_or("w", 2.0)?;
+            require(w.is_finite() && w >= 0.0, "w", "non-negative and finite")?;
             MinCEntropy::new(k, w).fit(&data, &[&given], &mut rng)
         }
         "metricflip" => {
@@ -481,7 +495,9 @@ fn cmd_alternative(flags: &Flags) -> Result<String, CliError> {
 fn cmd_subspace(flags: &Flags) -> Result<String, CliError> {
     let data = load_data(flags)?.min_max_normalized();
     let xi: u32 = flags.parsed("xi")?;
+    require(xi >= 1, "xi", "at least 1")?;
     let tau: f64 = flags.parsed("tau")?;
+    require(tau > 0.0 && tau <= 1.0, "tau", "in (0, 1]")?;
     let mined = Clique::new(xi, tau).fit(&data);
     let select = flags.parsed_or("select", "osclu".to_string())?;
     let kept: Vec<usize> = match select.as_str() {
@@ -489,6 +505,8 @@ fn cmd_subspace(flags: &Flags) -> Result<String, CliError> {
         "osclu" => {
             let beta: f64 = flags.parsed_or("beta", 0.75)?;
             let alpha: f64 = flags.parsed_or("alpha", 0.5)?;
+            require(beta > 0.0 && beta <= 1.0, "beta", "in (0, 1]")?;
+            require(alpha > 0.0 && alpha <= 1.0, "alpha", "in (0, 1]")?;
             Osclu::new(beta, alpha).select_greedy(&mined.clusters).selected
         }
         "rescu" => rescu_select(&mined.clusters, size_times_dims, 0.9),

@@ -689,6 +689,53 @@ fn telemetry_text_mode_and_bad_mode() {
     }
 }
 
+/// Every algorithm parameter outside its constructor's range — NaN and
+/// ±∞ included — is a usage error naming the flag, not a panic from the
+/// constructor's assert.
+#[test]
+fn out_of_range_parameters_fail_with_usage() {
+    let dir = workdir("param-range");
+    let data = dir.join("data.csv");
+    fs::write(&data, "0,0\n0.1,0\n0,0.1\n5,5\n5.1,5\n5,5.1\n").unwrap();
+    let given = dir.join("given.csv");
+    fs::write(&given, "0\n0\n0\n1\n1\n1\n").unwrap();
+    let (data, given) = (data.to_str().unwrap(), given.to_str().unwrap());
+    let dbscan = ["dbscan", "--input", data];
+    let dec = ["dec-kmeans", "--input", data, "--ks", "2,2"];
+    let alternative = ["alternative", "--input", data, "--given", given, "--k", "2"];
+    let subspace = ["subspace", "--input", data];
+    let cases = [
+        ("eps", &dbscan[..], "--eps nan --min-pts 2"),
+        ("eps", &dbscan[..], "--eps -1 --min-pts 2"),
+        ("eps", &dbscan[..], "--eps inf --min-pts 2"),
+        ("min-pts", &dbscan[..], "--eps 1 --min-pts 0"),
+        ("lambda", &dec[..], "--lambda nan"),
+        ("lambda", &dec[..], "--lambda inf"),
+        ("w", &alternative[..], "--method coala --w nan"),
+        ("w", &alternative[..], "--method coala --w inf"),
+        ("w", &alternative[..], "--method mincentropy --w nan"),
+        ("w", &alternative[..], "--method mincentropy --w -1"),
+        ("xi", &subspace[..], "--xi 0 --tau 0.5"),
+        ("tau", &subspace[..], "--xi 4 --tau nan"),
+        ("tau", &subspace[..], "--xi 4 --tau -1"),
+        ("tau", &subspace[..], "--xi 4 --tau inf"),
+        ("beta", &subspace[..], "--xi 4 --tau 0.5 --beta 2"),
+        ("beta", &subspace[..], "--xi 4 --tau 0.5 --beta nan"),
+        ("alpha", &subspace[..], "--xi 4 --tau 0.5 --alpha -1"),
+        ("alpha", &subspace[..], "--xi 4 --tau 0.5 --alpha nan"),
+    ];
+    for (flag, command, params) in cases {
+        let args = [command, &params.split(' ').collect::<Vec<_>>()].concat();
+        let out = bin().args(&args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no labels printed");
+        let names_flag = stderr.contains(&format!("error: --{flag} must be"));
+        assert!(names_flag, "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
 /// A label file may hold only integers below its row count (negatives
 /// are noise): `1.7` is not silently truncated, and `1e12` is refused
 /// before `Clustering` tries to allocate by it. Both commands that read

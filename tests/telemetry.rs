@@ -16,7 +16,9 @@
 //! 8. the Gaussian affinity build's work counters follow the roofline
 //!    model exactly;
 //! 9. the blocked kernels' pruning counters tick on fixed inputs, and
-//!    stay at zero when the engine falls back to the naive kernels.
+//!    stay at zero when the engine falls back to the naive kernels;
+//! 10. a COALA fit opens a fixed number of parallel regions, not one per
+//!     merge step.
 
 use std::sync::Mutex;
 
@@ -378,4 +380,23 @@ fn blocked_kernels_prune_and_naive_kernels_do_not() {
     assert!(kmeans_skipped > 0, "k-means skipped no candidates: {blocked:?}");
     assert!(spectral_estimates > 0, "spectral affinity left the panel path: {blocked:?}");
     assert_eq!(naive, [(0, 0), (0, 0)], "naive kernels must not prune");
+}
+
+/// COALA keeps every group pair's link across merge steps and scans the
+/// cache serially, so a fit opens the same few parallel regions (the
+/// distance matrix) at any `n` — not one per merge step.
+#[test]
+fn coala_opens_a_fixed_number_of_parallel_regions() {
+    let regions = |per_blob: usize| {
+        let fb = four_blob_square(per_blob, 10.0, 0.6, &mut seeded_rng(903));
+        let given = Clustering::from_labels(&fb.horizontal);
+        telemetry::reset();
+        Coala::new(2, 0.8).fit(&fb.dataset, &given);
+        let snap = telemetry::snapshot();
+        let get = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        get("parallel.regions.serial") + get("parallel.regions.fanout")
+    };
+    let (small, large) = serialized(|| (regions(15), regions(30)));
+    assert_eq!(small, large, "regions at n = 60 and n = 120");
+    assert!(small <= 2, "{small} regions in one fit");
 }
