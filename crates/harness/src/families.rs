@@ -82,6 +82,11 @@ pub trait AlgorithmFamily {
     fn supports(&self, _scenario: &Scenario) -> bool {
         true
     }
+    /// The fewest data dimensions the family can fit; a served fit on
+    /// fewer is refused before it runs.
+    fn min_dims(&self) -> usize {
+        1
+    }
     /// Runs the family and returns its solutions in deterministic order.
     fn fit(&self, input: &FitInput) -> Vec<Clustering>;
 }
@@ -226,10 +231,13 @@ impl AlgorithmFamily for ProclusFamily {
         // candidate pool, and the hill climb may settle elsewhere.
         Guarantees { permutation: false, translation: true, scaling: true, duplicates: true }
     }
+    fn min_dims(&self) -> usize {
+        // Every PROCLUS cluster keeps l = 2 dimensions.
+        2
+    }
     fn fit(&self, input: &FitInput) -> Vec<Clustering> {
         let mut rng = seeded_rng(input.seed);
-        let l = 2.min(input.data.dims());
-        let res = Proclus::new(input.k, l.max(2)).fit(input.data, &mut rng);
+        let res = Proclus::new(input.k, 2).fit(input.data, &mut rng);
         vec![res.clustering]
     }
 }

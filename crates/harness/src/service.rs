@@ -19,8 +19,9 @@ use multiclust_serve::{client, FitDispatch, FitSpec, Listen, Server, ServerConfi
 use crate::families::{all_families, FitInput};
 
 /// A dispatch closure over [`all_families`]: resolves the family by name
-/// and runs its adapter on the spec. Unknown families come back as a
-/// protocol-level error naming the known ones.
+/// and runs its adapter on the spec. Unknown families, and data with
+/// fewer dimensions than the family's minimum, come back as
+/// protocol-level errors.
 pub fn fit_dispatch() -> FitDispatch {
     Arc::new(|spec: &FitSpec| {
         let families = all_families();
@@ -35,6 +36,14 @@ pub fn fit_dispatch() -> FitDispatch {
                     known.join(", ")
                 )
             })?;
+        if spec.data.dims() < family.min_dims() {
+            return Err(format!(
+                "family {:?} needs data with at least {} dimensions, got {}",
+                spec.family,
+                family.min_dims(),
+                spec.data.dims()
+            ));
+        }
         Ok(family.fit(&FitInput {
             data: &spec.data,
             given: &spec.given,

@@ -106,13 +106,23 @@ pub enum KernelMode {
 /// 0 = no override, 1 = naive, 2 = blocked.
 static MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
+/// Reads `MULTICLUST_KERNELS`: unset or empty is `Ok(None)` (no
+/// preference), `naive` / `blocked` select a mode, and any other value is
+/// an error naming the variable. The CLI refuses that error at startup;
+/// [`kernel_mode`] treats it as no preference.
+pub fn kernel_mode_from_env() -> Result<Option<KernelMode>, String> {
+    match std::env::var("MULTICLUST_KERNELS") {
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Ok(v) if v.is_empty() => Ok(None),
+        Ok(v) if v == "naive" => Ok(Some(KernelMode::Naive)),
+        Ok(v) if v == "blocked" => Ok(Some(KernelMode::Blocked)),
+        _ => Err("MULTICLUST_KERNELS must be naive or blocked".to_string()),
+    }
+}
+
 fn mode_from_env() -> Option<KernelMode> {
     static ENV: OnceLock<Option<KernelMode>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("MULTICLUST_KERNELS").as_deref() {
-        Ok("naive") => Some(KernelMode::Naive),
-        Ok("blocked") => Some(KernelMode::Blocked),
-        _ => None,
-    })
+    *ENV.get_or_init(|| kernel_mode_from_env().unwrap_or(None))
 }
 
 /// The active kernel mode: a [`set_kernel_mode`] override wins, then the

@@ -15,9 +15,9 @@
 //!
 //! None of the approved offline crates provide this, so the workspace ships
 //! its own small, well-tested implementation. Matrices are dense, row-major
-//! `Vec<f64>` (a deliberate layout choice — see the layout ablation bench in
-//! `multiclust-bench`). Algorithms target the moderate dimensionalities of
-//! the tutorial's workloads (d up to a few hundred), not BLAS-scale work.
+//! `Vec<f64>` (a deliberate layout choice: one contiguous buffer per
+//! matrix). Algorithms target the moderate dimensionalities of the
+//! tutorial's workloads (d up to a few hundred), not BLAS-scale work.
 
 // `deny` rather than `forbid`: the one sanctioned exception is the
 // runtime-dispatched AVX2 module in `block`, which carries its own

@@ -74,12 +74,27 @@ pub fn current_threads() -> usize {
         return o;
     }
     *DEFAULT.get_or_init(|| {
-        std::env::var("MULTICLUST_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| thread::available_parallelism().map(usize::from).unwrap_or(1))
+        threads_from_env().unwrap_or(None).unwrap_or_else(|| {
+            thread::available_parallelism().map(usize::from).unwrap_or(1)
+        })
     })
+}
+
+/// Reads `MULTICLUST_THREADS`: unset or blank is `Ok(None)` (the hardware
+/// default), a positive integer is the thread count, and any other value
+/// is an error naming the variable. The CLI refuses that error at
+/// startup; [`current_threads`] treats it as unset.
+pub fn threads_from_env() -> Result<Option<usize>, String> {
+    let invalid = || "MULTICLUST_THREADS must be a positive integer".to_string();
+    match std::env::var("MULTICLUST_THREADS") {
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(_)) => Err(invalid()),
+        Ok(v) if v.trim().is_empty() => Ok(None),
+        Ok(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n > 0 => Ok(Some(n)),
+            _ => Err(invalid()),
+        },
+    }
 }
 
 /// Chunk length for `n` items given a caller-supplied floor: large enough

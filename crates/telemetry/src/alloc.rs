@@ -277,7 +277,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 /// Every binary, test and bench that links `multiclust-telemetry` runs on
 /// the counting wrapper; with accounting off that is `System` plus one
-/// relaxed load (quoted by the `alloc_overhead` criterion group).
+/// relaxed load.
 #[global_allocator]
 static GLOBAL_ALLOCATOR: CountingAllocator = CountingAllocator;
 

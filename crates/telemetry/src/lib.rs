@@ -545,13 +545,47 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
+        use alloc::{
+            alloc_by_path, reset_alloc, set_alloc_enabled, set_current_slot, slot_for_path,
+            swap_current_slot,
+        };
+        // The switched-off contract: every entry point is one relaxed load
+        // and no allocation. Allocations are counted on a slot only this
+        // thread charges, the way `flight.rs` counts its record path.
+        let charged = |path: &str| {
+            alloc_by_path().into_iter().find(|(p, _)| p == path).map_or(0, |(_, stat)| stat.count)
+        };
         serialized(|| {
+            let slot = slot_for_path("test.telemetry.disabled");
             set_enabled(false);
-            counter_add("c", 1);
-            histogram_record("h", 5);
-            event("e", &[("x", 1.0)]);
-            let _s = span("s");
-            drop(_s);
+            set_alloc_enabled(true);
+            let prev = swap_current_slot(slot);
+            for i in 0..1000u64 {
+                counter_add("c", 1);
+                histogram_record("h", i);
+                event("e", &[("x", i as f64)]);
+                drop(span("s"));
+            }
+            set_current_slot(prev);
+            let telemetry_allocs = charged("test.telemetry.disabled");
+
+            let flight_was_on = flight::flight_enabled();
+            let slot = slot_for_path("test.flight.disabled");
+            flight::set_flight(false);
+            let prev = swap_current_slot(slot);
+            for i in 0..1000u64 {
+                flight::record_span("s", i);
+                flight::record_event("e");
+                flight::record_error("x", Some("req"));
+            }
+            set_current_slot(prev);
+            let flight_allocs = charged("test.flight.disabled");
+            flight::set_flight(flight_was_on);
+            set_alloc_enabled(false);
+            reset_alloc();
+
+            assert_eq!(telemetry_allocs, 0, "allocations while telemetry is off");
+            assert_eq!(flight_allocs, 0, "allocations while the flight recorder is off");
             set_enabled(true);
             let snap = snapshot();
             assert!(snap.counters.is_empty());

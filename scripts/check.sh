@@ -4,9 +4,6 @@ set -eu
 cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-# `cargo test` never builds the criterion benches; type-check them so an
-# API change cannot break them unnoticed.
-cargo check --offline --benches -p multiclust-bench
 
 # The benchmark is a package of its own (outside `--workspace`) that
 # imports the harness and the linalg kernels; build and test it too.

@@ -265,6 +265,11 @@ impl Flags {
 }
 
 fn run(args: Vec<String>) -> Result<Outcome, CliError> {
+    // A mistyped kernel mode or thread count must not fall back to the
+    // default: a naive-vs-blocked or 1-vs-4-thread comparison would then
+    // compare one mode with itself.
+    multiclust::linalg::kernels::kernel_mode_from_env().map_err(CliError::plain)?;
+    multiclust::parallel::threads_from_env().map_err(CliError::plain)?;
     let Some((command, rest)) = args.split_first() else {
         return Err(CliError::from("no command given".to_string()));
     };

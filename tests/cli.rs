@@ -736,6 +736,37 @@ fn out_of_range_parameters_fail_with_usage() {
     }
 }
 
+/// A mistyped `MULTICLUST_KERNELS` or `MULTICLUST_THREADS` is refused at
+/// startup instead of falling back to the default, which would let a
+/// naive-vs-blocked or 1-vs-4-thread comparison compare a mode with
+/// itself. An empty value keeps the default.
+#[test]
+fn invalid_kernel_or_thread_variable_is_refused() {
+    let dir = workdir("env-vars");
+    let data = dir.join("data.csv");
+    fs::write(&data, "0,0\n0.1,0\n5,5\n5.1,5\n").unwrap();
+    let kmeans = ["kmeans", "--input", data.to_str().unwrap(), "--k", "2", "--seed", "1"];
+    let cases = [
+        ("MULTICLUST_KERNELS", "Naive", "must be naive or blocked"),
+        ("MULTICLUST_KERNELS", "fast", "must be naive or blocked"),
+        ("MULTICLUST_THREADS", "abc", "must be a positive integer"),
+        ("MULTICLUST_THREADS", "0", "must be a positive integer"),
+        ("MULTICLUST_THREADS", "-1", "must be a positive integer"),
+        ("MULTICLUST_THREADS", "4x", "must be a positive integer"),
+    ];
+    for (var, value, expected) in cases {
+        let out = bin().args(kmeans).env(var, value).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert_eq!(out.status.code(), Some(1), "{var}={value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{var}={value}: no labels printed");
+        assert!(stderr.contains(&format!("error: {var} {expected}")), "{var}={value}: {stderr}");
+    }
+    for var in ["MULTICLUST_KERNELS", "MULTICLUST_THREADS"] {
+        let out = bin().args(kmeans).env(var, "").output().expect("binary runs");
+        assert!(out.status.success(), "{var} empty keeps the default");
+    }
+}
+
 /// A label file may hold only integers below its row count (negatives
 /// are noise): `1.7` is not silently truncated, and `1e12` is refused
 /// before `Clustering` tries to allocate by it. Both commands that read

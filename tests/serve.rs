@@ -574,3 +574,25 @@ fn out_of_range_given_label_is_a_bad_request() {
     conn.roundtrip(r#"{"id":"bye","op":"shutdown"}"#).unwrap();
     handle.join().expect("server thread joins");
 }
+
+/// PROCLUS keeps two dimensions per cluster, so a served proclus fit on
+/// one-dimensional data is refused as a `bad-request` naming the
+/// family's minimum, before the family runs: no panic, no `internal`.
+#[test]
+fn one_dimensional_proclus_fit_is_a_bad_request() {
+    let dir = workdir("proclus-1d");
+    let flight_dir = dir.to_str().unwrap();
+    let (child, listen) = spawn_serve(&[], &[("MULTICLUST_FLIGHT_DIR", flight_dir)]);
+    let resp = client::roundtrip(
+        &listen,
+        r#"{"id":"p","op":"fit","family":"proclus","k":1,"data":[[0],[1],[2]]}"#,
+    )
+    .unwrap();
+    assert!(resp.contains(r#""code":"bad-request""#), "{resp}");
+    assert!(
+        resp.contains(r#"family \"proclus\" needs data with at least 2 dimensions, got 1"#),
+        "names the family and its minimum: {resp}"
+    );
+    shutdown_clean(child, &listen);
+    let _ = fs::remove_dir_all(&dir);
+}
