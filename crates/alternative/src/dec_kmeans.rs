@@ -24,13 +24,13 @@ use multiclust_core::taxonomy::{
 };
 use multiclust_core::Clustering;
 use multiclust_data::Dataset;
-use multiclust_linalg::kernels::{sq_norms, NearestAssign};
+use multiclust_linalg::kernels::{NearestAssign, PackedPoints};
 use multiclust_linalg::vector::{dot, sq_dist};
 use multiclust_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use multiclust_base::kmeans::plus_plus_init;
+use multiclust_base::kmeans::plus_plus_init_packed;
 
 /// Decorrelated k-Means configuration.
 #[derive(Clone, Debug)]
@@ -106,23 +106,27 @@ impl DecKMeans {
             Dataset::from_rows(&rows)
         };
 
+        // The centred points are packed once, for the k-means++ seeding
+        // and every assignment pass of every clustering.
+        let points = PackedPoints::new(d, centred.as_slice());
+
         // Initialise representatives per clustering with k-means++.
         let mut reps: Vec<Vec<Vec<f64>>> = self
             .ks
             .iter()
-            .map(|&k| plus_plus_init(&centred, k, rng))
+            .map(|&k| plus_plus_init_packed(&points, k, rng))
             .collect();
         let mut labels: Vec<Vec<usize>> = vec![vec![0; n]; t_count];
         let mut iterations = 0;
-        // One bound-pruned assigner per clustering, all sharing the row
-        // norms of the centred data; labels are bit-identical to the
-        // exhaustive `nearest` scan per point. Representatives move a lot
-        // between alternations (the decorrelation solve drags them away
-        // from the means), which inflates the Hamerly drift bounds — the
-        // assigner's per-pass adaptive bypass detects this and switches to
-        // the panel-vectorized full scan (`kernels.assign.bypass`) instead
-        // of paying bound bookkeeping that prunes nothing.
-        let norms = sq_norms(d, centred.as_slice());
+        // One assigner per clustering; labels are bit-identical to the
+        // exhaustive `nearest` scan per point. Below the assigner's
+        // crossover centre count every pass is the exact panel sweep. From
+        // it on, bounds are kept — but representatives move a lot between
+        // alternations (the decorrelation solve drags them away from the
+        // means), which inflates the Hamerly drift bounds, and the
+        // assigner's per-pass adaptive bypass then switches to the sweep
+        // (`kernels.assign.bypass`) instead of paying bound bookkeeping
+        // that prunes nothing.
         let mut assigners: Vec<NearestAssign> =
             (0..t_count).map(|_| NearestAssign::new(n)).collect();
 
@@ -132,7 +136,7 @@ impl DecKMeans {
 
             // Assignment step for every clustering.
             for (t, rep_t) in reps.iter().enumerate() {
-                assigners[t].assign(d, centred.as_slice(), &norms, rep_t);
+                assigners[t].assign_packed(&points, rep_t);
                 for (i, &c) in assigners[t].labels().iter().enumerate() {
                     if labels[t][i] != c {
                         labels[t][i] = c;
@@ -207,7 +211,7 @@ impl DecKMeans {
 
         // Final assignments and objective.
         for (t, rep_t) in reps.iter().enumerate() {
-            assigners[t].assign(d, centred.as_slice(), &norms, rep_t);
+            assigners[t].assign_packed(&points, rep_t);
             labels[t].copy_from_slice(assigners[t].labels());
         }
         let means = compute_means(&centred, &labels, &self.ks, rng);

@@ -3,7 +3,7 @@
 use multiclust_core::measures::quality::sum_of_squared_errors;
 use multiclust_core::Clustering;
 use multiclust_data::Dataset;
-use multiclust_linalg::kernels::{sq_norms, NearestAssign};
+use multiclust_linalg::kernels::{NearestAssign, PackedPoints};
 use multiclust_linalg::vector::sq_dist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,10 +85,11 @@ impl KMeans {
         let _span = multiclust_telemetry::span("kmeans.fit");
         multiclust_telemetry::counter_add("kmeans.restarts", self.n_init as u64);
         let seeds: Vec<u64> = (0..self.n_init).map(|_| rng.gen()).collect();
-        // Row norms are shared by every restart's bound-pruned assignment.
-        let norms = sq_norms(data.dims(), data.as_slice());
+        // The points are packed once, for every restart's seeding and
+        // assignment passes.
+        let points = PackedPoints::new(data.dims(), data.as_slice());
         let runs = multiclust_parallel::par_map_indexed(self.n_init, 1, |r| {
-            self.fit_once(data, &norms, &mut StdRng::seed_from_u64(seeds[r]), r)
+            self.fit_once(data, &points, &mut StdRng::seed_from_u64(seeds[r]), r)
         });
         let best = runs
             .into_iter()
@@ -111,24 +112,24 @@ impl KMeans {
     fn fit_once(
         &self,
         data: &Dataset,
-        norms: &[f64],
+        points: &PackedPoints,
         rng: &mut StdRng,
         restart: usize,
     ) -> KMeansResult {
-        let mut centroids = plus_plus_init(data, self.k, rng);
+        let mut centroids = plus_plus_init_packed(points, self.k, rng);
         let n = data.len();
         let d = data.dims();
         let mut iterations = 0;
         // Bound-pruned assignment through the shared kernel engine: labels
         // are bit-identical to the exhaustive `nearest` scan at any thread
-        // count and in every kernel tier — scalar `engine`, cache-blocked
-        // SIMD `blocked`, or `naive` (see DESIGN.md, "Distance engine" and
-        // "SIMD and blocking").
+        // count and in either kernel mode — cache-blocked SIMD `blocked`
+        // or `naive` (see DESIGN.md, "Distance engine" and "SIMD and
+        // blocking").
         let mut assigner = NearestAssign::new(n);
         for it in 0..self.max_iter {
             iterations = it + 1;
             // Assignment step.
-            assigner.assign(d, data.as_slice(), norms, &centroids);
+            assigner.assign_packed(points, &centroids);
             let labels = assigner.labels();
             // Convergence trace: the k-means objective (inertia) of the
             // fresh assignment against the centroids it was made with.
@@ -176,7 +177,7 @@ impl KMeans {
             }
         }
         // Final assignment against the last centroids.
-        assigner.assign(d, data.as_slice(), norms, &centroids);
+        assigner.assign_packed(points, &centroids);
         let clustering = Clustering::from_labels(assigner.labels());
         let sse = sum_of_squared_errors(data, &clustering);
         KMeansResult { clustering, centroids, sse, iterations }
@@ -208,22 +209,27 @@ pub fn nearest(row: &[f64], centers: &[Vec<f64>]) -> (usize, f64) {
 /// k-means++ seeding: the first centre uniform, subsequent centres sampled
 /// proportionally to squared distance from the nearest chosen centre.
 pub fn plus_plus_init(data: &Dataset, k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
-    let n = data.len();
-    let d = data.dims();
+    plus_plus_init_packed(&PackedPoints::new(data.dims(), data.as_slice()), k, rng)
+}
+
+/// [`plus_plus_init`] on a fit's packed points: each new centre's
+/// distances to every point are one panel row, bit-identical to
+/// [`sq_dist`], so the picks are the same as the scalar scan's.
+pub fn plus_plus_init_packed(points: &PackedPoints, k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
+    let n = points.len();
     // Per-object distance updates are elementwise, so they parallelise
     // without changing any value; the weighted pick below stays serial
     // (it is a cumulative scan).
-    let chunk = (1usize << 14) / d.max(1) + 1;
     let mut centers: Vec<Vec<f64>> = Vec::with_capacity(k);
-    centers.push(data.row(rng.gen_range(0..n)).to_vec());
-    let mut d2: Vec<f64> = multiclust_parallel::par_map_indexed(n, chunk, |i| {
-        sq_dist(data.row(i), &centers[0])
-    });
+    centers.push(points.row(rng.gen_range(0..n)).to_vec());
+    let mut d2 = vec![0.0f64; n];
+    points.update_sq_dists(&centers[0], &mut d2, |_, v| v);
     while centers.len() < k {
         let total: f64 = d2.iter().sum();
-        let next = if total <= 0.0 {
-            // All remaining mass at distance zero (duplicate points):
-            // fall back to uniform sampling.
+        let next = if total <= 0.0 || total.is_nan() {
+            // All remaining mass at distance zero (duplicate points), or
+            // distances so extreme that their sum is NaN: fall back to
+            // uniform sampling.
             rng.gen_range(0..n)
         } else {
             let mut target = rng.gen_range(0.0..total);
@@ -237,11 +243,9 @@ pub fn plus_plus_init(data: &Dataset, k: usize, rng: &mut StdRng) -> Vec<Vec<f64
             }
             pick
         };
-        centers.push(data.row(next).to_vec());
+        centers.push(points.row(next).to_vec());
         let latest = centers.last().expect("just pushed");
-        d2 = multiclust_parallel::par_map_indexed(n, chunk, |i| {
-            d2[i].min(sq_dist(data.row(i), latest))
-        });
+        points.update_sq_dists(latest, &mut d2, f64::min);
     }
     centers
 }

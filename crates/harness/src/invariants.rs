@@ -21,7 +21,7 @@ use multiclust_core::measures::diss::{
 };
 use multiclust_core::Clustering;
 use multiclust_data::{seeded_rng, Dataset};
-use multiclust_linalg::kernels;
+use multiclust_linalg::{block, kernels};
 use multiclust_telemetry::{alloc, trace};
 use rand::Rng;
 use serde::Value;
@@ -708,8 +708,9 @@ impl Knob {
     }
 }
 
-/// Kernel level: the shared distance matrix and the bound-pruned
-/// assignment against the naive double loop / exhaustive scan.
+/// Kernel level: the shared distance matrix against the naive double loop,
+/// and a cold plus three warm assignment passes against the exhaustive
+/// scan.
 fn kernels_match_reference(s: &Scenario) -> Result<(), String> {
     let d = s.dataset.dims();
     let flat = s.dataset.as_slice();
@@ -726,20 +727,35 @@ fn kernels_match_reference(s: &Scenario) -> Result<(), String> {
              at condensed entry {bad:?}"
         ));
     }
-    let norms = kernels::sq_norms(d, flat);
-    // At least PRUNE_MIN_K centres so the *pruned* scan (not the small-k
-    // exhaustive fast path) is what gets compared.
-    let k = s.k.max(kernels::PRUNE_MIN_K).min(s.dataset.len());
-    let centers: Vec<Vec<f64>> = (0..k).map(|c| s.dataset.row(c).to_vec()).collect();
-    let mut assigner = kernels::NearestAssign::new(s.dataset.len());
-    assigner.assign(d, flat, &norms, &centers);
-    for i in 0..s.dataset.len() {
-        let want = kernels::reference::nearest(s.dataset.row(i), &centers).0;
-        if assigner.labels()[i] != want {
-            return Err(format!(
-                "blocked pruned assignment diverges from the exhaustive scan \
-                 at object {i}"
-            ));
+    // At least one SIMD stripe of centres: past the assigner's sweep/Hamerly
+    // crossover, so after the cold sweep the drifted passes below run the
+    // warm Hamerly test and its exact panel-row scans.
+    let n = s.dataset.len();
+    let k = s.k.max(block::STRIPE).min(n);
+    let mut centers: Vec<Vec<f64>> = (0..k).map(|c| s.dataset.row(c).to_vec()).collect();
+    let spread = flat.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    // One packed copy of the points for every pass, as a fit keeps.
+    let points = kernels::PackedPoints::new(d, flat);
+    let mut assigner = kernels::NearestAssign::new(n);
+    for pass in 0..4 {
+        assigner.assign_packed(&points, &centers);
+        for i in 0..n {
+            let want = kernels::reference::nearest(s.dataset.row(i), &centers).0;
+            if assigner.labels()[i] != want {
+                return Err(format!(
+                    "blocked assignment pass {pass} diverges from the exhaustive \
+                     scan at object {i}"
+                ));
+            }
+        }
+        // Drift every centre coordinate by up to 0.2% of the data's
+        // spread, in a fixed pattern: small enough that the next pass
+        // mostly keeps its bounds (skips, tightenings and full scans)
+        // instead of bypassing them.
+        for (c, center) in centers.iter_mut().enumerate() {
+            for (t, x) in center.iter_mut().enumerate() {
+                *x += 0.001 * spread * (((c * 7 + t * 3 + pass) % 5) as f64 - 2.0);
+            }
         }
     }
     Ok(())

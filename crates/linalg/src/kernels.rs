@@ -5,11 +5,9 @@
 //! affinities, PROCLUS medoid localities and meta-clustering's pairwise
 //! solution matrix. This module centralises that substrate:
 //!
-//! * **Cached squared row norms** ([`sq_norms`]) feeding the dot-product
-//!   estimate `d²(x, c) ≈ ‖x‖² + ‖c‖² − 2·x·c` that prunes assignment
-//!   scans, with a *cancellation guard*: when the estimate is below
-//!   [`GUARD_REL`] of the norm mass `‖x‖² + ‖c‖²`, most significant bits
-//!   have cancelled and the scan verifies with the naive per-pair form.
+//! * **Packed points** ([`PackedPoints`]): a fit's rows, packed into
+//!   panels once and shared by every restart, k-means++ distance update
+//!   and assignment pass of that fit.
 //! * **A reusable symmetric matrix builder** ([`SymmetricMatrix`]):
 //!   the strict upper triangle computed once (in parallel via
 //!   `multiclust-parallel`, bit-identical at any thread count) and shared —
@@ -18,12 +16,11 @@
 //!   builds its pairwise Rand matrix through the same machinery.
 //! * **Hamerly-style bound-pruned nearest-centre assignment**
 //!   ([`NearestAssign`]): per-point upper/lower distance bounds maintained
-//!   across Lloyd iterations skip whole inner loops, and the dot-product
-//!   estimate prunes candidate centres inside full scans. Every pruning
-//!   decision is backed by a certified floating-point error margin, so the
-//!   produced labels are **bit-identical** to the exhaustive naive scan —
-//!   the engine is a pure refactor of results (see DESIGN.md, "Distance
-//!   engine", for the proof sketch).
+//!   across Lloyd iterations skip whole inner loops. Every distance that
+//!   decides a label is exact and every bound carries a certified
+//!   floating-point slack, so the produced labels are **bit-identical** to
+//!   the exhaustive naive scan — the engine is a pure refactor of results
+//!   (see DESIGN.md, "Distance engine", for the proof sketch).
 //!
 //! * **Cache-blocked SIMD kernels** ([`KernelMode::Blocked`], the default):
 //!   row panels are packed transposed into L1-sized tiles ([`block`]) and
@@ -44,25 +41,23 @@ use crate::block;
 use crate::matrix::Matrix;
 use crate::vector::{dist, dot, sq_dist};
 
-/// Relative cancellation-guard threshold: when the dot-product estimate of
-/// `d²` is below this fraction of the norm mass `‖x‖² + ‖y‖²`, roughly
-/// seven decimal digits have cancelled and the kernel recomputes the
-/// distance with the naive per-pair form instead.
-pub const GUARD_REL: f64 = 1e-2;
-
-/// Minimum centre count for bound pruning to engage. Below this the
-/// pruned scan costs more than it saves — per centre it computes an
-/// estimate (`d` flops) plus bookkeeping, and at least one exact distance
-/// is always verified — so the engine uses the exhaustive reference scan
-/// instead. Either path returns identical labels, so the threshold is a
-/// pure speed heuristic.
+/// Minimum centre count for [`assign_by_dist`] to run the exact
+/// across-points panel sweep; below it the scalar reference scan is
+/// cheaper than the sweep's packing. Either path returns identical labels,
+/// so the threshold is a pure speed heuristic.
 pub const PRUNE_MIN_K: usize = 4;
 
-/// Certified relative error slack of the dot-product formulation and of
-/// bound maintenance, as a multiple of `f64::EPSILON` per dimension.
-/// `slack(d) · mass` upper-bounds `|est − sq_dist(x, y)|` for any inputs
-/// with `‖x‖² + ‖y‖² = mass` (both values as computed in IEEE arithmetic,
-/// summation in index order), with a factor ≥ 2 of headroom.
+/// Minimum centre count for [`NearestAssign`] to keep Hamerly bounds.
+/// Below it every pass is the exact across-points sweep, which measured
+/// faster than the bound bookkeeping on the benchmark's planted data
+/// (DESIGN.md, "Choosing the vectorization axis by centre count"). A pure
+/// speed heuristic: both paths return identical labels.
+const HAMERLY_MIN_K: usize = 8;
+
+/// Certified relative error slack of bound maintenance, as a multiple of
+/// `f64::EPSILON` per dimension: the drift updates and the halved centre
+/// separations are inflated/deflated by it, so rounding in a bound can
+/// never make the Hamerly test pass where exact arithmetic would fail.
 #[inline]
 fn slack(d: usize) -> f64 {
     4.0 * (d as f64 + 2.0) * f64::EPSILON
@@ -93,10 +88,10 @@ pub const SCREEN_CUT: f64 = 800.0;
 /// Which kernel implementation the call sites route through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelMode {
-    /// The optimized path, and the default: cached norms, shared matrices,
-    /// bound-pruned assignment with the adaptive Hamerly bypass, and
-    /// packed-panel SIMD kernels (see [`crate::block`]) under the matrix
-    /// builders and assignment scans.
+    /// The optimized path, and the default: points packed once per fit,
+    /// shared matrices, bound-pruned assignment with the adaptive Hamerly
+    /// bypass, and packed-panel SIMD kernels (see [`crate::block`]) under
+    /// the matrix builders and assignment scans.
     Blocked,
     /// The naive reference: per-pair distances recomputed at every call,
     /// exhaustive assignment scans. Bit-identical results, no caching.
@@ -462,6 +457,230 @@ pub mod reference {
 }
 
 // ---------------------------------------------------------------------
+// Packed points
+// ---------------------------------------------------------------------
+
+/// Points per parallel part of a pass over `n` points costing about `work`
+/// element operations each: up to 64 parts, each worth at least 2¹⁴
+/// operations, rounded up to whole SIMD stripes so the sweep's point
+/// blocks start on stripe boundaries. Depends only on `n` and `work`,
+/// never on the thread count.
+fn part_len(n: usize, work: usize) -> usize {
+    n.div_ceil(64)
+        .max((1usize << 14) / work.max(1) + 1)
+        .next_multiple_of(block::STRIPE)
+}
+
+/// A fit's points: the flat row-major `n × d` buffer it borrows, and that
+/// buffer's packed panels ([`block::PackedPanels`]), built on the first
+/// blocked-mode read and kept until the value drops.
+///
+/// A fit builds one and hands it to every restart, every k-means++
+/// distance update and every assignment pass, so its points are packed
+/// once instead of once per pass. The rows are borrowed, so they cannot
+/// change under the panels; a caller that rewrites its buffer builds a new
+/// value.
+pub struct PackedPoints<'a> {
+    d: usize,
+    rows: &'a [f64],
+    panels: OnceLock<block::PackedPanels>,
+}
+
+impl<'a> PackedPoints<'a> {
+    /// The points of the flat row-major buffer `rows`, `d` values each.
+    ///
+    /// # Panics
+    /// Panics when `d` is zero or does not divide the buffer length.
+    pub fn new(d: usize, rows: &'a [f64]) -> Self {
+        assert!(d > 0, "dimensionality must be positive");
+        assert_eq!(rows.len() % d, 0, "buffer length is not a multiple of d");
+        Self { d, rows, panels: OnceLock::new() }
+    }
+
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.rows.len() / self.d
+    }
+
+    /// True when there are no points.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Dimensionality `d`.
+    pub fn dims(&self) -> usize {
+        self.d
+    }
+
+    /// Point `i`.
+    pub fn row(&self, i: usize) -> &'a [f64] {
+        &self.rows[i * self.d..(i + 1) * self.d]
+    }
+
+    fn panels(&self) -> &block::PackedPanels {
+        self.panels
+            .get_or_init(|| block::PackedPanels::pack(self.d, self.rows))
+    }
+
+    /// Sets `out[i] = f(out[i], sq_dist(row_i, x))` for every point, in
+    /// parallel. In [`KernelMode::Blocked`] the distances are one panel row
+    /// per part of the points, bit-identical to [`sq_dist`] per entry, so
+    /// the result is the same in either mode and at any thread count.
+    ///
+    /// # Panics
+    /// Panics when `out` does not hold one value per point.
+    pub fn update_sq_dists<F>(&self, x: &[f64], out: &mut [f64], f: F)
+    where
+        F: Fn(f64, f64) -> f64 + Sync,
+    {
+        assert_eq!(out.len(), self.len(), "one output per point");
+        let part = part_len(self.len(), self.d);
+        if kernel_mode() == KernelMode::Naive {
+            multiclust_parallel::par_chunks_mut(out, part, |lo, seg| {
+                for (j, o) in seg.iter_mut().enumerate() {
+                    *o = f(*o, sq_dist(self.row(lo + j), x));
+                }
+            });
+            return;
+        }
+        let panels = self.panels();
+        multiclust_parallel::par_chunks_mut(out, part, |lo, seg| {
+            let mut d2 = vec![0.0f64; seg.len()];
+            panels.sq_dist_row(x, lo, &mut d2);
+            for (o, &v) in seg.iter_mut().zip(&d2) {
+                *o = f(*o, v);
+            }
+        });
+    }
+
+    /// Index of the centre minimising the *computed Euclidean distance*
+    /// for every point, first minimum on ties — the comparison PROCLUS
+    /// uses for medoid localities (see [`assign_by_dist`]).
+    ///
+    /// # Panics
+    /// Panics when `centers` is empty.
+    pub fn nearest_by_dist(&self, centers: &[Vec<f64>]) -> Vec<usize> {
+        assert!(!centers.is_empty(), "at least one centre required");
+        let (n, d, k) = (self.len(), self.d, centers.len());
+        let part = part_len(n, k * d);
+        let mut labels = vec![0usize; n];
+        if kernel_mode() == KernelMode::Naive || k < PRUNE_MIN_K {
+            multiclust_parallel::par_chunks_mut(&mut labels, part, |lo, seg| {
+                for (j, l) in seg.iter_mut().enumerate() {
+                    *l = reference::nearest_by_dist(self.row(lo + j), centers);
+                }
+            });
+            return labels;
+        }
+        let panels = self.panels();
+        multiclust_parallel::par_chunks_mut(&mut labels, part, |lo, seg| {
+            sweep(panels, centers, lo, true, seg, |_, _, _| {});
+        });
+        let stats = AssignStats {
+            scanned: n as u64,
+            exact: (n * k) as u64,
+            ..AssignStats::default()
+        };
+        multiclust_telemetry::histogram_record("kernels.assign.batch", n as u64);
+        stats.record(d);
+        labels
+    }
+}
+
+/// The exact across-points sweep over points `lo .. lo + labels.len()`:
+/// per cache-sized block of points, each centre's exact squared-distance
+/// row comes from the panel kernel — per-lane ascending-coordinate
+/// accumulation, bit-identical to [`sq_dist`] — and is folded into the
+/// block's running first minimum in centre order. It vectorizes across
+/// *points*, so the SIMD lanes are full at any centre count. No estimates
+/// and no margins: every value is exact, so the labels replicate the naive
+/// scan bit-for-bit.
+///
+/// `by_dist` compares square roots, as [`reference::nearest_by_dist`]
+/// does; otherwise squared distances, as [`reference::nearest`] does.
+/// After each block, `per_block(offset, best, second)` receives the
+/// block's best and second-best compared values.
+fn sweep(
+    panels: &block::PackedPanels,
+    centers: &[Vec<f64>],
+    lo: usize,
+    by_dist: bool,
+    labels: &mut [usize],
+    mut per_block: impl FnMut(usize, &[f64], &[f64]),
+) {
+    let m = labels.len();
+    // Point-block size: `MAX_TILE_COLS` points (whole stripes), small
+    // enough that the block's distance row and running minima stay in L1
+    // beside the panels the row reads.
+    let blk = block::MAX_TILE_COLS.min(m);
+    let mut row = vec![0.0f64; blk];
+    let mut best = vec![0.0f64; blk];
+    let mut second = vec![0.0f64; blk];
+    let mut b0 = 0;
+    while b0 < m {
+        let bm = blk.min(m - b0);
+        let (row, best, second) = (&mut row[..bm], &mut best[..bm], &mut second[..bm]);
+        let block_labels = &mut labels[b0..b0 + bm];
+        best.fill(f64::INFINITY);
+        second.fill(f64::INFINITY);
+        block_labels.fill(0);
+        for (c, center) in centers.iter().enumerate() {
+            panels.sq_dist_row(center, lo + b0, row);
+            if by_dist {
+                for v in row.iter_mut() {
+                    *v = v.sqrt();
+                }
+            }
+            fold_first_two(c, row, best, second, block_labels);
+        }
+        per_block(b0, best, second);
+        b0 += bm;
+    }
+}
+
+/// Folds centre `c`'s distances into running per-point minima, with the
+/// comparisons of [`first_two`] (strict `<`, so the earlier centre keeps a
+/// tie). The selects are bit masks, which the compiler vectorizes across
+/// points; a branchy form stays scalar.
+fn fold_first_two(
+    c: usize,
+    row: &[f64],
+    best: &mut [f64],
+    second: &mut [f64],
+    labels: &mut [usize],
+) {
+    let m = row.len();
+    let (best, second, labels) = (&mut best[..m], &mut second[..m], &mut labels[..m]);
+    for j in 0..m {
+        let (v, b, s) = (row[j].to_bits(), best[j].to_bits(), second[j].to_bits());
+        // All ones where the comparison holds, else zero.
+        let lt = 0u64.wrapping_sub(u64::from(row[j] < best[j]));
+        let lt2 = 0u64.wrapping_sub(u64::from(row[j] < second[j]));
+        // second = v < best ? best : (v < second ? v : second)
+        second[j] = f64::from_bits((b & lt) | (((v & lt2) | (s & !lt2)) & !lt));
+        best[j] = f64::from_bits((v & lt) | (b & !lt));
+        labels[j] = (c & lt as usize) | (labels[j] & !(lt as usize));
+    }
+}
+
+/// First minimum of an exact squared-distance column (strict `<`, so the
+/// lowest index wins ties, as in [`reference::nearest`]), its value, and
+/// the smallest value among the other centres.
+fn first_two(col: &[f64]) -> (usize, f64, f64) {
+    let mut best = (0usize, f64::INFINITY);
+    let mut second = f64::INFINITY;
+    for (c, &v) in col.iter().enumerate() {
+        if v < best.1 {
+            second = best.1;
+            best = (c, v);
+        } else if v < second {
+            second = v;
+        }
+    }
+    (best.0, best.1, second)
+}
+
+// ---------------------------------------------------------------------
 // Bound-pruned nearest-centre assignment
 // ---------------------------------------------------------------------
 
@@ -473,16 +692,12 @@ pub struct AssignStats {
     pub skipped: u64,
     /// Points resolved after recomputing only the assigned-centre distance.
     pub tightened: u64,
-    /// Points that needed a full (est-pruned) scan over all centres.
+    /// Points whose distances to every centre were computed.
     pub scanned: u64,
-    /// Exact naive `sq_dist` evaluations.
+    /// Exact distance evaluations.
     pub exact: u64,
-    /// Dot-product-form estimates.
-    pub estimates: u64,
-    /// Cancellation-guard trips (estimate discarded, naive form used).
-    pub guard_trips: u64,
     /// Passes where the adaptive bypass dropped Hamerly bookkeeping and
-    /// took the vectorized full scan instead (blocked mode only).
+    /// took the vectorized full sweep instead (blocked mode only).
     pub bypass: u64,
 }
 
@@ -492,126 +707,54 @@ impl AssignStats {
         self.tightened += o.tightened;
         self.scanned += o.scanned;
         self.exact += o.exact;
-        self.estimates += o.estimates;
-        self.guard_trips += o.guard_trips;
         self.bypass += o.bypass;
     }
 
     /// Mirrors the pass into the telemetry counters, deriving the work
     /// accounting (`kernels.flops`, `kernels.bytes_touched`) from the
     /// kernel-call tallies analytically: an exact `sq_dist` over `d`
-    /// coordinates costs ~3d flops (sub, mul, add per lane), a dot-form
-    /// estimate ~2d, and either reads two `d`-length `f64` rows (16d
-    /// bytes). Coarse by design — the counters are a roofline model read
-    /// by the `benchmark/` probes, not a hardware profile — and aggregated once
-    /// per pass so the hot loops stay counter-free.
+    /// coordinates costs ~3d flops (sub, mul, add per lane) and reads two
+    /// `d`-length `f64` rows (16d bytes). Coarse by design — the counters
+    /// are a roofline model read by the `benchmark/` probes, not a hardware
+    /// profile — and aggregated once per pass so the hot loops stay
+    /// counter-free.
     fn record(&self, d: usize) {
         let d = d as u64;
         multiclust_telemetry::counter_add("kernels.assign.skipped", self.skipped);
         multiclust_telemetry::counter_add("kernels.assign.tightened", self.tightened);
         multiclust_telemetry::counter_add("kernels.assign.scanned", self.scanned);
         multiclust_telemetry::counter_add("kernels.exact", self.exact);
-        multiclust_telemetry::counter_add("kernels.estimates", self.estimates);
-        multiclust_telemetry::counter_add("kernels.guard_trips", self.guard_trips);
         multiclust_telemetry::counter_add("kernels.assign.bypass", self.bypass);
-        multiclust_telemetry::counter_add(
-            "kernels.flops",
-            3 * d * self.exact + 2 * d * self.estimates,
-        );
-        multiclust_telemetry::counter_add(
-            "kernels.bytes_touched",
-            16 * d * (self.exact + self.estimates),
-        );
+        multiclust_telemetry::counter_add("kernels.flops", 3 * d * self.exact);
+        multiclust_telemetry::counter_add("kernels.bytes_touched", 16 * d * self.exact);
     }
 }
 
-/// Panel-vectorized exact exhaustive sweep: every point against every
-/// centre, vectorized across *points* (so the SIMD lanes are full for any
-/// centre count, unlike the per-centre dot panels which need at least one
-/// full stripe of centres). Points are packed once; per cache-sized block
-/// of points each centre's exact squared-distance row is computed by the
-/// panel kernel — per-lane ascending-coordinate accumulation, bit-identical
-/// to [`sq_dist`] — then `per_point` receives each point's distance column.
-/// No estimates, no margins: every value is exact, so downstream
-/// first-minimum decisions replicate the naive scan bit-for-bit.
-fn exact_block_sweep<T, F>(d: usize, points: &[f64], centers: &[Vec<f64>], per_point: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &[f64]) -> T + Sync,
-{
-    let n = points.len() / d.max(1);
-    let k = centers.len();
-    let packed = block::PackedPanels::pack(d, points);
-    // Point-block size: keep the k × block d² tile around 32 KiB (L1).
-    let blk = (4096 / k.max(1)).clamp(16, block::MAX_TILE_COLS);
-    let n_blocks = n.div_ceil(blk);
-    let out: Vec<Vec<T>> = multiclust_parallel::par_map_indexed(n_blocks, 1, |b| {
-        let lo = b * blk;
-        let m = blk.min(n - lo);
-        let mut d2 = vec![0.0f64; k * m];
-        for (ci, center) in centers.iter().enumerate() {
-            packed.sq_dist_row(center, lo, &mut d2[ci * m..ci * m + m]);
-        }
-        let mut col = vec![0.0f64; k];
-        (0..m)
-            .map(|j| {
-                for (ci, slot) in col.iter_mut().enumerate() {
-                    *slot = d2[ci * m + j];
-                }
-                per_point(lo + j, &col)
-            })
-            .collect()
-    });
-    out.into_iter().flatten().collect()
-}
-
-/// [`PointOut`] from a point's exact squared-distance column: first
-/// minimum for the label (identical comparisons to [`reference::nearest`])
-/// and the exact second-closest distance for the lower bound.
-fn exact_point_out(d: usize, col: &[f64]) -> PointOut {
-    let mut best = (0usize, f64::INFINITY);
-    let mut second = f64::INFINITY;
-    for (c, &v) in col.iter().enumerate() {
-        if v < best.1 {
-            second = best.1;
-            best = (c, v);
-        } else if v < second {
-            second = v;
-        }
-    }
-    PointOut {
-        label: best.0,
-        ub: best.1.sqrt(),
-        lb: deflate(second.sqrt(), d),
-        stats: AssignStats {
-            scanned: 1,
-            exact: col.len() as u64,
-            ..AssignStats::default()
-        },
-    }
-}
-
-/// Outcome of one point in an assignment pass.
-struct PointOut {
-    label: usize,
-    ub: f64,
-    lb: f64,
+/// One part of an assigner's per-point state: points `lo ..` of the
+/// labels and bounds, written in place by one task, with that task's
+/// tallies.
+struct Part<'a> {
+    lo: usize,
+    labels: &'a mut [usize],
+    ub: &'a mut [f64],
+    lb: &'a mut [f64],
     stats: AssignStats,
 }
 
 /// Hamerly-style bound-pruned nearest-centre assignment with state carried
 /// across iterations.
 ///
-/// Each point keeps an upper bound `ub` on its distance to its assigned
-/// centre and a lower bound `lb` on the distance to its second-closest
-/// centre. After the centres move, the bounds are updated by the centre
-/// drifts (inflated/deflated by a certified error slack); when
-/// `ub < max(s(a), lb)` — with `s(a)` half the distance from the assigned
-/// centre to its closest other centre — the assigned centre is *provably*
-/// the unique nearest and the whole inner loop is skipped. Points that
-/// fail the test recompute the assigned distance, and only then fall back
-/// to a full scan where the dot-product estimate prunes candidates and
-/// survivors are verified with the exact naive kernel.
+/// Below a measured centre count every pass is the exact across-points
+/// sweep. From it on, each point keeps an upper bound `ub` on its distance
+/// to its assigned centre and a lower bound `lb` on the distance to its
+/// second-closest centre. After the centres move, the bounds are updated
+/// by the centre drifts (inflated/deflated by a certified error slack);
+/// when `ub < max(s(a), lb)` — with `s(a)` half the distance from the
+/// assigned centre to its closest other centre — the assigned centre is
+/// *provably* the unique nearest and the whole inner loop is skipped.
+/// Points that fail the test recompute the assigned distance, and only
+/// then compute one exact distance row against every centre (a panel row
+/// against the packed centres from one SIMD stripe of centres on).
 ///
 /// The produced labels are bit-identical to
 /// [`reference::nearest`] per point at any thread count and in either
@@ -639,14 +782,17 @@ impl NearestAssign {
         }
     }
 
-    /// The labels of the most recent [`NearestAssign::assign`] call.
+    /// The labels of the most recent assignment pass.
     pub fn labels(&self) -> &[usize] {
         &self.labels
     }
 
     /// Assigns every row of the flat `n × d` buffer `points` to its
-    /// nearest centre (`norms` must be [`sq_norms`] of `points`), and
-    /// returns this pass's kernel statistics.
+    /// nearest centre, and returns this pass's kernel statistics. The
+    /// points are packed for this call alone; a fit that assigns more than
+    /// once packs them once with [`PackedPoints`] and calls
+    /// [`NearestAssign::assign_packed`]. Every distance is exact, so
+    /// `_norms` is not read.
     ///
     /// # Panics
     /// Panics when `centers` is empty or the buffer sizes disagree with
@@ -655,231 +801,204 @@ impl NearestAssign {
         &mut self,
         d: usize,
         points: &[f64],
-        norms: &[f64],
+        _norms: &[f64],
         centers: &[Vec<f64>],
     ) -> AssignStats {
+        self.assign_packed(&PackedPoints::new(d, points), centers)
+    }
+
+    /// [`NearestAssign::assign`] on a fit's packed points.
+    ///
+    /// # Panics
+    /// Panics when `centers` is empty or `points` does not hold the `n`
+    /// points the assigner was built for.
+    pub fn assign_packed(&mut self, points: &PackedPoints, centers: &[Vec<f64>]) -> AssignStats {
         assert!(!centers.is_empty(), "at least one centre required");
-        assert_eq!(points.len(), self.n * d, "points buffer size mismatch");
-        assert_eq!(norms.len(), self.n, "norms cache size mismatch");
-        let k = centers.len();
-        let chunk = (1usize << 14) / (k * d.max(1)).max(1) + 1;
+        assert_eq!(points.len(), self.n, "points buffer size mismatch");
+        let (n, d, k) = (self.n, points.dims(), centers.len());
+        let part = part_len(n, k * d);
 
         let naive = kernel_mode() == KernelMode::Naive;
-        if naive || k < PRUNE_MIN_K {
+        let stats = if naive || k < HAMERLY_MIN_K {
             // Exhaustive scan (naive mode, or too few centres for bound
             // pruning to pay); bounds are not maintained, so a later
             // pruned call re-initialises from scratch. The blocked mode
-            // still vectorizes the exhaustive scan across points — the
-            // values and first-minimum choices are exact either way.
+            // vectorizes the scan across points — the values and
+            // first-minimum choices are exact either way.
             self.ready = false;
-            self.labels = if naive {
-                multiclust_parallel::par_map_indexed(self.n, chunk, |i| {
-                    reference::nearest(&points[i * d..(i + 1) * d], centers).0
-                })
-            } else {
-                exact_block_sweep(d, points, centers, |_, col| {
-                    let mut best = (0usize, f64::INFINITY);
-                    for (c, &v) in col.iter().enumerate() {
-                        if v < best.1 {
-                            best = (c, v);
-                        }
+            if naive {
+                multiclust_parallel::par_chunks_mut(&mut self.labels, part, |lo, seg| {
+                    for (j, l) in seg.iter_mut().enumerate() {
+                        *l = reference::nearest(points.row(lo + j), centers).0;
                     }
-                    best.0
-                })
-            };
-            let stats = AssignStats {
-                scanned: self.n as u64,
-                exact: (self.n * k) as u64,
+                });
+            } else {
+                let panels = points.panels();
+                multiclust_parallel::par_chunks_mut(&mut self.labels, part, |lo, seg| {
+                    sweep(panels, centers, lo, false, seg, |_, _, _| {});
+                });
+            }
+            AssignStats {
+                scanned: n as u64,
+                exact: (n * k) as u64,
                 ..AssignStats::default()
-            };
-            multiclust_telemetry::histogram_record("kernels.assign.batch", self.n as u64);
-            stats.record(d);
-            return stats;
-        }
-
-        let out: Vec<PointOut> = if self.ready && self.prev.len() == k {
-            // Upper bound on each centre's drift since the last pass.
-            let drift: Vec<f64> = (0..k)
-                .map(|c| inflate(dist(&self.prev[c], &centers[c]), d))
-                .collect();
-            let max_drift = drift.iter().cloned().fold(0.0f64, f64::max);
-            // s(c): half the (deflated) distance to the closest other
-            // centre — a certified lower bound, so `ub < s(a)` proves the
-            // assigned centre is the unique nearest.
-            let s: Vec<f64> = (0..k)
-                .map(|c| {
-                    let mind = (0..k)
-                        .filter(|&o| o != c)
-                        .map(|o| deflate(dist(&centers[c], &centers[o]), d))
-                        .fold(f64::INFINITY, f64::min);
-                    deflate(0.5 * mind, d)
-                })
-                .collect();
-            // Adaptive bypass: replay the Hamerly test on the stored
-            // bounds — an O(n) pretest with no distance computations — and
-            // when fewer than half the points would skip, drop the bound
-            // bookkeeping for this pass and run the vectorized full scan
-            // instead. Small-k workloads with large drifts (Dec-kMeans'
-            // per-view passes) are exactly where drift-inflated bounds
-            // stop paying. The full scan recomputes exact bounds, so the
-            // next pass can re-enter the test.
-            let would_skip = (0..self.n)
-                .filter(|&i| {
-                    let a = self.labels[i];
-                    let ub = inflate(self.ub[i] + drift[a], d);
-                    let lb = deflate(self.lb[i] - max_drift, d);
-                    ub < s[a].max(lb)
-                })
-                .count();
-            if 2 * would_skip < self.n {
-                let mut out =
-                    exact_block_sweep(d, points, centers, |_, col| exact_point_out(d, col));
-                if let Some(first) = out.first_mut() {
-                    first.stats.bypass = 1;
-                }
-                out
-            } else {
-                // Only this warm scan reads the centre norms and panels.
-                // Large centre counts: pack the centres once per pass and
-                // feed the per-point scan from vectorized panel dots. Below
-                // a full SIMD stripe of centres the panel dots degenerate
-                // to scalar tails plus packing overhead, so small-k warm
-                // scans keep the scalar dot and the vectorization comes
-                // from the across-points exact sweep on cold/bypass passes
-                // instead.
-                let cnorms: Vec<f64> = centers.iter().map(|c| dot(c, c)).collect();
-                let packed = (block::STRIPE..=block::MAX_TILE_COLS)
-                    .contains(&k)
-                    .then(|| block::PackedPanels::pack_rows(d, centers));
-                multiclust_parallel::par_map_indexed(self.n, chunk, |i| {
-                    let row = &points[i * d..(i + 1) * d];
-                    let a = self.labels[i];
-                    let ub = inflate(self.ub[i] + drift[a], d);
-                    let lb = deflate(self.lb[i] - max_drift, d);
-                    let thresh = s[a].max(lb);
-                    if ub < thresh {
-                        return PointOut {
-                            label: a,
-                            ub,
-                            lb,
-                            stats: AssignStats { skipped: 1, ..AssignStats::default() },
-                        };
-                    }
-                    // Tighten: the exact assigned-centre distance may
-                    // already pass the test.
-                    let da = sq_dist(row, &centers[a]).sqrt();
-                    if da < thresh {
-                        return PointOut {
-                            label: a,
-                            ub: da,
-                            lb,
-                            stats: AssignStats {
-                                tightened: 1,
-                                exact: 1,
-                                ..AssignStats::default()
-                            },
-                        };
-                    }
-                    let mut buf = [0.0f64; block::MAX_TILE_COLS];
-                    let dots = match &packed {
-                        Some(p) => {
-                            p.dot_row(row, 0, &mut buf[..k]);
-                            Some(&buf[..k])
-                        }
-                        None => None,
-                    };
-                    let mut stats = AssignStats { scanned: 1, exact: 1, ..Default::default() };
-                    scan_point(row, norms[i], centers, &cnorms, dots, &mut stats)
-                })
             }
         } else {
-            // Cold pass: exact across-points sweep (full SIMD lanes at any
-            // centre count) seeds exact bounds for the warm passes.
-            exact_block_sweep(d, points, centers, |_, col| exact_point_out(d, col))
+            let stats = if self.ready && self.prev.len() == k {
+                self.warm_pass(points, centers, part)
+            } else {
+                // Cold pass: the exact sweep seeds exact bounds for the
+                // warm passes.
+                self.sweep_pass(points, centers, part)
+            };
+            self.prev = centers.to_vec();
+            self.ready = true;
+            stats
         };
-
-        let mut stats = AssignStats::default();
-        for (i, p) in out.into_iter().enumerate() {
-            self.labels[i] = p.label;
-            self.ub[i] = p.ub;
-            self.lb[i] = p.lb;
-            stats.add(&p.stats);
-        }
-        self.prev = centers.to_vec();
-        self.ready = true;
-        multiclust_telemetry::histogram_record("kernels.assign.batch", self.n as u64);
+        multiclust_telemetry::histogram_record("kernels.assign.batch", n as u64);
         stats.record(d);
         stats
     }
-}
 
-/// Full est-pruned scan of one point over all centres.
-///
-/// For each centre the dot-product estimate with certified margin either
-/// *proves* the centre loses to the best exact distance found so far
-/// (`est − margin > best`, in which case the naive kernel would also
-/// reject it) or the exact distance is computed and compared with strict
-/// `<` — so the result is the first minimum of the exhaustive scan,
-/// bit-for-bit. The returned lower bound on the second-closest distance
-/// uses exact values where computed and `est − margin` elsewhere.
-///
-/// `dots` optionally supplies precomputed per-centre dot products (the
-/// panel sweep, bit-identical to [`dot`]), so the pruning decisions are
-/// the same either way.
-fn scan_point(
-    row: &[f64],
-    nx: f64,
-    centers: &[Vec<f64>],
-    cnorms: &[f64],
-    dots: Option<&[f64]>,
-    stats: &mut AssignStats,
-) -> PointOut {
-    let d = row.len();
-    let eps = slack(d);
-    let mut best = (0usize, f64::INFINITY);
-    // Two smallest certified lower bounds (value, centre) across all
-    // centres, for the second-closest bound.
-    let mut lo1 = (f64::INFINITY, usize::MAX);
-    let mut lo2 = f64::INFINITY;
-    for (c, center) in centers.iter().enumerate() {
-        let mass = nx + cnorms[c];
-        let dotv = match dots {
-            Some(ds) => ds[c],
-            None => dot(row, center),
-        };
-        let est = mass - 2.0 * dotv;
-        let margin = eps * mass;
-        stats.estimates += 1;
-        let guarded = est < GUARD_REL * mass;
-        let lo = if guarded || est - margin <= best.1 {
-            // Candidate (or numerically untrustworthy estimate): verify
-            // with the exact naive kernel.
-            stats.exact += 1;
-            if guarded {
-                stats.guard_trips += 1;
-            }
-            let d2 = sq_dist(row, center);
-            if d2 < best.1 {
-                best = (c, d2);
-            }
-            d2
-        } else {
-            // Certified: the exact d² is at least est − margin > best.
-            (est - margin).max(0.0)
-        };
-        if lo < lo1.0 {
-            lo2 = lo1.0;
-            lo1 = (lo, c);
-        } else if lo < lo2 {
-            lo2 = lo;
+    /// Splits the per-point state into parts of `len` points, runs `f` on
+    /// every part in parallel — each writes its own labels and bounds in
+    /// place — and sums the parts' tallies.
+    fn for_parts(&mut self, len: usize, f: impl Fn(&mut Part<'_>) + Sync) -> AssignStats {
+        let mut lo = 0;
+        let mut parts: Vec<Part<'_>> = self
+            .labels
+            .chunks_mut(len)
+            .zip(self.ub.chunks_mut(len))
+            .zip(self.lb.chunks_mut(len))
+            .map(|((labels, ub), lb)| {
+                let part = Part { lo, labels, ub, lb, stats: AssignStats::default() };
+                lo += part.labels.len();
+                part
+            })
+            .collect();
+        multiclust_parallel::par_chunks_mut(&mut parts, 1, |_, ps| ps.iter_mut().for_each(&f));
+        let mut stats = AssignStats::default();
+        for p in &parts {
+            stats.add(&p.stats);
         }
+        stats
     }
-    let second_lo = if lo1.1 == best.0 { lo2 } else { lo1.0 };
-    PointOut {
-        label: best.0,
-        ub: best.1.sqrt(),
-        lb: deflate(second_lo.sqrt(), d),
-        stats: *stats,
+
+    /// The exact sweep with exact bounds: the best distance for `ub`, the
+    /// second-best (deflated) for `lb`.
+    fn sweep_pass(
+        &mut self,
+        points: &PackedPoints,
+        centers: &[Vec<f64>],
+        part: usize,
+    ) -> AssignStats {
+        let (d, k) = (points.dims(), centers.len() as u64);
+        let panels = points.panels();
+        self.for_parts(part, |p| {
+            let m = p.labels.len();
+            let (ub, lb) = (&mut *p.ub, &mut *p.lb);
+            sweep(panels, centers, p.lo, false, p.labels, |b0, best, second| {
+                for (j, (&b, &s)) in best.iter().zip(second).enumerate() {
+                    ub[b0 + j] = b.sqrt();
+                    lb[b0 + j] = deflate(s.sqrt(), d);
+                }
+            });
+            p.stats.scanned += m as u64;
+            p.stats.exact += m as u64 * k;
+        })
+    }
+
+    /// A pass with history: the bounds follow the centre drifts, and a
+    /// point is only looked at when its Hamerly test fails.
+    fn warm_pass(
+        &mut self,
+        points: &PackedPoints,
+        centers: &[Vec<f64>],
+        part: usize,
+    ) -> AssignStats {
+        let (n, d, k) = (self.n, points.dims(), centers.len());
+        // Upper bound on each centre's drift since the last pass.
+        let drift: Vec<f64> = (0..k)
+            .map(|c| inflate(dist(&self.prev[c], &centers[c]), d))
+            .collect();
+        let max_drift = drift.iter().cloned().fold(0.0f64, f64::max);
+        // s(c): half the (deflated) distance to the closest other centre —
+        // a certified lower bound, so `ub < s(a)` proves the assigned
+        // centre is the unique nearest.
+        let s: Vec<f64> = (0..k)
+            .map(|c| {
+                let mind = (0..k)
+                    .filter(|&o| o != c)
+                    .map(|o| deflate(dist(&centers[c], &centers[o]), d))
+                    .fold(f64::INFINITY, f64::min);
+                deflate(0.5 * mind, d)
+            })
+            .collect();
+        // Adaptive bypass: replay the Hamerly test on the stored bounds —
+        // an O(n) pretest with no distance computations — and when fewer
+        // than half the points would skip, drop the bound bookkeeping for
+        // this pass and run the vectorized full sweep instead. Workloads
+        // with large drifts (Dec-kMeans' per-view passes) are exactly
+        // where drift-inflated bounds stop paying. The sweep recomputes
+        // exact bounds, so the next pass can re-enter the test.
+        let would_skip = (0..n)
+            .filter(|&i| {
+                let a = self.labels[i];
+                let ub = inflate(self.ub[i] + drift[a], d);
+                let lb = deflate(self.lb[i] - max_drift, d);
+                ub < s[a].max(lb)
+            })
+            .count();
+        if 2 * would_skip < n {
+            let stats = self.sweep_pass(points, centers, part);
+            return AssignStats { bypass: 1, ..stats };
+        }
+        // From one full SIMD stripe of centres on, a point's exact
+        // distance row is one panel row against the centres packed once
+        // per pass; below that the row is scalar `sq_dist`, since a panel
+        // would hold only scalar tails.
+        let packed = (block::STRIPE..=block::MAX_TILE_COLS)
+            .contains(&k)
+            .then(|| block::PackedPanels::pack_rows(d, centers));
+        self.for_parts(part, |p| {
+            let mut row_d2 = vec![0.0f64; k];
+            for j in 0..p.labels.len() {
+                let row = points.row(p.lo + j);
+                let a = p.labels[j];
+                let ub = inflate(p.ub[j] + drift[a], d);
+                let lb = deflate(p.lb[j] - max_drift, d);
+                let thresh = s[a].max(lb);
+                p.lb[j] = lb;
+                if ub < thresh {
+                    p.ub[j] = ub;
+                    p.stats.skipped += 1;
+                    continue;
+                }
+                // Tighten: the exact assigned-centre distance may already
+                // pass the test.
+                let da = sq_dist(row, &centers[a]).sqrt();
+                p.stats.exact += 1;
+                if da < thresh {
+                    p.ub[j] = da;
+                    p.stats.tightened += 1;
+                    continue;
+                }
+                match &packed {
+                    Some(c) => c.sq_dist_row(row, 0, &mut row_d2),
+                    None => {
+                        for (v, center) in row_d2.iter_mut().zip(centers) {
+                            *v = sq_dist(row, center);
+                        }
+                    }
+                }
+                let (label, best, second) = first_two(&row_d2);
+                p.labels[j] = label;
+                p.ub[j] = best.sqrt();
+                p.lb[j] = deflate(second.sqrt(), d);
+                p.stats.scanned += 1;
+                p.stats.exact += k as u64;
+            }
+        })
     }
 }
 
@@ -889,40 +1008,16 @@ fn scan_point(
 /// [`PRUNE_MIN_K`] centres it runs the exact across-points panel sweep,
 /// whose `d²` equals [`sq_dist`] exactly, so its square root equals
 /// [`dist`] and the comparisons replicate [`reference::nearest_by_dist`]
-/// bit-for-bit. The sweep is exact, so `_norms` is not read.
+/// bit-for-bit. The points are packed for this call alone (a fit that
+/// assigns more than once calls [`PackedPoints::nearest_by_dist`]), and
+/// `_norms` is not read.
 pub fn assign_by_dist(
     d: usize,
     points: &[f64],
     _norms: &[f64],
     centers: &[Vec<f64>],
 ) -> Vec<usize> {
-    assert!(!centers.is_empty(), "at least one centre required");
-    let n = points.len() / d.max(1);
-    let k = centers.len();
-    if kernel_mode() == KernelMode::Naive || k < PRUNE_MIN_K {
-        let chunk = (1usize << 14) / (k * d.max(1)).max(1) + 1;
-        return multiclust_parallel::par_map_indexed(n, chunk, |i| {
-            reference::nearest_by_dist(&points[i * d..(i + 1) * d], centers)
-        });
-    }
-    let labels = exact_block_sweep(d, points, centers, |_, col| {
-        let mut best = (0usize, f64::INFINITY);
-        for (c, &v) in col.iter().enumerate() {
-            let dc = v.sqrt();
-            if dc < best.1 {
-                best = (c, dc);
-            }
-        }
-        best.0
-    });
-    let stats = AssignStats {
-        scanned: n as u64,
-        exact: (n * k) as u64,
-        ..AssignStats::default()
-    };
-    multiclust_telemetry::histogram_record("kernels.assign.batch", n as u64);
-    stats.record(d);
-    labels
+    PackedPoints::new(d, points).nearest_by_dist(centers)
 }
 
 #[cfg(test)]
@@ -989,17 +1084,17 @@ mod tests {
     }
 
     #[test]
-    fn warm_scan_far_from_origin_trips_the_guard() {
+    fn warm_scan_far_from_origin_matches_reference() {
         // Centres on a line 10 apart, 10⁶ from the origin on every
-        // coordinate: there the dot-form estimate of any point-to-centre
-        // d² cancels to far below GUARD_REL of the norm mass. Tight blobs
-        // around each centre pass the Hamerly test on a stationary warm
-        // pass; one point exactly midway between each neighbouring pair
-        // ties its two nearest distances, so it fails the test and its
-        // full scan must take the guarded exact path. Both k regimes are
-        // covered: scalar dots (k < STRIPE) and panel dots (k = STRIPE).
+        // coordinate, where a dot-form distance would cancel to noise.
+        // Tight blobs around each centre pass the Hamerly test on a
+        // stationary warm pass; one point exactly midway between each
+        // neighbouring pair ties its two nearest distances, so it fails
+        // the test and takes the warm full scan, whose exact row must
+        // still pick the first minimum. Both row kinds are covered: scalar
+        // (the smallest Hamerly k) and a panel row (k = STRIPE).
         let d = 3;
-        for k in [PRUNE_MIN_K, block::STRIPE] {
+        for k in [HAMERLY_MIN_K, block::STRIPE] {
             let centers: Vec<Vec<f64>> =
                 (0..k).map(|c| vec![1e6 + 10.0 * c as f64, 1e6, 1e6]).collect();
             let mut rng = StdRng::seed_from_u64(9);
@@ -1020,7 +1115,6 @@ mod tests {
                 let stats = assigner.assign(d, &flat, &norms, &centers);
                 assert_eq!(stats.bypass, 0, "k={k}: {stats:?}");
                 assert!(stats.scanned > 0, "k={k}: midpoints fail Hamerly: {stats:?}");
-                assert!(stats.guard_trips > 0, "k={k}: guard fires: {stats:?}");
                 for i in 0..n {
                     assert_eq!(
                         assigner.labels()[i],
@@ -1063,8 +1157,8 @@ mod tests {
         }
     }
 
-    /// Two tight blobs at 0 and 50 on every coordinate, plus four
-    /// well-separated centres (≥ `PRUNE_MIN_K`, so pruning engages).
+    /// Two tight blobs at 0 and 50 on every coordinate, plus
+    /// `HAMERLY_MIN_K` centres 50 apart (so pruning engages).
     fn blobs_and_centers(n: usize, d: usize) -> (Vec<f64>, Vec<f64>, Vec<Vec<f64>>) {
         let mut rng = StdRng::seed_from_u64(5);
         let flat: Vec<f64> = (0..n)
@@ -1076,12 +1170,7 @@ mod tests {
             })
             .collect();
         let norms = sq_norms(d, &flat);
-        let centers = vec![
-            vec![0.0; d],
-            vec![50.0; d],
-            vec![100.0; d],
-            vec![150.0; d],
-        ];
+        let centers = (0..HAMERLY_MIN_K).map(|c| vec![50.0 * c as f64; d]).collect();
         (flat, norms, centers)
     }
 
@@ -1234,21 +1323,31 @@ mod tests {
     }
 
     #[test]
-    fn below_prune_min_k_takes_exhaustive_path() {
+    fn below_hamerly_min_k_takes_exhaustive_path() {
         let n = 30;
         let d = 2;
         let flat = random_flat(n, d, 8);
         let norms = sq_norms(d, &flat);
-        let centers = vec![vec![0.25, -0.5]];
-        assert!(centers.len() < PRUNE_MIN_K);
-        let mut assigner = NearestAssign::new(n);
-        assigner.assign(d, &flat, &norms, &centers);
-        let stats = assigner.assign(d, &flat, &norms, &centers);
-        // With so few centres pruning cannot pay for its bookkeeping, so
-        // every point is scanned exactly — nothing skipped, no estimates.
-        assert_eq!(stats.skipped, 0);
-        assert_eq!(stats.scanned, n as u64);
-        assert_eq!(stats.exact, (n * centers.len()) as u64);
-        assert!(assigner.labels().iter().all(|&l| l == 0));
+        let centers: Vec<Vec<f64>> =
+            (0..HAMERLY_MIN_K - 1).map(|c| flat[c * d..(c + 1) * d].to_vec()).collect();
+        with_mode(Some(KernelMode::Blocked), || {
+            let mut assigner = NearestAssign::new(n);
+            assigner.assign(d, &flat, &norms, &centers);
+            let stats = assigner.assign(d, &flat, &norms, &centers);
+            // Below the crossover the sweep beats the bound bookkeeping,
+            // so a stationary second pass still scans every point exactly
+            // — nothing skipped, nothing bypassed.
+            assert_eq!(stats.skipped, 0);
+            assert_eq!(stats.bypass, 0);
+            assert_eq!(stats.scanned, n as u64);
+            assert_eq!(stats.exact, (n * centers.len()) as u64);
+            for i in 0..n {
+                assert_eq!(
+                    assigner.labels()[i],
+                    reference::nearest(&flat[i * d..(i + 1) * d], &centers).0,
+                    "point {i}"
+                );
+            }
+        });
     }
 }

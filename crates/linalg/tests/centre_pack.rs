@@ -1,12 +1,13 @@
-//! Work accounting of the centre pack in `NearestAssign::assign`: only a
-//! warm, non-bypassed pass reads the packed centre panels, so only that
-//! pass may charge their bytes to `kernels.bytes_touched`.
+//! Work accounting of the packs behind `NearestAssign::assign_packed`: a
+//! fit's points are packed once, on the first pass that reads them, and
+//! only a warm, non-bypassed pass packs the centres, so each pack charges
+//! its bytes to `kernels.bytes_touched` exactly once.
 //!
 //! The counters are process-global, so this file holds a single test: its
 //! binary runs nothing else that could charge them concurrently.
 
 use multiclust_linalg::block::STRIPE;
-use multiclust_linalg::kernels::{self, KernelMode, NearestAssign};
+use multiclust_linalg::kernels::{self, KernelMode, NearestAssign, PackedPoints};
 
 fn bytes_touched() -> u64 {
     multiclust_telemetry::snapshot()
@@ -17,7 +18,7 @@ fn bytes_touched() -> u64 {
 }
 
 #[test]
-fn cold_and_bypassed_passes_pack_no_centres() {
+fn points_pack_once_and_only_warm_passes_pack_centres() {
     multiclust_telemetry::set_enabled(true);
     kernels::set_kernel_mode(Some(KernelMode::Blocked));
     // k = STRIPE centres 50 apart on every coordinate (the smallest count
@@ -29,12 +30,12 @@ fn cold_and_bypassed_passes_pack_no_centres() {
         .flat_map(|c| (0..8).flat_map(move |j| c.iter().map(move |x| x + 0.05 * j as f64 - 0.2)))
         .collect();
     let n = flat.len() / d;
-    let norms = kernels::sq_norms(d, &flat);
+    let points = PackedPoints::new(d, &flat);
     let mut assigner = NearestAssign::new(n);
     let mut pass = |centers: &[Vec<f64>]| {
         let before = bytes_touched();
-        let stats = assigner.assign(d, &flat, &norms, centers);
-        let distances = 16 * d as u64 * (stats.exact + stats.estimates);
+        let stats = assigner.assign_packed(&points, centers);
+        let distances = 16 * d as u64 * stats.exact;
         (stats, bytes_touched() - before - distances)
     };
     let point_pack = 16 * (n * d) as u64;
@@ -45,15 +46,23 @@ fn cold_and_bypassed_passes_pack_no_centres() {
     assert_eq!(extra, point_pack, "cold pass packs the points only");
 
     // A drift of 90 against a half-separation of 50: the pretest predicts
-    // no skips, so the pass bypasses the bounds.
+    // no skips, so the pass bypasses the bounds. Its sweep reads the
+    // points packed by the cold pass.
     let moved: Vec<Vec<f64>> =
         centers.iter().map(|c| c.iter().map(|x| x + 45.0).collect()).collect();
     let (stats, extra) = pass(&moved);
     assert_eq!(stats.bypass, 1, "{stats:?}");
-    assert_eq!(extra, point_pack, "bypassed pass packs the points only");
+    assert_eq!(extra, 0, "bypassed pass packs nothing");
 
     // Stationary centres: a warm Hamerly pass, which does pack the centres.
     let (stats, extra) = pass(&moved);
     assert_eq!((stats.bypass, stats.skipped), (0, n as u64), "{stats:?}");
     assert_eq!(extra, centre_pack, "warm pass packs the centres only");
+
+    // A fresh `PackedPoints` over the same rows packs them again, once.
+    let again = PackedPoints::new(d, &flat);
+    let before = bytes_touched();
+    let stats = NearestAssign::new(n).assign_packed(&again, &moved);
+    let extra = bytes_touched() - before - 16 * d as u64 * stats.exact;
+    assert_eq!(extra, point_pack, "a new value packs its points");
 }

@@ -79,13 +79,14 @@ proptest! {
     /// Hamerly-pruned assignment equals the exhaustive scan bit-for-bit —
     /// over random data, random k, and several rounds of centre drift
     /// (exercising the cross-iteration bound updates, not just the cold
-    /// scan).
+    /// scan). k ranges past one SIMD stripe of centres, so it straddles
+    /// the sweep/Hamerly crossover and the scalar/panel warm rows.
     #[test]
     fn pruned_assignment_bit_identity(seed in 0u64..1_000_000) {
-        let (n, d, flat) = flat_data(seed, 32, 6);
+        let (n, d, flat) = flat_data(seed, 40, 6);
         let norms = sq_norms(d, &flat);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd_ef01);
-        let k = rng.gen_range(1..=n.min(6));
+        let k = rng.gen_range(1..=n.min(block::STRIPE + 4));
         let mut centers: Vec<Vec<f64>> = (0..k)
             .map(|c| flat[c * d..(c + 1) * d].to_vec())
             .collect();
@@ -131,8 +132,9 @@ proptest! {
     /// Centre counts deliberately straddle `block::STRIPE`, and the
     /// centres drift over several rounds by a small fraction of the data
     /// spread, so the cold across-points exact sweep, the warm Hamerly
-    /// skips and — for k ≥ stripe — the warm per-centre panel-dot scan
-    /// are all exercised; labels are checked after every round.
+    /// skips and the warm full scans — scalar rows below one stripe of
+    /// centres, panel rows from it on — are all exercised; labels are
+    /// checked after every round.
     #[test]
     fn kernel_tiers_bit_identical(seed in 0u64..1_000_000) {
         let (n, d, flat) = flat_data(seed, 40, 8);
@@ -184,9 +186,8 @@ proptest! {
         })?;
     }
 
-    /// Duplicated rows: distances collapse to exactly zero on the diagonal
-    /// blocks and the pruned assignment still matches (the cancellation
-    /// guard path).
+    /// Duplicated rows far from the origin: distances collapse to exactly
+    /// zero on the diagonal blocks and the assignment still matches.
     #[test]
     fn duplicates_stay_bit_identical(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -11,7 +11,7 @@
 use multiclust_core::subspace::{SubspaceCluster, SubspaceClustering};
 use multiclust_core::Clustering;
 use multiclust_data::Dataset;
-use multiclust_linalg::kernels::{assign_by_dist, sq_norms};
+use multiclust_linalg::kernels::PackedPoints;
 use multiclust_linalg::vector::dist;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -79,9 +79,11 @@ impl Proclus {
             .copied()
             .collect();
         let mut best: Option<BestState> = None;
+        // The points are packed once, for every iteration's localities.
+        let points = PackedPoints::new(d, data.as_slice());
 
         for it in 0..self.max_iter {
-            let dims = self.find_dimensions(data, &medoids);
+            let dims = self.find_dimensions(data, &points, &medoids);
             let (assign, cost) = self.assign(data, &medoids, &dims);
             // Hill-climb trace: candidate cost and how many objects fell
             // out as outliers under this medoid set.
@@ -125,7 +127,7 @@ impl Proclus {
 
         let (_, medoids, _dims, assign) = best.expect("at least one iteration");
         // Refinement: recompute dimensions on the found clusters, reassign.
-        let refined_dims = self.refine_dimensions(data, &medoids, &assign);
+        let refined_dims = self.refine_dimensions(data, &points, &medoids, &assign);
         let (assign, _) = self.assign(data, &medoids, &refined_dims);
 
         if multiclust_telemetry::enabled() {
@@ -148,19 +150,22 @@ impl Proclus {
     /// (objects closer to it than to any other medoid), compute the mean
     /// per-dimension deviation, standardise across dimensions, and pick the
     /// `k·l` globally smallest z-scores with at least two per medoid.
-    fn find_dimensions(&self, data: &Dataset, medoids: &[usize]) -> Vec<Vec<usize>> {
+    fn find_dimensions(
+        &self,
+        data: &Dataset,
+        points: &PackedPoints,
+        medoids: &[usize],
+    ) -> Vec<Vec<usize>> {
         let d = data.dims();
-        // Locality: nearest-medoid partition through the pruned engine
-        // kernel — first minimum of the computed Euclidean distances,
-        // matching the historical `min_by` scan bit-for-bit. In the
-        // blocked tier the per-point medoid distances come from the
-        // panel-packed dot-form estimates (exact re-verification keeps the
-        // winning distance bit-exact), so PROCLUS inherits the SIMD path
+        // Locality: nearest-medoid partition through the engine kernel —
+        // first minimum of the computed Euclidean distances, matching the
+        // historical `min_by` scan bit-for-bit. In the blocked mode the
+        // per-point medoid distances come from the exact panel sweep over
+        // the fit's packed points, so PROCLUS inherits the SIMD path
         // without any change here.
         let medoid_rows: Vec<Vec<f64>> =
             medoids.iter().map(|&m| data.row(m).to_vec()).collect();
-        let norms = sq_norms(d, data.as_slice());
-        let nearest = assign_by_dist(d, data.as_slice(), &norms, &medoid_rows);
+        let nearest = points.nearest_by_dist(&medoid_rows);
         let mut locality: Vec<Vec<usize>> = vec![Vec::new(); self.k];
         for (i, &m) in nearest.iter().enumerate() {
             locality[m].push(i);
@@ -220,6 +225,7 @@ impl Proclus {
     fn refine_dimensions(
         &self,
         data: &Dataset,
+        points: &PackedPoints,
         medoids: &[usize],
         assign: &[Option<usize>],
     ) -> Vec<Vec<usize>> {
@@ -227,7 +233,7 @@ impl Proclus {
         // clusters: simplest faithful approximation — recompute with the
         // medoids, which the assignment was based on anyway.
         let _ = assign;
-        self.find_dimensions(data, medoids)
+        self.find_dimensions(data, points, medoids)
     }
 
     /// Assignment under Manhattan *segmental* distance (per-dimension

@@ -41,10 +41,11 @@ cmp "$tmp/verify1.txt" "$tmp/verify4.txt"
 grep -q 'all 741 checks passed across 8 families' "$tmp/verify1.txt"
 
 # Distance-kernel engine: flipping the runtime kernel switch must not
-# change a command's stdout by a single byte. k = 3 only runs the
-# exhaustive sweep; k = 16 on 400 rows also reaches the warm Hamerly and
-# panel-dot passes (k ≥ PRUNE_MIN_K and ≥ one SIMD stripe). That those
-# passes actually prune is telemetry contract 9 in tests/telemetry.rs.
+# change a command's stdout by a single byte. k = 3 only runs the exact
+# across-points sweep; k = 16 on 400 rows also reaches the warm Hamerly
+# passes and their exact panel-row scans (k past the sweep/Hamerly
+# crossover and ≥ one SIMD stripe). That those passes actually prune is
+# telemetry contract 9 in tests/telemetry.rs.
 MULTICLUST_KERNELS=naive ./target/release/multiclust kmeans \
     --input "$tmp/data.csv" --k 3 --seed 1 > "$tmp/naive.csv"
 MULTICLUST_KERNELS=blocked ./target/release/multiclust kmeans \
@@ -60,16 +61,26 @@ MULTICLUST_KERNELS=blocked ./target/release/multiclust kmeans \
     --input "$tmp/grid.csv" --k 16 --seed 1 > "$tmp/blocked16.csv"
 cmp "$tmp/blocked16.csv" "$tmp/naive16.csv"
 # COALA reads its links from the distance matrix under `blocked` and sums
-# them afresh under `naive`; both modes, at one thread and at four, must
-# print the same labels.
+# them afresh under `naive`; the k-means families share one packed copy of
+# their points across restarts, seeding and assignment passes under
+# `blocked` (k = 32 on the Hamerly path, k = 4 on the sweep; Qi–Davidson
+# runs k-means on its transformed rows) and scan exhaustively under
+# `naive`. Both modes, at one thread and at four, must print the same
+# labels.
 awk '{ print (NR - 1) % 16 % 4 }' "$tmp/grid.csv" > "$tmp/grid-given.csv"
-for mode in naive blocked; do
-    for threads in 1 4; do
-        MULTICLUST_KERNELS=$mode MULTICLUST_THREADS=$threads \
-            ./target/release/multiclust alternative --method coala --k 4 --w 0.8 \
-            --input "$tmp/grid.csv" --given "$tmp/grid-given.csv" \
-            > "$tmp/coala-$mode-$threads.csv"
-        cmp "$tmp/coala-naive-1.csv" "$tmp/coala-$mode-$threads.csv"
+for run in "coala:alternative --method coala --k 4 --w 0.8 --given $tmp/grid-given.csv" \
+    "kmeans32:kmeans --k 32" \
+    "deckmeans:dec-kmeans --ks 4,4" \
+    "qidavidson:alternative --method qidavidson --k 4 --given $tmp/grid-given.csv"; do
+    name=${run%%:*}
+    for mode in naive blocked; do
+        for threads in 1 4; do
+            # shellcheck disable=SC2086 # the command's flags split on purpose
+            MULTICLUST_KERNELS=$mode MULTICLUST_THREADS=$threads \
+                ./target/release/multiclust ${run#*:} --input "$tmp/grid.csv" \
+                > "$tmp/$name-$mode-$threads.csv"
+            cmp "$tmp/$name-naive-1.csv" "$tmp/$name-$mode-$threads.csv"
+        done
     done
 done
 

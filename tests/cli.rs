@@ -56,6 +56,44 @@ fn kmeans_roundtrip_through_csv() {
     assert!(adjusted_rand_index(&found, &truth) > 0.95);
 }
 
+/// Thirty rows whose first column alternates between ~1e-300 and ~1e80,
+/// with `(i + 1) % 2` as the given labels: the rows under which
+/// Qi–Davidson's inner k-means++ once summed its distances to NaN.
+fn extreme_scale_rows() -> (Vec<[f64; 3]>, Vec<usize>) {
+    (0..30)
+        .map(|i| {
+            let c1 = if i % 2 == 0 {
+                1e-300 * (i + 1) as f64
+            } else {
+                1e80 * (1.0 + i as f64 / 30.0)
+            };
+            ([c1, 1e-301 * (i + 1) as f64, 1e-300], (i + 1) % 2)
+        })
+        .unzip()
+}
+
+/// k-means++ falls back to a uniform pick when its distance total is NaN,
+/// as it does for a zero total, instead of panicking on an empty range.
+#[test]
+fn qidavidson_on_extreme_scales_does_not_panic() {
+    let dir = workdir("qidavidson-extreme");
+    let (rows, given) = extreme_scale_rows();
+    let input = dir.join("data.csv");
+    let text: String = rows.iter().map(|r| format!("{:?},{:?},{:?}\n", r[0], r[1], r[2])).collect();
+    fs::write(&input, text).unwrap();
+    let labels_path = dir.join("given.csv");
+    fs::write(&labels_path, given.iter().map(|l| format!("{l}\n")).collect::<String>()).unwrap();
+    let out = bin()
+        .args(["alternative", "--method", "qidavidson", "--k", "2", "--seed", "1"])
+        .args(["--input", input.to_str().unwrap(), "--given", labels_path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 30);
+}
+
 #[test]
 fn dec_kmeans_emits_two_columns() {
     let dir = workdir("dec");

@@ -596,3 +596,30 @@ fn one_dimensional_proclus_fit_is_a_bad_request() {
     shutdown_clean(child, &listen);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// The served face of the k-means++ NaN-total bug: thirty rows whose first
+/// column alternates between ~1e-300 and ~1e80 once made Qi–Davidson's
+/// inner k-means++ panic, and the `orthogonal` fit answered `internal`.
+#[test]
+fn orthogonal_fit_on_extreme_scales_answers_ok() {
+    let (rows, given): (Vec<String>, Vec<String>) = (0..30)
+        .map(|i| {
+            let c1 = if i % 2 == 0 {
+                1e-300 * (i + 1) as f64
+            } else {
+                1e80 * (1.0 + i as f64 / 30.0)
+            };
+            let row = format!("[{c1:?},{:?},{:?}]", 1e-301 * (i + 1) as f64, 1e-300);
+            (row, ((i + 1) % 2).to_string())
+        })
+        .unzip();
+    let request = format!(
+        r#"{{"id":"x","op":"fit","family":"orthogonal","k":2,"seed":1,"data":[{}],"given":[{}]}}"#,
+        rows.join(","),
+        given.join(","),
+    );
+    let (child, listen) = spawn_serve(&[], &[]);
+    let resp = client::roundtrip(&listen, &request).unwrap();
+    assert!(resp.contains(r#""ok":true"#), "{resp}");
+    shutdown_clean(child, &listen);
+}

@@ -321,9 +321,9 @@ fn affinity_work_counters_follow_the_roofline_model() {
 /// Fits k-means (k = 16) on a 400-row grid — 16 cells on a 4 × 4 lattice
 /// spaced 10, uniform jitter in 0..4, d = 3 — and spectral clustering on
 /// two small blobs, both under `mode`. Returns each fit's
-/// `(kernels.estimates, kernels.assign.skipped)`. The kernel mode is
-/// restored to the environment's even if a fit panics.
-fn pruning_counters(mode: KernelMode) -> [(u64, u64); 2] {
+/// `(kernels.exact, kernels.estimates, kernels.assign.skipped)`. The
+/// kernel mode is restored to the environment's even if a fit panics.
+fn pruning_counters(mode: KernelMode) -> [(u64, u64, u64); 2] {
     struct Restore;
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -336,7 +336,11 @@ fn pruning_counters(mode: KernelMode) -> [(u64, u64); 2] {
         let snap = telemetry::snapshot();
         telemetry::reset();
         let get = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-        (get("kernels.estimates"), get("kernels.assign.skipped"))
+        (
+            get("kernels.exact"),
+            get("kernels.estimates"),
+            get("kernels.assign.skipped"),
+        )
     };
 
     let mut rng = seeded_rng(11);
@@ -365,9 +369,10 @@ fn pruning_counters(mode: KernelMode) -> [(u64, u64); 2] {
 }
 
 /// The blocked kernels' pruning is deterministic, so it is checked by
-/// counting, not timing: on fixed inputs the warm Hamerly scans estimate
-/// and skip candidates, and the spectral affinity triangle goes through
-/// the panel path. Forcing the naive kernels zeroes the same counters,
+/// counting, not timing: on fixed inputs the warm Hamerly passes skip
+/// points and so compute fewer exact distances than the exhaustive naive
+/// scan, and the spectral affinity triangle goes through the panel path.
+/// Forcing the naive kernels zeroes the skip and screening counters,
 /// which is what a silent fallback would look like — so the assertions
 /// on the blocked half can fire.
 #[test]
@@ -375,11 +380,16 @@ fn blocked_kernels_prune_and_naive_kernels_do_not() {
     let (blocked, naive) = serialized(|| {
         (pruning_counters(KernelMode::Blocked), pruning_counters(KernelMode::Naive))
     });
-    let [(kmeans_estimates, kmeans_skipped), (spectral_estimates, _)] = blocked;
-    assert!(kmeans_estimates > 0, "k-means screened no candidates: {blocked:?}");
+    let [(kmeans_exact, _, kmeans_skipped), (_, spectral_estimates, _)] = blocked;
+    let [(naive_exact, ..), _] = naive;
+    assert!(
+        kmeans_exact < naive_exact,
+        "k-means pruned no distances: blocked {blocked:?}, naive {naive:?}"
+    );
     assert!(kmeans_skipped > 0, "k-means skipped no candidates: {blocked:?}");
     assert!(spectral_estimates > 0, "spectral affinity left the panel path: {blocked:?}");
-    assert_eq!(naive, [(0, 0), (0, 0)], "naive kernels must not prune");
+    let pruned: Vec<(u64, u64)> = naive.iter().map(|&(_, e, s)| (e, s)).collect();
+    assert_eq!(pruned, [(0, 0), (0, 0)], "naive kernels must not prune");
 }
 
 /// COALA keeps every group pair's link across merge steps and scans the
