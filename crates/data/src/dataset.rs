@@ -247,6 +247,32 @@ impl Dataset {
     }
 }
 
+/// The first column (0-based) whose values, though finite, are too large
+/// for the fits, or `None`. Column `j` is refused when
+/// `n · max|x_j|` overflows, since then its sum and mean do, or when
+/// `n · Σ_{c ≤ j} range_c²` overflows: that bounds every squared distance
+/// and every scatter and covariance sum, which the fits and their eigen
+/// solves need finite.
+pub fn overflowing_column<'a>(rows: impl IntoIterator<Item = &'a [f64]>) -> Option<usize> {
+    let mut n = 0u64;
+    let mut bounds: Vec<(f64, f64)> = Vec::new();
+    for row in rows {
+        if n == 0 {
+            bounds = row.iter().map(|&x| (x, x)).collect();
+        }
+        for (b, &x) in bounds.iter_mut().zip(row) {
+            *b = (b.0.min(x), b.1.max(x));
+        }
+        n += 1;
+    }
+    let n = n as f64;
+    let mut spread = 0.0;
+    bounds.iter().position(|&(lo, hi)| {
+        spread += (hi - lo) * (hi - lo);
+        !(n * lo.abs().max(hi.abs())).is_finite() || !(n * spread).is_finite()
+    })
+}
+
 /// Multiple given views/sources over the same set of objects
 /// (the multi-source paradigm, slides 94–112): view `v` describes object
 /// `i` by `views[v].row(i)`.

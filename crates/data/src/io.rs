@@ -10,7 +10,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::Dataset;
+use crate::{overflowing_column, Dataset};
 
 /// Errors raised while parsing a CSV table.
 #[derive(Debug)]
@@ -31,6 +31,13 @@ pub enum CsvError {
         line: usize,
         /// The offending cell text.
         cell: String,
+    },
+    /// Every cell is finite, but a column's values are so large that
+    /// sums or squared distances over the data overflow (see
+    /// [`overflowing_column`]).
+    Overflow {
+        /// 1-based column number.
+        column: usize,
     },
     /// A row had a different number of cells than the first row.
     RaggedRow {
@@ -55,6 +62,10 @@ impl std::fmt::Display for CsvError {
             Self::NonFinite { line, cell } => {
                 write!(f, "line {line}: {cell:?} is not a finite number")
             }
+            Self::Overflow { column } => write!(
+                f,
+                "column {column}: values too large, sums or squared distances over the data overflow"
+            ),
             Self::RaggedRow { line, found, expected } => {
                 write!(f, "line {line}: {found} cells, expected {expected}")
             }
@@ -121,6 +132,9 @@ pub fn parse_csv(text: &str, header: bool) -> Result<Dataset, CsvError> {
 
     if rows.is_empty() {
         return Err(CsvError::Empty);
+    }
+    if let Some(j) = overflowing_column(rows.iter().map(Vec::as_slice)) {
+        return Err(CsvError::Overflow { column: j + 1 });
     }
     let mut ds = Dataset::from_rows(&rows);
     if let Some(names) = names {
@@ -206,6 +220,22 @@ mod tests {
             );
             assert!(err.to_string().contains("line 2"), "{err}");
         }
+    }
+
+    #[test]
+    fn overflowing_columns_are_errors() {
+        // Finite cells whose range squares past f64::MAX.
+        let err = parse_csv("1,1.7e308\n2,-1.7e308\n", false).unwrap_err();
+        assert!(matches!(err, CsvError::Overflow { column: 2 }), "{err:?}");
+        // A constant column: no range, but its sum overflows.
+        let err = parse_csv("1.7e308\n1.7e308\n", false).unwrap_err();
+        assert!(matches!(err, CsvError::Overflow { column: 1 }), "{err:?}");
+        // Squared ranges that overflow only once added up.
+        let err = parse_csv("0,0\n8e153,8e153\n", false).unwrap_err();
+        assert!(matches!(err, CsvError::Overflow { column: 2 }), "{err:?}");
+        // Extreme but workable scales still load.
+        assert!(parse_csv("1e-300,1e80\n1e80,1e-300\n", false).is_ok());
+        assert!(parse_csv("1.7e308\n", false).is_ok());
     }
 
     #[test]

@@ -22,5 +22,5 @@ pub mod io;
 pub mod rng;
 pub mod synthetic;
 
-pub use dataset::{Dataset, MultiViewDataset};
+pub use dataset::{overflowing_column, Dataset, MultiViewDataset};
 pub use rng::seeded_rng;

@@ -9,16 +9,14 @@
 //! row is streamed against a stripe of [`STRIPE`] columns at once. Each
 //! SIMD lane owns one column and accumulates its own sum in ascending
 //! index order — exactly the scalar order — so every produced value is
-//! **bit-identical** to [`crate::vector::dot`] / [`crate::vector::sq_dist`]
-//! on the same pair.
+//! **bit-identical** to [`crate::vector::sq_dist`] on the same pair.
 //!
-//! Two implementations sit behind one dispatch point:
-//!
-//! * a portable fallback written as flat fixed-width array loops the
-//!   autovectorizer handles on any target, and
-//! * an AVX2 path (`core::arch`, runtime `is_x86_feature_detected!`) using
-//!   only `sub`/`mul`/`add` — **never FMA**, which single-rounds the
-//!   multiply-add and would change bits relative to the scalar kernel.
+//! There is one kernel source, a loop over fixed-width stripe windows that
+//! the autovectorizer handles on any target. On x86-64 the same source is
+//! also compiled with AVX2 enabled and picked at run time by
+//! `is_x86_feature_detected!`; that call is the crate's one `unsafe` block.
+//! AVX2 adds no FMA, which single-rounds the multiply-add and would change
+//! bits relative to the scalar kernel.
 
 /// Columns per SIMD stripe: 4 AVX2 `f64` vectors, held in registers across
 /// the whole depth loop.
@@ -42,242 +40,70 @@ pub fn tile_cols(d: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------
-// AVX2 kernels (x86-64 only, runtime-detected)
+// The stripe kernel
 // ---------------------------------------------------------------------
 
-/// Runtime-dispatched AVX2 variants of the panel kernels.
-///
-/// The only unsafe code in the workspace lives here. Safety rests on two
-/// invariants, checked by the safe wrappers: (1) the AVX2 intrinsics are
-/// only executed after `is_x86_feature_detected!("avx2")` returned `true`,
-/// and (2) every pointer offset stays inside the bounds the callers
-/// `debug_assert` and the packing layout guarantees (`panel` holds
-/// `d × width` values, the accessed columns `lo .. lo + out.len()` lie
-/// within `width`).
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod x86 {
-    use core::arch::x86_64::{
-        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd, _mm256_sub_pd,
-    };
-
-    use super::STRIPE;
-
-    #[inline]
-    fn avx2() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-
-    /// AVX2 `sq_dist` panel kernel; returns `false` (and does nothing)
-    /// when AVX2 is unavailable so the caller can fall back.
-    #[inline]
-    pub fn sq_dist_range(
-        row: &[f64],
-        panel: &[f64],
-        width: usize,
-        lo: usize,
-        out: &mut [f64],
-    ) -> bool {
-        if !avx2() {
-            return false;
-        }
-        // SAFETY: AVX2 presence checked above; bounds are the caller's
-        // panel-layout invariant (see module docs).
-        unsafe { sq_dist_range_avx2(row, panel, width, lo, out) };
-        true
-    }
-
-    /// AVX2 `dot` panel kernel; `false` when AVX2 is unavailable.
-    #[inline]
-    pub fn dot_range(
-        row: &[f64],
-        panel: &[f64],
-        width: usize,
-        lo: usize,
-        out: &mut [f64],
-    ) -> bool {
-        if !avx2() {
-            return false;
-        }
-        // SAFETY: as above.
-        unsafe { dot_range_avx2(row, panel, width, lo, out) };
-        true
-    }
-
-    /// Per column `c`: `out[c] = Σ_t (row[t] − panel[t·width + lo + c])²`,
-    /// each lane accumulating in ascending `t` — bit-identical to the
-    /// scalar kernel. `sub`/`mul`/`add` only: FMA would single-round the
-    /// multiply-add and change bits.
-    #[target_feature(enable = "avx2")]
-    unsafe fn sq_dist_range_avx2(
-        row: &[f64],
-        panel: &[f64],
-        width: usize,
-        lo: usize,
-        out: &mut [f64],
-    ) {
-        let len = out.len();
-        debug_assert!(lo + len <= width);
-        debug_assert!(panel.len() >= row.len() * width);
-        let mut j = 0;
-        while j + STRIPE <= len {
-            let mut a0 = _mm256_setzero_pd();
-            let mut a1 = _mm256_setzero_pd();
-            let mut a2 = _mm256_setzero_pd();
-            let mut a3 = _mm256_setzero_pd();
-            for (t, &x) in row.iter().enumerate() {
-                let xv = _mm256_set1_pd(x);
-                let base = panel.as_ptr().add(t * width + lo + j);
-                let d0 = _mm256_sub_pd(xv, _mm256_loadu_pd(base));
-                let d1 = _mm256_sub_pd(xv, _mm256_loadu_pd(base.add(4)));
-                let d2 = _mm256_sub_pd(xv, _mm256_loadu_pd(base.add(8)));
-                let d3 = _mm256_sub_pd(xv, _mm256_loadu_pd(base.add(12)));
-                a0 = _mm256_add_pd(a0, _mm256_mul_pd(d0, d0));
-                a1 = _mm256_add_pd(a1, _mm256_mul_pd(d1, d1));
-                a2 = _mm256_add_pd(a2, _mm256_mul_pd(d2, d2));
-                a3 = _mm256_add_pd(a3, _mm256_mul_pd(d3, d3));
-            }
-            let o = out.as_mut_ptr().add(j);
-            _mm256_storeu_pd(o, a0);
-            _mm256_storeu_pd(o.add(4), a1);
-            _mm256_storeu_pd(o.add(8), a2);
-            _mm256_storeu_pd(o.add(12), a3);
-            j += STRIPE;
-        }
-        for jj in j..len {
-            let col = lo + jj;
-            let mut a = 0.0;
-            for (t, &x) in row.iter().enumerate() {
-                let dd = x - *panel.get_unchecked(t * width + col);
-                a += dd * dd;
-            }
-            out[jj] = a;
-        }
-    }
-
-    /// Per column `c`: `out[c] = Σ_t row[t] · panel[t·width + lo + c]`,
-    /// per-lane ascending-`t` accumulation, no FMA.
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_range_avx2(
-        row: &[f64],
-        panel: &[f64],
-        width: usize,
-        lo: usize,
-        out: &mut [f64],
-    ) {
-        let len = out.len();
-        debug_assert!(lo + len <= width);
-        debug_assert!(panel.len() >= row.len() * width);
-        let mut j = 0;
-        while j + STRIPE <= len {
-            let mut a0 = _mm256_setzero_pd();
-            let mut a1 = _mm256_setzero_pd();
-            let mut a2 = _mm256_setzero_pd();
-            let mut a3 = _mm256_setzero_pd();
-            for (t, &x) in row.iter().enumerate() {
-                let xv = _mm256_set1_pd(x);
-                let base = panel.as_ptr().add(t * width + lo + j);
-                a0 = _mm256_add_pd(a0, _mm256_mul_pd(xv, _mm256_loadu_pd(base)));
-                a1 = _mm256_add_pd(a1, _mm256_mul_pd(xv, _mm256_loadu_pd(base.add(4))));
-                a2 = _mm256_add_pd(a2, _mm256_mul_pd(xv, _mm256_loadu_pd(base.add(8))));
-                a3 = _mm256_add_pd(a3, _mm256_mul_pd(xv, _mm256_loadu_pd(base.add(12))));
-            }
-            let o = out.as_mut_ptr().add(j);
-            _mm256_storeu_pd(o, a0);
-            _mm256_storeu_pd(o.add(4), a1);
-            _mm256_storeu_pd(o.add(8), a2);
-            _mm256_storeu_pd(o.add(12), a3);
-            j += STRIPE;
-        }
-        for jj in j..len {
-            let col = lo + jj;
-            let mut a = 0.0;
-            for (t, &x) in row.iter().enumerate() {
-                a += x * *panel.get_unchecked(t * width + col);
-            }
-            out[jj] = a;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Portable fallback kernels
-// ---------------------------------------------------------------------
-
-/// Portable `sq_dist` panel kernel: fixed-width stripe accumulators the
-/// autovectorizer turns into SIMD on any target.
+/// Per column `c`: `out[c] = Σ_t (row[t] − panel[t·width + lo + c])²`, each
+/// column accumulating in ascending `t` — bit-identical to the scalar
+/// kernel. A full stripe keeps its [`STRIPE`] sums in one fixed-size
+/// window, which the autovectorizer holds in registers across the depth
+/// loop; the tail columns run the same per-lane order on a shorter window.
+/// `sub`/`mul`/`add` only: Rust never contracts them to FMA, which would
+/// single-round the multiply-add and change bits. Always inlined, so the
+/// AVX2 wrapper below compiles the loop itself instead of calling the
+/// baseline build.
+#[inline(always)]
 fn sq_dist_range_portable(row: &[f64], panel: &[f64], width: usize, lo: usize, out: &mut [f64]) {
-    let len = out.len();
-    debug_assert!(lo + len <= width);
+    debug_assert!(lo + out.len() <= width);
     debug_assert!(panel.len() >= row.len() * width);
-    let mut j = 0;
-    while j + STRIPE <= len {
+    let mut stripes = out.chunks_exact_mut(STRIPE);
+    let mut c = lo;
+    for o in &mut stripes {
         let mut acc = [0.0f64; STRIPE];
-        for (t, &x) in row.iter().enumerate() {
-            let p = &panel[t * width + lo + j..t * width + lo + j + STRIPE];
+        for (&x, depth) in row.iter().zip(panel.chunks_exact(width)) {
+            let p: &[f64; STRIPE] = depth[c..c + STRIPE].try_into().expect("one stripe");
             for (a, &pv) in acc.iter_mut().zip(p) {
                 let dd = x - pv;
                 *a += dd * dd;
             }
         }
-        out[j..j + STRIPE].copy_from_slice(&acc);
-        j += STRIPE;
+        o.copy_from_slice(&acc);
+        c += STRIPE;
     }
-    for jj in j..len {
-        let col = lo + jj;
-        let mut a = 0.0;
-        for (t, &x) in row.iter().enumerate() {
-            let dd = x - panel[t * width + col];
-            a += dd * dd;
+    let tail = stripes.into_remainder();
+    let r = tail.len();
+    let mut acc = [0.0f64; STRIPE];
+    let acc = &mut acc[..r];
+    for (&x, depth) in row.iter().zip(panel.chunks_exact(width)) {
+        for (a, &pv) in acc.iter_mut().zip(&depth[c..c + r]) {
+            let dd = x - pv;
+            *a += dd * dd;
         }
-        out[jj] = a;
     }
+    tail.copy_from_slice(acc);
 }
 
-/// Portable `dot` panel kernel.
-fn dot_range_portable(row: &[f64], panel: &[f64], width: usize, lo: usize, out: &mut [f64]) {
-    let len = out.len();
-    debug_assert!(lo + len <= width);
-    debug_assert!(panel.len() >= row.len() * width);
-    let mut j = 0;
-    while j + STRIPE <= len {
-        let mut acc = [0.0f64; STRIPE];
-        for (t, &x) in row.iter().enumerate() {
-            let p = &panel[t * width + lo + j..t * width + lo + j + STRIPE];
-            for (a, &pv) in acc.iter_mut().zip(p) {
-                *a += x * pv;
-            }
-        }
-        out[j..j + STRIPE].copy_from_slice(&acc);
-        j += STRIPE;
-    }
-    for jj in j..len {
-        let col = lo + jj;
-        let mut a = 0.0;
-        for (t, &x) in row.iter().enumerate() {
-            a += x * panel[t * width + col];
-        }
-        out[jj] = a;
-    }
+/// The stripe kernel compiled with AVX2 enabled, so each stripe's window
+/// lives in four 256-bit registers. Enabling AVX2 alone adds no FMA, so
+/// the bits equal the baseline build's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sq_dist_range_avx2(row: &[f64], panel: &[f64], width: usize, lo: usize, out: &mut [f64]) {
+    sq_dist_range_portable(row, panel, width, lo, out);
 }
 
 #[inline]
 fn sq_dist_range(row: &[f64], panel: &[f64], width: usize, lo: usize, out: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
-    if x86::sq_dist_range(row, panel, width, lo, out) {
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU supports AVX2, checked just above.
+        #[allow(unsafe_code)]
+        unsafe {
+            sq_dist_range_avx2(row, panel, width, lo, out)
+        };
         return;
     }
     sq_dist_range_portable(row, panel, width, lo, out);
-}
-
-#[inline]
-fn dot_range(row: &[f64], panel: &[f64], width: usize, lo: usize, out: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if x86::dot_range(row, panel, width, lo, out) {
-        return;
-    }
-    dot_range_portable(row, panel, width, lo, out);
 }
 
 // ---------------------------------------------------------------------
@@ -344,37 +170,28 @@ impl PackedPanels {
     /// consecutive columns starting at `lo`, bit-identical to the scalar
     /// kernel per entry.
     pub fn sq_dist_row(&self, row: &[f64], lo: usize, out: &mut [f64]) {
-        self.for_each_panel(lo, out, |panel, bw, plo, seg| {
-            sq_dist_range(row, panel, bw, plo, seg);
-        });
+        self.row_with(sq_dist_range, row, lo, out);
     }
 
-    /// Fills `out[c] = dot(row, source_row(lo + c))` for `out.len()`
-    /// consecutive columns starting at `lo`, bit-identical to the scalar
-    /// kernel per entry.
-    pub fn dot_row(&self, row: &[f64], lo: usize, out: &mut [f64]) {
-        self.for_each_panel(lo, out, |panel, bw, plo, seg| {
-            dot_range(row, panel, bw, plo, seg);
-        });
-    }
-
+    /// Runs `kernel` over each panel that columns `lo .. lo + out.len()`
+    /// touch, with that panel's width and the segment's first column.
     #[inline]
-    fn for_each_panel(
+    fn row_with(
         &self,
+        kernel: impl Fn(&[f64], &[f64], usize, usize, &mut [f64]),
+        row: &[f64],
         lo: usize,
         out: &mut [f64],
-        mut f: impl FnMut(&[f64], usize, usize, &mut [f64]),
     ) {
         let hi_total = lo + out.len();
         debug_assert!(hi_total <= self.n);
-        debug_assert_eq!(self.d.max(1), self.d);
         let mut j = lo;
         while j < hi_total {
             let pstart = j / self.b * self.b;
             let bw = self.b.min(self.n - pstart);
             let hi = (pstart + bw).min(hi_total);
             let panel = &self.data[pstart * self.d..(pstart + bw) * self.d];
-            f(panel, bw, j - pstart, &mut out[j - lo..hi - lo]);
+            kernel(row, panel, bw, j - pstart, &mut out[j - lo..hi - lo]);
             j = hi;
         }
     }
@@ -383,13 +200,29 @@ impl PackedPanels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector::{dot, sq_dist};
+    use crate::vector::sq_dist;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn random_flat(n: usize, d: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n * d).map(|_| rng.gen_range(-5.0..5.0)).collect()
+    }
+
+    /// `len` columns from `lo` through the dispatched kernel (the AVX2 build
+    /// on an AVX2 machine) and through the baseline build of the same loop,
+    /// which the dispatch would otherwise never run there.
+    fn both_kernels(
+        packed: &PackedPanels,
+        row: &[f64],
+        lo: usize,
+        len: usize,
+    ) -> [(Vec<f64>, &'static str); 2] {
+        let mut dispatched = vec![0.0; len];
+        packed.sq_dist_row(row, lo, &mut dispatched);
+        let mut portable = vec![0.0; len];
+        packed.row_with(sq_dist_range_portable, row, lo, &mut portable);
+        [(dispatched, "dispatched"), (portable, "portable")]
     }
 
     #[test]
@@ -413,30 +246,16 @@ mod tests {
             let packed = PackedPanels::pack(d, &flat);
             let row = random_flat(1, d, seed + 100);
             for lo in [0, n / 3, n.saturating_sub(1)] {
-                let mut out = vec![0.0; n - lo];
-                packed.sq_dist_row(&row, lo, &mut out);
-                for (c, &got) in out.iter().enumerate() {
-                    let j = lo + c;
-                    let want = sq_dist(&row, &flat[j * d..(j + 1) * d]);
-                    assert_eq!(got.to_bits(), want.to_bits(), "n={n} d={d} lo={lo} j={j}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn panel_dot_bit_identical_to_scalar() {
-        for (n, d, seed) in [(2, 1, 6), (33, 5, 7), (64, 16, 8), (129, 48, 9)] {
-            let flat = random_flat(n, d, seed);
-            let packed = PackedPanels::pack(d, &flat);
-            let row = random_flat(1, d, seed + 100);
-            for lo in [0, 1, n / 2] {
-                let mut out = vec![0.0; n - lo];
-                packed.dot_row(&row, lo, &mut out);
-                for (c, &got) in out.iter().enumerate() {
-                    let j = lo + c;
-                    let want = dot(&row, &flat[j * d..(j + 1) * d]);
-                    assert_eq!(got.to_bits(), want.to_bits(), "n={n} d={d} lo={lo} j={j}");
+                for (out, kernel) in both_kernels(&packed, &row, lo, n - lo) {
+                    for (c, &got) in out.iter().enumerate() {
+                        let j = lo + c;
+                        let want = sq_dist(&row, &flat[j * d..(j + 1) * d]);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{kernel}: n={n} d={d} lo={lo} j={j}"
+                        );
+                    }
                 }
             }
         }
@@ -459,12 +278,16 @@ mod tests {
             ];
             for (lo, hi) in ranges {
                 debug_assert!(lo < hi, "n={n} d={d} lo={lo} hi={hi}");
-                let mut out = vec![0.0; hi - lo];
-                packed.sq_dist_row(&row, lo, &mut out);
-                for (c, &got) in out.iter().enumerate() {
-                    let j = lo + c;
-                    let want = sq_dist(&row, &flat[j * d..(j + 1) * d]);
-                    assert_eq!(got.to_bits(), want.to_bits(), "n={n} d={d} lo={lo} hi={hi} j={j}");
+                for (out, kernel) in both_kernels(&packed, &row, lo, hi - lo) {
+                    for (c, &got) in out.iter().enumerate() {
+                        let j = lo + c;
+                        let want = sq_dist(&row, &flat[j * d..(j + 1) * d]);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{kernel}: n={n} d={d} lo={lo} hi={hi} j={j}"
+                        );
+                    }
                 }
             }
         }

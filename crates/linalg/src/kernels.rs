@@ -26,13 +26,14 @@
 //!   row panels are packed transposed into L1-sized tiles ([`block`]) and
 //!   the inner loops run *across pairs* — each lane accumulates its own
 //!   pair's sum in the same index order as the scalar kernel, so every
-//!   produced value is bit-identical to [`sq_dist`]/[`dot`] while the
-//!   loop vectorizes (via `core::arch` AVX2 behind a runtime feature
-//!   check, with a portable autovectorization-friendly fallback).
+//!   produced value is bit-identical to [`sq_dist`] while the loop
+//!   vectorizes. Every blocked-mode distance row comes from that one
+//!   panel kernel.
 //!
 //! The naive reference kernels live in [`reference`];
 //! `MULTICLUST_KERNELS=naive` (or [`set_kernel_mode`]) routes all call
-//! sites through them for A/B testing and benchmarking.
+//! sites through them, so tests and the `cmp` gates can check that both
+//! modes print the same bytes.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -40,12 +41,6 @@ use std::sync::OnceLock;
 use crate::block;
 use crate::matrix::Matrix;
 use crate::vector::{dist, dot, sq_dist};
-
-/// Minimum centre count for [`assign_by_dist`] to run the exact
-/// across-points panel sweep; below it the scalar reference scan is
-/// cheaper than the sweep's packing. Either path returns identical labels,
-/// so the threshold is a pure speed heuristic.
-pub const PRUNE_MIN_K: usize = 4;
 
 /// Minimum centre count for [`NearestAssign`] to keep Hamerly bounds.
 /// Below it every pass is the exact across-points sweep, which measured
@@ -564,7 +559,7 @@ impl<'a> PackedPoints<'a> {
         let (n, d, k) = (self.len(), self.d, centers.len());
         let part = part_len(n, k * d);
         let mut labels = vec![0usize; n];
-        if kernel_mode() == KernelMode::Naive || k < PRUNE_MIN_K {
+        if kernel_mode() == KernelMode::Naive {
             multiclust_parallel::par_chunks_mut(&mut labels, part, |lo, seg| {
                 for (j, l) in seg.iter_mut().enumerate() {
                     *l = reference::nearest_by_dist(self.row(lo + j), centers);
@@ -753,8 +748,8 @@ struct Part<'a> {
 /// assigned centre to its closest other centre — the assigned centre is
 /// *provably* the unique nearest and the whole inner loop is skipped.
 /// Points that fail the test recompute the assigned distance, and only
-/// then compute one exact distance row against every centre (a panel row
-/// against the packed centres from one SIMD stripe of centres on).
+/// then compute one exact distance row: a panel row against the centres,
+/// packed once per pass.
 ///
 /// The produced labels are bit-identical to
 /// [`reference::nearest`] per point at any thread count and in either
@@ -953,13 +948,9 @@ impl NearestAssign {
             let stats = self.sweep_pass(points, centers, part);
             return AssignStats { bypass: 1, ..stats };
         }
-        // From one full SIMD stripe of centres on, a point's exact
-        // distance row is one panel row against the centres packed once
-        // per pass; below that the row is scalar `sq_dist`, since a panel
-        // would hold only scalar tails.
-        let packed = (block::STRIPE..=block::MAX_TILE_COLS)
-            .contains(&k)
-            .then(|| block::PackedPanels::pack_rows(d, centers));
+        // A point's exact distance row is one panel row against the
+        // centres, packed once per pass.
+        let packed = block::PackedPanels::pack_rows(d, centers);
         self.for_parts(part, |p| {
             let mut row_d2 = vec![0.0f64; k];
             for j in 0..p.labels.len() {
@@ -983,14 +974,7 @@ impl NearestAssign {
                     p.stats.tightened += 1;
                     continue;
                 }
-                match &packed {
-                    Some(c) => c.sq_dist_row(row, 0, &mut row_d2),
-                    None => {
-                        for (v, center) in row_d2.iter_mut().zip(centers) {
-                            *v = sq_dist(row, center);
-                        }
-                    }
-                }
+                packed.sq_dist_row(row, 0, &mut row_d2);
                 let (label, best, second) = first_two(&row_d2);
                 p.labels[j] = label;
                 p.ub[j] = best.sqrt();
@@ -1004,13 +988,12 @@ impl NearestAssign {
 
 /// One-shot parallel nearest-centre assignment comparing *computed
 /// Euclidean distances* (first minimum on ties) — the comparison PROCLUS
-/// uses for medoid localities. In [`KernelMode::Blocked`] with at least
-/// [`PRUNE_MIN_K`] centres it runs the exact across-points panel sweep,
-/// whose `d²` equals [`sq_dist`] exactly, so its square root equals
-/// [`dist`] and the comparisons replicate [`reference::nearest_by_dist`]
-/// bit-for-bit. The points are packed for this call alone (a fit that
-/// assigns more than once calls [`PackedPoints::nearest_by_dist`]), and
-/// `_norms` is not read.
+/// uses for medoid localities. In [`KernelMode::Blocked`] it runs the
+/// exact across-points panel sweep, whose `d²` equals [`sq_dist`]
+/// exactly, so its square root equals [`dist`] and the comparisons
+/// replicate [`reference::nearest_by_dist`] bit-for-bit. The points are
+/// packed for this call alone (a fit that assigns more than once calls
+/// [`PackedPoints::nearest_by_dist`]), and `_norms` is not read.
 pub fn assign_by_dist(
     d: usize,
     points: &[f64],
@@ -1091,8 +1074,9 @@ mod tests {
         // stationary warm pass; one point exactly midway between each
         // neighbouring pair ties its two nearest distances, so it fails
         // the test and takes the warm full scan, whose exact row must
-        // still pick the first minimum. Both row kinds are covered: scalar
-        // (the smallest Hamerly k) and a panel row (k = STRIPE).
+        // still pick the first minimum. Both centre panels are covered:
+        // tail-only (the smallest Hamerly k, under one stripe) and one
+        // full stripe (k = STRIPE).
         let d = 3;
         for k in [HAMERLY_MIN_K, block::STRIPE] {
             let centers: Vec<Vec<f64>> =

@@ -19,9 +19,9 @@
 //! matrix). Algorithms target the moderate dimensionalities of the
 //! tutorial's workloads (d up to a few hundred), not BLAS-scale work.
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// runtime-dispatched AVX2 module in `block`, which carries its own
-// `#[allow(unsafe_code)]` and documents the safety invariants.
+// `deny` rather than `forbid`: the one sanctioned exception is the call
+// into the AVX2 build of the panel kernel in `block`, made only after the
+// runtime feature check; it carries its own `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -21,48 +21,54 @@ fn bytes_touched() -> u64 {
 fn points_pack_once_and_only_warm_passes_pack_centres() {
     multiclust_telemetry::set_enabled(true);
     kernels::set_kernel_mode(Some(KernelMode::Blocked));
-    // k = STRIPE centres 50 apart on every coordinate (the smallest count
-    // that packs centre panels), eight tight points around each.
-    let (d, k) = (4usize, STRIPE);
-    let centers: Vec<Vec<f64>> = (0..k).map(|c| vec![50.0 * c as f64; d]).collect();
-    let flat: Vec<f64> = centers
-        .iter()
-        .flat_map(|c| (0..8).flat_map(move |j| c.iter().map(move |x| x + 0.05 * j as f64 - 0.2)))
-        .collect();
-    let n = flat.len() / d;
-    let points = PackedPoints::new(d, &flat);
-    let mut assigner = NearestAssign::new(n);
-    let mut pass = |centers: &[Vec<f64>]| {
+    // k = 8 (the smallest count that keeps Hamerly bounds, so a centre
+    // panel holding only a tail) and k = STRIPE (one full stripe) centres
+    // 50 apart on every coordinate, eight tight points around each.
+    for k in [8, STRIPE] {
+        let d = 4usize;
+        let centers: Vec<Vec<f64>> = (0..k).map(|c| vec![50.0 * c as f64; d]).collect();
+        let flat: Vec<f64> = centers
+            .iter()
+            .flat_map(|c| {
+                (0..8).flat_map(move |j| c.iter().map(move |x| x + 0.05 * j as f64 - 0.2))
+            })
+            .collect();
+        let n = flat.len() / d;
+        let points = PackedPoints::new(d, &flat);
+        let mut assigner = NearestAssign::new(n);
+        let mut pass = |centers: &[Vec<f64>]| {
+            let before = bytes_touched();
+            let stats = assigner.assign_packed(&points, centers);
+            let distances = 16 * d as u64 * stats.exact;
+            (stats, bytes_touched() - before - distances)
+        };
+        let point_pack = 16 * (n * d) as u64;
+        let centre_pack = 16 * (k * d) as u64;
+
+        let (stats, extra) = pass(&centers);
+        assert_eq!(stats.scanned, n as u64, "k={k}: cold pass scans every point: {stats:?}");
+        assert_eq!(extra, point_pack, "k={k}: cold pass packs the points only");
+
+        // A drift of 90 against a half-separation of 50: the pretest
+        // predicts no skips, so the pass bypasses the bounds. Its sweep
+        // reads the points packed by the cold pass.
+        let moved: Vec<Vec<f64>> =
+            centers.iter().map(|c| c.iter().map(|x| x + 45.0).collect()).collect();
+        let (stats, extra) = pass(&moved);
+        assert_eq!(stats.bypass, 1, "k={k}: {stats:?}");
+        assert_eq!(extra, 0, "k={k}: bypassed pass packs nothing");
+
+        // Stationary centres: a warm Hamerly pass, which does pack the
+        // centres.
+        let (stats, extra) = pass(&moved);
+        assert_eq!((stats.bypass, stats.skipped), (0, n as u64), "k={k}: {stats:?}");
+        assert_eq!(extra, centre_pack, "k={k}: warm pass packs the centres only");
+
+        // A fresh `PackedPoints` over the same rows packs them again, once.
+        let again = PackedPoints::new(d, &flat);
         let before = bytes_touched();
-        let stats = assigner.assign_packed(&points, centers);
-        let distances = 16 * d as u64 * stats.exact;
-        (stats, bytes_touched() - before - distances)
-    };
-    let point_pack = 16 * (n * d) as u64;
-    let centre_pack = 16 * (k * d) as u64;
-
-    let (stats, extra) = pass(&centers);
-    assert_eq!(stats.scanned, n as u64, "cold pass scans every point: {stats:?}");
-    assert_eq!(extra, point_pack, "cold pass packs the points only");
-
-    // A drift of 90 against a half-separation of 50: the pretest predicts
-    // no skips, so the pass bypasses the bounds. Its sweep reads the
-    // points packed by the cold pass.
-    let moved: Vec<Vec<f64>> =
-        centers.iter().map(|c| c.iter().map(|x| x + 45.0).collect()).collect();
-    let (stats, extra) = pass(&moved);
-    assert_eq!(stats.bypass, 1, "{stats:?}");
-    assert_eq!(extra, 0, "bypassed pass packs nothing");
-
-    // Stationary centres: a warm Hamerly pass, which does pack the centres.
-    let (stats, extra) = pass(&moved);
-    assert_eq!((stats.bypass, stats.skipped), (0, n as u64), "{stats:?}");
-    assert_eq!(extra, centre_pack, "warm pass packs the centres only");
-
-    // A fresh `PackedPoints` over the same rows packs them again, once.
-    let again = PackedPoints::new(d, &flat);
-    let before = bytes_touched();
-    let stats = NearestAssign::new(n).assign_packed(&again, &moved);
-    let extra = bytes_touched() - before - 16 * d as u64 * stats.exact;
-    assert_eq!(extra, point_pack, "a new value packs its points");
+        let stats = NearestAssign::new(n).assign_packed(&again, &moved);
+        let extra = bytes_touched() - before - 16 * d as u64 * stats.exact;
+        assert_eq!(extra, point_pack, "k={k}: a new value packs its points");
+    }
 }

@@ -80,7 +80,8 @@ proptest! {
     /// over random data, random k, and several rounds of centre drift
     /// (exercising the cross-iteration bound updates, not just the cold
     /// scan). k ranges past one SIMD stripe of centres, so it straddles
-    /// the sweep/Hamerly crossover and the scalar/panel warm rows.
+    /// the sweep/Hamerly crossover, and warm rows read centre panels that
+    /// hold only a tail as well as ones with a full stripe.
     #[test]
     fn pruned_assignment_bit_identity(seed in 0u64..1_000_000) {
         let (n, d, flat) = flat_data(seed, 40, 6);
@@ -132,8 +133,8 @@ proptest! {
     /// Centre counts deliberately straddle `block::STRIPE`, and the
     /// centres drift over several rounds by a small fraction of the data
     /// spread, so the cold across-points exact sweep, the warm Hamerly
-    /// skips and the warm full scans — scalar rows below one stripe of
-    /// centres, panel rows from it on — are all exercised; labels are
+    /// skips and the warm full scans — panel rows against centre panels
+    /// below one stripe and from it on — are all exercised; labels are
     /// checked after every round.
     #[test]
     fn kernel_tiers_bit_identical(seed in 0u64..1_000_000) {

@@ -14,6 +14,7 @@
 
 use std::io::{BufRead, ErrorKind};
 
+use multiclust_data::overflowing_column;
 use serde::Value;
 
 /// Protocol schema identifier, stamped on every response.
@@ -185,7 +186,8 @@ fn number(v: &Value) -> Option<f64> {
 
 /// Parses the `data`/`path` pair of a request. Ragged or empty inline
 /// matrices are rejected here — `Dataset::from_rows` would panic — and
-/// so are non-finite cells.
+/// so are non-finite cells and columns too large to fit
+/// ([`overflowing_column`]).
 fn parse_source(obj: &[(String, Value)]) -> Result<DataSource, ProtocolError> {
     match (field(obj, "data"), field_str(obj, "path")?) {
         (Some(_), Some(_)) => Err(ProtocolError::bad_request(
@@ -241,6 +243,11 @@ fn parse_source(obj: &[(String, Value)]) -> Result<DataSource, ProtocolError> {
                     Some(_) => {}
                 }
                 out.push(parsed);
+            }
+            if let Some(j) = overflowing_column(out.iter().map(Vec::as_slice)) {
+                return Err(ProtocolError::bad_request(format!(
+                    "\"data\" column {j} is too large: sums or squared distances over the data overflow"
+                )));
             }
             Ok(DataSource::Inline(out))
         }
@@ -526,6 +533,19 @@ mod tests {
         assert_eq!(e.message, "\"data\" row 0 cell 0 is not finite");
         let e = parse_err(r#"{"op":"assign","model":"m","data":[[0,0],[1,-1e999]]}"#);
         assert_eq!(e.message, "\"data\" row 1 cell 1 is not finite");
+    }
+
+    #[test]
+    fn overflowing_data_is_rejected_for_fit_and_assign() {
+        let huge = "[[1.7e308,-1.7e308],[-1.7e308,1.7e308],[1,2],[1.7e308,1.7e308]]";
+        for req in [
+            format!(r#"{{"op":"fit","family":"spectral","k":2,"data":{huge}}}"#),
+            format!(r#"{{"op":"assign","model":"m","data":{huge}}}"#),
+        ] {
+            let e = parse_err(&req);
+            assert_eq!(e.code, "bad-request");
+            assert!(e.message.starts_with("\"data\" column 0 is too large"), "{}", e.message);
+        }
     }
 
     #[test]

@@ -63,13 +63,14 @@ cmp "$tmp/blocked16.csv" "$tmp/naive16.csv"
 # COALA reads its links from the distance matrix under `blocked` and sums
 # them afresh under `naive`; the k-means families share one packed copy of
 # their points across restarts, seeding and assignment passes under
-# `blocked` (k = 32 on the Hamerly path, k = 4 on the sweep; Qi–Davidson
-# runs k-means on its transformed rows) and scan exhaustively under
-# `naive`. Both modes, at one thread and at four, must print the same
-# labels.
+# `blocked` (k = 32 on the Hamerly path, k = 4 on the sweep; k = 12 reads
+# warm rows from a centre panel under one stripe; Qi–Davidson runs k-means
+# on its transformed rows) and scan exhaustively under `naive`. Both
+# modes, at one thread and at four, must print the same labels.
 awk '{ print (NR - 1) % 16 % 4 }' "$tmp/grid.csv" > "$tmp/grid-given.csv"
 for run in "coala:alternative --method coala --k 4 --w 0.8 --given $tmp/grid-given.csv" \
     "kmeans32:kmeans --k 32" \
+    "kmeans12:kmeans --k 12" \
     "deckmeans:dec-kmeans --ks 4,4" \
     "qidavidson:alternative --method qidavidson --k 4 --given $tmp/grid-given.csv"; do
     name=${run%%:*}

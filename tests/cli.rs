@@ -94,6 +94,31 @@ fn qidavidson_on_extreme_scales_does_not_panic() {
     assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 30);
 }
 
+/// Finite cells too large to fit: the first column's range squares past
+/// `f64::MAX`, so a covariance overflows. The eigensolver behind
+/// metric flipping and Qi–Davidson once panicked on it; the reader now
+/// refuses the file with one line and exit 1.
+#[test]
+fn huge_finite_cells_are_refused_at_load() {
+    let dir = workdir("huge-cells");
+    let input = dir.join("data.csv");
+    fs::write(&input, "1.7e308,-1.7e308\n-1.7e308,1.7e308\n1.0,2.0\n1.7e308,1.7e308\n").unwrap();
+    let labels_path = dir.join("given.csv");
+    fs::write(&labels_path, "0\n1\n0\n1\n").unwrap();
+    for method in ["metricflip", "qidavidson"] {
+        let out = bin()
+            .args(["alternative", "--method", method, "--k", "2"])
+            .args(["--input", input.to_str().unwrap(), "--given", labels_path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{method}: {stderr}");
+        assert!(stderr.contains("column 1: values too large"), "{method}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{method}: one clean line: {stderr}");
+        assert!(out.stdout.is_empty(), "{method}");
+    }
+}
+
 #[test]
 fn dec_kmeans_emits_two_columns() {
     let dir = workdir("dec");

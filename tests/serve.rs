@@ -623,3 +623,22 @@ fn orthogonal_fit_on_extreme_scales_answers_ok() {
     assert!(resp.contains(r#""ok":true"#), "{resp}");
     shutdown_clean(child, &listen);
 }
+
+/// Finite cells too large to fit (a column whose range squares past
+/// `f64::MAX`) once made the served spectral, PROCLUS, orthogonal and
+/// multi-view fits panic and answer `internal`; the request parser now
+/// refuses them as a `bad-request`, and the server keeps serving.
+#[test]
+fn huge_finite_cells_are_a_bad_request() {
+    let data = "[[1.7e308,-1.7e308],[-1.7e308,1.7e308],[1.0,2.0],[1.7e308,1.7e308]]";
+    let (child, listen) = spawn_serve(&[], &[]);
+    for family in ["spectral", "proclus", "orthogonal", "multiview"] {
+        let request = format!(
+            r#"{{"id":"h","op":"fit","family":"{family}","k":2,"data":{data},"given":[0,1,0,1]}}"#
+        );
+        let resp = client::roundtrip(&listen, &request).unwrap();
+        assert!(resp.contains(r#""code":"bad-request""#), "{family}: {resp}");
+        assert!(resp.contains(r#"\"data\" column 0 is too large"#), "{family}: {resp}");
+    }
+    shutdown_clean(child, &listen);
+}
