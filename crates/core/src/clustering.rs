@@ -1,13 +1,11 @@
 //! Hard and soft clustering representations.
 
-use serde::{Deserialize, Serialize};
-
 /// A hard clustering of `n` objects into `k` clusters, with optional noise.
 ///
 /// `assignments[i]` is `Some(c)` when object `i` belongs to cluster
 /// `c < k`, or `None` for noise/unassigned objects (density-based methods
 /// such as DBSCAN and SUBCLU produce these).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Clustering {
     assignments: Vec<Option<usize>>,
     k: usize,
@@ -152,7 +150,7 @@ impl Clustering {
 
 /// A soft (probabilistic) clustering: `resp[i][c]` is the responsibility of
 /// cluster `c` for object `i`, each row summing to 1.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SoftClustering {
     resp: Vec<Vec<f64>>,
     k: usize,
@@ -315,13 +313,5 @@ mod tests {
         // Certainty in the same component gives probability one.
         let s2 = SoftClustering::new(vec![vec![1.0, 0.0], vec![1.0, 0.0]]);
         assert!((s2.same_cluster_probability(0, 1) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = Clustering::from_options(vec![Some(1), None, Some(0)]);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: Clustering = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

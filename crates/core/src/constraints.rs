@@ -9,12 +9,10 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Clustering;
 
 /// An unordered object pair, stored normalised (`small, large`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Pair(usize, usize);
 
 impl Pair {
@@ -39,7 +37,7 @@ impl Pair {
 }
 
 /// A set of must-link and cannot-link constraints over object indices.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ConstraintSet {
     must: HashSet<Pair>,
     cannot: HashSet<Pair>,

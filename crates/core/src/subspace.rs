@@ -7,13 +7,11 @@
 //! semantics lives, via concept groups and the `coveredSubspaces_β`
 //! relation of OSCLU (slide 82).
 
-use serde::{Deserialize, Serialize};
-
 use crate::Clustering;
 
 /// A subspace cluster `(O, S)`: objects `O` grouped in subspace `S`.
 /// Both lists are kept sorted and deduplicated.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SubspaceCluster {
     objects: Vec<usize>,
     dims: Vec<usize>,

@@ -10,10 +10,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The search space an approach operates in (the primary taxonomy axis).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SearchSpace {
     /// Multiple clusterings in the original data space (section 2).
     Original,
@@ -26,7 +24,7 @@ pub enum SearchSpace {
 }
 
 /// How further solutions are computed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Processing {
     /// Solutions generated independently, dissimilarity checked post hoc
     /// (meta clustering).
@@ -40,7 +38,7 @@ pub enum Processing {
 }
 
 /// Whether prior knowledge is consumed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GivenKnowledge {
     /// No clustering given.
     None,
@@ -49,7 +47,7 @@ pub enum GivenKnowledge {
 }
 
 /// How many clustering solutions the method produces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Solutions {
     /// Exactly one (consensus / traditional).
     One,
@@ -60,7 +58,7 @@ pub enum Solutions {
 }
 
 /// Awareness of views/subspaces and their dissimilarity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubspaceAwareness {
     /// Operates in one (full) space; the axis does not apply.
     NotApplicable,
@@ -73,7 +71,7 @@ pub enum SubspaceAwareness {
 }
 
 /// Whether the underlying cluster definition can be exchanged.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Flexibility {
     /// The method is bound to a specific cluster definition.
     Specialized,
@@ -82,7 +80,7 @@ pub enum Flexibility {
 }
 
 /// One row of the taxonomy table: an algorithm and its classification.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AlgorithmCard {
     /// Algorithm name as used in this workspace.
     pub name: &'static str,
@@ -232,16 +230,5 @@ mod tests {
         let dec_pos = table.find("DecKMeans").unwrap();
         assert!(coala_pos < dec_pos, "original-space rows precede subspace rows");
         assert!(table.contains("Bae & Bailey 2006"));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let card = coala_card();
-        // `AlgorithmCard` borrows static strings, so deserialisation needs
-        // a 'static source; leaking is fine in a test.
-        let json: &'static str =
-            Box::leak(serde_json::to_string(&card).unwrap().into_boxed_str());
-        let back: AlgorithmCard = serde_json::from_str(json).unwrap();
-        assert_eq!(card, back);
     }
 }

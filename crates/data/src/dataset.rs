@@ -1,13 +1,11 @@
 //! Flat row-major dataset storage and multi-view containers.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense numeric dataset: `n` objects with `d` attributes each,
 /// stored row-major in a single flat buffer.
 ///
 /// Row-major flat storage keeps each object's attribute vector contiguous,
 /// which is what every distance computation in the workspace scans.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Dataset {
     n: usize,
     d: usize,
@@ -276,7 +274,7 @@ pub fn overflowing_column<'a>(rows: impl IntoIterator<Item = &'a [f64]>) -> Opti
 /// Multiple given views/sources over the same set of objects
 /// (the multi-source paradigm, slides 94–112): view `v` describes object
 /// `i` by `views[v].row(i)`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MultiViewDataset {
     views: Vec<Dataset>,
 }
@@ -469,13 +467,5 @@ mod tests {
         ds.push_row(&[3.0, 4.0]);
         assert_eq!(ds.len(), 2);
         assert_eq!(ds.row(1), &[3.0, 4.0]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let ds = small().with_dim_names(vec!["x".into(), "y".into(), "z".into()]);
-        let json = serde_json::to_string(&ds).unwrap();
-        let back: Dataset = serde_json::from_str(&json).unwrap();
-        assert_eq!(ds, back);
     }
 }

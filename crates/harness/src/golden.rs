@@ -12,13 +12,13 @@
 use std::fs;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
+use serde::Value;
 
 use crate::families::{AlgorithmFamily, FitInput};
 use crate::scenario::Scenario;
 
 /// One family × scenario fixture entry.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GoldenRecord {
     /// Family name.
     pub family: String,
@@ -72,10 +72,28 @@ pub fn records_for(
         .collect()
 }
 
-/// Renders records to the exact byte content of a fixture file.
+/// Renders records to the exact byte content of a fixture file: a pretty
+/// JSON array of `{family, scenario, seed, solutions}` objects.
 pub fn render(records: &[GoldenRecord]) -> String {
-    let mut out = serde_json::to_string_pretty(&records.to_vec())
-        .expect("golden records serialise infallibly");
+    let ints = |xs: &[i64]| Value::Array(xs.iter().map(|&x| Value::Int(x)).collect());
+    let value = Value::Array(
+        records
+            .iter()
+            .map(|r| {
+                Value::Object(vec![
+                    ("family".into(), Value::String(r.family.clone())),
+                    ("scenario".into(), Value::String(r.scenario.clone())),
+                    ("seed".into(), Value::Int(r.seed as i64)),
+                    (
+                        "solutions".into(),
+                        Value::Array(r.solutions.iter().map(|s| ints(s)).collect()),
+                    ),
+                ])
+            })
+            .collect(),
+    );
+    let mut out =
+        serde_json::to_string_pretty(&value).expect("golden records serialise infallibly");
     out.push('\n');
     out
 }
@@ -173,10 +191,17 @@ mod tests {
     }
 
     #[test]
-    fn records_serde_roundtrip() {
-        let recs = records_for(&KMeansFamily, &[scenario::four_blobs(5)], 3);
-        let text = render(&recs);
-        let back: Vec<GoldenRecord> = serde_json::from_str(&text).unwrap();
-        assert_eq!(recs, back);
+    fn render_writes_fields_in_fixture_order() {
+        let rec = GoldenRecord {
+            family: "f".into(),
+            scenario: "s".into(),
+            seed: 3,
+            solutions: vec![vec![0, -1]],
+        };
+        assert_eq!(
+            render(&[rec]),
+            "[\n  {\n    \"family\": \"f\",\n    \"scenario\": \"s\",\n    \"seed\": 3,\n    \
+             \"solutions\": [\n      [\n        0,\n        -1\n      ]\n    ]\n  }\n]\n"
+        );
     }
 }

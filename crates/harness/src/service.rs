@@ -2,9 +2,10 @@
 //!
 //! `multiclust-serve` is deliberately ignorant of the algorithm families;
 //! this module supplies the [`FitDispatch`] that executes protocol `fit`
-//! requests through the exact same [`AlgorithmFamily`] adapters the
-//! verification harness runs, so a served fit is **bit-identical** to the
-//! in-process fit at the same seed and thread count — the contract the
+//! requests through the exact same
+//! [`AlgorithmFamily`](crate::AlgorithmFamily) adapters the verification
+//! harness runs, so a served fit is **bit-identical** to the in-process
+//! fit at the same seed and thread count — the contract the
 //! `serve-equivalence` invariant checks per family × scenario.
 //!
 //! The invariant talks to a shared in-process server (one lazy boot per

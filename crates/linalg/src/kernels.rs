@@ -30,7 +30,7 @@
 //!   vectorizes. Every blocked-mode distance row comes from that one
 //!   panel kernel.
 //!
-//! The naive reference kernels live in [`reference`];
+//! The naive reference kernels live in [`reference`](mod@reference);
 //! `MULTICLUST_KERNELS=naive` (or [`set_kernel_mode`]) routes all call
 //! sites through them, so tests and the `cmp` gates can check that both
 //! modes print the same bytes.
@@ -1112,31 +1112,44 @@ mod tests {
 
     #[test]
     fn pruned_assignment_matches_reference_across_iterations() {
+        // Drift the centres over several rounds; every round must match
+        // the exhaustive scan bit-for-bit. Below `HAMERLY_MIN_K` every
+        // round is the exact sweep; at k = 12 the warm passes run, and
+        // over the rounds the Hamerly skip, the tightened bound and the
+        // adaptive bypass must all fire.
         let n = 120;
         let d = 6;
         let flat = random_flat(n, d, 3);
         let norms = sq_norms(d, &flat);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut centers: Vec<Vec<f64>> = (0..5)
-            .map(|_| (0..d).map(|_| rng.gen_range(-5.0..5.0)).collect())
-            .collect();
-        let mut assigner = NearestAssign::new(n);
-        // Drift the centres over several rounds; every round must match
-        // the exhaustive scan bit-for-bit.
-        for round in 0..6 {
-            assigner.assign(d, &flat, &norms, &centers);
-            for i in 0..n {
-                let want = reference::nearest(&flat[i * d..(i + 1) * d], &centers).0;
-                assert_eq!(
-                    assigner.labels()[i],
-                    want,
-                    "round {round}, point {i} diverged from the naive scan"
-                );
-            }
-            for c in &mut centers {
-                for x in c.iter_mut() {
-                    *x += rng.gen_range(-0.3..0.3);
+        for k in [5, 12] {
+            let mut rng = StdRng::seed_from_u64(4);
+            let mut centers: Vec<Vec<f64>> = (0..k)
+                .map(|_| (0..d).map(|_| rng.gen_range(-5.0..5.0)).collect())
+                .collect();
+            let mut assigner = NearestAssign::new(n);
+            let mut total = AssignStats::default();
+            with_mode(Some(KernelMode::Blocked), || {
+                for round in 0..6 {
+                    total.add(&assigner.assign(d, &flat, &norms, &centers));
+                    for i in 0..n {
+                        let want = reference::nearest(&flat[i * d..(i + 1) * d], &centers).0;
+                        assert_eq!(
+                            assigner.labels()[i],
+                            want,
+                            "k={k}, round {round}, point {i} diverged from the naive scan"
+                        );
+                    }
+                    for c in &mut centers {
+                        for x in c.iter_mut() {
+                            *x += rng.gen_range(-0.3..0.3);
+                        }
+                    }
                 }
+            });
+            if k >= HAMERLY_MIN_K {
+                assert!(total.skipped > 0, "k={k}: warm passes skip: {total:?}");
+                assert!(total.tightened > 0, "k={k}: warm passes tighten: {total:?}");
+                assert!(total.bypass > 0, "k={k}: a warm pass bypasses: {total:?}");
             }
         }
     }
@@ -1289,21 +1302,29 @@ mod tests {
 
     #[test]
     fn naive_mode_produces_identical_labels() {
+        // k = 3 takes the sweep; k = HAMERLY_MIN_K seeds bounds on the
+        // first pass and runs a warm pass on the drifted second.
         let n = 60;
         let d = 3;
         let flat = random_flat(n, d, 7);
         let norms = sq_norms(d, &flat);
-        let centers: Vec<Vec<f64>> =
-            (0..3).map(|c| flat[c * d..(c + 1) * d].to_vec()).collect();
-        let labels_in = |mode: KernelMode| {
-            with_mode(Some(mode), || {
-                let mut a = NearestAssign::new(n);
-                a.assign(d, &flat, &norms, &centers);
-                a.labels().to_vec()
-            })
-        };
-        let naive = labels_in(KernelMode::Naive);
-        assert_eq!(labels_in(KernelMode::Blocked), naive);
+        for k in [3, HAMERLY_MIN_K] {
+            let centers: Vec<Vec<f64>> =
+                (0..k).map(|c| flat[c * d..(c + 1) * d].to_vec()).collect();
+            let drifted: Vec<Vec<f64>> =
+                centers.iter().map(|c| c.iter().map(|x| x + 0.05).collect()).collect();
+            let labels_in = |mode: KernelMode| {
+                with_mode(Some(mode), || {
+                    let mut a = NearestAssign::new(n);
+                    a.assign(d, &flat, &norms, &centers);
+                    let first = a.labels().to_vec();
+                    a.assign(d, &flat, &norms, &drifted);
+                    (first, a.labels().to_vec())
+                })
+            };
+            let naive = labels_in(KernelMode::Naive);
+            assert_eq!(labels_in(KernelMode::Blocked), naive, "k={k}");
+        }
     }
 
     #[test]

@@ -4,8 +4,6 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::EPS;
 
 /// Minimum number of scalar operations a parallel chunk should amortize;
@@ -27,7 +25,7 @@ fn par_row_chunk(rows: usize, work_per_row: usize) -> usize {
 /// `(i, j)` lives at `data[i * cols + j]`. The flat layout keeps row scans
 /// (the dominant access pattern in distance computations) contiguous in
 /// memory.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -552,13 +550,5 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let _ = a.matmul(&b);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let a = Matrix::from_rows(&[&[1.5, -2.0], &[0.0, 3.25]]);
-        let json = serde_json::to_string(&a).unwrap();
-        let back: Matrix = serde_json::from_str(&json).unwrap();
-        assert!(a.approx_eq(&back, 0.0));
     }
 }

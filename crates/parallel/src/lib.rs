@@ -109,7 +109,7 @@ fn chunk_len(n: usize, min_chunk: usize) -> usize {
 /// for. Large enough that chunk dispatch (one atomic fetch-add plus a
 /// closure call) is noise against the arithmetic; small enough that a
 /// row-block's scratch stays cache-resident and the pool still has units
-/// to balance. Fixed — like [`TARGET_CHUNKS`], block boundaries must never
+/// to balance. Fixed — like `TARGET_CHUNKS`, block boundaries must never
 /// depend on the thread count.
 pub const BLOCK_WORK: usize = 1 << 16;
 

@@ -15,7 +15,7 @@
 use std::io::{BufRead, ErrorKind};
 
 use multiclust_data::overflowing_column;
-use serde::Value;
+use serde::{field, Value};
 
 /// Protocol schema identifier, stamped on every response.
 pub const SCHEMA: &str = "multiclust-serve/v1";
@@ -128,13 +128,8 @@ impl Request {
 }
 
 // ---------------------------------------------------------------------
-// Value helpers (shared with the server's response builders)
+// Typed field readers over a request object
 // ---------------------------------------------------------------------
-
-/// Looks up a field in a JSON object value.
-pub fn field<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
 
 fn field_str(obj: &[(String, Value)], key: &str) -> Result<Option<String>, ProtocolError> {
     match field(obj, key) {

@@ -32,10 +32,10 @@ use multiclust_core::measures::diss::{
     variation_of_information,
 };
 use multiclust_core::Clustering;
-use multiclust_data::io::read_csv;
+use multiclust_data::io::{read_csv, CsvError};
 use multiclust_data::Dataset;
 use multiclust_telemetry::Sketch;
-use serde::Value;
+use serde::{field, Value};
 
 use crate::protocol::{
     self, BoundedLine, DataSource, ProtocolError, Request, SCHEMA,
@@ -298,7 +298,7 @@ fn handle_connection(
         };
         let micros = started.elapsed().as_micros() as u64;
         let failed = !matches!(
-            protocol::field(as_object(&response), "ok"),
+            field(as_object(&response), "ok"),
             Some(Value::Bool(true))
         );
         record(shared, op, micros, failed);
@@ -345,8 +345,8 @@ fn id_text(id: &Value) -> Option<String> {
 
 /// The `error.code` of a failed response, if structured.
 fn error_code(response: &Value) -> Option<&str> {
-    match protocol::field(as_object(response), "error")? {
-        Value::Object(e) => match protocol::field(e, "code")? {
+    match field(as_object(response), "error")? {
+        Value::Object(e) => match field(e, "code")? {
             Value::String(code) => Some(code.as_str()),
             _ => None,
         },
@@ -465,11 +465,14 @@ fn execute(shared: &Shared, id: &Value, req: Request) -> Value {
 fn load_source(source: &DataSource) -> Result<Dataset, ProtocolError> {
     match source {
         DataSource::Inline(rows) => Ok(Dataset::from_rows(rows)),
-        DataSource::Path { path, header } => read_csv(Path::new(path), *header)
-            .map_err(|e| ProtocolError {
-                code: "io",
+        // Only a failed read is an I/O error; content that was read and
+        // then refused is the client's bad request, as it is inline.
+        DataSource::Path { path, header } => {
+            read_csv(Path::new(path), *header).map_err(|e| ProtocolError {
+                code: if matches!(e, CsvError::Io(_)) { "io" } else { "bad-request" },
                 message: format!("reading {path}: {e}"),
-            }),
+            })
+        }
     }
 }
 

@@ -70,7 +70,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use serde::Value;
+use serde::{field, Value};
 
 pub use alloc::AllocStat;
 pub use sketch::Sketch;
@@ -485,11 +485,6 @@ pub(crate) fn float(v: f64) -> Value {
     } else {
         Value::Null
     }
-}
-
-/// Field `key` of a parsed JSONL object, if present.
-pub(crate) fn field<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
 /// String field `key` of a parsed JSONL object, if present and a string.

@@ -1,5 +1,5 @@
 //! The telemetry file format, `multiclust-trace/v2`: one JSONL codec —
-//! one [`Writer`] and one reader, [`read_trace`] — for both producers.
+//! one writer and one reader, [`read_trace`] — for both producers.
 //! They differ only in how much they keep:
 //!
 //! * the trace sink ([`set_trace_path`], the CLI's `--trace`) streams
@@ -48,11 +48,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use serde::Value;
+use serde::{field, Value};
 
 use crate::alloc::{alloc_enabled, alloc_totals};
 use crate::{
-    alloc_value, as_u64, field, field_obj, field_str, field_u64, float, int, sketch_fields,
+    alloc_value, as_u64, field_obj, field_str, field_u64, float, int, sketch_fields,
     AllocStat, Sketch, Snapshot,
 };
 
@@ -415,7 +415,7 @@ pub fn read_trace(path: &Path) -> Result<TraceFile, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let value: Value = serde_json::from_str(&line)
+        let value = serde_json::parse_value(&line)
             .map_err(|e| format!("line {lineno}: invalid JSON: {e}"))?;
         let Value::Object(obj) = value else {
             return Err(format!("line {lineno}: expected a JSON object"));
@@ -619,7 +619,7 @@ pub fn phase_summary(trace: &TraceFile) -> String {
 /// Errors listed by [`last_errors`].
 const LAST_ERRORS: usize = 8;
 
-/// The newest [`LAST_ERRORS`] `error` records, newest first, with their
+/// The newest `LAST_ERRORS` (8) `error` records, newest first, with their
 /// correlated request and connection ids; empty when the file has none.
 pub fn last_errors(trace: &TraceFile) -> String {
     let errors: Vec<&Record> = trace.of_kind("error").collect();

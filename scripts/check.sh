@@ -4,6 +4,9 @@ set -eu
 cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# Rustdoc with warnings denied: a doc link left dangling (or pointing at a
+# private item) by a deletion fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 
 # The benchmark is a package of its own (outside `--workspace`) that
 # imports the harness and the linalg kernels; build and test it too.

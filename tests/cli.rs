@@ -484,7 +484,7 @@ fn trace_flag_streams_jsonl_without_touching_stdout() {
     // carries the schema version; run metadata is present.
     let raw = fs::read_to_string(&trace_path).expect("trace file written");
     for (i, line) in raw.lines().enumerate() {
-        serde_json::from_str::<serde_json::Value>(line)
+        serde_json::parse_value(line)
             .unwrap_or_else(|e| panic!("trace line {}: {e}: {line}", i + 1));
     }
     assert!(

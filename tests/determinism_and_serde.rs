@@ -1,5 +1,5 @@
 //! Cross-crate guarantees: seeded determinism of every stochastic
-//! pipeline and serde round-trips of the result types.
+//! pipeline.
 
 use multiclust::alternative::{Cami, DecKMeans, MinCEntropy};
 use multiclust::base::{GaussianMixture, KMeans, SpectralClustering};
@@ -71,28 +71,6 @@ fn generator_and_experiment_reports_are_stable() {
     let p2 = planted_views(60, &[spec], 1, &mut seeded_rng(602));
     assert_eq!(p1.dataset, p2.dataset);
     assert_eq!(p1.truths, p2.truths);
-}
-
-#[test]
-fn clustering_and_dataset_serde_roundtrip() {
-    let data = fixture();
-    let json = serde_json::to_string(&data).unwrap();
-    let back: Dataset = serde_json::from_str(&json).unwrap();
-    assert_eq!(data, back);
-
-    let clustering = KMeans::new(2).fit(&data, &mut seeded_rng(17)).clustering;
-    let json = serde_json::to_string(&clustering).unwrap();
-    let back: Clustering = serde_json::from_str(&json).unwrap();
-    assert_eq!(clustering, back);
-}
-
-#[test]
-fn subspace_cluster_serde_roundtrip() {
-    use multiclust::core::subspace::SubspaceCluster;
-    let c = SubspaceCluster::new(vec![4, 1, 9], vec![0, 3]);
-    let json = serde_json::to_string(&c).unwrap();
-    let back: SubspaceCluster = serde_json::from_str(&json).unwrap();
-    assert_eq!(c, back);
 }
 
 #[test]

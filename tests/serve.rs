@@ -48,9 +48,23 @@ fn boot_at(
     (Listen::parse(&addr).unwrap(), handle)
 }
 
+/// A spawned `multiclust serve`. Dropping it kills and reaps a server
+/// that has not exited yet, so a test that panics before
+/// [`shutdown_clean`] leaves no server running.
+struct ServeChild(Child);
+
+impl Drop for ServeChild {
+    fn drop(&mut self) {
+        if let Ok(None) = self.0.try_wait() {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+}
+
 /// Spawns the real binary's `serve` command and parses the ready line
 /// for the bound address.
-fn spawn_serve(extra_args: &[&str], envs: &[(&str, &str)]) -> (Child, Listen) {
+fn spawn_serve(extra_args: &[&str], envs: &[(&str, &str)]) -> (ServeChild, Listen) {
     let mut cmd = bin();
     cmd.args(["serve", "--listen", "127.0.0.1:0"])
         .args(extra_args)
@@ -59,9 +73,9 @@ fn spawn_serve(extra_args: &[&str], envs: &[(&str, &str)]) -> (Child, Listen) {
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    let mut child = cmd.spawn().expect("serve spawns");
+    let mut child = ServeChild(cmd.spawn().expect("serve spawns"));
     let mut ready = String::new();
-    BufReader::new(child.stdout.take().expect("piped stdout"))
+    BufReader::new(child.0.stdout.take().expect("piped stdout"))
         .read_line(&mut ready)
         .expect("ready line");
     assert!(
@@ -79,15 +93,15 @@ fn spawn_serve(extra_args: &[&str], envs: &[(&str, &str)]) -> (Child, Listen) {
 
 /// Sends `shutdown` and asserts the child exits cleanly with the
 /// shutdown summary on stderr and no panic output.
-fn shutdown_clean(mut child: Child, listen: &Listen) {
+fn shutdown_clean(mut child: ServeChild, listen: &Listen) {
     let resp = client::roundtrip(listen, r#"{"id":"bye","op":"shutdown"}"#)
         .expect("shutdown roundtrip");
     assert!(resp.contains(r#""ok":true"#), "{resp}");
-    let status = child.wait().expect("serve exits");
+    let status = child.0.wait().expect("serve exits");
     assert!(status.success(), "clean shutdown must exit 0: {status:?}");
     let mut stderr = String::new();
     use std::io::Read as _;
-    child.stderr.take().expect("piped stderr").read_to_string(&mut stderr).unwrap();
+    child.0.stderr.take().expect("piped stderr").read_to_string(&mut stderr).unwrap();
     assert!(stderr.contains("shut down cleanly"), "summary on stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "no panic output: {stderr}");
 }
@@ -494,9 +508,9 @@ fn unix_socket_via_env_cleans_up_on_shutdown() {
         .env("MULTICLUST_LISTEN", &addr)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped());
-    let mut child = cmd.spawn().expect("serve spawns");
+    let mut child = ServeChild(cmd.spawn().expect("serve spawns"));
     let mut ready = String::new();
-    BufReader::new(child.stdout.take().unwrap()).read_line(&mut ready).unwrap();
+    BufReader::new(child.0.stdout.take().unwrap()).read_line(&mut ready).unwrap();
     assert!(ready.contains(&addr), "ready line echoes the env address: {ready}");
 
     let listen = Listen::parse(&addr).unwrap();
@@ -504,7 +518,7 @@ fn unix_socket_via_env_cleans_up_on_shutdown() {
     assert!(resp.contains(r#""ok":true"#), "{resp}");
 
     client::roundtrip(&listen, r#"{"id":"2","op":"shutdown"}"#).unwrap();
-    assert!(child.wait().unwrap().success());
+    assert!(child.0.wait().unwrap().success());
     assert!(!sock.exists(), "socket file removed on clean shutdown");
 }
 
@@ -640,5 +654,34 @@ fn huge_finite_cells_are_a_bad_request() {
         assert!(resp.contains(r#""code":"bad-request""#), "{family}: {resp}");
         assert!(resp.contains(r#"\"data\" column 0 is too large"#), "{family}: {resp}");
     }
+    shutdown_clean(child, &listen);
+}
+
+/// Refused content read from a `path` is the client's bad request, as it
+/// is inline; only a failed read is an `io` error.
+#[test]
+fn refused_path_data_is_a_bad_request_and_unreadable_path_is_io() {
+    let dir = workdir("path-refused");
+    let huge = dir.join("huge.csv");
+    fs::write(&huge, "1.7e308,-1.7e308\n-1.7e308,1.7e308\n1.0,2.0\n1.7e308,1.7e308\n").unwrap();
+    let nan = dir.join("nan.csv");
+    fs::write(&nan, "0,0\n0.2,NaN\n9,9\n9.2,9.1\n").unwrap();
+    let (child, listen) = spawn_serve(&[], &[]);
+    for (file, why) in [(&huge, "too large"), (&nan, "is not a finite number")] {
+        let request = format!(
+            r#"{{"id":"p","op":"fit","family":"kmeans","k":2,"path":"{}"}}"#,
+            file.display()
+        );
+        let resp = client::roundtrip(&listen, &request).unwrap();
+        assert!(resp.contains(r#""code":"bad-request""#), "{}: {resp}", file.display());
+        assert!(resp.contains(why), "{}: {resp}", file.display());
+    }
+    let missing = dir.join("missing.csv");
+    let request = format!(
+        r#"{{"id":"m","op":"fit","family":"kmeans","k":2,"path":"{}"}}"#,
+        missing.display()
+    );
+    let resp = client::roundtrip(&listen, &request).unwrap();
+    assert!(resp.contains(r#""code":"io""#), "{resp}");
     shutdown_clean(child, &listen);
 }

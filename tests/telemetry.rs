@@ -89,7 +89,7 @@ fn json_export_parses_with_vendored_serde_json() {
     let _ = std::fs::remove_file(&path);
 
     for line in raw.lines() {
-        serde_json::from_str::<serde_json::Value>(line)
+        serde_json::parse_value(line)
             .unwrap_or_else(|e| panic!("{e}: {line}"));
     }
     // The escaped counter name survives the round trip.
@@ -164,7 +164,7 @@ fn trace_sink_streams_parseable_jsonl_without_perturbing_results() {
 
     // Every line is a standalone JSON object.
     for (i, line) in raw.lines().enumerate() {
-        let v: serde_json::Value = serde_json::from_str(line)
+        let v = serde_json::parse_value(line)
             .unwrap_or_else(|e| panic!("line {}: {e}: {line}", i + 1));
         assert!(matches!(v, serde_json::Value::Object(_)), "line {}", i + 1);
     }
@@ -279,7 +279,7 @@ fn trace_ends_with_a_registry_snapshot() {
         .collect();
     assert_eq!(snapshots, [lines.len() - 2], "one snapshot, just before the end line:\n{raw}");
     let serde_json::Value::Object(fields) =
-        serde_json::from_str(lines[lines.len() - 2]).expect("snapshot parses")
+        serde_json::parse_value(lines[lines.len() - 2]).expect("snapshot parses")
     else {
         panic!("snapshot is not an object")
     };
