@@ -96,18 +96,12 @@ impl MetaClustering {
         // Pairwise Rand similarities through the shared symmetric-matrix
         // builder: each strict upper-triangle row is independent, so rows
         // compute in parallel (bit-identical at any thread count); the
-        // mirror pass below stays serial and cheap.
+        // dense copy below, with a unit diagonal, stays serial and cheap.
         let pairwise =
             SymmetricMatrix::build(n, |i, j| rand_index(&all[i], &all[j]));
-        let mut sim = vec![vec![0.0f64; n]; n];
-        for i in 0..n {
-            sim[i][i] = 1.0;
-            for j in (i + 1)..n {
-                let s = pairwise.get(i, j);
-                sim[i][j] = s;
-                sim[j][i] = s;
-            }
-        }
+        let sim: Vec<Vec<f64>> = (0..n)
+            .map(|i| (0..n).map(|j| if i == j { 1.0 } else { pairwise.get(i, j) }).collect())
+            .collect();
         // Union-find single-link grouping at the threshold.
         let mut parent: Vec<usize> = (0..n).collect();
         fn find(parent: &mut [usize], mut x: usize) -> usize {

@@ -536,15 +536,15 @@ impl Invariant for DissSymmetry {
             if ctx.fault == Some(Fault::AsymmetricDiss) && m > 1 {
                 matrix[0][1] += 1e-3;
             }
-            for i in 0..m {
-                if !close(matrix[i][i], 0.0) {
-                    return Err(format!("{label}: diagonal [{i}][{i}] = {}", matrix[i][i]));
+            for (i, row) in matrix.iter().enumerate() {
+                if !close(row[i], 0.0) {
+                    return Err(format!("{label}: diagonal [{i}][{i}] = {}", row[i]));
                 }
-                for j in (i + 1)..m {
-                    if !close(matrix[i][j], matrix[j][i]) {
+                for (j, &x) in row.iter().enumerate().skip(i + 1) {
+                    if !close(x, matrix[j][i]) {
                         return Err(format!(
-                            "{label}: matrix[{i}][{j}] = {} ≠ matrix[{j}][{i}] = {}",
-                            matrix[i][j], matrix[j][i]
+                            "{label}: matrix[{i}][{j}] = {x} ≠ matrix[{j}][{i}] = {}",
+                            matrix[j][i]
                         ));
                     }
                 }

@@ -100,7 +100,7 @@ impl Matrix {
         let mut m = Self::zeros(rows, cols);
         let chunk_rows = par_row_chunk(rows, cols);
         multiclust_parallel::par_chunks_mut(&mut m.data, chunk_rows * cols.max(1), |start, block| {
-            let i0 = if cols == 0 { 0 } else { start / cols };
+            let i0 = start.checked_div(cols).unwrap_or(0);
             for (r, row) in block.chunks_mut(cols.max(1)).enumerate() {
                 for (j, x) in row.iter_mut().enumerate() {
                     *x = f(i0 + r, j);
@@ -211,7 +211,7 @@ impl Matrix {
             &mut out.data,
             chunk_rows * out_cols.max(1),
             |start, block| {
-                let i0 = if out_cols == 0 { 0 } else { start / out_cols };
+                let i0 = start.checked_div(out_cols).unwrap_or(0);
                 for (r, out_row) in block.chunks_mut(out_cols.max(1)).enumerate() {
                     let a_row = self.row(i0 + r);
                     for (k, &a_ik) in a_row.iter().enumerate() {

@@ -14,8 +14,9 @@
 
 use std::io::{BufRead, ErrorKind};
 
-use multiclust_data::overflowing_column;
+use multiclust_data::{overflowing_column, Dataset};
 use serde::{field, Value};
+use serde_json::FlatMatrix;
 
 /// Protocol schema identifier, stamped on every response.
 pub const SCHEMA: &str = "multiclust-serve/v1";
@@ -45,8 +46,8 @@ impl ProtocolError {
 /// Where a request's dataset comes from.
 #[derive(Clone, Debug)]
 pub enum DataSource {
-    /// Inline row-major matrix.
-    Inline(Vec<Vec<f64>>),
+    /// Inline matrix, already validated.
+    Inline(Dataset),
     /// Server-side CSV path.
     Path {
         /// CSV file path, resolved on the server's filesystem.
@@ -179,11 +180,14 @@ fn number(v: &Value) -> Option<f64> {
     }
 }
 
-/// Parses the `data`/`path` pair of a request. Ragged or empty inline
-/// matrices are rejected here — `Dataset::from_rows` would panic — and
-/// so are non-finite cells and columns too large to fit
-/// ([`overflowing_column`]).
-fn parse_source(obj: &[(String, Value)]) -> Result<DataSource, ProtocolError> {
+/// Parses the `data`/`path` pair of a request. Valid inline `data`
+/// arrives already read into `flat` (the tree holds `Null` in its place);
+/// any other `data` is refused by [`refused_rows`]. Columns too large to
+/// fit ([`overflowing_column`]) are refused either way.
+fn parse_source(
+    obj: &[(String, Value)],
+    flat: Option<FlatMatrix>,
+) -> Result<DataSource, ProtocolError> {
     match (field(obj, "data"), field_str(obj, "path")?) {
         (Some(_), Some(_)) => Err(ProtocolError::bad_request(
             "give either inline \"data\" or a \"path\", not both",
@@ -194,62 +198,72 @@ fn parse_source(obj: &[(String, Value)]) -> Result<DataSource, ProtocolError> {
         (None, Some(path)) => {
             Ok(DataSource::Path { path, header: field_bool(obj, "header")? })
         }
-        (Some(Value::Array(rows)), None) => {
-            if rows.is_empty() {
-                return Err(ProtocolError::bad_request("\"data\" has no rows"));
-            }
-            let mut out = Vec::with_capacity(rows.len());
-            let mut width = None;
-            for (i, row) in rows.iter().enumerate() {
-                let Value::Array(cells) = row else {
-                    return Err(ProtocolError::bad_request(format!(
-                        "\"data\" row {i} is not an array"
-                    )));
-                };
-                let mut parsed = Vec::with_capacity(cells.len());
-                for (j, cell) in cells.iter().enumerate() {
-                    let Some(x) = number(cell) else {
-                        return Err(ProtocolError::bad_request(format!(
-                            "\"data\" row {i} cell {j} is not a number"
-                        )));
-                    };
-                    // The codec reads an overflowing literal such as
-                    // `1e999` as ±inf; no family or model takes that.
-                    if !x.is_finite() {
-                        return Err(ProtocolError::bad_request(format!(
-                            "\"data\" row {i} cell {j} is not finite"
-                        )));
-                    }
-                    parsed.push(x);
-                }
-                match width {
-                    None if parsed.is_empty() => {
-                        return Err(ProtocolError::bad_request(format!(
-                            "\"data\" row {i} is empty"
-                        )));
-                    }
-                    None => width = Some(parsed.len()),
-                    Some(w) if parsed.len() != w => {
-                        return Err(ProtocolError::bad_request(format!(
-                            "ragged \"data\": row {i} has {} cells, expected {w}",
-                            parsed.len()
-                        )));
-                    }
-                    Some(_) => {}
-                }
-                out.push(parsed);
-            }
-            if let Some(j) = overflowing_column(out.iter().map(Vec::as_slice)) {
+        (Some(data), None) => {
+            let (values, d) = match flat {
+                Some(matrix) => matrix,
+                None => refused_rows(data)?,
+            };
+            if let Some(j) = overflowing_column(values.chunks_exact(d)) {
                 return Err(ProtocolError::bad_request(format!(
                     "\"data\" column {j} is too large: sums or squared distances over the data overflow"
                 )));
             }
-            Ok(DataSource::Inline(out))
+            Ok(DataSource::Inline(Dataset::from_flat(d, values)))
         }
-        (Some(other), None) => Err(ProtocolError::bad_request(format!(
-            "\"data\" must be an array of rows, got {other:?}"
-        ))),
     }
+}
+
+/// The `Value` reading of `data` that the flat path refused: names the
+/// first empty, ragged, non-array or non-number row or cell, or the first
+/// non-finite cell (the codec reads an overflowing literal such as
+/// `1e999` as ±inf; no family or model takes that).
+fn refused_rows(data: &Value) -> Result<FlatMatrix, ProtocolError> {
+    let Value::Array(rows) = data else {
+        return Err(ProtocolError::bad_request(format!(
+            "\"data\" must be an array of rows, got {data:?}"
+        )));
+    };
+    if rows.is_empty() {
+        return Err(ProtocolError::bad_request("\"data\" has no rows"));
+    }
+    let mut values = Vec::new();
+    let mut width = None;
+    for (i, row) in rows.iter().enumerate() {
+        let Value::Array(cells) = row else {
+            return Err(ProtocolError::bad_request(format!(
+                "\"data\" row {i} is not an array"
+            )));
+        };
+        for (j, cell) in cells.iter().enumerate() {
+            let Some(x) = number(cell) else {
+                return Err(ProtocolError::bad_request(format!(
+                    "\"data\" row {i} cell {j} is not a number"
+                )));
+            };
+            if !x.is_finite() {
+                return Err(ProtocolError::bad_request(format!(
+                    "\"data\" row {i} cell {j} is not finite"
+                )));
+            }
+            values.push(x);
+        }
+        match width {
+            None if cells.is_empty() => {
+                return Err(ProtocolError::bad_request(format!(
+                    "\"data\" row {i} is empty"
+                )));
+            }
+            None => width = Some(cells.len()),
+            Some(w) if cells.len() != w => {
+                return Err(ProtocolError::bad_request(format!(
+                    "ragged \"data\": row {i} has {} cells, expected {w}",
+                    cells.len()
+                )));
+            }
+            Some(_) => {}
+        }
+    }
+    Ok((values, width.expect("rows is non-empty")))
 }
 
 fn parse_given(obj: &[(String, Value)]) -> Result<Option<Vec<Option<usize>>>, ProtocolError> {
@@ -316,16 +330,28 @@ fn parse_views(obj: &[(String, Value)]) -> Result<Option<Vec<Vec<usize>>>, Proto
 /// Parses one request line. Returns the echoed `id` (Null when absent or
 /// unparseable) alongside the request or error, so error responses still
 /// correlate.
+///
+/// The `data` matrix of a valid `fit` or `assign` is read straight into
+/// the dataset's flat buffer ([`serde_json::parse_value_with_matrix`]);
+/// every other field goes through the `Value` tree. The answer is
+/// [`parse_request_value`]'s for the line's `Value` tree, byte for byte.
 pub fn parse_request(line: &str) -> (Value, Result<Request, ProtocolError>) {
-    let value = match serde_json::parse_value(line) {
-        Ok(v) => v,
-        Err(e) => {
-            return (
-                Value::Null,
-                Err(ProtocolError { code: "bad-json", message: e.to_string() }),
-            );
-        }
-    };
+    match serde_json::parse_value_with_matrix(line, "data") {
+        Ok((value, flat)) => request_from_tree(value, flat),
+        Err(e) => (Value::Null, Err(ProtocolError { code: "bad-json", message: e.to_string() })),
+    }
+}
+
+/// [`parse_request`] over a request already read as a `Value` tree, with
+/// every field, `data` included, validated on the tree.
+pub fn parse_request_value(value: Value) -> (Value, Result<Request, ProtocolError>) {
+    request_from_tree(value, None)
+}
+
+fn request_from_tree(
+    value: Value,
+    flat: Option<FlatMatrix>,
+) -> (Value, Result<Request, ProtocolError>) {
     let Value::Object(obj) = value else {
         return (
             Value::Null,
@@ -333,11 +359,14 @@ pub fn parse_request(line: &str) -> (Value, Result<Request, ProtocolError>) {
         );
     };
     let id = field(&obj, "id").cloned().unwrap_or(Value::Null);
-    let parsed = parse_request_fields(&obj);
+    let parsed = parse_request_fields(&obj, flat);
     (id, parsed)
 }
 
-fn parse_request_fields(obj: &[(String, Value)]) -> Result<Request, ProtocolError> {
+fn parse_request_fields(
+    obj: &[(String, Value)],
+    flat: Option<FlatMatrix>,
+) -> Result<Request, ProtocolError> {
     let op = field_str(obj, "op")?
         .ok_or_else(|| ProtocolError::bad_request("missing \"op\" field"))?;
     match op.as_str() {
@@ -348,7 +377,7 @@ fn parse_request_fields(obj: &[(String, Value)]) -> Result<Request, ProtocolErro
             Ok(Request::Fit {
                 model: field_str(obj, "model")?,
                 family,
-                source: parse_source(obj)?,
+                source: parse_source(obj, flat)?,
                 k: field_usize(obj, "k")?.unwrap_or(2),
                 seed: field_u64(obj, "seed")?.unwrap_or(42),
                 given: parse_given(obj)?,
@@ -359,7 +388,7 @@ fn parse_request_fields(obj: &[(String, Value)]) -> Result<Request, ProtocolErro
             model: field_str(obj, "model")?.ok_or_else(|| {
                 ProtocolError::bad_request("assign needs a \"model\" field")
             })?,
-            source: parse_source(obj)?,
+            source: parse_source(obj, flat)?,
         }),
         "compare" => Ok(Request::Compare {
             a: field_str(obj, "a")?.ok_or_else(|| {
@@ -507,8 +536,8 @@ mod tests {
         assert_eq!(model, None);
         assert_eq!(given, Some(vec![Some(0), None]));
         assert_eq!(views, Some(vec![vec![0], vec![1]]));
-        let DataSource::Inline(rows) = source else { panic!("not inline") };
-        assert_eq!(rows, vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let DataSource::Inline(data) = source else { panic!("not inline") };
+        assert_eq!(data, Dataset::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
     }
 
     #[test]

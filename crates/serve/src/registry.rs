@@ -105,7 +105,7 @@ impl FittedModel {
                                 .map(|(a, b)| (a - b) * (a - b))
                                 .sum();
                             // Strict `<` keeps the lowest label on ties.
-                            if best.map_or(true, |(_, bd)| d2 < bd) {
+                            if best.is_none_or(|(_, bd)| d2 < bd) {
                                 best = Some((l, d2));
                             }
                         }

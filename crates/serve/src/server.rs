@@ -13,8 +13,9 @@
 //! handler idling on a kept-open connection sees the stop flag on its
 //! next timeout and exits, and [`Server::run`] joins them all before
 //! returning — no leaked threads. Every request executes under a
-//! `serve.<op>` telemetry span, feeding the `multiclust-trace/v2` sink
-//! exactly like a CLI run; independently of
+//! `serve.<op>` telemetry span, beside `serve.parse`, `serve.encode` and
+//! `serve.write` spans for its other layers, feeding the
+//! `multiclust-trace/v2` sink exactly like a CLI run; independently of
 //! the telemetry switch the server keeps its own per-op counters and
 //! latency quantile sketches for the `stats` op.
 
@@ -270,25 +271,33 @@ fn handle_connection(
             continue;
         }
         let started = Instant::now();
-        let (id, parsed) = match String::from_utf8(line) {
-            Ok(text) => protocol::parse_request(&text),
-            Err(_) => (
-                Value::Null,
-                Err(ProtocolError {
-                    code: "bad-json",
-                    message: "request line is not UTF-8".to_string(),
-                }),
-            ),
+        // The parse, the op and the response's encode and write each get
+        // a span of their own, side by side, so a trace shows which layer
+        // a request's time went to.
+        let (id, parsed, req_id) = {
+            let _span = multiclust_telemetry::span("serve.parse");
+            let (id, parsed) = match String::from_utf8(line) {
+                Ok(text) => protocol::parse_request(&text),
+                Err(_) => (
+                    Value::Null,
+                    Err(ProtocolError {
+                        code: "bad-json",
+                        message: "request line is not UTF-8".to_string(),
+                    }),
+                ),
+            };
+            // Correlation context: the echoed request id plus this
+            // connection's id tag every span, trace line and flight
+            // record the request leaves, from this parse span (installed
+            // before it closes) to the write.
+            let req_id = id_text(&id);
+            flight::set_request(req_id.as_deref().unwrap_or(""), conn);
+            (id, parsed, req_id)
         };
         let op = parsed.as_ref().map_or("invalid", Request::op);
         let shutdown = matches!(parsed, Ok(Request::Shutdown));
-        // Correlation context: the echoed request id plus this
-        // connection's id tag every span, trace line and flight record
-        // made while the request executes.
-        let req_id = id_text(&id);
-        flight::set_request(req_id.as_deref().unwrap_or(""), conn);
-        // The span covers parse-to-response execution; it lands in the
-        // trace sink and the duration sketches exactly like a CLI phase.
+        // The span covers the op's execution; it lands in the trace sink
+        // and the duration sketches exactly like a CLI phase.
         let response = {
             let _span = multiclust_telemetry::span(&format!("serve.{op}"));
             match parsed {
@@ -318,8 +327,9 @@ fn handle_connection(
                 auto_dump(op, req_id.as_deref());
             }
         }
+        let written = write_response(&mut writer, &response);
         flight::clear_request();
-        if write_response(&mut writer, &response).is_err() {
+        if written.is_err() {
             return;
         }
         if shutdown {
@@ -385,8 +395,12 @@ fn record(shared: &Shared, op: &str, micros: u64, failed: bool) {
 }
 
 fn write_response(writer: &mut dyn Write, response: &Value) -> std::io::Result<()> {
-    let text = serde_json::to_string(response)
-        .unwrap_or_else(|_| format!("{{\"schema\":\"{SCHEMA}\",\"ok\":false}}"));
+    let text = {
+        let _span = multiclust_telemetry::span("serve.encode");
+        serde_json::to_string(response)
+            .unwrap_or_else(|_| format!("{{\"schema\":\"{SCHEMA}\",\"ok\":false}}"))
+    };
+    let _span = multiclust_telemetry::span("serve.write");
     writer.write_all(text.as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()
@@ -449,9 +463,9 @@ fn strings_value(names: &[String]) -> Value {
 fn execute(shared: &Shared, id: &Value, req: Request) -> Value {
     let result = match req {
         Request::Fit { model, family, source, k, seed, given, views } => {
-            op_fit(shared, id, model, family, &source, k, seed, given, views)
+            op_fit(shared, id, model, family, source, k, seed, given, views)
         }
-        Request::Assign { model, source } => op_assign(shared, id, &model, &source),
+        Request::Assign { model, source } => op_assign(shared, id, &model, source),
         Request::Compare { a, b, sa, sb } => op_compare(shared, id, &a, &b, sa, sb),
         Request::List => Ok(op_list(shared, id)),
         Request::Evict { model } => op_evict(shared, id, &model),
@@ -462,13 +476,13 @@ fn execute(shared: &Shared, id: &Value, req: Request) -> Value {
     result.unwrap_or_else(|e| error_response(id, &e))
 }
 
-fn load_source(source: &DataSource) -> Result<Dataset, ProtocolError> {
+fn load_source(source: DataSource) -> Result<Dataset, ProtocolError> {
     match source {
-        DataSource::Inline(rows) => Ok(Dataset::from_rows(rows)),
+        DataSource::Inline(data) => Ok(data),
         // Only a failed read is an I/O error; content that was read and
         // then refused is the client's bad request, as it is inline.
         DataSource::Path { path, header } => {
-            read_csv(Path::new(path), *header).map_err(|e| ProtocolError {
+            read_csv(Path::new(&path), header).map_err(|e| ProtocolError {
                 code: if matches!(e, CsvError::Io(_)) { "io" } else { "bad-request" },
                 message: format!("reading {path}: {e}"),
             })
@@ -482,7 +496,7 @@ fn op_fit(
     id: &Value,
     model: Option<String>,
     family: String,
-    source: &DataSource,
+    source: DataSource,
     k: usize,
     seed: u64,
     given: Option<Vec<Option<usize>>>,
@@ -583,7 +597,7 @@ fn op_assign(
     shared: &Shared,
     id: &Value,
     model: &str,
-    source: &DataSource,
+    source: DataSource,
 ) -> Result<Value, ProtocolError> {
     let data = load_source(source)?;
     let mut registry = shared.registry.lock().unwrap_or_else(|e| e.into_inner());

@@ -237,7 +237,7 @@ fn record(kind: u64, name: &str, request: Option<&str>, dur_ns: u64) {
     let _ = SEGMENT.try_with(|slot| {
         let mut slot = slot.borrow_mut();
         let epoch = EPOCH.load(Ordering::Relaxed);
-        if slot.as_ref().map_or(true, |h| h.epoch != epoch) {
+        if slot.as_ref().is_none_or(|h| h.epoch != epoch) {
             *slot = register(epoch);
         }
         let Some(handle) = slot.as_ref() else { return };

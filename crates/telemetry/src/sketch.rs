@@ -72,7 +72,7 @@ pub fn bucket_lo(i: usize) -> u64 {
     let sub = ((i - 1) % SUBBUCKETS) as u128;
     // ceil((16+sub)·2^octave / 16), in u128 to survive the top octaves.
     let num = (16 + sub) << octave;
-    let lo = (num + 15) / 16;
+    let lo = num.div_ceil(16);
     u64::try_from(lo).unwrap_or(u64::MAX)
 }
 
@@ -86,7 +86,7 @@ fn bucket_hi(i: usize) -> u64 {
     // ceil((17+sub)·2^octave / 16) − 1: the largest integer strictly
     // below the next bucket's lower bound.
     let num = (17 + sub) << octave;
-    let hi = (num + 15) / 16 - 1;
+    let hi = num.div_ceil(16) - 1;
     u64::try_from(hi).unwrap_or(u64::MAX)
 }
 

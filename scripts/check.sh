@@ -7,6 +7,8 @@ cargo test -q --offline --workspace
 # Rustdoc with warnings denied: a doc link left dangling (or pointing at a
 # private item) by a deletion fails the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
+# Clippy with warnings denied, over tests, examples and binaries too.
+cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
 # The benchmark is a package of its own (outside `--workspace`) that
 # imports the harness and the linalg kernels; build and test it too.
@@ -186,6 +188,7 @@ for threads in 1 4; do
     grep -q '"uptime_ms"' "$tmp/serve-$threads.stats"
     grep -q '"fit":2' "$tmp/serve-$threads.stats"
     grep -q '"path":"serve.fit"' "$tmp/serve-$threads.trace.jsonl"
+    grep -q '"path":"serve.parse"' "$tmp/serve-$threads.trace.jsonl"
     grep -q '"path":"serve.compare"' "$tmp/serve-$threads.trace.jsonl"
     grep -q '"type":"end"' "$tmp/serve-$threads.trace.jsonl"
 done

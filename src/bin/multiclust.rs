@@ -555,7 +555,7 @@ fn cmd_verify(flags: &Flags) -> Result<Outcome, String> {
         None => Some(PathBuf::from("tests/golden")),
     };
     let bless = flags.bool("bless")
-        || std::env::var("MULTICLUST_BLESS").map_or(false, |v| v == "1");
+        || std::env::var("MULTICLUST_BLESS").is_ok_and(|v| v == "1");
     let opts = VerifyOptions {
         seed: flags.parsed_or("seed", 42u64)?,
         family: flags.get("family").cloned(),

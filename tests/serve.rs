@@ -192,6 +192,17 @@ fn concurrent_clients_mixed_workload_clean_shutdown() {
     assert!(trace_raw.contains(r#""path":"serve.fit""#), "{trace_raw}");
     assert!(trace_raw.contains(r#""path":"serve.assign""#), "{trace_raw}");
     assert!(trace_raw.contains(r#""path":"serve.compare""#), "{trace_raw}");
+    // Each layer of a request has its own span, tagged with the request
+    // id: parse, the op, the response's encode and its write.
+    for layer in ["parse", "fit", "encode", "write"] {
+        let tagged = format!(r#""path":"serve.{layer}","#);
+        assert!(
+            trace_raw
+                .lines()
+                .any(|l| l.contains(&tagged) && l.contains(r#""request_id":"c0-fit-a""#)),
+            "serve.{layer} span of c0-fit-a: {trace_raw}"
+        );
+    }
     let tail: Vec<&str> = trace_raw.lines().rev().take(2).collect();
     assert!(tail[0].starts_with(r#"{"type":"end""#), "flushed end line: {trace_raw}");
     assert!(
@@ -683,5 +694,48 @@ fn refused_path_data_is_a_bad_request_and_unreadable_path_is_io() {
     );
     let resp = client::roundtrip(&listen, &request).unwrap();
     assert!(resp.contains(r#""code":"io""#), "{resp}");
+    shutdown_clean(child, &listen);
+}
+
+/// Inline `data` is read straight into the dataset's buffer: every
+/// number spelling converts as the `Value` codec does (`-0` is +0.0, an
+/// integer beyond `i64` goes through `f64`), and refused data answers the
+/// same message the `Value` validation always gave.
+#[test]
+fn inline_data_spellings_and_refusals_answer_as_before() {
+    let (child, listen) = spawn_serve(&[], &[]);
+    let mut conn = client::Connection::open(&listen).unwrap();
+    let fit = |data: &str| {
+        format!(
+            r#"{{"id":"f","op":"fit","model":"m","family":"kmeans","k":3,"seed":3,"data":{data}}}"#
+        )
+    };
+    let mixed = conn
+        .roundtrip(&fit(
+            "[[1, -0],[2,1E0],[ 1E2 ,2.50e-3],[101,  -1],[9223372036854775808,5],[9223372036854775808,6]]",
+        ))
+        .unwrap();
+    let floats = conn
+        .roundtrip(&fit(
+            "[[1.0,0.0],[2.0,1.0],[100.0,0.0025],[101.0,-1.0],[9223372036854775808.0,5.0],[9223372036854775808.0,6.0]]",
+        ))
+        .unwrap();
+    assert!(mixed.contains(r#""solutions":[[0,0,2,2,1,1]]"#), "{mixed}");
+    assert_eq!(mixed, floats);
+
+    for (data, message) in [
+        ("[[0.1,0.1],[9,9,9]]", r#"ragged \"data\": row 1 has 3 cells, expected 2"#),
+        (r#"[[0.1,0.1],[9,"x"]]"#, r#"\"data\" row 1 cell 1 is not a number"#),
+        ("[[0.1,0.1],[9,1e999]]", r#"\"data\" row 1 cell 1 is not finite"#),
+    ] {
+        let resp = conn
+            .roundtrip(&format!(r#"{{"id":"a","op":"assign","model":"m","data":{data}}}"#))
+            .unwrap();
+        let want = format!(
+            r#"{{"schema":"multiclust-serve/v1","id":"a","ok":false,"error":{{"code":"bad-request","message":"{message}"}}}}"#
+        );
+        assert_eq!(resp, want);
+    }
+    drop(conn);
     shutdown_clean(child, &listen);
 }

@@ -13,7 +13,7 @@ fn golden_dir() -> PathBuf {
 
 /// Whether this run should refresh fixtures instead of comparing.
 fn blessing() -> bool {
-    std::env::var("MULTICLUST_BLESS").map_or(false, |v| v == "1")
+    std::env::var("MULTICLUST_BLESS").is_ok_and(|v| v == "1")
 }
 
 #[test]
