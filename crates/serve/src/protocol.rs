@@ -113,17 +113,23 @@ pub enum Request {
 }
 
 impl Request {
-    /// The op name (span label, stats key).
+    /// The op name (stats key): [`Request::span_name`] after `serve.`.
     pub fn op(&self) -> &'static str {
+        &self.span_name()["serve.".len()..]
+    }
+
+    /// The name of the op's telemetry span and flight record: `serve.`
+    /// and the op name. A request that does not parse is `serve.invalid`.
+    pub fn span_name(&self) -> &'static str {
         match self {
-            Request::Fit { .. } => "fit",
-            Request::Assign { .. } => "assign",
-            Request::Compare { .. } => "compare",
-            Request::List => "list",
-            Request::Evict { .. } => "evict",
-            Request::Stats => "stats",
-            Request::Dump => "dump",
-            Request::Shutdown => "shutdown",
+            Request::Fit { .. } => "serve.fit",
+            Request::Assign { .. } => "serve.assign",
+            Request::Compare { .. } => "serve.compare",
+            Request::List => "serve.list",
+            Request::Evict { .. } => "serve.evict",
+            Request::Stats => "serve.stats",
+            Request::Dump => "serve.dump",
+            Request::Shutdown => "serve.shutdown",
         }
     }
 }
@@ -332,11 +338,16 @@ fn parse_views(obj: &[(String, Value)]) -> Result<Option<Vec<Vec<usize>>>, Proto
 /// correlate.
 ///
 /// The `data` matrix of a valid `fit` or `assign` is read straight into
-/// the dataset's flat buffer ([`serde_json::parse_value_with_matrix`]);
-/// every other field goes through the `Value` tree. The answer is
-/// [`parse_request_value`]'s for the line's `Value` tree, byte for byte.
+/// the dataset's flat buffer, in pieces that the deterministic pool reads
+/// in parallel ([`serde_json::parse_value_with_matrix_in`]); every other
+/// field goes through the `Value` tree. The answer is
+/// [`parse_request_value`]'s for the line's `Value` tree, byte for byte,
+/// at any thread count.
 pub fn parse_request(line: &str) -> (Value, Result<Request, ProtocolError>) {
-    match serde_json::parse_value_with_matrix(line, "data") {
+    let parsed = serde_json::parse_value_with_matrix_in(line, "data", |pieces, read| {
+        multiclust_parallel::par_chunks_mut(pieces, 1, |_, ps| ps.iter_mut().for_each(read));
+    });
+    match parsed {
         Ok((value, flat)) => request_from_tree(value, flat),
         Err(e) => (Value::Null, Err(ProtocolError { code: "bad-json", message: e.to_string() })),
     }

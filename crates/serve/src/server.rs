@@ -294,12 +294,13 @@ fn handle_connection(
             flight::set_request(req_id.as_deref().unwrap_or(""), conn);
             (id, parsed, req_id)
         };
-        let op = parsed.as_ref().map_or("invalid", Request::op);
+        let (op, span_name) =
+            parsed.as_ref().map_or(("invalid", "serve.invalid"), |r| (r.op(), r.span_name()));
         let shutdown = matches!(parsed, Ok(Request::Shutdown));
         // The span covers the op's execution; it lands in the trace sink
         // and the duration sketches exactly like a CLI phase.
         let response = {
-            let _span = multiclust_telemetry::span(&format!("serve.{op}"));
+            let _span = multiclust_telemetry::span(span_name);
             match parsed {
                 Ok(req) => execute(shared, &id, req),
                 Err(e) => error_response(&id, &e),
@@ -315,7 +316,7 @@ fn handle_connection(
         // flight ring is on regardless, so mirror the request into it
         // directly when the span could not.
         if !multiclust_telemetry::enabled() {
-            flight::record_span(&format!("serve.{op}"), micros.saturating_mul(1000));
+            flight::record_span(span_name, micros.saturating_mul(1000));
         }
         if failed {
             let code = error_code(&response).unwrap_or("error");

@@ -1,10 +1,16 @@
 //! Property tests of request parsing: `parse_request` reads a valid
-//! inline `data` matrix straight into the dataset's flat buffer, and must
-//! answer exactly as the `Value` path (`parse_request_value` over
-//! `serde_json::parse_value`) does — the same dataset bit for bit on
-//! valid lines, the same `(id, code, message)` on anything else.
+//! inline `data` matrix straight into the dataset's flat buffer, in
+//! pieces when it is long, and must answer exactly as the `Value` path
+//! (`parse_request_value` over `serde_json::parse_value`) does — the
+//! same dataset bit for bit on valid lines, the same `(id, code,
+//! message)` on anything else, at any thread count. The bounded line
+//! reader under them splits a stream into lines as `split('\n')` does.
 
-use multiclust_serve::protocol::{parse_request, parse_request_value, DataSource, Request};
+use std::io::{BufRead, ErrorKind, Read};
+
+use multiclust_serve::protocol::{
+    parse_request, parse_request_value, read_line_bounded, BoundedLine, DataSource, Request,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,6 +91,22 @@ fn request_line(rng: &mut StdRng, matrix: &str) -> String {
         1 => format!("{{{data},{id},{head}}}"),
         // Only the first `data` field counts, on either path.
         _ => format!(r#"{{{head},{data},{id},"data":"ignored"}}"#),
+    }
+}
+
+/// A `fit` line over `matrix` with `given`, `views` and `tail` (more
+/// fields, possibly none) in the order `order` picks, `data` first, in
+/// the middle or last.
+fn fit_line(rng: &mut StdRng, matrix: &str, n: usize, tail: &str, order: u8) -> String {
+    let given: Vec<String> = (0..n).map(|i| ((i % 3) as i64 - 1).to_string()).collect();
+    let given = format!(r#""given":[{}]"#, given.join(","));
+    let views = r#""views":[[0],[0]]"#;
+    let data = format!("{}\"data\"{}:{}{matrix}{}", ws(rng), ws(rng), ws(rng), ws(rng));
+    let head = format!(r#""id":{},"op":"fit","family":"kmeans","k":2"#, rng.gen_range(0u32..1000));
+    match order {
+        0 => format!("{{{data},{head},{given},{views}{tail}}}"),
+        1 => format!("{{{head},{given},{data},{views}{tail}}}"),
+        _ => format!("{{{head},{given},{views}{tail},{data}}}"),
     }
 }
 
@@ -203,5 +225,164 @@ proptest! {
             (Err(got), Err(want)) => prop_assert_eq!(got, want),
             _ => prop_assert_eq!(format!("{flat:?}"), format!("{want:?}")),
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Lines whose matrix spans two to four pieces answer as the `Value`
+    /// path does at one thread and at four: clean, with a ragged row, a
+    /// non-finite or a string cell in the last piece, and with a later
+    /// string field full of `[`, where a piece boundary lands after the
+    /// matrix has ended.
+    #[test]
+    fn lines_read_in_pieces_answer_as_the_value_path_at_any_thread_count(
+        seed in 0u64..u64::MAX,
+        d in 1usize..20,
+        fault in 0usize..5,
+        order in 0u8..3,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let target = rng.gen_range(140_000..450_000usize);
+        let mut tokens = Vec::new();
+        let mut bytes = 0;
+        while bytes < target {
+            let row = self::tokens(&mut rng, 1, d);
+            bytes += row.iter().map(|t| t.len() + 1).sum::<usize>() + 2;
+            tokens.extend(row);
+        }
+        let n = tokens.len() / d;
+        let mut tail = String::new();
+        let late = rng.gen_range(tokens.len() - tokens.len() / 20..tokens.len());
+        match fault {
+            1 => tokens[late] = "1,2".to_string(),
+            2 => tokens[late] = ["1e999", "-1e999"][rng.gen_range(0..2usize)].to_string(),
+            3 => tokens[late] = "\"x\"".to_string(),
+            4 => tail = format!(r#","note":"{}""#, "[[1,2],[3".repeat(20_000)),
+            _ => {}
+        }
+        let matrix = matrix(&mut rng, &tokens, d);
+        let line = fit_line(&mut rng, &matrix, n, &tail, order);
+        let (want_id, want) = value_path(&line);
+        let pieces = std::cell::Cell::new(0);
+        let (_, flat) = serde_json::parse_value_with_matrix_in(&line, "data", |ps, read| {
+            pieces.set(ps.len());
+            ps.iter_mut().for_each(read);
+        })
+        .expect("valid JSON");
+        prop_assert!(pieces.get() >= 2, "{} pieces", pieces.get());
+        prop_assert_eq!(flat.is_some(), fault == 0 || fault == 4);
+        if fault == 0 || fault == 4 {
+            let want = want.as_ref().map_err(|e| TestCaseError::fail(format!("{e:?}")))?;
+            let (width, bits) = inline_bits(want).expect("inline data");
+            prop_assert_eq!(width, d);
+            let by_rule: Vec<u64> = tokens.iter().map(|t| rule(t).to_bits()).collect();
+            prop_assert_eq!(bits, by_rule);
+        } else {
+            prop_assert!(want.is_err());
+        }
+        for threads in [1, 4] {
+            multiclust_parallel::set_threads(threads);
+            let (id, got) = flat_path(&line);
+            prop_assert_eq!(&id, &want_id);
+            match (&got, &want) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(inline_bits(got), inline_bits(want)),
+                (Err(got), Err(want)) => prop_assert_eq!(got, want),
+                _ => prop_assert!(false, "{threads} threads: {:?} against {:?}", got.is_ok(), want.is_ok()),
+            }
+        }
+        multiclust_parallel::set_threads(0);
+    }
+}
+
+/// A reader that hands out its bytes in chunks of random size and
+/// fails a random share of its `fill_buf` calls with `WouldBlock` or
+/// `Interrupted`, as a socket with a read timeout may.
+struct Choppy {
+    bytes: Vec<u8>,
+    pos: usize,
+    chunk: usize,
+    max_chunk: usize,
+    rng: StdRng,
+}
+
+impl Read for Choppy {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.fill_buf()?.read(buf)?;
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for Choppy {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if self.chunk == 0 {
+            match self.rng.gen_range(0..4u8) {
+                0 => return Err(ErrorKind::WouldBlock.into()),
+                1 => return Err(ErrorKind::Interrupted.into()),
+                _ => {}
+            }
+            let left = self.bytes.len() - self.pos;
+            self.chunk = self.rng.gen_range(1..=self.max_chunk).min(left);
+        }
+        Ok(&self.bytes[self.pos..self.pos + self.chunk])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
+        self.chunk -= n;
+    }
+}
+
+/// What `read_line_bounded` must return line by line: `split('\n')`,
+/// with every line longer than `max` `TooLong`, an unterminated tail as
+/// one more line, then end of stream.
+fn expected_lines(bytes: &[u8], max: usize) -> Vec<Option<Vec<u8>>> {
+    let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+    if lines.last().is_some_and(|tail| tail.is_empty()) {
+        lines.pop();
+    }
+    lines.into_iter().map(|l| (l.len() <= max).then(|| l.to_vec())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Lines come back as `split('\n')` over any chunking and any mix
+    /// of `WouldBlock` and `Interrupted`: `TooLong` exactly for a line
+    /// over `max`, the line after it intact, an unterminated tail as
+    /// one line, then `Eof`.
+    #[test]
+    fn bounded_lines_are_a_split_on_newline(
+        seed in 0u64..u64::MAX,
+        max in 1usize..40,
+        lines in 0usize..12,
+        max_chunk in 1usize..90,
+        terminated in 0u8..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bytes = Vec::new();
+        for i in 0..lines {
+            let len = rng.gen_range(0..=3 * max);
+            bytes.extend((0..len).map(|_| rng.gen_range(b' '..=b'~')));
+            if terminated == 1 || i + 1 < lines {
+                bytes.push(b'\n');
+            }
+        }
+        let want = expected_lines(&bytes, max);
+        let mut reader = Choppy { bytes, pos: 0, chunk: 0, max_chunk, rng };
+        let never = || false;
+        let mut got = Vec::new();
+        loop {
+            match read_line_bounded(&mut reader, max, &never) {
+                Ok(BoundedLine::Line(l)) => got.push(Some(l)),
+                Ok(BoundedLine::TooLong) => got.push(None),
+                Ok(BoundedLine::Eof) => break,
+                Ok(BoundedLine::Stopped) => prop_assert!(false, "stopped without a stop"),
+                Err(e) => prop_assert!(false, "error {e}"),
+            }
+        }
+        prop_assert_eq!(got, want);
     }
 }

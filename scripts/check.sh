@@ -195,6 +195,48 @@ done
 cmp "$tmp/serve-1.out" "$tmp/serve-4.out"
 cmp "$tmp/serve-1.out" tests/golden/serve_session.golden
 
+# Inline matrices past the 128 KiB piece floor are read in pieces on the
+# pool: a 3000 x 16 fit and an assign on the same rows answer the same
+# bytes at one thread and at four, and the fit, repeated with `data`
+# moved before the other fields, answers its first bytes again.
+awk 'function matrix(  i, j) {
+        printf "["
+        for (i = 0; i < 3000; i++) {
+            printf "%s[", (i ? "," : "")
+            for (j = 0; j < 16; j++) printf "%s%s", (j ? "," : ""), cell[i, j]
+            printf "]"
+        }
+        printf "]"
+    }
+    BEGIN { srand(5)
+        for (i = 0; i < 3000; i++) for (j = 0; j < 16; j++)
+            cell[i, j] = sprintf("%.6f", (i % 4) * 10 + rand() * 4)
+        head = "\"id\":\"fit\",\"op\":\"fit\",\"model\":\"big\",\"family\":\"kmeans\",\"k\":4,\"seed\":3"
+        printf "{%s,\"data\":", head; matrix(); printf "}\n"
+        printf "{\"id\":\"assign\",\"op\":\"assign\",\"model\":\"big\",\"data\":"; matrix(); printf "}\n"
+        printf "{\"id\":\"evict\",\"op\":\"evict\",\"model\":\"big\"}\n"
+        printf "{\"data\":"; matrix(); printf ",%s}\n", head }' > "$tmp/serve-big.txt"
+for threads in 1 4; do
+    sock="$tmp/serve-big-$threads.sock"
+    MULTICLUST_THREADS=$threads ./target/release/multiclust serve \
+        --listen "unix:$sock" > /dev/null 2> /dev/null &
+    serve_pid=$!
+    for _ in $(seq 1 200); do
+        [ -S "$sock" ] && break
+        sleep 0.05
+    done
+    ./target/release/multiclust client --connect "unix:$sock" \
+        --script "$tmp/serve-big.txt" > "$tmp/serve-big-$threads.out"
+    ./target/release/multiclust client --connect "unix:$sock" \
+        --request '{"id":"bye","op":"shutdown"}' > /dev/null
+    wait_serve "$serve_pid"
+done
+cmp "$tmp/serve-big-1.out" "$tmp/serve-big-4.out"
+test "$(grep -c '"ok":true' "$tmp/serve-big-1.out")" -eq 4
+grep -q '"n":3000,"d":16' "$tmp/serve-big-1.out"
+sed -n 1p "$tmp/serve-big-1.out" > "$tmp/serve-big-fit.out"
+sed -n 4p "$tmp/serve-big-1.out" | cmp "$tmp/serve-big-fit.out" -
+
 # Flight-recorder correlation: a failing fit on the shipped server
 # leaves its request id in the flight ring, the `dump` op writes the ring
 # to a file, and both the raw dump and the `last errors` section
