@@ -11,7 +11,7 @@
 use multiclust_core::subspace::{SubspaceCluster, SubspaceClustering};
 use multiclust_data::Dataset;
 
-use crate::grid::SubspaceGrid;
+use crate::grid::{IntervalCodes, SubspaceGrid};
 use crate::lattice::{bottom_up_search, exhaustive_search, LatticeStats};
 
 /// CLIQUE configuration.
@@ -54,12 +54,10 @@ impl Clique {
     /// (normalise with [`Dataset::min_max_normalized`] if needed).
     pub fn fit(&self, data: &Dataset) -> CliqueResult {
         let min_count = self.min_count(data.len());
-        let has_dense = |dims: &[usize]| -> bool {
-            let grid = SubspaceGrid::build(data, dims, self.xi);
-            !grid.dense_cells(min_count).is_empty()
-        };
-        let lattice = bottom_up_search(data.dims(), has_dense);
-        let clusters = self.clusters_of(data, &lattice.subspaces, min_count);
+        let codes = IntervalCodes::new(data, self.xi);
+        let lattice =
+            bottom_up_search(data.dims(), |dims| codes.has_dense_cell(dims, min_count));
+        let clusters = clusters_of(&codes, &lattice.subspaces, min_count);
         CliqueResult {
             clusters,
             dense_subspaces: lattice.subspaces,
@@ -71,34 +69,33 @@ impl Clique {
     /// `max_dim`) — the ablation baseline quantifying slide 71's pruning.
     pub fn fit_unpruned(&self, data: &Dataset, max_dim: usize) -> CliqueResult {
         let min_count = self.min_count(data.len());
-        let has_dense = |dims: &[usize]| -> bool {
-            let grid = SubspaceGrid::build(data, dims, self.xi);
-            !grid.dense_cells(min_count).is_empty()
-        };
-        let lattice = exhaustive_search(data.dims(), max_dim, has_dense);
-        let clusters = self.clusters_of(data, &lattice.subspaces, min_count);
+        let codes = IntervalCodes::new(data, self.xi);
+        let lattice = exhaustive_search(data.dims(), max_dim, |dims| {
+            codes.has_dense_cell(dims, min_count)
+        });
+        let clusters = clusters_of(&codes, &lattice.subspaces, min_count);
         CliqueResult {
             clusters,
             dense_subspaces: lattice.subspaces,
             stats: lattice.stats,
         }
     }
+}
 
-    fn clusters_of(
-        &self,
-        data: &Dataset,
-        subspaces: &[Vec<usize>],
-        min_count: usize,
-    ) -> SubspaceClustering {
-        let mut clusters = Vec::new();
-        for dims in subspaces {
-            let grid = SubspaceGrid::build(data, dims, self.xi);
-            for region in grid.connected_dense_regions(min_count) {
-                clusters.push(SubspaceCluster::new(region, dims.clone()));
-            }
+/// The connected dense regions of every subspace in `subspaces`, as
+/// subspace clusters.
+fn clusters_of(
+    codes: &IntervalCodes,
+    subspaces: &[Vec<usize>],
+    min_count: usize,
+) -> SubspaceClustering {
+    let mut clusters = Vec::new();
+    for dims in subspaces {
+        for region in SubspaceGrid::new(codes, dims).connected_dense_regions(min_count) {
+            clusters.push(SubspaceCluster::new(region, dims.clone()));
         }
-        clusters
     }
+    clusters
 }
 
 

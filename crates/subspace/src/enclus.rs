@@ -13,7 +13,7 @@
 
 use multiclust_data::Dataset;
 
-use crate::grid::SubspaceGrid;
+use crate::grid::{IntervalCodes, SubspaceGrid};
 use crate::lattice::{bottom_up_search, LatticeStats};
 
 /// ENCLUS configuration.
@@ -63,25 +63,23 @@ impl Enclus {
     /// bias-corrected — the plug-in estimator would manufacture spurious
     /// interest for high-dimensional sparse grids).
     pub fn subspace_entropy(&self, data: &Dataset, dims: &[usize]) -> f64 {
-        SubspaceGrid::build(data, dims, self.xi).entropy_corrected(data.len())
+        SubspaceGrid::new(&IntervalCodes::new(data, self.xi), dims).entropy_corrected()
     }
 
     /// Runs the search on min-max normalised data.
     pub fn fit(&self, data: &Dataset) -> EnclusResult {
-        let n = data.len();
-        let low_entropy = |dims: &[usize]| -> bool {
-            SubspaceGrid::build(data, dims, self.xi).entropy(n) <= self.omega
-        };
+        let codes = IntervalCodes::new(data, self.xi);
+        let corrected = |dims: &[usize]| SubspaceGrid::new(&codes, dims).entropy_corrected();
+        let low_entropy =
+            |dims: &[usize]| SubspaceGrid::new(&codes, dims).entropy() <= self.omega;
         let lattice = bottom_up_search(data.dims(), low_entropy);
-        let single_h: Vec<f64> = (0..data.dims())
-            .map(|i| self.subspace_entropy(data, &[i]))
-            .collect();
+        let single_h: Vec<f64> = (0..data.dims()).map(|i| corrected(&[i])).collect();
         let mut ranked: Vec<RankedSubspace> = lattice
             .subspaces
             .iter()
             .filter(|dims| dims.len() >= 2)
             .map(|dims| {
-                let entropy = self.subspace_entropy(data, dims);
+                let entropy = corrected(dims);
                 let interest =
                     dims.iter().map(|&i| single_h[i]).sum::<f64>() - entropy;
                 RankedSubspace { dims: dims.clone(), entropy, interest }

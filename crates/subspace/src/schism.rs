@@ -19,7 +19,7 @@
 use multiclust_core::subspace::{SubspaceCluster, SubspaceClustering};
 use multiclust_data::Dataset;
 
-use crate::grid::SubspaceGrid;
+use crate::grid::{IntervalCodes, SubspaceGrid};
 use crate::lattice::{bottom_up_search, LatticeStats};
 
 /// SCHISM configuration.
@@ -66,10 +66,9 @@ impl Schism {
     /// Runs SCHISM on min-max normalised data.
     pub fn fit(&self, data: &Dataset) -> SchismResult {
         let n = data.len();
-        let has_interesting = |dims: &[usize]| -> bool {
-            let grid = SubspaceGrid::build(data, dims, self.xi);
-            !grid.dense_cells(self.min_count(dims.len(), n)).is_empty()
-        };
+        let codes = IntervalCodes::new(data, self.xi);
+        let has_interesting =
+            |dims: &[usize]| codes.has_dense_cell(dims, self.min_count(dims.len(), n));
         // Interestingness is anti-monotone: a cell of S projects onto a
         // cell of every T ⊂ S with at least the same support, and τ(|T|) ≥
         // τ(|S|) − ... strictly τ decreases with s, so support ≥ n·τ(s)
@@ -77,13 +76,10 @@ impl Schism {
         // this by mining with the *deep* threshold and post-filtering;
         // we follow that scheme: prune with the weakest (deepest useful)
         // threshold, report with the level-exact one.
-        let floor_threshold = |dims: &[usize]| -> bool {
-            let grid = SubspaceGrid::build(data, dims, self.xi);
-            // Weakest admissible bound: the deviation term alone (the
-            // (1/ξ)^s part vanishes as s grows).
-            let weakest = ((deviation_term(n, self.p) * n as f64).ceil() as usize).max(1);
-            !grid.dense_cells(weakest).is_empty()
-        };
+        // Weakest admissible bound: the deviation term alone (the (1/ξ)^s
+        // part vanishes as s grows).
+        let weakest = ((deviation_term(n, self.p) * n as f64).ceil() as usize).max(1);
+        let floor_threshold = |dims: &[usize]| codes.has_dense_cell(dims, weakest);
         let lattice = bottom_up_search(data.dims(), floor_threshold);
         // Post-filter with the exact per-level threshold.
         let interesting: Vec<Vec<usize>> = lattice
@@ -94,7 +90,7 @@ impl Schism {
             .collect();
         let mut clusters = Vec::new();
         for dims in &interesting {
-            let grid = SubspaceGrid::build(data, dims, self.xi);
+            let grid = SubspaceGrid::new(&codes, dims);
             for region in grid.connected_dense_regions(self.min_count(dims.len(), n)) {
                 clusters.push(SubspaceCluster::new(region, dims.clone()));
             }
