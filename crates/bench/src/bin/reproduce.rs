@@ -7,30 +7,30 @@
 //! ```
 //!
 //! With telemetry enabled (`MULTICLUST_TELEMETRY=1`), every experiment is
-//! followed by a per-experiment metrics section on **stderr** — spans,
-//! counters and convergence-event digests recorded while it ran — so the
-//! report on stdout stays diffable against previous runs.
+//! recorded into an in-memory trace and followed by its telemetry report
+//! on **stderr** — the report `multiclust trace` prints: phase table,
+//! counters and convergence findings — so the report on stdout stays
+//! diffable against previous runs.
 
 use std::process::ExitCode;
 
-/// Runs one experiment; when telemetry is on, scopes the registry to this
-/// experiment and prints its metrics section to stderr.
+use multiclust_bench::report::section;
+use multiclust_telemetry::trace;
+
+/// Runs one experiment; when telemetry is on, records it into its own
+/// in-memory trace and prints that trace's report to stderr.
 fn run_with_metrics(id: &str) -> Option<String> {
-    let telemetry = multiclust_telemetry::enabled();
-    if telemetry {
+    if multiclust_telemetry::enabled() {
         multiclust_telemetry::reset();
+        trace::open_trace_buffer();
     }
-    let report = multiclust_bench::run(id)?;
-    if telemetry {
-        eprint!(
-            "{}",
-            multiclust_bench::report::section(
-                &format!("telemetry: {id}"),
-                multiclust_telemetry::snapshot().to_text().trim_end(),
-            )
-        );
+    let report = multiclust_bench::run(id);
+    if let (Some(_), Some(bytes)) = (&report, trace::flush_trace()) {
+        let text = trace::parse_trace(&bytes[..])
+            .map_or_else(|e| format!("unreadable trace: {e}"), |t| trace::report(id, &t).0);
+        eprint!("{}", section(&format!("telemetry: {id}"), text.trim_end()));
     }
-    Some(report)
+    report
 }
 
 fn main() -> ExitCode {

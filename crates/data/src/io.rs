@@ -86,12 +86,11 @@ impl From<io::Error> for CsvError {
 ///
 /// * Lines starting with `#` and blank lines are skipped.
 /// * If `header` is true, the first non-comment line provides attribute
-///   names.
+///   names, and its name count is the width every data row must have.
 pub fn parse_csv(text: &str, header: bool) -> Result<Dataset, CsvError> {
     let mut names: Option<Vec<String>> = None;
     let mut rows: Vec<Vec<f64>> = Vec::new();
     let mut expected: Option<usize> = None;
-    let mut saw_header = false;
 
     for (idx, line) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -99,9 +98,10 @@ pub fn parse_csv(text: &str, header: bool) -> Result<Dataset, CsvError> {
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        if header && !saw_header {
-            names = Some(trimmed.split(',').map(|s| s.trim().to_string()).collect());
-            saw_header = true;
+        if header && names.is_none() {
+            let row: Vec<String> = trimmed.split(',').map(|s| s.trim().to_string()).collect();
+            expected = Some(row.len());
+            names = Some(row);
             continue;
         }
         let cells: Vec<&str> = trimmed.split(',').map(str::trim).collect();
@@ -136,13 +136,11 @@ pub fn parse_csv(text: &str, header: bool) -> Result<Dataset, CsvError> {
     if let Some(j) = overflowing_column(rows.iter().map(Vec::as_slice)) {
         return Err(CsvError::Overflow { column: j + 1 });
     }
-    let mut ds = Dataset::from_rows(&rows);
-    if let Some(names) = names {
-        if names.len() == ds.dims() {
-            ds = ds.with_dim_names(names);
-        }
-    }
-    Ok(ds)
+    let ds = Dataset::from_rows(&rows);
+    Ok(match names {
+        Some(names) => ds.with_dim_names(names),
+        None => ds,
+    })
 }
 
 /// Reads a CSV file from disk.
@@ -202,6 +200,14 @@ mod tests {
     fn ragged_row_is_error() {
         let err = parse_csv("1,2\n3\n", false).unwrap_err();
         assert!(matches!(err, CsvError::RaggedRow { line: 2, found: 1, expected: 2 }));
+    }
+
+    #[test]
+    fn header_width_is_the_row_width() {
+        let err = parse_csv("a,b,c\n1,2\n3,4\n", true).unwrap_err();
+        assert!(matches!(err, CsvError::RaggedRow { line: 2, found: 2, expected: 3 }));
+        let err = parse_csv("# names\na\n1,2\n", true).unwrap_err();
+        assert!(matches!(err, CsvError::RaggedRow { line: 3, found: 2, expected: 1 }));
     }
 
     #[test]

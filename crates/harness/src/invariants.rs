@@ -12,7 +12,7 @@
 //! alloc) are one table-driven check: [`KnobInvariance`] over a [`Knob`]
 //! row fits with the switch off, refits with it on and compares.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use multiclust_core::measures::diss::{
@@ -763,24 +763,24 @@ fn kernels_match_reference(s: &Scenario) -> Result<(), String> {
 
 /// The one lock and restore guard of the knob rows. Every knob is
 /// process-global, so rows run one at a time and put back what they
-/// found: threads and kernel mode return to their defaults, and an outer
-/// `--trace` sink is reopened in append mode so it is not truncated.
+/// found: threads and kernel mode return to their defaults, and the trace
+/// row puts back the outer sink it detached, its lines intact.
 struct KnobGuard {
     _lock: MutexGuard<'static, ()>,
     telemetry: bool,
     alloc: bool,
-    sink: Option<PathBuf>,
+    outer: Option<Option<trace::Sink>>,
 }
 
 impl KnobGuard {
-    fn take() -> Self {
+    fn take(knob: Knob) -> Self {
         static LOCK: Mutex<()> = Mutex::new(());
         let lock = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         Self {
             _lock: lock,
             telemetry: multiclust_telemetry::enabled(),
             alloc: alloc::alloc_enabled(),
-            sink: trace::trace_path(),
+            outer: (knob == Knob::Trace).then(|| trace::replace_trace(None)),
         }
     }
 }
@@ -789,8 +789,8 @@ impl Drop for KnobGuard {
     fn drop(&mut self) {
         multiclust_parallel::set_threads(0);
         kernels::set_kernel_mode(None);
-        if trace::trace_path() != self.sink {
-            let _ = trace::open_trace(self.sink.as_deref(), true);
+        if let Some(outer) = self.outer.take() {
+            trace::replace_trace(outer);
         }
         multiclust_telemetry::set_enabled(self.telemetry);
         alloc::set_alloc_enabled(self.alloc);
@@ -817,7 +817,7 @@ impl Invariant for KnobInvariance {
             family.name(),
             s.name
         ));
-        let _guard = KnobGuard::take();
+        let _guard = KnobGuard::take(knob);
         knob.pin(false, &sink)?;
         let off = fit_with(family, s, &s.dataset, &s.given, ctx.seed);
         knob.pin(true, &sink)?;

@@ -271,7 +271,6 @@ fn blocked_condensed(d: usize, flat: &[f64], take_sqrt: bool) -> SymmetricMatrix
     let per_entry = 3 * d as u64 + u64::from(take_sqrt);
     multiclust_telemetry::counter_add("kernels.flops", per_entry * entries);
     multiclust_telemetry::counter_add("kernels.bytes_touched", 16 * d as u64 * entries);
-    multiclust_telemetry::histogram_record("kernels.matrix.batch", entries);
     SymmetricMatrix { n, vals }
 }
 
@@ -393,7 +392,6 @@ pub fn gaussian_affinity_matrix(d: usize, flat: &[f64], denom: f64) -> Matrix {
         3 * d64 * pairs + pairs.saturating_sub(screened),
     );
     multiclust_telemetry::counter_add("kernels.bytes_touched", 16 * d64 * pairs);
-    multiclust_telemetry::histogram_record("kernels.matrix.batch", pairs);
     w
 }
 
@@ -576,7 +574,6 @@ impl<'a> PackedPoints<'a> {
             exact: (n * k) as u64,
             ..AssignStats::default()
         };
-        multiclust_telemetry::histogram_record("kernels.assign.batch", n as u64);
         stats.record(d);
         labels
     }
@@ -850,7 +847,6 @@ impl NearestAssign {
             self.ready = true;
             stats
         };
-        multiclust_telemetry::histogram_record("kernels.assign.batch", n as u64);
         stats.record(d);
         stats
     }

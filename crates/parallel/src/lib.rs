@@ -27,9 +27,9 @@
 //!
 //! When `multiclust-telemetry` is enabled the pool reports task counts
 //! (`parallel.tasks`, `parallel.regions.{serial,fanout}`) and per-worker
-//! busy time (`parallel.worker.<i>.busy_ns` counters plus a
-//! `parallel.worker_busy_ns` histogram), so utilization is measurable;
-//! when disabled this costs one relaxed atomic load per region.
+//! busy time (`parallel.worker.<i>.busy_ns` counters), so utilization is
+//! measurable; when disabled this costs one relaxed atomic load per
+//! region.
 
 #![forbid(unsafe_code)]
 
@@ -215,7 +215,6 @@ where
 fn record_busy(worker: usize, busy: std::time::Duration) {
     let ns = u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX);
     telemetry::counter_add(&format!("parallel.worker.{worker}.busy_ns"), ns);
-    telemetry::histogram_record("parallel.worker_busy_ns", ns);
 }
 
 /// Counts one parallel-primitive invocation: total task (chunk) count plus

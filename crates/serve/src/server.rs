@@ -792,12 +792,8 @@ fn op_stats(shared: &Shared, id: &Value) -> Value {
     fields.push(("capacity".to_string(), Value::Int(registry.capacity() as i64)));
     fields.push(("evictions".to_string(), Value::Int(registry.evictions() as i64)));
     // Observability health gauges: a client can detect silent telemetry
-    // loss (event-cap truncation, a full trace sink) without shell access
-    // to the server's stderr.
-    fields.push((
-        "events_dropped".to_string(),
-        Value::Int(multiclust_telemetry::dropped_events() as i64),
-    ));
+    // loss (a full trace sink) without shell access to the server's
+    // stderr.
     fields.push((
         "trace.write_errors".to_string(),
         Value::Int(multiclust_telemetry::trace::trace_write_errors() as i64),

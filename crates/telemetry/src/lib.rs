@@ -1,8 +1,8 @@
 //! Std-only telemetry for the `multiclust` workspace: hierarchical spans
-//! with wall-clock timing, monotonic counters, log-scale histograms and
-//! structured per-iteration events, collected into a process-global,
-//! thread-safe registry with a human-readable report
-//! ([`Snapshot::to_text`]) and one file format ([`trace`]).
+//! with wall-clock timing, monotonic counters and structured
+//! per-iteration events, collected into a process-global, thread-safe
+//! registry and one file format ([`trace`]) with one report
+//! ([`trace::report`]).
 //!
 //! ## Overhead policy
 //!
@@ -36,23 +36,22 @@
 //! * **Spans** ([`span`]) aggregate wall-clock time by hierarchical path:
 //!   a span opened while another span is open on the *same thread* nests
 //!   under it (`"coala.fit/merge_scan"`). Each path aggregates into one
-//!   duration sketch: call count, total, maximum and quantiles.
+//!   duration sketch ([`Sketch`]): call count, total, maximum and
+//!   quantiles.
 //! * **Counters** ([`counter_add`]) are monotonic `u64` sums.
-//! * **Histograms** ([`histogram_record`]) record `u64` samples into
-//!   mergeable log-bucketed quantile sketches ([`Sketch`]: p50/p90/p99/
-//!   max with ≤ 1/16 relative bucket error).
-//! * **Events** ([`event`]) are ordered structured records — a name plus
-//!   named `f64` fields — for convergence traces (per-iteration
-//!   objectives, merge decisions, lattice level sizes). The registry
-//!   retains up to [`MAX_EVENTS`] events and counts the overflow instead
-//!   of growing without bound.
+//! * **Events** ([`event`]) are structured records — a name plus named
+//!   `f64` fields — for convergence traces (per-iteration objectives,
+//!   merge decisions, lattice level sizes). The registry keeps none: an
+//!   event goes to the flight ring and to the open trace sink, whose line
+//!   order is the event order.
 //! * **Allocation accounting** ([`alloc`]) attributes heap traffic to the
 //!   active span via a counting global allocator, off by default
 //!   (`MULTICLUST_ALLOC=1`).
-//! * **Files** — the `--trace` sink ([`trace`]) and the flight recorder's
-//!   dump ([`flight`]) both write the one `multiclust-trace/v2` JSONL
-//!   format, read back by [`trace::read_trace`] (the CLI's
-//!   `multiclust trace`).
+//! * **Files** — the trace sink ([`trace`]; the CLI's `--trace` writes it
+//!   to a file, `--telemetry` to memory) and the flight recorder's dump
+//!   ([`flight`]) both write the one `multiclust-trace/v2` JSONL format,
+//!   read back by [`trace::parse_trace`] and rendered by
+//!   [`trace::report`] (the CLI's `multiclust trace` and `--telemetry`).
 
 // `deny`, not `forbid`: the `alloc` module implements the unsafe
 // `GlobalAlloc` trait and opts out locally; everything else stays safe.
@@ -65,7 +64,6 @@ pub mod sketch;
 pub mod trace;
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -74,10 +72,6 @@ use serde::{field, Value};
 
 pub use alloc::AllocStat;
 pub use sketch::Sketch;
-
-/// Maximum number of structured events retained in the registry; later
-/// events are dropped and counted in `dropped_events`.
-pub const MAX_EVENTS: usize = 1 << 16;
 
 // ---- switches ------------------------------------------------------------
 
@@ -159,26 +153,11 @@ pub fn set_enabled(on: bool) {
 
 // ---- registry --------------------------------------------------------------
 
-/// One structured event: an ordered record with named numeric fields.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Event {
-    /// Global sequence number (registry insertion order).
-    pub seq: u64,
-    /// Event name, e.g. `"kmeans.iter"`.
-    pub name: String,
-    /// Named `f64` payload fields in call order.
-    pub fields: Vec<(String, f64)>,
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Sketch>,
     /// Per-span-path duration sketches (nanoseconds).
     durations: BTreeMap<String, Sketch>,
-    events: Vec<Event>,
-    dropped_events: u64,
-    seq: u64,
 }
 
 static REGISTRY: Mutex<Option<Inner>> = Mutex::new(None);
@@ -274,52 +253,21 @@ pub fn counter_add(name: &str, delta: u64) {
     });
 }
 
-/// Records `value` into the quantile sketch `name`.
-#[inline]
-pub fn histogram_record(name: &str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    with_registry(|r| {
-        r.histograms.entry(name.to_string()).or_default().record(value);
-    });
-}
-
-/// Records a structured event `name` with named `f64` fields. Events past
-/// [`MAX_EVENTS`] are dropped (and counted) rather than retained.
+/// Records a structured event `name` with named `f64` fields: into the
+/// flight ring and, when a trace sink is open, as one sink line.
 #[inline]
 pub fn event(name: &str, fields: &[(&str, f64)]) {
     if !enabled() {
         return;
     }
-    let seq = with_registry(|r| {
-        let seq = r.seq;
-        r.seq += 1;
-        if r.events.len() >= MAX_EVENTS {
-            r.dropped_events += 1;
-            // Truncation is data, not a silent loss: surface it as a
-            // counter so the report and the files show it.
-            *r.counters.entry("telemetry.events_dropped".to_string()).or_insert(0) += 1;
-            return seq;
-        }
-        r.events.push(Event {
-            seq,
-            name: name.to_string(),
-            fields: fields.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        });
-        seq
-    });
-    // The sink is the durable record: it keeps streaming past the
-    // in-memory cap. Registry lock released before the sink lock.
     flight::record_event(name);
     if trace::trace_enabled() {
-        trace::write_event(seq, name, fields);
+        trace::write_event(name, fields);
     }
 }
 
-/// Clears all recorded data (spans, counters, histograms, events,
-/// allocation tallies, trace write-error count). The on/off switches are
-/// untouched.
+/// Clears all recorded data (spans, counters, allocation tallies, trace
+/// write-error count). The on/off switches are untouched.
 pub fn reset() {
     with_registry(|r| *r = Inner::default());
     alloc::reset_alloc();
@@ -333,37 +281,22 @@ pub fn reset() {
 pub struct Snapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Quantile sketches by name.
-    pub histograms: BTreeMap<String, Sketch>,
     /// Span-duration sketches by hierarchical path (nanoseconds): call
     /// count, total (`sum`), `max` and quantiles.
     pub durations: BTreeMap<String, Sketch>,
     /// Allocation accounting per span path (empty when `MULTICLUST_ALLOC`
     /// is off or nothing allocated).
     pub alloc: BTreeMap<String, AllocStat>,
-    /// Retained events in sequence order.
-    pub events: Vec<Event>,
-    /// Events dropped after [`MAX_EVENTS`] was reached.
-    pub dropped_events: u64,
-}
-
-/// Events dropped after [`MAX_EVENTS`] was reached — one field read,
-/// without the copy [`snapshot`] makes.
-pub fn dropped_events() -> u64 {
-    with_registry(|r| r.dropped_events)
 }
 
 /// Copies the current registry contents, folding in the allocator's slot
 /// table and the trace sink's write-error count (as `trace.write_errors`,
-/// so the report surfaces sink failures alongside everything else).
+/// so the report surfaces sink failures alongside the other counters).
 pub fn snapshot() -> Snapshot {
     let mut snap = with_registry(|r| Snapshot {
         counters: r.counters.clone(),
-        histograms: r.histograms.clone(),
         durations: r.durations.clone(),
         alloc: BTreeMap::new(),
-        events: r.events.clone(),
-        dropped_events: r.dropped_events,
     });
     let write_errors = trace::trace_write_errors();
     if write_errors > 0 {
@@ -371,83 +304,6 @@ pub fn snapshot() -> Snapshot {
     }
     snap.alloc = alloc::alloc_by_path().into_iter().collect();
     snap
-}
-
-impl Snapshot {
-    /// Human-readable report: spans, counters, histogram summaries and
-    /// per-event-name digests.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        if !self.durations.is_empty() {
-            out.push_str("spans (path  count  total_ms  p50_ms  p99_ms  max_ms):\n");
-            for (path, d) in &self.durations {
-                let _ = writeln!(
-                    out,
-                    "  {path}  {}  {:.3}  {:.3}  {:.3}  {:.3}",
-                    d.count,
-                    d.sum as f64 / 1e6,
-                    d.p50() as f64 / 1e6,
-                    d.p99() as f64 / 1e6,
-                    d.max as f64 / 1e6,
-                );
-            }
-        }
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "  {name} = {v}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms (name  count  mean  p50  p90  p99  max):\n");
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {name}  {}  {:.1}  {}  {}  {}  {}",
-                    h.count,
-                    h.mean(),
-                    h.p50(),
-                    h.p90(),
-                    h.p99(),
-                    h.max,
-                );
-            }
-        }
-        if !self.alloc.is_empty() {
-            out.push_str("alloc (path  count  bytes  peak):\n");
-            for (path, a) in &self.alloc {
-                let _ = writeln!(out, "  {path}  {}  {}  {}", a.count, a.bytes, a.peak);
-            }
-        }
-        if !self.events.is_empty() || self.dropped_events > 0 {
-            out.push_str("events (name  count  last):\n");
-            let mut by_name: BTreeMap<&str, (u64, &Event)> = BTreeMap::new();
-            for e in &self.events {
-                by_name
-                    .entry(&e.name)
-                    .and_modify(|(n, last)| {
-                        *n += 1;
-                        *last = e;
-                    })
-                    .or_insert((1, e));
-            }
-            for (name, (count, last)) in &by_name {
-                let fields: Vec<String> = last
-                    .fields
-                    .iter()
-                    .map(|(k, v)| format!("{k}={v:.4}"))
-                    .collect();
-                let _ = writeln!(out, "  {name}  {count}  {{{}}}", fields.join(", "));
-            }
-            if self.dropped_events > 0 {
-                let _ = writeln!(out, "  (dropped {} events)", self.dropped_events);
-            }
-        }
-        if out.is_empty() {
-            out.push_str("(no telemetry recorded)\n");
-        }
-        out
-    }
 }
 
 /// A sketch's `count`, `sum`, `p50`, `p90`, `p99` and `max` — its
@@ -533,6 +389,7 @@ mod tests {
         set_enabled(true);
         reset();
         let out = f();
+        let _ = trace::set_trace_path(None);
         reset();
         set_enabled(false);
         out
@@ -552,12 +409,12 @@ mod tests {
         };
         serialized(|| {
             let slot = slot_for_path("test.telemetry.disabled");
+            trace::open_trace_buffer();
             set_enabled(false);
             set_alloc_enabled(true);
             let prev = swap_current_slot(slot);
             for i in 0..1000u64 {
                 counter_add("c", 1);
-                histogram_record("h", i);
                 event("e", &[("x", i as f64)]);
                 drop(span("s"));
             }
@@ -584,9 +441,10 @@ mod tests {
             set_enabled(true);
             let snap = snapshot();
             assert!(snap.counters.is_empty());
-            assert!(snap.histograms.is_empty());
-            assert!(snap.events.is_empty());
             assert!(snap.durations.is_empty());
+            let bytes = trace::flush_trace().expect("the buffer sink hands its bytes back");
+            let streamed = trace::parse_trace(&bytes[..]).expect("buffer parses");
+            assert!(streamed.records.is_empty(), "{:?}", streamed.records);
         });
     }
 
@@ -617,26 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn histograms_are_quantile_sketches() {
-        serialized(|| {
-            for v in 1..=100u64 {
-                histogram_record("h", v);
-            }
-            let snap = snapshot();
-            let h = &snap.histograms["h"];
-            assert_eq!(h.count, 100);
-            assert_eq!(h.sum, 5050);
-            assert_eq!(h.min, 1);
-            assert_eq!(h.max, 100);
-            // Sketch quantiles overestimate by at most one bucket (1/16).
-            for (q, truth) in [(0.5, 50u64), (0.9, 90), (0.99, 99)] {
-                let est = h.quantile(q);
-                assert!(est >= truth && est <= truth + truth / 16 + 1, "q={q}: {est}");
-            }
-        });
-    }
-
-    #[test]
     fn span_durations_feed_quantile_sketches() {
         serialized(|| {
             for _ in 0..5 {
@@ -651,14 +489,17 @@ mod tests {
     }
 
     #[test]
-    fn events_keep_order_and_cap() {
+    fn events_stream_in_call_order() {
         serialized(|| {
+            trace::open_trace_buffer();
             event("e", &[("i", 0.0)]);
             event("e", &[("i", 1.0)]);
-            let snap = snapshot();
-            assert_eq!(snap.events.len(), 2);
-            assert!(snap.events[0].seq < snap.events[1].seq);
-            assert_eq!(snap.events[1].fields[0], ("i".to_string(), 1.0));
+            let bytes = trace::flush_trace().expect("buffer bytes");
+            let streamed = trace::parse_trace(&bytes[..]).expect("buffer parses");
+            let events: Vec<_> = streamed.of_kind("event").collect();
+            assert_eq!(events.len(), 2);
+            assert_eq!(events[0].field("i"), Some(0.0));
+            assert_eq!(events[1].fields, Some(vec![("i".to_string(), 1.0)]));
         });
     }
 
@@ -681,22 +522,23 @@ mod tests {
             assert!(stat.count >= 1);
             assert!(stat.bytes >= 50_000, "bytes = {}", stat.bytes);
             assert!(stat.peak >= 50_000, "peak = {}", stat.peak);
-            let text = snap.to_text();
-            assert!(text.contains("alloc_test.phase"), "{text}");
             alloc::reset_alloc();
         });
     }
 
     #[test]
-    fn text_report_mentions_everything() {
+    fn report_mentions_everything() {
         serialized(|| {
+            trace::open_trace_buffer();
             counter_add("c", 1);
-            histogram_record("h", 9);
             event("e", &[("x", 2.0)]);
-            let _s = span("s");
-            drop(_s);
-            let text = snapshot().to_text();
-            for needle in ["spans", "counters", "histograms", "events", "c = 1"] {
+            drop(span("s"));
+            let bytes = trace::flush_trace().expect("buffer bytes");
+            let streamed = trace::parse_trace(&bytes[..]).expect("buffer parses");
+            let (text, passed) = trace::report("test", &streamed);
+            assert!(passed, "{text}");
+            let needles = ["test: source trace", "phase (span path)", "\ns ", "counters:", "  c = 1"];
+            for needle in needles {
                 assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
             }
         });

@@ -25,7 +25,7 @@ pub const SUBBUCKETS: usize = 16;
 pub const SKETCH_BUCKETS: usize = 1 + 64 * SUBBUCKETS;
 
 /// A mergeable quantile sketch of `u64` samples (span durations in
-/// nanoseconds, kernel batch sizes, request latencies).
+/// nanoseconds, request latencies).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Sketch {
     /// Number of recorded samples.
@@ -114,15 +114,6 @@ impl Sketch {
         self.max = self.max.max(other.max);
         for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
             *b += o;
-        }
-    }
-
-    /// Mean of the recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
         }
     }
 
@@ -229,7 +220,6 @@ mod tests {
     fn empty_sketch_is_inert() {
         let s = Sketch::new();
         assert_eq!(s.quantile(0.5), 0);
-        assert_eq!(s.mean(), 0.0);
         assert_eq!(s.occupied().count(), 0);
     }
 }

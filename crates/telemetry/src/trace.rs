@@ -1,17 +1,20 @@
 //! The telemetry file format, `multiclust-trace/v2`: one JSONL codec —
-//! one writer and one reader, [`read_trace`] — for both producers.
-//! They differ only in how much they keep:
+//! one writer, one parser ([`parse_trace`]) and one report ([`report`]) —
+//! for both producers. They differ only in how much they keep:
 //!
-//! * the trace sink ([`set_trace_path`], the CLI's `--trace`) streams
-//!   every completed span and every event, on past the registry's
-//!   [`crate::MAX_EVENTS`] cap, and [`flush_trace`] closes it with one
-//!   `snapshot` of the registry;
+//! * the trace sink streams every completed span and every event, and
+//!   [`flush_trace`] closes it with one `snapshot` of the registry. It
+//!   writes to a file ([`set_trace_path`], the CLI's `--trace`) or to an
+//!   in-memory buffer ([`open_trace_buffer`], the CLI's `--telemetry`)
+//!   whose bytes `flush_trace` hands back;
 //! * the flight recorder's dump ([`crate::flight`]) writes the last
 //!   records of each thread's ring.
 //!
-//! The CLI's `multiclust trace <file>` reads either: a header, the phase
-//! table ([`phase_summary`]), the last errors ([`last_errors`]) and the
-//! convergence report ([`crate::diagnose`]).
+//! [`report`] renders either: a header, the phase table
+//! ([`phase_summary`]), the counters, the last errors ([`last_errors`])
+//! and the convergence report ([`crate::diagnose`]). It is what
+//! `multiclust trace <file>` prints on stdout and `--telemetry` prints on
+//! stderr.
 //!
 //! ## Line types
 //!
@@ -19,20 +22,21 @@
 //! {"type":"meta","schema":"multiclust-trace/v2"}          // always line 1
 //! {"type":"meta","source":"trace"}                        // producer fields, run context
 //! {"type":"span","path":"serve.fit","ns":91234,"request_id":"t3","conn":2}
-//! {"type":"event","seq":0,"name":"kmeans.iter","fields":{"iter":0,...}}
+//! {"type":"event","name":"kmeans.iter","fields":{"iter":0,...}}
 //! {"type":"error","seq":7,"thread":1,"us":1042,"name":"serve.fit.internal","request_id":"t3"}
 //! {"type":"snapshot","seq":0,"elapsed_ms":3,"counters":{...},"quantiles":{...},
-//!  "alloc":{"enabled":false,...,"paths":{...}},"events_dropped":0}
+//!  "alloc":{"enabled":false,...,"paths":{...}}}
 //! {"type":"end","lines":17,"write_errors":0}              // always last
 //! ```
 //!
-//! `span`, `event` and `error` lines are [`Record`]s. Flight records add
-//! `seq`, `thread` and `us`; their events carry no `fields`, and only the
-//! ring writes `error` lines. `request_id`/`conn` appear on records made
+//! `span`, `event` and `error` lines are [`Record`]s; the sink's line
+//! order is the order they completed in. Flight records add `seq`,
+//! `thread` and `us`; their events carry no `fields`, and only the ring
+//! writes `error` lines. `request_id`/`conn` appear on records made
 //! inside a request. A `snapshot` holds every counter, one quantile
-//! object per span-duration sketch (`span:<path>`) and histogram (`count`,
-//! `sum`, `p50`, `p90`, `p99`, `max`), the allocation gauges with
-//! per-path accounting under `paths`, and `events_dropped`.
+//! object per span-duration sketch (`span:<path>`: `count`, `sum`, `p50`,
+//! `p90`, `p99`, `max`) and the allocation gauges with per-path
+//! accounting under `paths`.
 //!
 //! The determinism contract of the parent crate extends to every file:
 //! writing one never consumes randomness or changes control flow, so
@@ -43,7 +47,7 @@
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufRead, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -96,16 +100,10 @@ impl<W: Write> Writer<W> {
     /// Starts a file: the schema line, then `meta` — the producer's
     /// fields — on a second `meta` line.
     pub(crate) fn new(out: W, meta: Fields) -> Self {
-        let mut w = Self::resume(out);
+        let mut w = Self { out, lines: 0, errors: 0, started: Instant::now() };
         w.line("meta", vec![("schema".into(), text(TRACE_SCHEMA))]);
         w.line("meta", meta);
         w
-    }
-
-    /// Continues a file that already has its schema line (an outer trace
-    /// sink reopened in append mode).
-    pub(crate) fn resume(out: W) -> Self {
-        Self { out, lines: 0, errors: 0, started: Instant::now() }
     }
 
     /// Writes `{"type":ty, ...fields}`. A failure must not panic inside a
@@ -161,12 +159,11 @@ impl<W: Write> Writer<W> {
     /// Writes one `snapshot` line of `snap`, the producer's `seq`-th.
     pub(crate) fn snapshot(&mut self, seq: u64, snap: &Snapshot) {
         let quantiles = |s: &Sketch| Value::Object(sketch_fields(s));
-        let mut sketches: Fields = snap
+        let sketches: Fields = snap
             .durations
             .iter()
             .map(|(path, s)| (format!("span:{path}"), quantiles(s)))
             .collect();
-        sketches.extend(snap.histograms.iter().map(|(name, s)| (name.clone(), quantiles(s))));
         let paths = snap.alloc.iter().map(|(path, a)| (path.clone(), alloc_value(a))).collect();
         let gauges = alloc_totals();
         let alloc = vec![
@@ -187,7 +184,6 @@ impl<W: Write> Writer<W> {
                 ("counters".into(), Value::Object(counters)),
                 ("quantiles".into(), Value::Object(sketches)),
                 ("alloc".into(), Value::Object(alloc)),
-                ("events_dropped".into(), int(snap.dropped_events)),
             ],
         );
     }
@@ -216,10 +212,33 @@ impl<W: Write> Writer<W> {
 /// touching the sink mutex.
 static TRACE_ON: AtomicBool = AtomicBool::new(false);
 
-struct Sink {
-    writer: Writer<BufWriter<File>>,
-    path: PathBuf,
+/// Where an open sink writes: a file, or a buffer [`flush_trace`] hands
+/// back.
+enum Target {
+    File(BufWriter<File>),
+    Memory(Vec<u8>),
 }
+
+impl Write for Target {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            Target::File(f) => f.write(buf),
+            Target::Memory(v) => v.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self {
+            Target::File(f) => f.flush(),
+            Target::Memory(_) => Ok(()),
+        }
+    }
+}
+
+/// An open trace sink, held as an object so a caller that redirects the
+/// sink for a while (the harness's trace-invariance row) can put the one
+/// it found back with [`replace_trace`].
+pub struct Sink(Writer<Target>);
 
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
 
@@ -235,45 +254,41 @@ fn with_sink<T>(f: impl FnOnce(&mut Option<Sink>) -> T) -> T {
     f(&mut guard)
 }
 
-/// Opens (`Some`) or closes (`None`) the trace sink. Opening truncates
+/// Installs `sink` (`None` closes) and returns the sink that was open. A
+/// returned sink keeps its lines and can be installed again later.
+pub fn replace_trace(sink: Option<Sink>) -> Option<Sink> {
+    TRACE_ON.store(sink.is_some(), Ordering::Relaxed);
+    with_sink(|s| std::mem::replace(s, sink))
+}
+
+/// Opens a sink on `target`, writing the meta lines.
+fn open(target: Target) {
+    let meta = vec![("source".into(), text("trace"))];
+    replace_trace(Some(Sink(Writer::new(target, meta))));
+}
+
+/// Opens (`Some`) or closes (`None`) a file trace sink. Opening truncates
 /// the file and writes the meta lines; closing discards the sink without
 /// an `end` line — use [`flush_trace`] for a well-formed finish.
 pub fn set_trace_path(path: Option<&Path>) -> std::io::Result<()> {
-    open_trace(path, false)
-}
-
-/// Path of the currently open sink, if any.
-pub fn trace_path() -> Option<PathBuf> {
-    with_sink(|s| s.as_ref().map(|s| s.path.clone()))
-}
-
-/// Like [`set_trace_path`], but `append = true` reopens an existing file
-/// without truncating or rewriting the meta lines (used to restore an
-/// outer sink after a nested redirect, e.g. the harness's
-/// trace-invariance check running under `--trace`).
-pub fn open_trace(path: Option<&Path>, append: bool) -> std::io::Result<()> {
-    let sink = match path {
-        None => None,
-        Some(p) => {
-            let writer = if append {
-                Writer::resume(BufWriter::new(File::options().append(true).create(true).open(p)?))
-            } else {
-                let meta = vec![("source".into(), text("trace"))];
-                Writer::new(BufWriter::new(File::create(p)?), meta)
-            };
-            Some(Sink { writer, path: p.to_path_buf() })
-        }
-    };
-    TRACE_ON.store(sink.is_some(), Ordering::Relaxed);
-    with_sink(|s| *s = sink);
+    match path {
+        Some(p) => open(Target::File(BufWriter::new(File::create(p)?))),
+        None => drop(replace_trace(None)),
+    }
     Ok(())
 }
 
+/// Opens the trace sink on an in-memory buffer, replacing any open sink;
+/// [`flush_trace`] finishes it and hands its bytes back.
+pub fn open_trace_buffer() {
+    open(Target::Memory(Vec::new()));
+}
+
 /// Runs `f` on the open sink's writer; no-op without a sink.
-fn write(f: impl FnOnce(&mut Writer<BufWriter<File>>)) {
+fn write(f: impl FnOnce(&mut Writer<Target>)) {
     with_sink(|s| {
-        if let Some(sink) = s {
-            f(&mut sink.writer);
+        if let Some(Sink(writer)) = s {
+            f(writer);
         }
     });
 }
@@ -299,35 +314,36 @@ pub(crate) fn write_span(path: String, ns: u64) {
     write(|w| w.record(span));
 }
 
-/// Streams one structured event (including those past the in-memory cap).
-pub(crate) fn write_event(seq: u64, name: &str, fields: &[(&str, f64)]) {
+/// Streams one structured event.
+pub(crate) fn write_event(name: &str, fields: &[(&str, f64)]) {
     let (kind, name) = ("event".into(), name.to_string());
     let fields = Some(fields.iter().map(|(k, v)| (k.to_string(), *v)).collect());
-    let event = Record { seq: Some(seq), kind, name, fields, ..Record::default() };
-    write(|w| w.record(event));
+    write(|w| w.record(Record { kind, name, fields, ..Record::default() }));
 }
 
 /// Appends a final `snapshot` of the registry plus the `end` line,
-/// flushes and closes the sink. No-op without an open sink. Call once, at
-/// the end of the run being traced.
-pub fn flush_trace() {
+/// flushes and closes the sink. Returns the bytes of an in-memory sink
+/// ([`open_trace_buffer`]); `None` for a file sink or without an open
+/// sink. Call once, at the end of the run being traced.
+pub fn flush_trace() -> Option<Vec<u8>> {
     if !trace_enabled() {
-        return;
+        return None;
     }
     // Snapshot first (registry lock), then take the sink (sink lock) —
     // sequential, never nested.
     let snap = crate::snapshot();
-    TRACE_ON.store(false, Ordering::Relaxed);
-    let Some(mut sink) = with_sink(Option::take) else { return };
-    sink.writer.snapshot(0, &snap);
-    sink.writer.finish(Fields::new());
+    let Sink(mut writer) = replace_trace(None)?;
+    writer.snapshot(0, &snap);
+    match writer.finish(Fields::new()).0 {
+        Target::Memory(bytes) => Some(bytes),
+        Target::File(_) => None,
+    }
 }
 
 // ---- reading ---------------------------------------------------------------
 
 /// One `span`, `event` or `error` line. `seq`, `thread` and `us` are set
-/// on flight records; a trace-sink event has only `seq`, its registry
-/// sequence number, and its `fields`.
+/// on flight records; a trace-sink event has its `fields` instead.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Record {
     /// Sequence number (flight: the merge order across threads).
@@ -375,9 +391,6 @@ pub struct TraceFile {
     pub alloc: BTreeMap<String, AllocStat>,
     /// Whether the `end` line was present (the producer finished cleanly).
     pub ended: bool,
-    /// Events dropped from the in-memory registry, from the last snapshot
-    /// (the trace itself keeps streaming past the cap).
-    pub events_dropped: u64,
     /// Write failures reported on the `end` line.
     pub write_errors: u64,
     /// Total parsed lines.
@@ -401,13 +414,18 @@ impl TraceFile {
     }
 }
 
-/// Parses a `multiclust-trace/v2` JSONL file. The first line must be the
-/// schema line, and every line a JSON object with a known `type`; any
-/// other schema is refused. The error message names the 1-based line of
-/// the first offence.
+/// Parses the `multiclust-trace/v2` JSONL file at `path` with
+/// [`parse_trace`].
 pub fn read_trace(path: &Path) -> Result<TraceFile, String> {
     let file = File::open(path).map_err(|e| format!("opening {}: {e}", path.display()))?;
-    let reader = std::io::BufReader::new(file);
+    parse_trace(std::io::BufReader::new(file))
+}
+
+/// Parses a `multiclust-trace/v2` JSONL stream — a file, or the bytes of
+/// an in-memory sink. The first line must be the schema line, and every
+/// line a JSON object with a known `type`; any other schema is refused.
+/// The error message names the 1-based line of the first offence.
+pub fn parse_trace(reader: impl BufRead) -> Result<TraceFile, String> {
     let mut out = TraceFile::default();
     for (idx, line) in reader.lines().enumerate() {
         let lineno = idx + 1;
@@ -483,7 +501,6 @@ pub fn read_trace(path: &Path) -> Result<TraceFile, String> {
                         Some((path.clone(), stat))
                     })
                     .collect();
-                out.events_dropped = field_u64(&obj, "events_dropped").unwrap_or(0);
             }
             "end" => {
                 out.ended = true;
@@ -639,8 +656,54 @@ pub fn last_errors(trace: &TraceFile) -> String {
     out
 }
 
+/// The counters of the trace's snapshot, one `name = value` row each;
+/// empty when the trace has none (a flight dump).
+fn counters(trace: &TraceFile) -> String {
+    if trace.counters.is_empty() {
+        return String::new();
+    }
+    let mut out = "counters:\n".to_string();
+    for (name, v) in &trace.counters {
+        out.push_str(&format!("  {name} = {v}\n"));
+    }
+    out
+}
+
+/// The one telemetry report, titled `title`: a header naming the
+/// producer, the per-phase time attribution, the counters, the last
+/// errors and the convergence findings. Returns the text and whether no
+/// finding is an error.
+pub fn report(title: &str, trace: &TraceFile) -> (String, bool) {
+    let source = trace.meta_str("source").unwrap_or("unknown");
+    let mut out = format!("{title}: source {source}");
+    if source == "flight" {
+        let meta = |key: &str| trace.meta_u64(key).unwrap_or(0);
+        out.push_str(&format!(
+            " (capacity {}/thread, {} segments, {} overwritten)",
+            meta("capacity"),
+            meta("segments"),
+            meta("overwritten"),
+        ));
+    }
+    out.push_str(&format!(
+        ", {} lines, {} span completions, {} events{}\n",
+        trace.lines,
+        trace.of_kind("span").count(),
+        trace.of_kind("event").count(),
+        if trace.ended { "" } else { " (NO end line — producer did not finish)" }
+    ));
+    out.push_str(&phase_summary(trace));
+    out.push_str(&counters(trace));
+    out.push_str(&last_errors(trace));
+    let findings = crate::diagnose::analyze(trace);
+    out.push_str(&findings.render_text());
+    (out, !findings.has_errors())
+}
+
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
@@ -766,7 +829,7 @@ mod tests {
                 "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v2\"}\n",
                 "{\"type\":\"span\",\"path\":\"fit\",\"ns\":1000}\n",
                 "{\"type\":\"snapshot\",\"alloc\":{\"paths\":{\"fit\":{\"count\":3,\"bytes\":4096,\"peak\":2048}}}}\n",
-                "{\"type\":\"end\",\"events_dropped\":0,\"write_errors\":7,\"lines\":4}\n",
+                "{\"type\":\"end\",\"write_errors\":7,\"lines\":4}\n",
             ),
         )
         .unwrap();
@@ -781,18 +844,40 @@ mod tests {
     }
 
     #[test]
-    fn trace_streams_past_the_registry_event_cap() {
+    fn buffer_sink_round_trips_like_a_file() {
         serialized(|| {
-            let path = tmp("cap.jsonl");
-            set_trace_path(Some(&path)).unwrap();
-            for i in 0..(crate::MAX_EVENTS + 10) {
-                crate::event("e", &[("i", i as f64)]);
-            }
-            flush_trace();
-            let trace = read_trace(&path).expect("parseable");
-            assert_eq!(trace.of_kind("event").count(), crate::MAX_EVENTS + 10);
-            assert_eq!(trace.events_dropped, 10);
-            let _ = std::fs::remove_file(&path);
+            open_trace_buffer();
+            trace_meta(&[("command", Value::String("test".into()))]);
+            drop(crate::span("fit"));
+            crate::event("e", &[("x", 1.5)]);
+            crate::counter_add("c", 7);
+            let bytes = flush_trace().expect("the buffer's bytes come back");
+            assert!(!trace_enabled(), "flushing closes the sink");
+            let trace = parse_trace(&bytes[..]).expect("parseable buffer");
+            assert!(trace.ended);
+            assert_eq!(trace.meta_str("source"), Some("trace"));
+            assert_eq!(trace.meta_str("command"), Some("test"));
+            assert_eq!(trace.counters["c"], 7);
+            assert_eq!(trace.of_kind("span").count(), 1);
+            assert_eq!(trace.of_kind("event").next().and_then(|e| e.field("x")), Some(1.5));
+        });
+    }
+
+    #[test]
+    fn replaced_sink_resumes_where_it_left_off() {
+        serialized(|| {
+            open_trace_buffer();
+            crate::event("before", &[]);
+            let outer = replace_trace(None);
+            assert!(outer.is_some() && !trace_enabled());
+            crate::event("detached", &[]);
+            replace_trace(outer);
+            crate::event("after", &[]);
+            let bytes = flush_trace().expect("buffer bytes");
+            let trace = parse_trace(&bytes[..]).expect("parseable buffer");
+            let names: Vec<&str> = trace.of_kind("event").map(|e| e.name.as_str()).collect();
+            assert_eq!(names, ["before", "after"]);
+            assert_eq!(trace.schema.as_deref(), Some(TRACE_SCHEMA));
         });
     }
 }

@@ -1,12 +1,11 @@
-//! Property tests of the one telemetry reader, `read_trace`: a truncated
-//! `--trace` file or flight dump, or arbitrary lines after a valid schema
+//! Property tests of the one telemetry parser, `parse_trace`: a truncated
+//! trace-sink file or flight dump, or arbitrary lines after a valid schema
 //! line, either parse or fail with an error naming a line — never a
 //! panic — and the records both producers write read back unchanged.
 
-use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 
-use multiclust_telemetry::trace::{self, read_trace, Record, TraceFile};
+use multiclust_telemetry::trace::{self, Record};
 use multiclust_telemetry::{event, flight, span};
 use proptest::prelude::*;
 
@@ -14,30 +13,15 @@ use proptest::prelude::*;
 /// interleave.
 static LOCK: Mutex<()> = Mutex::new(());
 
-fn tmp(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("multiclust-trace-prop-{}-{tag}.jsonl", std::process::id()))
-}
-
-/// Parses `bytes` as a telemetry file.
-fn parse(tag: &str, bytes: &[u8]) -> Result<TraceFile, String> {
-    let path = tmp(tag);
-    std::fs::write(&path, bytes).expect("temp file writes");
-    let parsed = read_trace(&path);
-    let _ = std::fs::remove_file(&path);
-    parsed
-}
-
-/// Runs `record` with telemetry on and a trace sink open; returns the file.
-fn traced(tag: &str, record: impl FnOnce()) -> Vec<u8> {
-    let path = tmp(tag);
+/// Runs `record` with telemetry on and an in-memory trace sink open;
+/// returns the sink's bytes.
+fn traced(record: impl FnOnce()) -> Vec<u8> {
     multiclust_telemetry::set_enabled(true);
     multiclust_telemetry::reset();
-    trace::set_trace_path(Some(&path)).expect("trace sink opens");
+    trace::open_trace_buffer();
     record();
-    trace::flush_trace();
+    let bytes = trace::flush_trace().expect("the buffer's bytes come back");
     multiclust_telemetry::set_enabled(false);
-    let bytes = std::fs::read(&path).expect("trace file written");
-    let _ = std::fs::remove_file(&path);
     bytes
 }
 
@@ -48,7 +32,7 @@ fn producer_files() -> &'static [Vec<u8>; 2] {
     FILES.get_or_init(|| {
         let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
         flight::set_flight(true);
-        let trace = traced("producer", || {
+        let trace = traced(|| {
             flight::set_request("req-1", 2);
             let _fit = span("serve.fit");
             for iter in 0..3 {
@@ -95,17 +79,17 @@ proptest! {
     #[test]
     fn truncated_files_parse_or_name_a_line(which in 0usize..2, cut in 0usize..1 << 20) {
         let bytes = &producer_files()[which];
-        let full = parse("full", bytes).expect("the untruncated file parses");
+        let full = trace::parse_trace(&bytes[..]).expect("the untruncated file parses");
         let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
         let keep = 1 + cut % lines.len();
-        let parsed = parse("lines", &lines[..keep].concat()).map_err(TestCaseError::fail)?;
+        let parsed = trace::parse_trace(&lines[..keep].concat()[..]).map_err(TestCaseError::fail)?;
         prop_assert_eq!(parsed.ended, keep == lines.len());
         // Compared through `Debug`, which prints NaN fields alike.
         let head = &full.records[..parsed.records.len()];
         prop_assert_eq!(format!("{:?}", parsed.records), format!("{head:?}"));
 
         let prefix = &bytes[..cut % (bytes.len() + 1)];
-        if let Err(err) = parse("bytes", prefix) {
+        if let Err(err) = trace::parse_trace(prefix) {
             prop_assert!(names_line(&err, prefix.split(|&b| b == b'\n').count()), "{err}");
         }
     }
@@ -120,7 +104,7 @@ proptest! {
         for lines in [noise, soup] {
             let schema = format!("{{\"type\":\"meta\",\"schema\":\"{}\"}}", trace::TRACE_SCHEMA);
             let text = format!("{schema}\n{}\n", lines.join("\n"));
-            if let Err(err) = parse("noise", text.as_bytes()) {
+            if let Err(err) = trace::parse_trace(text.as_bytes()) {
                 let named = (2..=lines.len() + 1).any(|line| names_line(&err, line));
                 prop_assert!(named, "{err}\n{text}");
             }
@@ -144,7 +128,7 @@ proptest! {
         flight::set_request(&request, conn);
         flight::record_span(&name, ns);
         flight::clear_request();
-        let dump = parse("span", flight::dump_to_string().expect("recorder on").as_bytes());
+        let dump = trace::parse_trace(flight::dump_to_string().expect("recorder on").as_bytes());
         let spans = dump.map_err(TestCaseError::fail)?.records;
         let us = spans.first().and_then(|r| r.us);
         let span = Record {
@@ -165,11 +149,10 @@ proptest! {
             keys.into_iter().zip(bits).map(|(k, b)| (k, f64::from_bits(b))).collect();
         fields.push(("non-finite".into(), f64::INFINITY));
         let refs: Vec<(&str, f64)> = fields.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        let file = traced("event", || event(&name, &refs));
-        let events = parse("event", &file).map_err(TestCaseError::fail)?.records;
+        let file = traced(|| event(&name, &refs));
+        let events = trace::parse_trace(&file[..]).map_err(TestCaseError::fail)?.records;
         let fields = fields.into_iter().map(|(k, v)| (k, if v.is_finite() { v } else { f64::NAN }));
         let written = Record {
-            seq: Some(0),
             kind: "event".into(),
             name,
             fields: Some(fields.collect()),

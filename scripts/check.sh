@@ -23,7 +23,8 @@ CARGO_TARGET_DIR=.bench_build bash benchmark/run.sh --smoke > /dev/null
 MULTICLUST_TELEMETRY=1 cargo test -q --offline --workspace
 
 # CLI telemetry smoke: stdout byte-identical with and without the flag,
-# stderr carries the text report.
+# and the same exit status; stderr carries the trace report (phase table,
+# counters, convergence section).
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 printf '1,2\n1.1,2.1\n0.9,1.9\n8,9\n8.1,9.2\n7.9,8.8\n4,0\n4.1,0.2\n' > "$tmp/data.csv"
@@ -33,9 +34,18 @@ printf '1,2\n1.1,2.1\n0.9,1.9\n8,9\n8.1,9.2\n7.9,8.8\n4,0\n4.1,0.2\n' > "$tmp/da
     --telemetry > "$tmp/traced.csv" 2> "$tmp/traced.txt"
 cmp "$tmp/plain.csv" "$tmp/traced.csv"
 test ! -s "$tmp/plain.err"
-grep -q '^spans' "$tmp/traced.txt"
-grep -q 'kmeans.iter' "$tmp/traced.txt"
-grep -q 'parallel.tasks' "$tmp/traced.txt"
+grep -q '^phase (span path)' "$tmp/traced.txt"
+grep -q '^  trajectory kmeans.iter' "$tmp/traced.txt"
+grep -q '^  parallel.tasks = ' "$tmp/traced.txt"
+# The exit status with --telemetry is the status without it, on a run that
+# succeeds (above, under `set -e`) and on one that fails (k > n).
+for flag in "" --telemetry; do
+    status=0
+    ./target/release/multiclust kmeans --input "$tmp/data.csv" --k 9 $flag \
+        > /dev/null 2>&1 || status=$?
+    echo "$status" >> "$tmp/status.txt"
+done
+test "$(sort -u "$tmp/status.txt")" = 1
 
 # Verification harness: the full invariant × family matrix plus the golden
 # fixtures must pass, and the report must be bit-identical whether the

@@ -63,8 +63,10 @@ commands:
 
 common flags: --header            first CSV line is a header row
               --seed <n>          RNG seed (default 42)
-              --telemetry         report spans/counters/convergence traces
-                                  on stderr (stdout stays pipeable CSV)
+              --telemetry         print the run's trace report — what
+                                  `trace` prints — on stderr (stdout and
+                                  the exit status stay as without it;
+                                  `serve` refuses it)
               --trace <file>      stream every span and event of the run
                                   to <file> (implies telemetry; stdout
                                   stays byte-identical)
@@ -80,8 +82,9 @@ output: CSV on stdout — one column per solution, label per object,
         -1 for noise; `subspace` prints one cluster per line instead;
         `compare` prints agreement measures; `verify` prints the
         invariant × family matrix and exits non-zero on any violation;
-        `trace` prints a per-phase time attribution, the last errors
-        with their request ids and the convergence findings, and exits
+        `trace` prints a per-phase time attribution, the counters, the
+        last errors with their request ids and the convergence
+        findings, and exits
         non-zero on a violated objective contract (--collapse prints
         collapsed flamegraph stacks instead);
         `serve` prints one `{\"type\":\"ready\",...}` line with the bound
@@ -95,11 +98,7 @@ fn main() -> ExitCode {
     // Read the telemetry environment before the command allocates
     // anything worth attributing.
     multiclust::telemetry::init();
-    let result = run(std::env::args().skip(1).collect());
-    // Finalize the trace sink (counters, end line) whether the command
-    // succeeded or not; no-op when no sink is open.
-    multiclust::telemetry::trace::flush_trace();
-    match result {
+    match run(std::env::args().skip(1).collect()) {
         Ok(Outcome { output, passed }) => {
             print!("{output}");
             if passed {
@@ -162,7 +161,7 @@ impl Outcome {
 
 /// Parsed flag map: `--key value` (or `--key=value`) pairs, the bare
 /// [`BOOLEAN_FLAGS`], and positional arguments (only `trace` accepts
-/// them).
+/// one).
 struct Flags {
     map: HashMap<String, String>,
     positional: Vec<String>,
@@ -274,18 +273,24 @@ fn run(args: Vec<String>) -> Result<Outcome, CliError> {
         return Err(CliError::from("no command given".to_string()));
     };
     let flags = Flags::parse(rest, command_flags(command)?)?;
-    if command.as_str() != "trace" {
-        if let Some(stray) = flags.positional.first() {
-            return Err(format!("unexpected argument {stray:?} (expected a --flag)").into());
-        }
+    // Only `trace` takes a positional argument: its one path, unless
+    // `--collapse` names it.
+    let paths = usize::from(command == "trace" && flags.get("collapse").is_none());
+    if let Some(stray) = flags.positional.get(paths) {
+        return Err(format!("unexpected argument {stray:?} (expected a --flag)").into());
+    }
+    let telemetry = flags.bool("telemetry");
+    if telemetry && command.as_str() == "serve" {
+        return Err("serve does not take --telemetry (a server's in-memory trace would grow \
+                    for its whole uptime): use --trace <file> or the stats op"
+            .to_string()
+            .into());
     }
     // `--trace` implies recording: there is nothing to stream otherwise.
-    let telemetry = flags.bool("telemetry");
-    if telemetry || flags.get("trace").is_some() {
+    let trace_file = flags.get("trace");
+    if telemetry || trace_file.is_some() {
         multiclust::telemetry::set_enabled(true);
-    }
-    if let Some(path) = flags.get("trace") {
-        setup_trace(path, command, &flags)?;
+        open_sink(trace_file, command, &flags)?;
     }
     let outcome = match command.as_str() {
         "kmeans" => cmd_kmeans(&flags).map(Outcome::ok),
@@ -300,26 +305,31 @@ fn run(args: Vec<String>) -> Result<Outcome, CliError> {
         "client" => cmd_client(&flags),
         // `help`, `--help` and `-h`: `command_flags` refused every other name.
         _ => Ok(Outcome::ok(USAGE.to_string())),
-    }?;
-    // Telemetry goes to stderr so stdout CSV stays byte-identical to a run
-    // without the flag and keeps piping cleanly.
+    };
+    // Finalize the trace sink (counters, end line) whether the command
+    // succeeded or not; no-op when no sink is open.
+    let buffer = multiclust::telemetry::trace::flush_trace();
     if telemetry {
-        eprint!("{}", multiclust::telemetry::snapshot().to_text());
+        telemetry_report(buffer, trace_file);
     }
-    Ok(outcome)
+    outcome
 }
 
-/// Opens the `--trace` sink and stamps the run metadata line: command,
-/// seed, thread count, kernel mode. Dataset shape follows from
+/// Opens the run's trace sink — `--trace`'s file, or else the in-memory
+/// buffer `--telemetry` reports from — and stamps the run metadata line:
+/// command, seed, thread count, kernel mode. Dataset shape follows from
 /// [`load_data`] once the input is read.
-fn setup_trace(path: &str, command: &str, flags: &Flags) -> Result<(), String> {
+fn open_sink(file: Option<&String>, command: &str, flags: &Flags) -> Result<(), String> {
     use multiclust::telemetry::trace;
-    trace::set_trace_path(Some(Path::new(path)))
-        .map_err(|e| format!("flag --trace: cannot open {path}: {e}"))?;
     // Parsed as every command parses it; a seed past `i64` is recorded
     // as its decimal string.
     let seed: u64 = flags.parsed_or("seed", 42)?;
     let seed = i64::try_from(seed).map_or_else(|_| Value::String(seed.to_string()), Value::Int);
+    match file {
+        Some(path) => trace::set_trace_path(Some(Path::new(path)))
+            .map_err(|e| format!("flag --trace: cannot open {path}: {e}"))?,
+        None => trace::open_trace_buffer(),
+    }
     let kernel_mode = match multiclust::linalg::kernels::kernel_mode() {
         multiclust::linalg::kernels::KernelMode::Blocked => "blocked",
         multiclust::linalg::kernels::KernelMode::Naive => "naive",
@@ -331,6 +341,23 @@ fn setup_trace(path: &str, command: &str, flags: &Flags) -> Result<(), String> {
         ("kernel_mode", Value::String(kernel_mode.to_string())),
     ]);
     Ok(())
+}
+
+/// `--telemetry`'s report on stderr: the run's trace — the flushed
+/// in-memory `buffer`, or the `--trace` file — rendered by the report
+/// `multiclust trace` prints. It never touches stdout or the exit status,
+/// not even when a finding is an error.
+fn telemetry_report(buffer: Option<Vec<u8>>, file: Option<&String>) {
+    use multiclust::telemetry::trace;
+    let parsed = match (buffer, file) {
+        (Some(bytes), _) => trace::parse_trace(&bytes[..]),
+        (None, Some(path)) => trace::read_trace(Path::new(path)),
+        (None, None) => Err("no trace recorded".to_string()),
+    };
+    match parsed {
+        Ok(parsed) => eprint!("{}", trace::report("telemetry", &parsed).0),
+        Err(e) => eprintln!("telemetry: {e}"),
+    }
 }
 
 /// Reads `--input`. A file that won't open or parse is a runtime error:
@@ -568,14 +595,15 @@ fn cmd_verify(flags: &Flags) -> Result<Outcome, String> {
 }
 
 /// `trace <file>`: the one reader of a `--trace` file or a flight dump.
-/// Prints a header naming the producer, the per-phase time attribution,
-/// the last errors and the convergence findings, and fails when a finding
-/// is an error; `trace --collapse <file>` prints flamegraph stacks
-/// instead. A file that won't open or parse (a crashed or still-running
-/// producer) is a data problem, not a usage mistake: report the named line
-/// cleanly, skip the usage dump.
+/// Prints the telemetry report (a header naming the producer, the
+/// per-phase time attribution, the counters, the last errors and the
+/// convergence findings) and fails when a finding is an error;
+/// `trace --collapse <file>` prints flamegraph stacks instead. A file
+/// that won't open or parse (a crashed or still-running producer) is a
+/// data problem, not a usage mistake: report the named line cleanly, skip
+/// the usage dump.
 fn cmd_trace(flags: &Flags) -> Result<Outcome, CliError> {
-    use multiclust::telemetry::{diagnose, trace};
+    use multiclust::telemetry::trace;
     let path = flags
         .get("collapse")
         .or(flags.positional.first())
@@ -585,29 +613,8 @@ fn cmd_trace(flags: &Flags) -> Result<Outcome, CliError> {
     if flags.get("collapse").is_some() {
         return Ok(Outcome::ok(trace::collapse_spans(&parsed)));
     }
-    let source = parsed.meta_str("source").unwrap_or("unknown");
-    let mut out = format!("trace {path}: source {source}");
-    if source == "flight" {
-        let meta = |key: &str| parsed.meta_u64(key).unwrap_or(0);
-        out.push_str(&format!(
-            " (capacity {}/thread, {} segments, {} overwritten)",
-            meta("capacity"),
-            meta("segments"),
-            meta("overwritten"),
-        ));
-    }
-    out.push_str(&format!(
-        ", {} lines, {} span completions, {} events{}\n",
-        parsed.lines,
-        parsed.of_kind("span").count(),
-        parsed.of_kind("event").count(),
-        if parsed.ended { "" } else { " (NO end line — producer did not finish)" }
-    ));
-    out.push_str(&trace::phase_summary(&parsed));
-    out.push_str(&trace::last_errors(&parsed));
-    let report = diagnose::analyze(&parsed);
-    out.push_str(&report.render_text());
-    Ok(Outcome { output: out, passed: !report.has_errors() })
+    let (output, passed) = trace::report(&format!("trace {path}"), &parsed);
+    Ok(Outcome { output, passed })
 }
 
 fn cmd_serve(flags: &Flags) -> Result<Outcome, CliError> {

@@ -279,10 +279,15 @@ fn malformed_csv_fails_cleanly() {
     fs::write(&ragged, "1.0,2.0\n3.0\n5.0,6.0\n").unwrap();
     let garbage = dir.join("garbage.csv");
     fs::write(&garbage, "1.0,2.0\n3.0,not-a-number\n").unwrap();
+    // A header names the row width: three names over two-cell rows is a
+    // ragged row, not a silently dropped header.
+    let wide_header = dir.join("wide-header.csv");
+    fs::write(&wide_header, "a,b,c\n1,2\n3,4\n5,6\n").unwrap();
 
-    for input in [&ragged, &garbage] {
+    for (input, header) in [(&ragged, None), (&garbage, None), (&wide_header, Some("--header"))] {
         let out = bin()
             .args(["kmeans", "--input", input.to_str().unwrap(), "--k", "2"])
+            .args(header)
             .output()
             .expect("binary runs");
         assert!(!out.status.success(), "{input:?} must be rejected");
@@ -406,7 +411,7 @@ fn verify_with_telemetry_keeps_stdout_identical() {
     assert!(traced.status.success());
     assert_eq!(plain.stdout, traced.stdout, "report must stay byte-identical");
     assert!(
-        String::from_utf8_lossy(&traced.stderr).contains("spans"),
+        String::from_utf8_lossy(&traced.stderr).contains("phase (span path)"),
         "telemetry report lands on stderr"
     );
 }
@@ -535,7 +540,7 @@ fn diagnose_flags_non_monotone_trajectory() {
             "\"fields\":{\"restart\":0.0,\"iter\":1.0,\"inertia\":90.0}}\n",
             "{\"type\":\"event\",\"seq\":2,\"name\":\"kmeans.iter\",",
             "\"fields\":{\"restart\":0.0,\"iter\":2.0,\"inertia\":95.0}}\n",
-            "{\"type\":\"end\",\"events_dropped\":0,\"lines\":5}\n",
+            "{\"type\":\"end\",\"lines\":5}\n",
         ),
     )
     .unwrap();
@@ -697,10 +702,11 @@ fn client_transports_structured_protocol_errors() {
     assert!(serve.wait().expect("serve exits").success());
 }
 
-/// `--telemetry` leaves stdout byte-identical and prints the text report
-/// on stderr: at least one span with nonzero time, the per-iteration
-/// k-means events and the parallel-pool task counter. The flag takes no
-/// value, so `--telemetry=json` and `--telemetry=xml` are refused.
+/// `--telemetry` leaves stdout byte-identical and prints the telemetry
+/// report on stderr: the phase table with a nonzero-time `kmeans.fit`
+/// row, the per-iteration k-means trajectories and the parallel-pool task
+/// counter. The flag takes no value, so `--telemetry=json` and
+/// `--telemetry=xml` are refused.
 #[test]
 fn telemetry_text_mode_and_bad_mode() {
     let dir = workdir("telemetry-text");
@@ -717,28 +723,17 @@ fn telemetry_text_mode_and_bad_mode() {
     assert_eq!(plain.stdout, out.stdout, "stdout must stay byte-identical");
 
     let report = String::from_utf8(out.stderr).expect("utf-8 stderr");
-    // Each section is a header line followed by indented rows.
-    let rows = |header: &str| -> Vec<&str> {
-        report
-            .lines()
-            .skip_while(|l| !l.starts_with(header))
-            .skip(1)
-            .take_while(|l| l.starts_with("  "))
-            .map(str::trim)
-            .collect()
-    };
-    // `path  count  total_ms  p50_ms  p99_ms  max_ms`
+    assert!(report.starts_with("telemetry: source trace,"), "{report}");
+    // `path  count  total_ms  self_ms  self%`
     assert!(
-        rows("spans").iter().any(|r| r.starts_with("kmeans.fit ")
+        report.lines().any(|r| r.starts_with("kmeans.fit ")
             && r.split_whitespace().nth(2).and_then(|t| t.parse::<f64>().ok()) > Some(0.0)),
-        "kmeans.fit span with nonzero time: {report}"
+        "kmeans.fit phase with nonzero time: {report}"
     );
+    assert!(report.contains("  trajectory kmeans.iter"), "k-means trajectories: {report}");
     assert!(
-        rows("events").iter().any(|r| r.starts_with("kmeans.iter ")),
-        "per-iteration kmeans events present: {report}"
-    );
-    assert!(
-        rows("counters").iter().any(|r| r.strip_prefix("parallel.tasks = ")
+        report.lines().any(|r| r
+            .strip_prefix("  parallel.tasks = ")
             .and_then(|n| n.parse::<u64>().ok())
             .is_some_and(|n| n > 0)),
         "parallel-pool task counter present: {report}"
@@ -750,6 +745,114 @@ fn telemetry_text_mode_and_bad_mode() {
         let stderr = String::from_utf8_lossy(&bad.stderr).to_string();
         assert!(stderr.contains("flag --telemetry takes no value"), "{stderr}");
     }
+}
+
+/// `--telemetry` prints what `multiclust trace` prints for the same run's
+/// `--trace` file: the same phases with the same call counts, the same
+/// counters' names and a byte-identical convergence section. One thread,
+/// so the k-means restarts log their trajectories in one order.
+#[test]
+fn telemetry_report_is_the_trace_report() {
+    let dir = workdir("telemetry-trace");
+    let fb = four_blob_square(20, 10.0, 0.6, &mut seeded_rng(806));
+    let input = dir.join("data.csv");
+    write_csv(&fb.dataset, &input).unwrap();
+    let trace_path = dir.join("run.trace.jsonl");
+    let base_args = ["kmeans", "--input", input.to_str().unwrap(), "--k", "3", "--seed", "9"];
+
+    let run = |args: &[&str]| {
+        let out = bin().args(args).env("MULTICLUST_THREADS", "1").output().expect("binary runs");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        out
+    };
+    let telemetry = run(&[&base_args[..], &["--telemetry"]].concat());
+    let traced = run(&[&base_args[..], &["--trace", trace_path.to_str().unwrap()]].concat());
+    assert_eq!(telemetry.stdout, traced.stdout, "stdout must stay byte-identical");
+    let read = run(&["trace", trace_path.to_str().unwrap()]);
+    let from_memory = String::from_utf8(telemetry.stderr).expect("utf-8 stderr");
+    let from_file = String::from_utf8(read.stdout).expect("utf-8 stdout");
+
+    // Phase rows as `(path, count)`, counter rows by name, and the
+    // convergence section from its `diagnose:` line on.
+    let phases = |report: &str| -> Vec<(String, String)> {
+        report
+            .lines()
+            .skip_while(|l| !l.starts_with("phase (span path)"))
+            .skip(1)
+            .take_while(|l| !l.starts_with("counters:"))
+            .map(|l| {
+                let mut cols = l.split_whitespace();
+                (cols.next().unwrap_or("").to_string(), cols.next().unwrap_or("").to_string())
+            })
+            .collect()
+    };
+    let counters = |report: &str| -> Vec<String> {
+        report
+            .lines()
+            .skip_while(|l| *l != "counters:")
+            .skip(1)
+            .take_while(|l| l.starts_with("  ") && l.contains(" = "))
+            .map(|l| l.trim().split(" = ").next().unwrap_or("").to_string())
+            .collect()
+    };
+    let convergence =
+        |report: &str| report[report.find("diagnose:").expect("convergence")..].to_string();
+
+    assert!(!phases(&from_file).is_empty(), "{from_file}");
+    assert_eq!(phases(&from_memory), phases(&from_file), "{from_memory}\n{from_file}");
+    assert!(counters(&from_file).iter().any(|c| c == "parallel.tasks"), "{from_file}");
+    assert_eq!(counters(&from_memory), counters(&from_file));
+    assert_eq!(convergence(&from_memory), convergence(&from_file));
+    assert!(from_file.starts_with(&format!("trace {}: source trace,", trace_path.display())));
+    assert!(from_memory.starts_with("telemetry: source trace,"), "{from_memory}");
+
+    // With both flags the report is rendered from the flushed file.
+    let both_flags = ["--telemetry", "--trace", trace_path.to_str().unwrap()];
+    let both = run(&[&base_args[..], &both_flags].concat());
+    assert_eq!(both.stdout, traced.stdout);
+    let report = String::from_utf8(both.stderr).expect("utf-8 stderr");
+    let file = fs::read_to_string(&trace_path).expect("trace file written");
+    let lines = file.lines().count();
+    assert!(report.starts_with(&format!("telemetry: source trace, {lines} lines,")), "{report}");
+}
+
+/// A server's in-memory trace would grow for its whole uptime, so `serve`
+/// refuses `--telemetry` as a usage error that points to `--trace <file>`
+/// and the `stats` op.
+#[test]
+fn serve_refuses_telemetry() {
+    let out = bin()
+        .args(["serve", "--listen", "127.0.0.1:0", "--telemetry"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "no ready line: the server never started");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(stderr.starts_with("error: serve does not take --telemetry"), "{stderr}");
+    assert!(stderr.contains("--trace <file>") && stderr.contains("stats op"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+/// `trace` reads one file: a second path, with or without `--collapse`,
+/// is the usage error any command gives for a stray argument.
+#[test]
+fn trace_refuses_a_second_path() {
+    let dir = workdir("trace-two-paths");
+    let a = dir.join("a.jsonl");
+    fs::write(&a, "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v2\"}\n").unwrap();
+    let (a, b) = (a.to_str().unwrap(), dir.join("b.jsonl"));
+    let b = b.to_str().unwrap();
+    for args in [vec!["trace", a, b], vec!["trace", "--collapse", a, b]] {
+        let out = bin().args(&args).output().expect("binary runs");
+        assert!(!out.status.success(), "{args:?} must be refused");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing read");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        let stray = format!("error: unexpected argument {b:?} (expected a --flag)");
+        assert!(stderr.starts_with(&stray), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+    // One path still reads.
+    assert!(bin().args(["trace", a]).output().expect("binary runs").status.success());
 }
 
 /// Every algorithm parameter outside its constructor's range — NaN and

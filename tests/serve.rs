@@ -182,7 +182,7 @@ fn concurrent_clients_mixed_workload_clean_shutdown() {
     assert!(stats.contains(r#""fit":6"#), "6 fits recorded: {stats}");
     assert!(stats.contains(r#""models":6"#), "6 models live: {stats}");
     assert!(stats.contains(r#""uptime_ms""#), "{stats}");
-    assert!(stats.contains(r#""events_dropped":0"#), "no telemetry lost: {stats}");
+    assert!(stats.contains(r#""trace.write_errors":0"#), "no trace line lost: {stats}");
 
     shutdown_clean(child, &listen);
 
@@ -203,6 +203,10 @@ fn concurrent_clients_mixed_workload_clean_shutdown() {
             "serve.{layer} span of c0-fit-a: {trace_raw}"
         );
     }
+    // Every request's spans reached the sink: one `serve.fit` per fit.
+    let parsed = multiclust::telemetry::trace::read_trace(&trace).expect("trace parses");
+    let fits = parsed.of_kind("span").filter(|r| r.name == "serve.fit").count();
+    assert_eq!((fits, parsed.write_errors), (6, 0), "{trace_raw}");
     let tail: Vec<&str> = trace_raw.lines().rev().take(2).collect();
     assert!(tail[0].starts_with(r#"{"type":"end""#), "flushed end line: {trace_raw}");
     assert!(

@@ -8,11 +8,12 @@
 //!    bit-identical with the switch on or off;
 //! 4. the trace sink streams parseable `multiclust-trace/v2` JSONL and
 //!    never perturbs results either;
-//! 5. events past the in-memory cap are counted, not silently lost;
+//! 5. every event reaches the trace sink — the registry keeps none, so
+//!    none is dropped;
 //! 6. the counting allocator attributes heap traffic to spans without
 //!    moving a single label;
 //! 7. a trace file ends with one parseable `snapshot` of the registry
-//!    (counters, quantiles, allocation gauges, dropped events);
+//!    (counters, quantiles, allocation gauges);
 //! 8. the Gaussian affinity build's work counters follow the roofline
 //!    model exactly;
 //! 9. the blocked kernels' pruning counters tick on fixed inputs, and
@@ -74,9 +75,8 @@ fn json_export_parses_with_vendored_serde_json() {
     let path = std::env::temp_dir()
         .join(format!("multiclust-test-json-{}.jsonl", std::process::id()));
     let (raw, parsed) = serialized(|| {
-        trace::open_trace(Some(&path), false).expect("open trace sink");
+        trace::set_trace_path(Some(&path)).expect("open trace sink");
         telemetry::counter_add("needs\"escaping\\here", 3);
-        telemetry::histogram_record("h", 1023);
         telemetry::event("e", &[("value", 0.125), ("weird", f64::INFINITY)]);
         {
             let _outer = telemetry::span("outer");
@@ -122,11 +122,14 @@ fn results_bit_identical_with_telemetry_on_and_off() {
         let off = fit_both();
         telemetry::set_enabled(true);
         telemetry::reset();
+        telemetry::trace::open_trace_buffer();
         let on = fit_both();
         // Telemetry actually recorded during the "on" run…
         let snap = telemetry::snapshot();
-        assert!(snap.events.iter().any(|e| e.name == "kmeans.iter"));
-        assert!(snap.events.iter().any(|e| e.name == "coala.merge"));
+        let bytes = telemetry::trace::flush_trace().expect("buffer bytes");
+        let streamed = telemetry::trace::parse_trace(&bytes[..]).expect("buffer parses");
+        assert!(streamed.of_kind("event").any(|e| e.name == "kmeans.iter"));
+        assert!(streamed.of_kind("event").any(|e| e.name == "coala.merge"));
         assert!(snap.durations.contains_key("kmeans.fit"));
         (off, on)
     });
@@ -152,7 +155,7 @@ fn trace_sink_streams_parseable_jsonl_without_perturbing_results() {
         telemetry::reset();
 
         // Same fit streamed to a trace file.
-        trace::open_trace(Some(&path), false).expect("open trace sink");
+        trace::set_trace_path(Some(&path)).expect("open trace sink");
         let traced = fit_both();
         trace::flush_trace();
 
@@ -172,7 +175,6 @@ fn trace_sink_streams_parseable_jsonl_without_perturbing_results() {
     assert!(raw.starts_with(r#"{"type":"meta","schema":"multiclust-trace/v2"}"#), "{raw}");
     assert_eq!(parsed.schema.as_deref(), Some(trace::TRACE_SCHEMA));
     assert!(parsed.ended, "end line written by flush");
-    assert_eq!(parsed.events_dropped, 0);
 
     // Real instrumentation made it into the stream.
     assert!(parsed.of_kind("span").any(|r| r.name == "kmeans.fit"), "{raw}");
@@ -185,58 +187,54 @@ fn trace_sink_streams_parseable_jsonl_without_perturbing_results() {
     assert_eq!(untraced.2, traced.2, "COALA partition");
 }
 
-/// Overflowing the in-memory event cap increments the
-/// `telemetry.events_dropped` counter (no more silent truncation) and
-/// the report and the trace's end line surface it — while an attached
-/// trace sink still streams every event past the cap.
+/// The registry keeps no events, so none can be dropped: every event of
+/// a long stream reaches the sink, in call order.
 #[test]
-fn event_cap_overflow_is_counted_and_streamed() {
+fn every_event_reaches_the_sink() {
     use multiclust::telemetry::trace;
 
-    let overflow = 10u64;
+    let count = 70_000u64;
     let path = std::env::temp_dir()
-        .join(format!("multiclust-test-cap-{}.jsonl", std::process::id()));
-    let (snap, parsed) = serialized(|| {
-        trace::open_trace(Some(&path), false).expect("open trace sink");
-        for i in 0..(telemetry::MAX_EVENTS as u64 + overflow) {
-            telemetry::event("cap.test", &[("i", i as f64)]);
+        .join(format!("multiclust-test-every-event-{}.jsonl", std::process::id()));
+    let parsed = serialized(|| {
+        trace::set_trace_path(Some(&path)).expect("open trace sink");
+        for i in 0..count {
+            telemetry::event("stream.test", &[("i", i as f64)]);
         }
-        let snap = telemetry::snapshot();
         trace::flush_trace();
-        let parsed = trace::read_trace(&path).expect("trace parses");
-        (snap, parsed)
+        trace::read_trace(&path).expect("trace parses")
     });
     let _ = std::fs::remove_file(&path);
 
-    assert_eq!(snap.events.len(), telemetry::MAX_EVENTS, "registry capped");
-    assert_eq!(snap.dropped_events, overflow);
-    assert_eq!(snap.counters["telemetry.events_dropped"], overflow);
-    assert!(snap.to_text().contains("telemetry.events_dropped"), "{}", snap.to_text());
-
-    // The sink is the durable record: nothing dropped there.
-    let streamed = parsed.of_kind("event").filter(|e| e.name == "cap.test").count() as u64;
-    assert_eq!(streamed, telemetry::MAX_EVENTS as u64 + overflow);
-    assert_eq!(parsed.events_dropped, overflow, "end line reports the drop count");
-    assert_eq!(parsed.counters["telemetry.events_dropped"], overflow);
+    let streamed: Vec<f64> = parsed
+        .of_kind("event")
+        .filter(|e| e.name == "stream.test")
+        .filter_map(|e| e.field("i"))
+        .collect();
+    assert_eq!(streamed.len() as u64, count);
+    assert!(streamed.iter().enumerate().all(|(i, &v)| v == i as f64), "line order is call order");
 }
 
 /// The PR-7 counting allocator: switching accounting on attributes heap
 /// traffic to the span that was active at allocation time, shows up in
-/// the text report, and reproduces every result bit-for-bit.
+/// the report's phase table, and reproduces every result bit-for-bit.
 #[test]
 fn alloc_accounting_attributes_spans_without_perturbing_results() {
     use multiclust::telemetry::alloc;
 
-    let (off, on, snap) = serialized(|| {
+    let (off, on, snap, streamed) = serialized(|| {
         alloc::set_alloc_enabled(false);
         let off = fit_both();
         telemetry::reset();
 
         alloc::set_alloc_enabled(true);
+        telemetry::trace::open_trace_buffer();
         let on = fit_both();
         let snap = telemetry::snapshot();
+        let bytes = telemetry::trace::flush_trace().expect("buffer bytes");
         alloc::set_alloc_enabled(false);
-        (off, on, snap)
+        let streamed = telemetry::trace::parse_trace(&bytes[..]).expect("buffer parses");
+        (off, on, snap, streamed)
     });
 
     // Accounting observed without perturbing: identical results.
@@ -251,13 +249,14 @@ fn alloc_accounting_attributes_spans_without_perturbing_results() {
         .unwrap_or_else(|| panic!("no alloc stats for kmeans.fit: {:?}", snap.alloc.keys()));
     assert!(kmeans.count > 0, "k-means fit must allocate");
     assert!(kmeans.bytes > 0 && kmeans.peak > 0);
-    assert!(snap.to_text().contains("alloc (path"), "{}", snap.to_text());
+    let (report, _) = telemetry::trace::report("alloc", &streamed);
+    assert!(report.contains("alloc.peak"), "{report}");
 }
 
 /// A trace file closes with one `snapshot` of the registry, written by
 /// the same encoder as every other line: after a fit it carries the
-/// producer's `seq`, every counter, the span quantiles, the allocation
-/// gauges and the dropped-event count, and only the `end` line follows.
+/// producer's `seq`, every counter, the span quantiles and the
+/// allocation gauges, and only the `end` line follows.
 #[test]
 fn trace_ends_with_a_registry_snapshot() {
     use multiclust::telemetry::trace;
@@ -265,7 +264,7 @@ fn trace_ends_with_a_registry_snapshot() {
     let path = std::env::temp_dir()
         .join(format!("multiclust-test-snapshot-{}.jsonl", std::process::id()));
     let parsed = serialized(|| {
-        trace::open_trace(Some(&path), false).expect("open trace sink");
+        trace::set_trace_path(Some(&path)).expect("open trace sink");
         let _ = fit_both();
         trace::flush_trace();
         trace::read_trace(&path).expect("trace parses")
@@ -283,7 +282,7 @@ fn trace_ends_with_a_registry_snapshot() {
     else {
         panic!("snapshot is not an object")
     };
-    for key in ["seq", "counters", "quantiles", "alloc", "events_dropped"] {
+    for key in ["seq", "counters", "quantiles", "alloc"] {
         assert!(fields.iter().any(|(k, _)| k == key), "snapshot missing {key:?}: {raw}");
     }
     assert!(lines[lines.len() - 1].starts_with(r#"{"type":"end""#), "{raw}");
