@@ -1,18 +1,32 @@
 //! Symmetric eigendecomposition by Householder tridiagonalisation plus
-//! the implicit QL method (EISPACK `tred2`/`tql2`).
+//! the implicit QL method (EISPACK `tred2`/`tql2`), in two solves that
+//! share every step they have in common.
 //!
-//! `tred2` reduces the matrix to tridiagonal form with `n − 2` Householder
-//! reflections and accumulates them into an orthogonal `Q`; `tql2` then
-//! diagonalises the tridiagonal matrix with implicitly shifted QL sweeps,
-//! rotating `Q` along. Both phases together cost `O(n³)` once, not per
-//! sweep, which is what makes the `n × n` affinities of the spectral
-//! families affordable. Eigenvalues are returned sorted in **descending**
-//! order, which is the order PCA and spectral methods consume them in.
+//! * [`SymmetricEigen::new`] returns all `n` eigenpairs. The reduction
+//!   (`reduce`) brings the matrix to tridiagonal form with `n − 2`
+//!   Householder reflections, `accumulate` multiplies them out into an
+//!   orthogonal `Q`, and `tql2` diagonalises the tridiagonal matrix by
+//!   implicitly shifted QL sweeps, rotating `Q` along. Each phase costs
+//!   `O(n³)` once, not per sweep.
+//! * [`SymmetricEigen::top`] returns all `n` eigenvalues but only the `k`
+//!   eigenvectors of the largest ones: what a spectral embedding reads
+//!   from its `n × n` affinity. It runs the same reduction, keeps the
+//!   reflectors instead of accumulating `Q`, and runs the same QL
+//!   recurrence, recording each rotation `(c, s)` instead of applying it.
+//!   The eigenvalues never depend on the vectors, so they are bit for bit
+//!   those of `new`. Eigenvector `j` is row `j` of `R_N ··· R_1 · Qᵀ`, the
+//!   very product `new` forms: `top` starts from `e_j`, undoes the
+//!   recorded rotations last to first (`O(1)` each) and maps the result
+//!   through the reflectors (`O(n²)`). Only the association differs, so
+//!   the vectors agree with `new`'s to rounding — also inside a cluster
+//!   of nearly equal eigenvalues, where any orthonormal basis of the
+//!   cluster would be a valid answer.
 //!
-//! The working matrix holds `Qᵀ`: every Householder vector, every inner
-//! product of the reduction and every QL rotation then runs along a
-//! contiguous row, and one transpose at the end yields the eigenvector
-//! columns.
+//! Eigenvalues are returned sorted in **descending** order, which is the
+//! order PCA and spectral methods consume them in. The working matrix
+//! holds `Qᵀ`: every Householder vector, every inner product of the
+//! reduction and every QL rotation then runs along a contiguous row, and
+//! one transpose at the end yields the eigenvector columns.
 
 use crate::Matrix;
 
@@ -21,7 +35,8 @@ use crate::Matrix;
 pub struct SymmetricEigen {
     /// Eigenvalues, sorted descending.
     pub values: Vec<f64>,
-    /// Column `j` of this matrix is the eigenvector for `values[j]`.
+    /// Column `j` of this matrix is the eigenvector for `values[j]`: all
+    /// `n` columns from [`Self::new`], the first `k` from [`Self::top`].
     pub vectors: Matrix,
 }
 
@@ -36,36 +51,65 @@ impl SymmetricEigen {
     /// asymmetric (relative asymmetry above `1e-6`), or if the QL
     /// iteration does not converge.
     pub fn new(a: &Matrix) -> Self {
-        assert!(a.is_square(), "eigendecomposition requires a square matrix");
-        assert!(
-            a.as_slice().iter().all(|x| x.is_finite()),
-            "eigendecomposition requires finite entries"
-        );
-        let scale = a.max_abs().max(1.0);
-        assert!(
-            a.is_symmetric(1e-6 * scale),
-            "eigendecomposition requires a (numerically) symmetric matrix"
-        );
         let mut m = a.clone();
-        m.symmetrize();
-        let n = m.rows();
+        let n = prepare(&mut m);
         let mut d = vec![0.0; n];
         let mut e = vec![0.0; n];
         // The input is symmetric, so it already equals its transpose: `m`
         // starts as `Aᵀ` and ends as `Qᵀ`, one eigenvector per row.
         let w = m.as_mut_slice();
         if n > 0 {
-            tred2(w, n, &mut d, &mut e);
-            tql2(w, n, &mut d, &mut e);
+            reduce(w, n, &mut d, &mut e);
+            accumulate(w, n, &mut d);
+            tql2(&mut d, &mut e, &mut RotateRows { w: &mut *w, n });
         }
-
-        // Sort eigenpairs by descending eigenvalue.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| d[j].total_cmp(&d[i]));
+        let order = descending(&d);
         let vectors = Matrix::from_fn(n, n, |i, j| w[order[j] * n + i]);
         let values = order.iter().map(|&i| d[i]).collect();
-
         Self { values, vectors }
+    }
+
+    /// All `n` eigenvalues of the symmetric matrix `a` and the
+    /// eigenvectors of the `k` largest, taking `a` by value as workspace.
+    ///
+    /// `values` equals `Self::new(&a).values` bit for bit and `vectors` is
+    /// `n × k`; column `j` agrees with column `j` of `new` to rounding
+    /// (see the module docs). [`Self::reconstruct`] and
+    /// [`Self::map_values`] need all `n` vectors, so they are for `new`'s
+    /// result only.
+    ///
+    /// # Panics
+    /// Panics when [`Self::new`] would, or if `k > n`.
+    pub fn top(mut a: Matrix, k: usize) -> Self {
+        let n = prepare(&mut a);
+        assert!(k <= n, "cannot take {k} eigenvectors of a {n} × {n} matrix");
+        if n == 0 {
+            return Self { values: Vec::new(), vectors: Matrix::zeros(0, 0) };
+        }
+        let mut d = vec![0.0; n];
+        let mut e = vec![0.0; n];
+        let w = a.as_mut_slice();
+        reduce(w, n, &mut d, &mut e);
+        // `reduce` leaves each reflector's `h` in `d[1..]` and the
+        // tridiagonal's diagonal on the diagonal of `w`, where `accumulate`
+        // would read it.
+        let h = std::mem::replace(&mut d, (0..n).map(|i| w[i * n + i]).collect());
+        // The QL makes about 0.9 n² rotations: reserving n² up front keeps
+        // the record from being copied as it grows.
+        let mut record = QlRecord { sweeps: Vec::new(), rotations: Vec::with_capacity(n * n) };
+        tql2(&mut d, &mut e, &mut record);
+        let order = descending(&d);
+        // Row `j` of the k × n block starts as `e_{order[j]}`.
+        let mut y = vec![0.0; k * n];
+        for (v, &j) in y.chunks_exact_mut(n).zip(&order) {
+            v[j] = 1.0;
+        }
+        record.undo(&mut y, n);
+        reflect(w, &h, n, &mut y);
+        Self {
+            values: order.iter().map(|&i| d[i]).collect(),
+            vectors: Matrix::from_fn(n, k, |i, j| y[j * n + i]),
+        }
     }
 
     /// Reconstructs `V · diag(λ) · Vᵀ` (for testing / residual checks).
@@ -91,6 +135,30 @@ impl SymmetricEigen {
     }
 }
 
+/// Checks that `m` is a finite, numerically symmetric square matrix,
+/// symmetrises it and returns its order.
+fn prepare(m: &mut Matrix) -> usize {
+    assert!(m.is_square(), "eigendecomposition requires a square matrix");
+    assert!(
+        m.as_slice().iter().all(|x| x.is_finite()),
+        "eigendecomposition requires finite entries"
+    );
+    let scale = m.max_abs().max(1.0);
+    assert!(
+        m.is_symmetric(1e-6 * scale),
+        "eigendecomposition requires a (numerically) symmetric matrix"
+    );
+    m.symmetrize();
+    m.rows()
+}
+
+/// Indices of `d` ordered by descending value, ties by index.
+fn descending(d: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..d.len()).collect();
+    order.sort_by(|&i, &j| d[j].total_cmp(&d[i]));
+    order
+}
+
 /// Symmetric matrix square root `A^{1/2}` (negative eigenvalues are clamped
 /// to zero, which turns near-PSD matrices with rounding noise into PSD).
 pub fn sqrtm(a: &Matrix) -> Matrix {
@@ -109,13 +177,15 @@ pub fn inv_sqrtm(a: &Matrix, floor: f64) -> Matrix {
 }
 
 /// Householder reduction of the symmetric `n × n` row-major matrix `w` to
-/// tridiagonal form (EISPACK `tred2`, as in JAMA, with every matrix access
-/// transposed so the inner loops run along rows).
+/// tridiagonal form (the first half of EISPACK `tred2`, as in JAMA, with
+/// every matrix access transposed so the inner loops run along rows).
 ///
-/// On return `d` holds the diagonal, `e[1..]` the subdiagonal (`e[0] = 0`)
-/// and `w` the transpose of the accumulated orthogonal transformation.
-/// Only the upper triangle of the input is read.
-fn tred2(w: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
+/// On return `e[1..]` holds the subdiagonal, the diagonal of `w` the
+/// tridiagonal's diagonal, and row `m ≥ 1` of `w` the Householder vector
+/// `u` of reflector `P_m = I − u·uᵀ/h` in its first `m` entries, with
+/// `h = d[m]` (`h = 0` means no reflection). Only the upper triangle of
+/// the input is read.
+fn reduce(w: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
     for j in 0..n {
         d[j] = w[j * n + n - 1];
     }
@@ -179,7 +249,12 @@ fn tred2(w: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
         }
         d[i] = h;
     }
-    // Accumulate the transformations.
+}
+
+/// Multiplies out the reflectors [`reduce`] left in `w` (the second half
+/// of EISPACK `tred2`): on return `d` holds the tridiagonal's diagonal
+/// and `w` the transpose of `Q = P_{n−1} ··· P_1`.
+fn accumulate(w: &mut [f64], n: usize, d: &mut [f64]) {
     for i in 0..n - 1 {
         w[i * n + n - 1] = w[i * n + i];
         w[i * n + i] = 1.0;
@@ -205,18 +280,110 @@ fn tred2(w: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
         w[j * n + n - 1] = 0.0;
     }
     w[n * n - 1] = 1.0;
-    e[0] = 0.0;
 }
 
-/// Diagonalises the symmetric tridiagonal matrix (`d`, `e`) from [`tred2`]
-/// by implicitly shifted QL (EISPACK `tql2`), applying every rotation to
-/// the rows of `w`. On return `d` holds the (unsorted) eigenvalues and row
-/// `j` of `w` the eigenvector of `d[j]`.
+/// Computes `Q·y` for each row `y` of the row-major `k × n` block `y`,
+/// with `Q = P_{n−1} ··· P_1` the reflectors [`reduce`] left in `w` and
+/// `h`: the products [`accumulate`] would form, applied to `k` vectors
+/// instead of `n`.
+fn reflect(w: &[f64], h: &[f64], n: usize, y: &mut [f64]) {
+    let mut scaled = vec![0.0; n];
+    for m in 1..n {
+        if h[m] == 0.0 {
+            continue;
+        }
+        let u = &w[m * n..m * n + m];
+        for (x, &ui) in scaled.iter_mut().zip(u) {
+            *x = ui / h[m];
+        }
+        for v in y.chunks_exact_mut(n) {
+            let v = &mut v[..m];
+            let g: f64 = u.iter().zip(v.iter()).map(|(a, b)| a * b).sum();
+            for (x, dk) in v.iter_mut().zip(&scaled) {
+                *x -= g * dk;
+            }
+        }
+    }
+}
+
+/// What [`tql2`] does with its plane rotations, in the order it makes
+/// them.
+trait Rotations {
+    /// A QL sweep begins; it will rotate rows `m − 1, m − 2, …, l`.
+    fn sweep(&mut self, _l: usize, _m: usize) {}
+    /// Rows `i` and `i + 1` turn by the rotation `(c, s)`.
+    fn rotate(&mut self, i: usize, c: f64, s: f64);
+}
+
+/// Applies each rotation to the rows of the row-major `n × n` matrix `w`.
+struct RotateRows<'a> {
+    w: &'a mut [f64],
+    n: usize,
+}
+
+impl Rotations for RotateRows<'_> {
+    fn rotate(&mut self, i: usize, c: f64, s: f64) {
+        let n = self.n;
+        let (upper, lower) = self.w[i * n..(i + 2) * n].split_at_mut(n);
+        for (vi, vi1) in upper.iter_mut().zip(lower.iter_mut()) {
+            let t = *vi1;
+            *vi1 = s * *vi + c * t;
+            *vi = c * *vi - s * t;
+        }
+    }
+}
+
+/// Records the rotations: each sweep's bounds, and its `(c, s)` pairs in
+/// the order made, rows `m − 1` down to `l`.
+struct QlRecord {
+    sweeps: Vec<(usize, usize)>,
+    rotations: Vec<(f64, f64)>,
+}
+
+impl Rotations for QlRecord {
+    fn sweep(&mut self, l: usize, m: usize) {
+        self.sweeps.push((l, m));
+    }
+
+    fn rotate(&mut self, _: usize, c: f64, s: f64) {
+        self.rotations.push((c, s));
+    }
+}
+
+impl QlRecord {
+    /// Multiplies each row `y` of the row-major `k × n` block `y` by
+    /// `R_N ··· R_1` from the right: the recorded rotations undone, last
+    /// to first. Row `j` of `RotateRows`' result is `e_jᵀ · R_N ··· R_1`
+    /// applied to the matrix it started from.
+    fn undo(&self, y: &mut [f64], n: usize) {
+        let mut end = self.rotations.len();
+        for &(l, m) in self.sweeps.iter().rev() {
+            let start = end - (m - l);
+            // `rotations[start + t]` turned rows `m − 1 − t` and `m − t`.
+            for (t, &(c, s)) in self.rotations[start..end].iter().enumerate().rev() {
+                let i = m - 1 - t;
+                for v in y.chunks_exact_mut(n) {
+                    let (a, b) = (v[i], v[i + 1]);
+                    v[i] = c * a + s * b;
+                    v[i + 1] = c * b - s * a;
+                }
+            }
+            end = start;
+        }
+    }
+}
+
+/// Diagonalises the symmetric tridiagonal matrix (`d`, `e`) from
+/// [`reduce`] by implicitly shifted QL (EISPACK `tql2`), handing every
+/// rotation to `rotations`. On return `d` holds the (unsorted)
+/// eigenvalues; with [`RotateRows`] over `Qᵀ`, row `j` of the matrix is
+/// the eigenvector of `d[j]`.
 ///
 /// # Panics
 /// Panics when an eigenvalue needs more than 30 QL iterations (EISPACK's
 /// cap).
-fn tql2(w: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
+fn tql2(d: &mut [f64], e: &mut [f64], rotations: &mut impl Rotations) {
+    let n = d.len();
     e.copy_within(1.., 0);
     e[n - 1] = 0.0;
     let mut f = 0.0;
@@ -256,6 +423,7 @@ fn tql2(w: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
             let el1 = e[l + 1];
             let mut s = 0.0;
             let mut s2 = 0.0;
+            rotations.sweep(l, m);
             for i in (l..m).rev() {
                 c3 = c2;
                 c2 = c;
@@ -268,13 +436,7 @@ fn tql2(w: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
                 c = p / r;
                 p = c * d[i] - s * g;
                 d[i + 1] = h + s * (c * g + s * d[i]);
-                // Accumulate the rotation into eigenvector rows i and i+1.
-                let (upper, lower) = w[i * n..(i + 2) * n].split_at_mut(n);
-                for (vi, vi1) in upper.iter_mut().zip(lower.iter_mut()) {
-                    let t = *vi1;
-                    *vi1 = s * *vi + c * t;
-                    *vi = c * *vi - s * t;
-                }
+                rotations.rotate(i, c, s);
             }
             p = -s * s2 * c3 * el1 * e[l] / dl1;
             e[l] = s * p;

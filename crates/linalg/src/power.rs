@@ -1,14 +1,15 @@
 //! Top-`k` eigenpairs of symmetric matrices by block power iteration
 //! (simultaneous/orthogonal iteration).
 //!
-//! The dense tridiagonal-QL solver ([`crate::SymmetricEigen`]) computes
-//! *all* eigenpairs in `O(n³)` — fine for covariance matrices (`n = d`) and
-//! for affinities up to several hundred objects, wasteful beyond that for
-//! spectral clustering, whose `n × n` affinity only needs its top `k ≪ n`
-//! eigenvectors. Orthogonal iteration multiplies a random `n × k` block by
-//! the matrix and re-orthonormalises until the invariant subspace
-//! converges: `O(k·n²)` per iteration, which overtakes the dense solver
-//! once `n` reaches the high hundreds.
+//! The dense tridiagonal-QL solver ([`crate::SymmetricEigen`]) costs
+//! `O(n³)` even when it returns only the top `k` eigenvectors
+//! ([`crate::SymmetricEigen::top`]). Orthogonal iteration multiplies a
+//! random `n × k` block by the matrix and re-orthonormalises until the
+//! invariant subspace converges: `O(k·n²)` per iteration. On a spectral
+//! affinity with a small eigengap it runs hundreds of iterations, so the
+//! dense partial solve stays faster up to `n` in the low thousands;
+//! spectral clustering uses this solver only above its
+//! `dense_eigen_limit`.
 //!
 //! For matrices with eigenvalues of mixed sign, pass a `shift` making the
 //! target eigenvalues the largest in magnitude (spectral methods use the

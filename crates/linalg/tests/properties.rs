@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use multiclust_linalg::eigen::{inv_sqrtm, sqrtm};
-use multiclust_linalg::vector::{dist, sq_dist};
+use multiclust_linalg::vector::{dist, dot, sq_dist};
 use multiclust_linalg::{Matrix, Svd, SymmetricEigen};
 use proptest::prelude::*;
 
@@ -28,6 +28,98 @@ fn spd_matrix(n: usize) -> impl Strategy<Value = Matrix> {
         }
         g
     })
+}
+
+/// Asserts that `SymmetricEigen::top(a, k)` is the first `k` pairs of
+/// `SymmetricEigen::new(a)`: every eigenvalue bit for bit, each vector to
+/// rounding and with the same sign, and the `k` pairs themselves
+/// orthonormal eigenpairs of `a` to the dense solver's own tolerances.
+fn assert_top_matches(a: &Matrix, k: usize) {
+    let n = a.rows();
+    let full = SymmetricEigen::new(a);
+    let top = SymmetricEigen::top(a.clone(), k);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&top.values), bits(&full.values), "values differ from new's");
+    assert_eq!((top.vectors.rows(), top.vectors.cols()), (n, k));
+    let tol = 1e-12 * a.max_abs().max(1.0);
+    for j in 0..k {
+        let (v, u) = (top.eigenvector(j), full.eigenvector(j));
+        let gap = v.iter().zip(&u).map(|(x, y)| (x - y).abs()).fold(0.0f64, f64::max);
+        assert!(gap <= tol, "column {j} is {gap:e} from new's (n = {n}, k = {k})");
+        assert!(dot(&v, &u) > 0.0, "column {j} flipped sign");
+        for (x, y) in a.matvec(&v).iter().zip(&v) {
+            assert!((x - top.values[j] * y).abs() <= tol, "pair {j}: {x} vs λ·{y}");
+        }
+    }
+    let vtv = top.vectors.transpose().matmul(&top.vectors);
+    assert!(vtv.approx_eq(&Matrix::identity(k), 1e-14 * n as f64), "VᵀV ≠ I");
+}
+
+/// The normalised affinity `D^{-1/2} W D^{-1/2}` of Gaussian weights
+/// (`σ = 1`, zero diagonal) over 1-d points; a zero-degree object gets a
+/// zero row and column, as the spectral embedding builds it.
+fn normalised_affinity(points: &[f64]) -> Matrix {
+    let n = points.len();
+    let w = Matrix::from_fn(n, n, |i, j| {
+        let d = points[i] - points[j];
+        if i == j {
+            0.0
+        } else {
+            (-d * d / 2.0).exp()
+        }
+    });
+    let dinv: Vec<f64> = (0..n)
+        .map(|i| {
+            let deg: f64 = w.row(i).iter().sum();
+            if deg > 0.0 {
+                1.0 / deg.sqrt()
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    Matrix::from_fn(n, n, |i, j| dinv[i] * w[(i, j)] * dinv[j])
+}
+
+/// Blocks of points, block `b` jittered within `[b·gap, b·gap + 1)`.
+/// Far enough apart, the normalised affinity's top `blocks.len()`
+/// eigenvalues all lie within rounding of 1; past `gap ≈ 39` the cross
+/// weights underflow to exact zeros.
+fn blocked_points(blocks: &[Vec<f64>], gap: f64) -> Vec<f64> {
+    blocks
+        .iter()
+        .enumerate()
+        .flat_map(|(b, jitter)| jitter.iter().map(move |x| b as f64 * gap + x))
+        .collect()
+}
+
+#[test]
+fn top_covers_the_dense_solvers_edge_cases() {
+    let edge_cases = [
+        Matrix::zeros(0, 0),
+        Matrix::from_rows(&[&[-3.5]]),
+        Matrix::zeros(5, 5),
+        Matrix::identity(7),
+        Matrix::from_diag(&[2.0, 2.0, 1.0, 1.0]),
+        Matrix::from_diag(&[3.0, 1.0, 2.0]),
+        Matrix::from_rows(&[&[4.0, 1.0, -2.0], &[1.0, 2.0, 0.0], &[-2.0, 0.0, 3.0]]),
+        // The last object is isolated: an all-zero row and column.
+        normalised_affinity(&[0.0, 0.4, 1.1, 5.0, 5.3, 1e3]),
+    ];
+    for a in &edge_cases {
+        let n = a.rows();
+        for k in [0, 1, n / 2, n] {
+            if k <= n {
+                assert_top_matches(a, k);
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "eigenvectors")]
+fn top_refuses_more_vectors_than_rows() {
+    let _ = SymmetricEigen::top(Matrix::identity(3), 4);
 }
 
 proptest! {
@@ -71,6 +163,33 @@ proptest! {
         let vtv = e.vectors.transpose().matmul(&e.vectors);
         prop_assert!(vtv.approx_eq(&Matrix::identity(n), 1e-12 * n as f64));
         prop_assert!(e.values.windows(2).all(|w| w[0] >= w[1]));
+    }
+
+    /// `top` is `new`'s first `k` pairs on random symmetric matrices, at
+    /// `k = 0`, `1`, a random `k` and `k = n`.
+    #[test]
+    fn top_matches_the_full_solve(n in 1usize..=40, a in symmetric_matrix(n), pick in 0.0..1.0f64) {
+        for k in [0, 1, (pick * n as f64) as usize, n] {
+            assert_top_matches(&a, k);
+        }
+    }
+
+    /// On block-clustered normalised affinities the top eigenvalues form
+    /// one cluster within 1e-13; `top` still returns `new`'s basis of
+    /// that cluster, not merely some basis of it.
+    #[test]
+    fn top_matches_the_full_solve_inside_an_eigenvalue_cluster(
+        jitter in prop::collection::vec(prop::collection::vec(0.0..1.0f64, 3..=12), 2..=5),
+        gap in 9.0..60.0f64,
+    ) {
+        let (points, blocks) = (blocked_points(&jitter, gap), jitter.len());
+        let a = normalised_affinity(&points);
+        let full = SymmetricEigen::new(&a);
+        let spread = full.values[0] - full.values[blocks - 1];
+        prop_assert!(spread <= 1e-13, "{:?}", &full.values[..blocks]);
+        for k in [0, 1, blocks, points.len()] {
+            assert_top_matches(&a, k);
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl MultiViewSpectral {
             let norm_w = SpectralClustering::new(self.k, sigma).normalized_affinity(mv.view(v));
             combined = &combined + &norm_w.scaled(weight);
         }
-        let eig = SymmetricEigen::new(&combined);
+        let eig = SymmetricEigen::top(combined, self.k);
         // Objective trace: the eigengap behind the k-dimensional embedding
         // — how cleanly the combined walk separates k blocks.
         if multiclust_telemetry::enabled() && eig.values.len() > self.k {

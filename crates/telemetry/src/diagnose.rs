@@ -206,57 +206,46 @@ struct Segment {
 
 /// Splits the event stream into trajectories: grouped by (spec, key
 /// value), with a fresh segment whenever the iteration index stops
-/// increasing (a second fit logging into the same stream).
+/// increasing (a second fit logging into the same stream). Each segment
+/// is numbered by its ordinal within its key, and segments come out
+/// ordered by (spec, key, ordinal): restarts that interleave differently
+/// from run to run (the pool's scheduling) still give the same report.
 fn segments(trace: &TraceFile) -> Vec<Segment> {
     let mut out: Vec<Segment> = Vec::new();
     for spec in SPECS {
-        // (key bits, segment index into `out`, last iter) per open stream.
-        let mut open: Vec<(u64, usize, f64)> = Vec::new();
-        let mut seg_count = 0usize;
+        // Per key value: its segments in arrival order and the last iter.
+        let mut streams: Vec<(f64, Vec<Segment>, f64)> = Vec::new();
         for e in trace.of_kind("event").filter(|e| e.name == spec.event) {
             let (Some(iter), Some(value)) = (e.field(spec.iter_field), e.field(spec.value_field))
             else {
                 continue;
             };
-            let key = spec
-                .key_field
-                .and_then(|k| e.field(k))
-                .unwrap_or(0.0)
-                .to_bits();
-            match open.iter_mut().find(|(k, _, _)| *k == key) {
-                Some(slot) if iter > slot.2 => {
-                    slot.2 = iter;
-                    out[slot.1].points.push((iter, value));
+            let key = spec.key_field.and_then(|k| e.field(k)).unwrap_or(0.0);
+            let slot = match streams.iter().position(|s| s.0.to_bits() == key.to_bits()) {
+                Some(at) => &mut streams[at],
+                None => {
+                    streams.push((key, Vec::new(), f64::NAN));
+                    streams.last_mut().expect("just pushed")
                 }
-                slot => {
+            };
+            let (_, segs, last) = slot;
+            match segs.last_mut() {
+                Some(seg) if iter > *last => seg.points.push((iter, value)),
+                _ => {
                     // New key, or the iteration index reset: a new segment.
+                    let ordinal = segs.len();
                     let label = match spec.key_field {
-                        Some(k) => format!(
-                            "{}[{}={}]#{}",
-                            spec.event,
-                            k,
-                            f64::from_bits(key),
-                            seg_count
-                        ),
-                        None => format!("{}#{}", spec.event, seg_count),
+                        Some(k) => format!("{}[{k}={key}]#{ordinal}", spec.event),
+                        None => format!("{}#{ordinal}", spec.event),
                     };
-                    seg_count += 1;
-                    out.push(Segment {
-                        label,
-                        monotone: spec.monotone,
-                        points: vec![(iter, value)],
-                    });
-                    let idx = out.len() - 1;
-                    match slot {
-                        Some(s) => {
-                            s.1 = idx;
-                            s.2 = iter;
-                        }
-                        None => open.push((key, idx, iter)),
-                    }
+                    let points = vec![(iter, value)];
+                    segs.push(Segment { label, monotone: spec.monotone, points });
                 }
             }
+            *last = iter;
         }
+        streams.sort_by(|a, b| a.0.total_cmp(&b.0));
+        out.extend(streams.into_iter().flat_map(|(_, segs, _)| segs));
     }
     out
 }
@@ -440,6 +429,40 @@ mod tests {
         let r = analyze(&t);
         assert_eq!(r.trajectories.len(), 2);
         assert!(!r.has_errors());
+    }
+
+    /// Restarts on a pool interleave their events in whatever order the
+    /// threads ran; the report must not depend on it.
+    #[test]
+    fn report_is_independent_of_how_restarts_interleave() {
+        // Each restart logs two fits into its stream (the second resets
+        // `iter`), so every key holds segments #0 and #1.
+        let restart = |r: f64, start: f64| {
+            vec![
+                kmeans_iter(r, 0.0, start),
+                kmeans_iter(r, 1.0, start / 2.0),
+                kmeans_iter(r, 0.0, start + 1.0),
+            ]
+        };
+        let (a, b, c) = (restart(2.0, 20.0), restart(3.0, 30.0), restart(1.0, 10.0));
+        let one_by_one = trace_with([a.clone(), b.clone(), c.clone()].concat());
+        let interleaved = trace_with(
+            (0..3).flat_map(|i| [b[i].clone(), c[i].clone(), a[i].clone()]).collect(),
+        );
+        let (first, second) = (analyze(&one_by_one), analyze(&interleaved));
+        assert_eq!(first.render_text(), second.render_text());
+        let labels: Vec<&str> = first.trajectories.iter().map(|t| t.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "kmeans.iter[restart=1]#0",
+                "kmeans.iter[restart=1]#1",
+                "kmeans.iter[restart=2]#0",
+                "kmeans.iter[restart=2]#1",
+                "kmeans.iter[restart=3]#0",
+                "kmeans.iter[restart=3]#1",
+            ]
+        );
     }
 
     #[test]

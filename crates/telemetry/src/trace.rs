@@ -24,7 +24,7 @@
 //! {"type":"span","path":"serve.fit","ns":91234,"request_id":"t3","conn":2}
 //! {"type":"event","name":"kmeans.iter","fields":{"iter":0,...}}
 //! {"type":"error","seq":7,"thread":1,"us":1042,"name":"serve.fit.internal","request_id":"t3"}
-//! {"type":"snapshot","seq":0,"elapsed_ms":3,"counters":{...},"quantiles":{...},
+//! {"type":"snapshot","elapsed_ms":3,"counters":{...},"quantiles":{...},
 //!  "alloc":{"enabled":false,...,"paths":{...}}}
 //! {"type":"end","lines":17,"write_errors":0}              // always last
 //! ```
@@ -156,8 +156,8 @@ impl<W: Write> Writer<W> {
         self.object(obj);
     }
 
-    /// Writes one `snapshot` line of `snap`, the producer's `seq`-th.
-    pub(crate) fn snapshot(&mut self, seq: u64, snap: &Snapshot) {
+    /// Writes one `snapshot` line of `snap`.
+    pub(crate) fn snapshot(&mut self, snap: &Snapshot) {
         let quantiles = |s: &Sketch| Value::Object(sketch_fields(s));
         let sketches: Fields = snap
             .durations
@@ -179,7 +179,6 @@ impl<W: Write> Writer<W> {
         self.line(
             "snapshot",
             vec![
-                ("seq".into(), int(seq)),
                 ("elapsed_ms".into(), int(elapsed_ms)),
                 ("counters".into(), Value::Object(counters)),
                 ("quantiles".into(), Value::Object(sketches)),
@@ -333,7 +332,7 @@ pub fn flush_trace() -> Option<Vec<u8>> {
     // sequential, never nested.
     let snap = crate::snapshot();
     let Sink(mut writer) = replace_trace(None)?;
-    writer.snapshot(0, &snap);
+    writer.snapshot(&snap);
     match writer.finish(Fields::new()).0 {
         Target::Memory(bytes) => Some(bytes),
         Target::File(_) => None,

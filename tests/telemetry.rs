@@ -254,9 +254,9 @@ fn alloc_accounting_attributes_spans_without_perturbing_results() {
 }
 
 /// A trace file closes with one `snapshot` of the registry, written by
-/// the same encoder as every other line: after a fit it carries the
-/// producer's `seq`, every counter, the span quantiles and the
-/// allocation gauges, and only the `end` line follows.
+/// the same encoder as every other line: after a fit it carries every
+/// counter, the span quantiles and the allocation gauges, and only the
+/// `end` line follows.
 #[test]
 fn trace_ends_with_a_registry_snapshot() {
     use multiclust::telemetry::trace;
@@ -282,7 +282,7 @@ fn trace_ends_with_a_registry_snapshot() {
     else {
         panic!("snapshot is not an object")
     };
-    for key in ["seq", "counters", "quantiles", "alloc"] {
+    for key in ["counters", "quantiles", "alloc"] {
         assert!(fields.iter().any(|(k, _)| k == key), "snapshot missing {key:?}: {raw}");
     }
     assert!(lines[lines.len() - 1].starts_with(r#"{"type":"end""#), "{raw}");
