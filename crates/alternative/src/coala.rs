@@ -15,7 +15,10 @@
 //!
 //! Every group pair's average link is computed once and kept across merge
 //! steps in a link cache; a merge recomputes only the pairs whose value
-//! can change, and one serial scan of the cache finds both merges.
+//! can change. Each row's first minimum link, over all pairs and over the
+//! pairs no cannot-link spans, is cached as well, so a step reads both
+//! merges off the row minima instead of scanning every pair (the
+//! stored-matrix scheme of Müllner 2011, arXiv:1109.2378).
 
 use multiclust_core::measures::quality::{average_link, average_link_cached};
 use multiclust_linalg::kernels::{self, KernelMode, SymmetricMatrix};
@@ -99,28 +102,25 @@ impl Coala {
             None => average_link(data, a, b),
         };
         let mut links = Links::new(n, link);
+        let mut minima = RowMinima::new(&links, &blocked);
         let mut groups: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
         let mut quality_merges = 0;
         let mut dissimilarity_merges = 0;
 
         while groups.len() > self.k {
-            // One serial pass over the cached links, rows in order, finds
-            // the best quality merge (first globally closest pair) and the
-            // best dissimilarity merge (first closest pair no cannot-link
-            // spans) — the serial double loop's winners, strict `<`.
+            // The winners of a serial double loop over the cached links,
+            // rows in order, strict `<`: the best quality merge (first
+            // globally closest pair) and the best dissimilarity merge (first
+            // closest pair no cannot-link spans), read off the row minima.
+            // That loop keeps its first candidate, pair (0, 1) or the first
+            // pair no cannot-link spans, when its link is NaN, since nothing
+            // compares below NaN; otherwise it never picks a NaN link.
             let g = groups.len();
-            let mut qual: Option<(usize, usize, f64)> = None;
-            let mut diss: Option<(usize, usize, f64)> = None;
-            for a in 0..g - 1 {
-                for (b, &d) in (a + 1..g).zip(links.row(a, g)) {
-                    if qual.is_none_or(|(_, _, best)| d < best) {
-                        qual = Some((a, b, d));
-                    }
-                    if diss.is_none_or(|(_, _, best)| d < best) && !blocked.get(a, b) {
-                        diss = Some((a, b, d));
-                    }
-                }
-            }
+            let stuck = |(a, b): (usize, usize)| {
+                Some((a, b, links.get(a, b))).filter(|&(_, _, d)| d.is_nan())
+            };
+            let qual = stuck((0, 1)).or_else(|| first_min(&minima.qual));
+            let diss = blocked.first_open(g).and_then(stuck).or_else(|| first_min(&minima.diss));
             let (qi, qj, d_qual) = qual.expect("at least one pair exists");
             // Choose the merge per slide 32: quality iff d_qual < w·d_diss;
             // if no admissible dissimilarity merge exists, quality merges
@@ -155,6 +155,7 @@ impl Coala {
             let merged = groups.swap_remove(j);
             groups[i].extend(merged);
             links.merge(i, j, &groups, link);
+            minima.merge(i, j, &links, &blocked);
         }
         multiclust_telemetry::counter_add("coala.quality_merges", quality_merges as u64);
         multiclust_telemetry::counter_add(
@@ -235,6 +236,23 @@ impl Blocked {
         }
     }
 
+    /// The first pair `(a, b)`, `a < b < g`, in row order that no
+    /// cannot-link spans.
+    fn first_open(&self, g: usize) -> Option<(usize, usize)> {
+        (0..g).find_map(|a| {
+            let (row, lo) = (&self.bits[a * self.words..(a + 1) * self.words], a + 1);
+            (lo / 64..g.div_ceil(64)).find_map(|t| {
+                // The clear bits of word `t` at columns `lo` and up.
+                let mut open = !row[t];
+                if t == lo / 64 {
+                    open &= u64::MAX << (lo % 64);
+                }
+                let b = t * 64 + open.trailing_zeros() as usize;
+                (open != 0 && b < g).then_some((a, b))
+            })
+        })
+    }
+
     /// Merges group `j` into group `i < j` out of `g` groups, then moves
     /// group `g − 1` into slot `j` as `Vec::swap_remove(j)` does.
     fn merge(&mut self, i: usize, j: usize, g: usize) {
@@ -294,6 +312,11 @@ impl Links {
         a * (2 * self.n - a - 1) / 2 + (b - a - 1)
     }
 
+    /// The link of pair `(a, b)`, `a < b`.
+    fn get(&self, a: usize, b: usize) -> f64 {
+        self.vals[self.at(a, b)]
+    }
+
     /// Row `a` of the live triangle: the links `(a, b)` for `a < b < g`.
     fn row(&self, a: usize, g: usize) -> &[f64] {
         let start = self.at(a, a + 1);
@@ -332,6 +355,94 @@ impl Links {
         for c in i + 1..g {
             let to = self.at(i, c);
             self.vals[to] = link(&groups[i], &groups[c]);
+        }
+    }
+}
+
+/// A row's first smallest link over the columns it admits: `(b, d)`, or
+/// `None` when it admits no non-NaN link.
+type RowMin = Option<(usize, f64)>;
+
+/// Offers column `b` with link `d` to a row minimum. A NaN never enters; a
+/// link wins on `<`, or on `==` with a smaller column, so the minimum stays
+/// the row's first one in column order whatever order columns arrive in.
+fn offer(best: &mut RowMin, b: usize, d: f64) {
+    if !d.is_nan() && best.is_none_or(|(c, e)| d < e || (d == e && b < c)) {
+        *best = Some((b, d));
+    }
+}
+
+/// The first minimum in row order over the row minima, strict `<`: the
+/// pair the serial double loop over the non-NaN links would pick.
+fn first_min(rows: &[RowMin]) -> Option<(usize, usize, f64)> {
+    let mut best: Option<(usize, usize, f64)> = None;
+    for (a, &row) in rows.iter().enumerate() {
+        if let Some((b, d)) = row {
+            if best.is_none_or(|(_, _, e)| d < e) {
+                best = Some((a, b, d));
+            }
+        }
+    }
+    best
+}
+
+/// Every live row's minimum link over the columns to its right, kept
+/// across merge steps: over all links (`qual`) and over the links no
+/// cannot-link spans (`diss`).
+struct RowMinima {
+    qual: Vec<RowMin>,
+    diss: Vec<RowMin>,
+}
+
+impl RowMinima {
+    /// The singleton groups' row minima.
+    fn new(links: &Links, blocked: &Blocked) -> Self {
+        let n = links.n;
+        let mut minima = Self { qual: vec![None; n], diss: vec![None; n] };
+        for a in 0..n {
+            minima.rescan(a, n, links, blocked);
+        }
+        minima
+    }
+
+    /// Recomputes row `a`'s minima over the columns `a < b < g`.
+    fn rescan(&mut self, a: usize, g: usize, links: &Links, blocked: &Blocked) {
+        let (mut qual, mut diss) = (None, None);
+        for (b, &d) in (a + 1..g).zip(links.row(a, g)) {
+            offer(&mut qual, b, d);
+            if !blocked.get(a, b) {
+                offer(&mut diss, b, d);
+            }
+        }
+        self.qual[a] = qual;
+        self.diss[a] = diss;
+    }
+
+    /// Updates the minima after group `j` merged into group `i < j`, the old
+    /// last group moved into slot `j`, and `links` and `blocked` were
+    /// updated to match. Only columns `i` and `j` changed and the old last
+    /// column went away; every other link and cannot-link bit kept its
+    /// value. So rows `i` and `j`, and every row whose minimum sat at `i`,
+    /// `j` or the old last column, are rescanned; any other row's minimum
+    /// is still the first over its unchanged columns, and meeting the new
+    /// links at `i` and `j` completes it.
+    fn merge(&mut self, i: usize, j: usize, links: &Links, blocked: &Blocked) {
+        let g = self.qual.len() - 1;
+        self.qual.truncate(g);
+        self.diss.truncate(g);
+        let stale = |row: RowMin| row.is_some_and(|(b, _)| b == i || b == j || b == g);
+        for a in 0..g {
+            if a == i || a == j || stale(self.qual[a]) || stale(self.diss[a]) {
+                self.rescan(a, g, links, blocked);
+                continue;
+            }
+            for c in [i, j].into_iter().filter(|&c| a < c && c < g) {
+                let d = links.get(a, c);
+                offer(&mut self.qual[a], c, d);
+                if !blocked.get(a, c) {
+                    offer(&mut self.diss[a], c, d);
+                }
+            }
         }
     }
 }
@@ -427,12 +538,30 @@ mod tests {
 
     /// Reference merge scan: a serial double loop that asks
     /// [`ConstraintSet::allows_merge`] for every pair and sums
-    /// [`average_link`] afresh — the oracle the bitset scan must match.
-    fn reference_fit(coala: Coala, data: &Dataset, constraints: &ConstraintSet) -> CoalaResult {
+    /// [`average_link`] afresh — the oracle the row-minimum scan must match.
+    /// Returns the result at each target count in `ks` (each in `1..=n`)
+    /// from one merge sequence, which does not depend on the target.
+    fn reference_fits(
+        w: f64,
+        ks: &[usize],
+        data: &Dataset,
+        constraints: &ConstraintSet,
+    ) -> Vec<CoalaResult> {
         let n = data.len();
         let mut groups: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
         let (mut quality_merges, mut dissimilarity_merges) = (0, 0);
-        while groups.len() > coala.k {
+        let mut results: Vec<Option<CoalaResult>> = vec![None; ks.len()];
+        loop {
+            for (result, _) in results.iter_mut().zip(ks).filter(|(_, &k)| k == groups.len()) {
+                *result = Some(CoalaResult {
+                    clustering: Clustering::from_members(n, &groups),
+                    quality_merges,
+                    dissimilarity_merges,
+                });
+            }
+            if ks.iter().all(|&k| k >= groups.len()) {
+                break;
+            }
             let mut qual: Option<(usize, usize, f64)> = None;
             let mut diss: Option<(usize, usize, f64)> = None;
             for i in 0..groups.len() {
@@ -450,7 +579,7 @@ mod tests {
             }
             let (qi, qj, d_qual) = qual.unwrap();
             let (i, j) = match diss {
-                Some((di, dj, d_diss)) if d_qual >= coala.w * d_diss => {
+                Some((di, dj, d_diss)) if d_qual >= w * d_diss => {
                     dissimilarity_merges += 1;
                     (di, dj)
                 }
@@ -462,14 +591,43 @@ mod tests {
             let merged = groups.swap_remove(j);
             groups[i].extend(merged);
         }
-        CoalaResult {
-            clustering: Clustering::from_members(n, &groups),
-            quality_merges,
-            dissimilarity_merges,
+        results.into_iter().map(|r| r.expect("every k lies in 1..=n")).collect()
+    }
+
+    /// `fit_with_constraints` takes exactly the reference's merges at every
+    /// target count in `ks` and every `w` in {1e-6, 0.8, 1e6}.
+    fn assert_matches_reference(
+        data: &Dataset,
+        constraints: &ConstraintSet,
+        ks: &[usize],
+        case: &str,
+    ) {
+        for w in [1e-6, 0.8, 1e6] {
+            for (&k, want) in ks.iter().zip(reference_fits(w, ks, data, constraints)) {
+                let got = Coala::new(k, w).fit_with_constraints(data, constraints);
+                let at = format!("{case}: n={} k={k} w={w}", data.len());
+                assert_eq!(got.clustering.assignments(), want.clustering.assignments(), "{at}");
+                assert_eq!(got.quality_merges, want.quality_merges, "{at}");
+                assert_eq!(got.dissimilarity_merges, want.dissimilarity_merges, "{at}");
+            }
         }
     }
 
-    /// The blocked-matrix scan takes exactly the reference's merges on
+    /// A cannot-link between each pair of `0..n` with probability `p`.
+    fn random_cannot_links(n: usize, p: f64, rng: &mut StdRng) -> ConstraintSet {
+        use rand::Rng;
+        let mut constraints = ConstraintSet::new();
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if rng.gen_bool(p) {
+                    constraints.add_cannot_link(a, b);
+                }
+            }
+        }
+        constraints
+    }
+
+    /// The row-minimum scan takes exactly the reference's merges on
     /// cannot-link sets that do not come from a clustering (so they are
     /// neither transitive nor block-shaped).
     #[test]
@@ -481,29 +639,91 @@ mod tests {
             for _ in 0..n {
                 data.push_row(&[rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)]);
             }
-            let mut constraints = ConstraintSet::new();
+            let constraints = random_cannot_links(n, 0.15, &mut rng);
+            assert_matches_reference(&data, &constraints, &[1, 2, 5], "random 15%");
+        }
+    }
+
+    /// Integer-grid points, every one listed twice (the copies `n/2` rows
+    /// apart), so equal links are everywhere and only the row/column tie
+    /// order picks a merge. Cannot-links: none, a labelling's, a random
+    /// 15% and every pair (no dissimilarity merge is ever possible).
+    #[test]
+    fn row_minima_match_reference_on_ties() {
+        use rand::Rng;
+        let mut rng = seeded_rng(87);
+        for n in [2usize, 3, 17, 64, 150] {
+            let points: Vec<[f64; 2]> = (0..n.div_ceil(2))
+                .map(|_| [f64::from(rng.gen_range(0..4)), f64::from(rng.gen_range(0..4))])
+                .collect();
+            let mut data = Dataset::with_dims(2);
+            for p in points.iter().chain(&points).take(n) {
+                data.push_row(p);
+            }
+            let labels: Vec<usize> = (0..n).map(|o| o % 3).collect();
+            let mut all_pairs = ConstraintSet::new();
             for a in 0..n {
                 for b in (a + 1)..n {
-                    if rng.gen_bool(0.15) {
-                        constraints.add_cannot_link(a, b);
-                    }
+                    all_pairs.add_cannot_link(a, b);
                 }
             }
-            for k in [1, 2, 5] {
-                for w in [1e-6, 0.8, 1e6] {
-                    let got = Coala::new(k, w).fit_with_constraints(&data, &constraints);
-                    let want = reference_fit(Coala::new(k, w), &data, &constraints);
-                    assert_eq!(
-                        got.clustering.assignments(),
-                        want.clustering.assignments(),
-                        "n={n} k={k} w={w}"
-                    );
-                    assert_eq!(got.quality_merges, want.quality_merges, "n={n} k={k} w={w}");
-                    assert_eq!(
-                        got.dissimilarity_merges, want.dissimilarity_merges,
-                        "n={n} k={k} w={w}"
-                    );
-                }
+            let sets = [
+                ("no cannot-links", ConstraintSet::new()),
+                (
+                    "a labelling's",
+                    ConstraintSet::cannot_links_from(&Clustering::from_labels(&labels)),
+                ),
+                ("random 15%", random_cannot_links(n, 0.15, &mut rng)),
+                ("every pair", all_pairs),
+            ];
+            let ks: Vec<usize> = [1, 2, 5].into_iter().filter(|&k| k <= n).collect();
+            for (case, constraints) in &sets {
+                assert_matches_reference(&data, constraints, &ks, case);
+            }
+        }
+    }
+
+    /// NaN links: a NaN coordinate makes every link of its object NaN, and
+    /// two objects infinite on the same axis have one NaN link between
+    /// them (∞ − ∞) and infinite links elsewhere. The double loop keeps a
+    /// NaN first candidate and otherwise never picks a NaN link.
+    #[test]
+    fn row_minima_match_reference_on_nan_links() {
+        use rand::Rng;
+        let mut rng = seeded_rng(88);
+        let n = 40;
+        let points: Vec<[f64; 2]> = (0..n / 2)
+            .map(|_| [f64::from(rng.gen_range(0..4)), f64::from(rng.gen_range(0..4))])
+            .collect();
+        let rows: Vec<[f64; 2]> = points.iter().chain(&points).copied().collect();
+        let with = |edits: &[(usize, [f64; 2])]| {
+            let mut rows = rows.clone();
+            for &(o, row) in edits {
+                rows[o] = row;
+            }
+            let mut data = Dataset::with_dims(2);
+            for row in &rows {
+                data.push_row(row);
+            }
+            data
+        };
+        let cases = [
+            ("pair (0, 1) is NaN", with(&[(0, [f64::NAN, 0.0])])),
+            ("a NaN object mid-matrix", with(&[(n / 2 + 3, [1.0, f64::NAN])])),
+            (
+                "one NaN link mid-matrix",
+                with(&[(11, [f64::INFINITY, 1.0]), (27, [f64::INFINITY, 2.0])]),
+            ),
+        ];
+        let labels: Vec<usize> = (0..n).map(|o| o % 3).collect();
+        let sets = [
+            ConstraintSet::new(),
+            ConstraintSet::cannot_links_from(&Clustering::from_labels(&labels)),
+            random_cannot_links(n, 0.15, &mut rng),
+        ];
+        for (case, data) in &cases {
+            for constraints in &sets {
+                assert_matches_reference(data, constraints, &[1, 2, 5], case);
             }
         }
     }
@@ -537,22 +757,9 @@ mod tests {
                 ConstraintSet::new(),
                 ConstraintSet::cannot_links_from(&Clustering::from_labels(&alternate)),
             ];
+            let ks: Vec<usize> = (1..n).collect();
             for constraints in &constraint_sets {
-                for k in 1..n {
-                    for w in [1e-6, 0.8, 1e6] {
-                        let got = Coala::new(k, w).fit_with_constraints(data, constraints);
-                        let want = reference_fit(Coala::new(k, w), data, constraints);
-                        assert_eq!(
-                            got.clustering.assignments(),
-                            want.clustering.assignments(),
-                            "{case}: k={k} w={w}"
-                        );
-                        assert_eq!(
-                            got.quality_merges, want.quality_merges,
-                            "{case}: k={k} w={w}"
-                        );
-                    }
-                }
+                assert_matches_reference(data, constraints, &ks, case);
             }
         }
     }

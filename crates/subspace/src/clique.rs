@@ -57,7 +57,7 @@ impl Clique {
         let codes = IntervalCodes::new(data, self.xi);
         let lattice =
             bottom_up_search(data.dims(), |dims| codes.has_dense_cell(dims, min_count));
-        let clusters = clusters_of(&codes, &lattice.subspaces, min_count);
+        let clusters = clusters_of(&codes, &lattice.subspaces, |_| min_count);
         CliqueResult {
             clusters,
             dense_subspaces: lattice.subspaces,
@@ -73,7 +73,7 @@ impl Clique {
         let lattice = exhaustive_search(data.dims(), max_dim, |dims| {
             codes.has_dense_cell(dims, min_count)
         });
-        let clusters = clusters_of(&codes, &lattice.subspaces, min_count);
+        let clusters = clusters_of(&codes, &lattice.subspaces, |_| min_count);
         CliqueResult {
             clusters,
             dense_subspaces: lattice.subspaces,
@@ -82,22 +82,35 @@ impl Clique {
     }
 }
 
+/// Subspaces per work unit when regions are extracted on the pool: one
+/// subspace's grid sorts every object, so a single subspace already
+/// amortises its dispatch.
+const REGION_CHUNK: usize = 1;
+
 /// The connected dense regions of every subspace in `subspaces`, as
-/// subspace clusters.
-fn clusters_of(
+/// subspace clusters, with a cell dense at `min_count(dims)` objects. The
+/// subspaces are extracted on the pool and their clusters concatenated in
+/// subspace order, so the list is the serial loop's at any thread count.
+pub(crate) fn clusters_of<M>(
     codes: &IntervalCodes,
     subspaces: &[Vec<usize>],
-    min_count: usize,
-) -> SubspaceClustering {
-    let mut clusters = Vec::new();
-    for dims in subspaces {
-        for region in SubspaceGrid::new(codes, dims).connected_dense_regions(min_count) {
-            clusters.push(SubspaceCluster::new(region, dims.clone()));
-        }
-    }
-    clusters
+    min_count: M,
+) -> SubspaceClustering
+where
+    M: Fn(&[usize]) -> usize + Sync,
+{
+    multiclust_parallel::par_map_indexed(subspaces.len(), REGION_CHUNK, |s| {
+        let dims = &subspaces[s];
+        SubspaceGrid::new(codes, dims)
+            .connected_dense_regions(min_count(dims))
+            .into_iter()
+            .map(|region| SubspaceCluster::new(region, dims.clone()))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
-
 
 impl Clique {
     /// Taxonomy card (slide 116 row "(Agrawal et al., 1998)").

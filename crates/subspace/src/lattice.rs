@@ -10,7 +10,10 @@
 //! exactly the apriori principle (Agrawal & Srikant 1994).
 //!
 //! The driver is generic over the predicate and counts evaluated/pruned
-//! candidates (the E10 pruning-factor experiment).
+//! candidates (the E10 pruning-factor experiment). Each level's candidates
+//! are evaluated on the deterministic pool and the survivors kept in
+//! candidate order, so the search returns the same lattice at any thread
+//! count; the exhaustive ablation search stays serial.
 
 use std::collections::HashSet;
 
@@ -39,10 +42,11 @@ pub struct LatticeResult {
 /// Runs the bottom-up search over `d` attributes.
 ///
 /// `predicate(subspace) -> bool` must be **anti-monotone**: if it fails for
-/// `S`, it fails for every superset of `S`.
+/// `S`, it fails for every superset of `S`. It runs on pool threads, one
+/// candidate at a time, so its verdict must depend only on the subspace.
 pub fn bottom_up_search<F>(d: usize, predicate: F) -> LatticeResult
 where
-    F: Fn(&[usize]) -> bool,
+    F: Fn(&[usize]) -> bool + Sync,
 {
     let _span = multiclust_telemetry::span("lattice.bottom_up_search");
     let mut stats = LatticeStats::default();
@@ -137,16 +141,27 @@ fn record_level(level: usize, evaluated: usize, pruned: usize, survivors: usize)
     }
 }
 
+/// Candidates per work unit when a level is evaluated on the pool: one
+/// predicate call scans every object, so a single candidate already
+/// amortises its dispatch.
+const LEVEL_CHUNK: usize = 1;
+
+/// Evaluates one level's candidates on the pool and keeps the survivors in
+/// candidate order. Each candidate's verdict depends only on the candidate,
+/// so the level is the serial filter's at any thread count.
 fn evaluate_level<F>(
     candidates: &[Vec<usize>],
     predicate: &F,
     stats: &mut LatticeStats,
 ) -> Vec<Vec<usize>>
 where
-    F: Fn(&[usize]) -> bool,
+    F: Fn(&[usize]) -> bool + Sync,
 {
     stats.evaluated += candidates.len();
-    candidates.iter().filter(|s| predicate(s)).cloned().collect()
+    let keep = multiclust_parallel::par_map_indexed(candidates.len(), LEVEL_CHUNK, |c| {
+        predicate(&candidates[c])
+    });
+    candidates.iter().zip(keep).filter(|&(_, keep)| keep).map(|(s, _)| s.clone()).collect()
 }
 
 /// Apriori join: two sorted `k`-subspaces sharing their first `k−1`

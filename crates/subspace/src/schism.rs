@@ -16,10 +16,11 @@
 //! the uniform null — a non-linear, monotonically decreasing function of
 //! `s` (slide 73).
 
-use multiclust_core::subspace::{SubspaceCluster, SubspaceClustering};
+use multiclust_core::subspace::SubspaceClustering;
 use multiclust_data::Dataset;
 
-use crate::grid::{IntervalCodes, SubspaceGrid};
+use crate::clique::clusters_of;
+use crate::grid::IntervalCodes;
 use crate::lattice::{bottom_up_search, LatticeStats};
 
 /// SCHISM configuration.
@@ -88,13 +89,7 @@ impl Schism {
             .filter(|dims| has_interesting(dims))
             .cloned()
             .collect();
-        let mut clusters = Vec::new();
-        for dims in &interesting {
-            let grid = SubspaceGrid::new(&codes, dims);
-            for region in grid.connected_dense_regions(self.min_count(dims.len(), n)) {
-                clusters.push(SubspaceCluster::new(region, dims.clone()));
-            }
-        }
+        let clusters = clusters_of(&codes, &interesting, |dims| self.min_count(dims.len(), n));
         SchismResult { clusters, interesting_subspaces: interesting, stats: lattice.stats }
     }
 }

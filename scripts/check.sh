@@ -80,20 +80,30 @@ cmp "$tmp/blocked16.csv" "$tmp/naive16.csv"
 # their points across restarts, seeding and assignment passes under
 # `blocked` (k = 32 on the Hamerly path, k = 4 on the sweep; k = 12 reads
 # warm rows from a centre panel under one stripe; Qi–Davidson runs k-means
-# on its transformed rows) and scan exhaustively under `naive`. Both
-# modes, at one thread and at four, must print the same labels.
+# on its transformed rows) and scan exhaustively under `naive`. COALA also
+# runs on integer points each listed twice, where equal links are common
+# and only the row/column tie order picks a merge; CLIQUE evaluates its
+# lattice levels and extracts its regions on the pool. Both modes, at one
+# thread and at four, must print the same labels and clusters.
 awk '{ print (NR - 1) % 16 % 4 }' "$tmp/grid.csv" > "$tmp/grid-given.csv"
+awk 'BEGIN { srand(13); for (i = 0; i < 150; i++) row[i] = int(rand() * 6) "," int(rand() * 6);
+    for (r = 0; r < 2; r++) for (i = 0; i < 150; i++) print row[i] }' > "$tmp/ties.csv"
+awk '{ print (NR - 1) % 3 }' "$tmp/ties.csv" > "$tmp/ties-given.csv"
 for run in "coala:alternative --method coala --k 4 --w 0.8 --given $tmp/grid-given.csv" \
     "kmeans32:kmeans --k 32" \
     "kmeans12:kmeans --k 12" \
     "deckmeans:dec-kmeans --ks 4,4" \
-    "qidavidson:alternative --method qidavidson --k 4 --given $tmp/grid-given.csv"; do
+    "qidavidson:alternative --method qidavidson --k 4 --given $tmp/grid-given.csv" \
+    "clique:subspace --xi 4 --tau 0.08 --select none" \
+    "coalaties:alternative --method coala --k 4 --w 0.8 --given $tmp/ties-given.csv"; do
     name=${run%%:*}
+    input="$tmp/grid.csv"
+    if [ "$name" = coalaties ]; then input="$tmp/ties.csv"; fi
     for mode in naive blocked; do
         for threads in 1 4; do
             # shellcheck disable=SC2086 # the command's flags split on purpose
             MULTICLUST_KERNELS=$mode MULTICLUST_THREADS=$threads \
-                ./target/release/multiclust ${run#*:} --input "$tmp/grid.csv" \
+                ./target/release/multiclust ${run#*:} --input "$input" \
                 > "$tmp/$name-$mode-$threads.csv"
             cmp "$tmp/$name-naive-1.csv" "$tmp/$name-$mode-$threads.csv"
         done

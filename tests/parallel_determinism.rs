@@ -8,9 +8,10 @@
 use multiclust::alternative::Coala;
 use multiclust::base::{KMeans, SpectralClustering};
 use multiclust::core::Clustering;
-use multiclust::data::synthetic::{four_blob_square, gaussian_blobs};
 use multiclust::data::seeded_rng;
+use multiclust::data::synthetic::{four_blob_square, gaussian_blobs, planted_views, ViewSpec};
 use multiclust::parallel::set_threads;
+use multiclust::subspace::{Clique, Enclus, Ris, Schism};
 
 /// Runs `f` under a pinned pool size, restoring the default afterwards
 /// even on panic. The pool size is process-global and the test harness
@@ -87,4 +88,52 @@ fn coala_merges_bit_identical_across_thread_counts() {
     assert_eq!(serial.clustering, parallel.clustering);
     assert_eq!(serial.quality_merges, parallel.quality_merges);
     assert_eq!(serial.dissimilarity_merges, parallel.dissimilarity_merges);
+}
+
+/// CLIQUE, SCHISM, ENCLUS and RIS evaluate each lattice level, and CLIQUE
+/// and SCHISM extract each subspace's regions, on the pool: the dense
+/// subspaces (in order), the lattice statistics, the clusters (objects and
+/// dimensions, in order) and ENCLUS's entropies and interests (to the bit)
+/// are the same at one, two and four threads.
+#[test]
+fn subspace_lattices_bit_identical_across_thread_counts() {
+    let views = [
+        ViewSpec { dims: 3, clusters: 3, separation: 8.0, noise: 0.5 },
+        ViewSpec { dims: 3, clusters: 2, separation: 8.0, noise: 0.5 },
+    ];
+    let data = planted_views(300, &views, 2, &mut seeded_rng(905)).dataset.min_max_normalized();
+    assert_eq!(data.dims(), 8);
+    let run = || {
+        let clique = Clique::new(6, 0.05).fit(&data);
+        let schism = Schism::new(6, 0.01).fit(&data);
+        let enclus = Enclus::new(6, 3.0, 0.0).fit(&data);
+        let ris = Ris::new(0.05, 10).fit(&data);
+        let clusters = |cs: &[multiclust::core::subspace::SubspaceCluster]| {
+            cs.iter().map(|c| (c.objects().to_vec(), c.dims().to_vec())).collect::<Vec<_>>()
+        };
+        (
+            (clique.dense_subspaces, clique.stats, clusters(&clique.clusters)),
+            (schism.interesting_subspaces, schism.stats, clusters(&schism.clusters)),
+            (
+                enclus
+                    .ranked
+                    .iter()
+                    .map(|r| (r.dims.clone(), r.entropy.to_bits(), r.interest.to_bits()))
+                    .collect::<Vec<_>>(),
+                enclus.low_entropy_subspaces,
+                enclus.stats,
+            ),
+            (
+                ris.ranked
+                    .iter()
+                    .map(|r| (r.dims.clone(), r.core_objects, r.quality.to_bits()))
+                    .collect::<Vec<_>>(),
+                ris.stats,
+            ),
+        )
+    };
+    let serial = with_threads(1, run);
+    for threads in [2, 4] {
+        assert_eq!(with_threads(threads, run), serial, "{threads} threads");
+    }
 }
