@@ -7,9 +7,10 @@
 //! random `n × k` block by the matrix and re-orthonormalises until the
 //! invariant subspace converges: `O(k·n²)` per iteration. On a spectral
 //! affinity with a small eigengap it runs hundreds of iterations, so the
-//! dense partial solve stays faster up to `n` in the low thousands;
-//! spectral clustering uses this solver only above its
-//! `dense_eigen_limit`.
+//! dense partial solve stays faster up to `n` in the low thousands, and
+//! spectral clustering uses the dense solve at every `n`. No clustering
+//! method calls this solver; the benchmark's `linalg.top_eigenpairs_ms`
+//! probe times it.
 //!
 //! For matrices with eigenvalues of mixed sign, pass a `shift` making the
 //! target eigenvalues the largest in magnitude (spectral methods use the

@@ -7,26 +7,27 @@
 //! The trace sink (`--trace`) is opt-in and unbounded; nobody has it on
 //! when a resident server hits its first `internal` error at 3am. The
 //! flight recorder inverts both properties: it is **on by default**,
-//! holds only the most recent [`DEFAULT_CAPACITY`] records per thread
-//! (older ones are overwritten, and the overwrite count is reported), and
-//! costs nothing until something asks for a dump.
+//! holds only the most recent [`DEFAULT_CAPACITY`] records of the whole
+//! process (older ones are overwritten, and the overwrite count is
+//! reported), and costs nothing until something asks for a dump.
 //!
 //! ## Overhead policy
 //!
 //! The same discipline as [`crate::alloc`]: disabling the recorder
 //! (`MULTICLUST_FLIGHT=0`) reduces every record call to a single relaxed
-//! atomic load. The record path itself is lock-free and allocation-free:
-//! a slot is claimed with one `fetch_add` on the owning thread's segment,
-//! payload words are relaxed stores, and the record's sequence word is
-//! stored last with `Release` so a concurrent dump never reads a
-//! half-written slot as valid. Strings are truncated to fit fixed-size
-//! regions ([`NAME_BYTES`] / [`REQUEST_BYTES`]) rather than allocated.
+//! atomic load. Switched on, a record is built on the caller's stack —
+//! strings truncated at a character boundary into fixed inline regions
+//! ([`NAME_BYTES`] / [`REQUEST_BYTES`]), never allocated — and copied
+//! into the next slot of one process-wide ring under one mutex. The ring
+//! is a static array, so recording never allocates. What the recorder
+//! sees is small (a served request records one span plus any error), so
+//! the lock is never contended enough to measure.
 //!
 //! ## Determinism contract
 //!
-//! Recording never consumes randomness, never takes a lock on the hot
-//! path and never touches stdout; process output is byte-identical with
-//! the recorder on or off (gated in `scripts/check.sh`).
+//! Recording never consumes randomness and never touches stdout; process
+//! output is byte-identical with the recorder on or off (gated in
+//! `scripts/check.sh`).
 //!
 //! ## Correlation context
 //!
@@ -38,19 +39,19 @@
 //!
 //! ## Dump
 //!
-//! The producer `meta` line carries `source`, the per-thread `capacity`,
-//! the `segments` merged and the records `overwritten` by wraparound.
-//! One `span`, `event` or `error` line per record follows, sorted by the
-//! global `seq` and carrying `thread` and `us`; the `end` line counts the
-//! `records`. `multiclust trace <file>` reads it back with
+//! The producer `meta` line carries `source`, the ring's `capacity` and
+//! the records `overwritten` by wraparound. One `span`, `event` or
+//! `error` line per surviving record follows, in `seq` (write) order and
+//! carrying `us`; the `end` line counts the `records`. The slots are
+//! copied out under the lock and written after it is released.
+//! `multiclust trace <file>` reads the dump back with
 //! [`read_trace`](crate::trace::read_trace), like a `--trace` file.
 
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use serde::Value;
@@ -59,47 +60,90 @@ use crate::int;
 use crate::trace::{Record, Writer};
 use crate::Switch;
 
-/// Records retained per thread segment.
-pub const DEFAULT_CAPACITY: usize = 256;
+/// Records the process-wide ring retains.
+pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// Fixed byte budget for the record name (span path, event name).
 pub const NAME_BYTES: usize = 48;
 /// Fixed byte budget for the request id.
 pub const REQUEST_BYTES: usize = 48;
 
-const NAME_WORDS: usize = NAME_BYTES / 8;
-const REQUEST_WORDS: usize = REQUEST_BYTES / 8;
-/// seq, kind, us, conn, dur_ns + the two string regions.
-const RECORD_WORDS: usize = 5 + NAME_WORDS + REQUEST_WORDS;
-
-/// Record kinds, stored in word 1 by index.
+/// Record kinds, stored in a slot by index.
 const KINDS: [&str; 3] = ["span", "event", "error"];
-const KIND_SPAN: u64 = 0;
-const KIND_EVENT: u64 = 1;
-const KIND_ERROR: u64 = 2;
-
-// ---- switch ----------------------------------------------------------------
+const KIND_SPAN: u8 = 0;
+const KIND_EVENT: u8 = 1;
+const KIND_ERROR: u8 = 2;
 
 /// The recorder switch, armed from `MULTICLUST_FLIGHT` by [`crate::init`].
 pub(crate) static FLIGHT: Switch = Switch::new();
 
-/// Global record sequence; starts at 1 so 0 can mean "empty slot".
-static SEQ: AtomicU64 = AtomicU64::new(1);
-
-/// Bumped by [`set_flight`] so thread-local segment caches re-register
-/// instead of writing into a discarded segment table.
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// All segments ever registered this epoch, by segment id. Dump reads
-/// them; exited threads leave their segment (and its records) behind.
-static SEGMENTS: Mutex<Vec<Arc<Segment>>> = Mutex::new(Vec::new());
-
-/// Segment ids whose owning thread has exited, available for reuse so a
-/// churn of short-lived handler threads doesn't grow the table unboundedly.
-static FREE: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-
 /// Recorder epoch start; record timestamps are microseconds since this.
 static START: OnceLock<Instant> = OnceLock::new();
+
+/// The ring. All-zero at start, so it costs no binary size and no
+/// resident memory until slots are written.
+static RING: Mutex<Ring> = Mutex::new(Ring { written: 0, slots: [Slot::EMPTY; DEFAULT_CAPACITY] });
+
+thread_local! {
+    /// The request/connection pair records on this thread are tagged with.
+    static CONTEXT: RefCell<Option<(String, u64)>> = const { RefCell::new(None) };
+}
+
+/// A string truncated at a character boundary into `N` inline bytes.
+#[derive(Clone, Copy)]
+struct Inline<const N: usize> {
+    len: u8,
+    bytes: [u8; N],
+}
+
+impl<const N: usize> Inline<N> {
+    const EMPTY: Self = Self { len: 0, bytes: [0; N] };
+
+    fn new(s: &str) -> Self {
+        const { assert!(N <= u8::MAX as usize, "the length must fit its u8") };
+        let mut len = s.len().min(N);
+        while !s.is_char_boundary(len) {
+            len -= 1;
+        }
+        let mut bytes = [0; N];
+        bytes[..len].copy_from_slice(&s.as_bytes()[..len]);
+        Self { len: len as u8, bytes }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..usize::from(self.len)])
+            .expect("truncated at a character boundary")
+    }
+}
+
+/// One record. Its `seq` is not stored: it is the slot's write index.
+#[derive(Clone, Copy)]
+struct Slot {
+    kind: u8,
+    us: u64,
+    conn: u64,
+    dur_ns: u64,
+    name: Inline<NAME_BYTES>,
+    request: Inline<REQUEST_BYTES>,
+}
+
+impl Slot {
+    const EMPTY: Self =
+        Self { kind: 0, us: 0, conn: 0, dur_ns: 0, name: Inline::EMPTY, request: Inline::EMPTY };
+}
+
+struct Ring {
+    /// Records ever written; record `seq` (1-based) sits in slot
+    /// `(seq - 1) % capacity`, and `written - capacity` were overwritten.
+    written: u64,
+    slots: [Slot; DEFAULT_CAPACITY],
+}
+
+/// The ring, locked. A poisoned lock is recovered: no update can leave
+/// the ring half-written, since nothing under the lock can panic.
+fn ring() -> MutexGuard<'static, Ring> {
+    RING.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Whether the flight recorder is recording (one relaxed load).
 #[inline]
@@ -108,118 +152,10 @@ pub fn flight_enabled() -> bool {
 }
 
 /// Turns the recorder on or off, overriding the environment, and
-/// discards all recorded data: a fresh epoch starts, and threads
-/// re-register their segments lazily on the next record.
+/// discards all recorded data.
 pub fn set_flight(on: bool) {
     FLIGHT.set(on);
-    EPOCH.fetch_add(1, Ordering::Relaxed);
-    SEGMENTS.lock().unwrap_or_else(|p| p.into_inner()).clear();
-    FREE.lock().unwrap_or_else(|p| p.into_inner()).clear();
-    SEQ.store(1, Ordering::Relaxed);
-}
-
-// ---- per-thread segments ---------------------------------------------------
-
-/// One thread's ring: [`DEFAULT_CAPACITY`] fixed-size records of
-/// [`RECORD_WORDS`] atomic words each. Only the owning thread writes;
-/// dumps read concurrently.
-struct Segment {
-    /// Monotonic write count; slot = head % capacity, overwritten =
-    /// head - capacity.
-    head: AtomicU64,
-    words: Box<[AtomicU64]>,
-}
-
-impl Segment {
-    fn new() -> Self {
-        let words = (0..DEFAULT_CAPACITY * RECORD_WORDS).map(|_| AtomicU64::new(0)).collect();
-        Self { head: AtomicU64::new(0), words }
-    }
-
-    /// Lock-free, allocation-free record write. The seq word is zeroed
-    /// first and stored last (`Release`) so a racing dump treats an
-    /// in-flight slot as empty rather than reading torn strings.
-    fn write(&self, kind: u64, us: u64, conn: u64, dur_ns: u64, name: &str, request: &str) {
-        let slot = (self.head.fetch_add(1, Ordering::Relaxed) as usize) % DEFAULT_CAPACITY;
-        let w = &self.words[slot * RECORD_WORDS..(slot + 1) * RECORD_WORDS];
-        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        w[0].store(0, Ordering::Release);
-        w[1].store(kind, Ordering::Relaxed);
-        w[2].store(us, Ordering::Relaxed);
-        w[3].store(conn, Ordering::Relaxed);
-        w[4].store(dur_ns, Ordering::Relaxed);
-        store_str(&w[5..5 + NAME_WORDS], name);
-        store_str(&w[5 + NAME_WORDS..], request);
-        w[0].store(seq, Ordering::Release);
-    }
-}
-
-/// Packs a string into a fixed atomic-word region, little-endian,
-/// NUL-padded, truncated to the region's byte budget.
-fn store_str(words: &[AtomicU64], s: &str) {
-    let bytes = s.as_bytes();
-    for (i, w) in words.iter().enumerate() {
-        let mut packed = 0u64;
-        for j in 0..8 {
-            if let Some(&b) = bytes.get(i * 8 + j) {
-                packed |= u64::from(b) << (8 * j);
-            }
-        }
-        w.store(packed, Ordering::Relaxed);
-    }
-}
-
-/// Unpacks a fixed atomic-word string region back to a `String` (lossy:
-/// truncation can split a UTF-8 sequence).
-fn load_str(words: &[AtomicU64]) -> String {
-    let mut bytes = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        let packed = w.load(Ordering::Relaxed);
-        for j in 0..8 {
-            bytes.push((packed >> (8 * j)) as u8);
-        }
-    }
-    let len = bytes.iter().position(|&b| b == 0).unwrap_or(bytes.len());
-    bytes.truncate(len);
-    String::from_utf8_lossy(&bytes).into_owned()
-}
-
-/// The thread's cached segment; returning the id to the free list on
-/// thread exit keeps the table bounded by peak thread concurrency.
-struct Handle {
-    epoch: u64,
-    id: usize,
-    seg: Arc<Segment>,
-}
-
-impl Drop for Handle {
-    fn drop(&mut self) {
-        if self.epoch == EPOCH.load(Ordering::Relaxed) {
-            FREE.lock().unwrap_or_else(|p| p.into_inner()).push(self.id);
-        }
-    }
-}
-
-thread_local! {
-    static SEGMENT: RefCell<Option<Handle>> = const { RefCell::new(None) };
-    /// The request/connection pair records on this thread are tagged with.
-    static CONTEXT: RefCell<Option<(String, u64)>> = const { RefCell::new(None) };
-}
-
-/// Registers (or reuses) a segment for the calling thread. Cold: once per
-/// thread per epoch; allocation and the table lock are fine here.
-#[cold]
-fn register(epoch: u64) -> Option<Handle> {
-    let mut segments = SEGMENTS.lock().unwrap_or_else(|p| p.into_inner());
-    let reused = FREE.lock().unwrap_or_else(|p| p.into_inner()).pop();
-    let id = match reused {
-        Some(id) if id < segments.len() => id,
-        _ => {
-            segments.push(Arc::new(Segment::new()));
-            segments.len() - 1
-        }
-    };
-    Some(Handle { epoch, id, seg: Arc::clone(&segments[id]) })
+    ring().written = 0;
 }
 
 fn micros_now() -> u64 {
@@ -228,31 +164,33 @@ fn micros_now() -> u64 {
 
 // ---- recording -------------------------------------------------------------
 
-fn record(kind: u64, name: &str, request: Option<&str>, dur_ns: u64) {
+fn record(kind: u8, name: &str, request: Option<&str>, dur_ns: u64) {
     if !flight_enabled() {
         return;
     }
     let us = micros_now();
-    // `try_with` so a record during TLS teardown is dropped, not a panic.
-    let _ = SEGMENT.try_with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let epoch = EPOCH.load(Ordering::Relaxed);
-        if slot.as_ref().is_none_or(|h| h.epoch != epoch) {
-            *slot = register(epoch);
-        }
-        let Some(handle) = slot.as_ref() else { return };
-        // The context is borrowed for the write, never copied: the record
-        // path stays allocation-free inside a request.
-        let write = |ctx: Option<&(String, u64)>| {
-            let conn = ctx.map_or(0, |(_, c)| *c);
-            // An explicit request id wins but still picks up the context's conn.
-            let req = request.unwrap_or_else(|| ctx.map_or("", |(r, _)| r.as_str()));
-            handle.seg.write(kind, us, conn, dur_ns, name, req);
+    // The context is borrowed for the write, never copied: the record
+    // path stays allocation-free inside a request.
+    let write = |ctx: Option<&(String, u64)>| {
+        // An explicit request id wins but still picks up the context's conn.
+        let req = request.unwrap_or_else(|| ctx.map_or("", |(r, _)| r.as_str()));
+        let slot = Slot {
+            kind,
+            us,
+            conn: ctx.map_or(0, |(_, c)| *c),
+            dur_ns,
+            name: Inline::new(name),
+            request: Inline::new(req),
         };
-        if CONTEXT.try_with(|c| write(c.borrow().as_ref())).is_err() {
-            write(None);
-        }
-    });
+        let mut ring = ring();
+        let i = (ring.written % DEFAULT_CAPACITY as u64) as usize;
+        ring.slots[i] = slot;
+        ring.written += 1;
+    };
+    // `try_with` so a record during TLS teardown loses its context, not a panic.
+    if CONTEXT.try_with(|c| write(c.borrow().as_ref())).is_err() {
+        write(None);
+    }
 }
 
 /// Records a completed span (called from the span guard's drop).
@@ -292,52 +230,44 @@ pub fn current_request() -> Option<(String, u64)> {
 
 // ---- dumping ---------------------------------------------------------------
 
-/// Writes the ring's records, merged across segments in `seq` order, as
-/// a telemetry file to `out`. Returns `None` when the recorder is
-/// disabled, else the output, the record count and the write failures.
-/// Safe to call while other threads record: in-flight slots read as
-/// empty, not as garbage.
+/// Writes the ring's records, oldest first, as a telemetry file to
+/// `out`. Returns `None` when the recorder is disabled, else the output,
+/// the record count and the write failures. Safe to call while other
+/// threads record: the surviving slots are copied out under the lock, and
+/// the writing happens after it is released.
 fn dump<W: Write>(out: W) -> Option<(W, u64, u64)> {
     if !flight_enabled() {
         return None;
     }
-    let segments: Vec<Arc<Segment>> =
-        SEGMENTS.lock().unwrap_or_else(|p| p.into_inner()).clone();
-    let mut records = Vec::new();
-    let mut overwritten = 0u64;
-    for (thread, seg) in segments.iter().enumerate() {
-        overwritten += seg.head.load(Ordering::Relaxed).saturating_sub(DEFAULT_CAPACITY as u64);
-        for w in seg.words.chunks(RECORD_WORDS) {
-            let seq = w[0].load(Ordering::Acquire);
-            if seq == 0 {
-                continue;
-            }
-            let request = load_str(&w[5 + NAME_WORDS..]);
-            let conn = w[3].load(Ordering::Relaxed);
-            records.push(Record {
-                seq: Some(seq),
-                thread: Some(thread as u64),
-                kind: KINDS[w[1].load(Ordering::Relaxed) as usize].to_string(),
-                us: Some(w[2].load(Ordering::Relaxed)),
-                dur_ns: w[4].load(Ordering::Relaxed),
-                name: load_str(&w[5..5 + NAME_WORDS]),
-                request_id: (!request.is_empty()).then_some(request),
-                conn: (conn != 0).then_some(conn),
-                fields: None,
-            });
-        }
-    }
-    records.sort_by_key(|r| r.seq);
-    let count = records.len() as u64;
+    // `first` records were overwritten; the survivors are copied out in
+    // write order.
+    let (first, slots) = {
+        let ring = ring();
+        let cap = DEFAULT_CAPACITY as u64;
+        let first = ring.written.saturating_sub(cap);
+        let slots: Vec<Slot> =
+            (first..ring.written).map(|i| ring.slots[(i % cap) as usize]).collect();
+        (first, slots)
+    };
+    let count = slots.len() as u64;
     let meta = vec![
         ("source".into(), Value::String("flight".into())),
         ("capacity".into(), int(DEFAULT_CAPACITY as u64)),
-        ("segments".into(), int(segments.len() as u64)),
-        ("overwritten".into(), int(overwritten)),
+        ("overwritten".into(), int(first)),
     ];
     let mut writer = Writer::new(out, meta);
-    for r in records {
-        writer.record(r);
+    for (seq, slot) in (first + 1..).zip(slots) {
+        let request = slot.request.as_str();
+        writer.record(Record {
+            seq: Some(seq),
+            kind: KINDS[usize::from(slot.kind)].to_string(),
+            us: Some(slot.us),
+            dur_ns: slot.dur_ns,
+            name: slot.name.as_str().to_string(),
+            request_id: (!request.is_empty()).then(|| request.to_string()),
+            conn: (slot.conn != 0).then_some(slot.conn),
+            fields: None,
+        });
     }
     let (out, errors) = writer.finish(vec![("records".into(), int(count))]);
     Some((out, count, errors))
@@ -435,7 +365,7 @@ mod tests {
     fn records_inside_a_request_do_not_allocate() {
         use crate::alloc::{alloc_by_path, set_alloc_enabled, set_current_slot, swap_current_slot};
         serialized(|| {
-            // Segment registration allocates, once per thread: do it first.
+            // The recorder's clock starts on its first record: do it first.
             record_span("warm-up", 1);
             set_request("req-7", 3);
             set_alloc_enabled(true);
@@ -525,11 +455,72 @@ mod tests {
             std::fs::write(&path, &dump).unwrap();
             let flight = read_trace(&path).unwrap();
             assert_eq!(flight.records.len(), 4);
-            assert!(
-                flight.meta_u64("segments").unwrap_or(0) >= 2,
-                "workers must get their own segments"
-            );
             let _ = std::fs::remove_file(&path);
+        });
+    }
+
+    #[test]
+    fn truncation_keeps_whole_characters() {
+        serialized(|| {
+            // `é` is two bytes: after 47 ASCII bytes it does not fit in 48,
+            // after 46 it does.
+            set_request(&format!("{}é", "r".repeat(REQUEST_BYTES - 1)), 1);
+            record_event(&format!("{}é", "n".repeat(NAME_BYTES - 2)));
+            clear_request();
+            let flight = crate::trace::parse_trace(dump_to_string().unwrap().as_bytes()).unwrap();
+            let record = &flight.records[0];
+            assert_eq!(record.name, format!("{}é", "n".repeat(NAME_BYTES - 2)));
+            assert_eq!(
+                record.request_id.as_deref(),
+                Some("r".repeat(REQUEST_BYTES - 1).as_str())
+            );
+        });
+    }
+
+    #[test]
+    fn dumps_taken_while_threads_record_are_never_torn() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        serialized(|| {
+            /// Stops the recording threads even when an assertion fails.
+            struct Stop<'a>(&'a AtomicBool);
+            impl Drop for Stop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                for t in 0..4u64 {
+                    let stop = &stop;
+                    s.spawn(move || {
+                        let mut i = 0u64;
+                        while !stop.load(Ordering::Relaxed) {
+                            let request = format!("t{t}-{i}");
+                            set_request(&request, t + 1);
+                            record_event(&format!("name-of-{request}"));
+                            clear_request();
+                            i += 1;
+                        }
+                    });
+                }
+                let _stop = Stop(&stop);
+                // Dump only once the writers are wrapping the ring.
+                while ring().written < 2 * DEFAULT_CAPACITY as u64 {
+                    std::thread::yield_now();
+                }
+                for _ in 0..50 {
+                    let text = dump_to_string().unwrap();
+                    let flight = crate::trace::parse_trace(text.as_bytes()).unwrap();
+                    assert!(flight.records.len() <= DEFAULT_CAPACITY);
+                    for r in &flight.records {
+                        let request = r.request_id.as_deref().unwrap_or("");
+                        assert_eq!(r.name, format!("name-of-{request}"), "torn record");
+                    }
+                    for pair in flight.records.windows(2) {
+                        assert!(pair[0].seq < pair[1].seq, "dump must be seq-sorted");
+                    }
+                }
+            });
         });
     }
 }

@@ -48,9 +48,10 @@
 //!   active span via a counting global allocator, off by default
 //!   (`MULTICLUST_ALLOC=1`).
 //! * **Files** — the trace sink ([`trace`]; the CLI's `--trace` writes it
-//!   to a file, `--telemetry` to memory) and the flight recorder's dump
-//!   ([`flight`]) both write the one `multiclust-trace/v2` JSONL format,
-//!   read back by [`trace::parse_trace`] and rendered by
+//!   to a file, `--telemetry` to memory) and the dump of the flight
+//!   recorder ([`flight`], one bounded ring of the process's most recent
+//!   spans, events and errors) both write the one `multiclust-trace/v2`
+//!   JSONL format, read back by [`trace::parse_trace`] and rendered by
 //!   [`trace::report`] (the CLI's `multiclust trace` and `--telemetry`).
 
 // `deny`, not `forbid`: the `alloc` module implements the unsafe

@@ -8,7 +8,7 @@
 //!   in-memory buffer ([`open_trace_buffer`], the CLI's `--telemetry`)
 //!   whose bytes `flush_trace` hands back;
 //! * the flight recorder's dump ([`crate::flight`]) writes the last
-//!   records of each thread's ring.
+//!   records of its one process-wide ring.
 //!
 //! [`report`] renders either: a header, the phase table
 //! ([`phase_summary`]), the counters, the last errors ([`last_errors`])
@@ -23,16 +23,16 @@
 //! {"type":"meta","source":"trace"}                        // producer fields, run context
 //! {"type":"span","path":"serve.fit","ns":91234,"request_id":"t3","conn":2}
 //! {"type":"event","name":"kmeans.iter","fields":{"iter":0,...}}
-//! {"type":"error","seq":7,"thread":1,"us":1042,"name":"serve.fit.internal","request_id":"t3"}
+//! {"type":"error","seq":7,"us":1042,"name":"serve.fit.internal","request_id":"t3"}
 //! {"type":"snapshot","elapsed_ms":3,"counters":{...},"quantiles":{...},
 //!  "alloc":{"enabled":false,...,"paths":{...}}}
 //! {"type":"end","lines":17,"write_errors":0}              // always last
 //! ```
 //!
 //! `span`, `event` and `error` lines are [`Record`]s; the sink's line
-//! order is the order they completed in. Flight records add `seq`,
-//! `thread` and `us`; their events carry no `fields`, and only the ring
-//! writes `error` lines. `request_id`/`conn` appear on records made
+//! order is the order they completed in. Flight records add `seq` and
+//! `us`; their events carry no `fields`, and only the ring writes
+//! `error` lines. `request_id`/`conn` appear on records made
 //! inside a request. A `snapshot` holds every counter, one quantile
 //! object per span-duration sketch (`span:<path>`: `count`, `sum`, `p50`,
 //! `p90`, `p99`, `max`) and the allocation gauges with per-path
@@ -132,9 +132,9 @@ impl<W: Write> Writer<W> {
     /// Writes one `span`, `event` or `error` line.
     pub(crate) fn record(&mut self, r: Record) {
         let span = r.kind == "span";
-        let mut obj = Fields::with_capacity(9);
+        let mut obj = Fields::with_capacity(8);
         obj.push(("type".into(), Value::String(r.kind)));
-        for (key, v) in [("seq", r.seq), ("thread", r.thread), ("us", r.us)] {
+        for (key, v) in [("seq", r.seq), ("us", r.us)] {
             if let Some(v) = v {
                 obj.push((key.into(), int(v)));
             }
@@ -341,14 +341,12 @@ pub fn flush_trace() -> Option<Vec<u8>> {
 
 // ---- reading ---------------------------------------------------------------
 
-/// One `span`, `event` or `error` line. `seq`, `thread` and `us` are set
+/// One `span`, `event` or `error` line. `seq` and `us` are set
 /// on flight records; a trace-sink event has its `fields` instead.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Record {
-    /// Sequence number (flight: the merge order across threads).
+    /// Sequence number (flight: the record's write order).
     pub seq: Option<u64>,
-    /// Flight segment id of the recording thread.
-    pub thread: Option<u64>,
     /// `"span"`, `"event"` or `"error"`.
     pub kind: String,
     /// Flight: microseconds since the recorder's first record.
@@ -470,7 +468,6 @@ pub fn parse_trace(reader: impl BufRead) -> Result<TraceFile, String> {
                 };
                 out.records.push(Record {
                     seq: field_u64(&obj, "seq"),
-                    thread: field_u64(&obj, "thread"),
                     kind: ty.to_string(),
                     us: field_u64(&obj, "us"),
                     dur_ns,
@@ -678,9 +675,8 @@ pub fn report(title: &str, trace: &TraceFile) -> (String, bool) {
     if source == "flight" {
         let meta = |key: &str| trace.meta_u64(key).unwrap_or(0);
         out.push_str(&format!(
-            " (capacity {}/thread, {} segments, {} overwritten)",
+            " (capacity {}, {} overwritten)",
             meta("capacity"),
-            meta("segments"),
             meta("overwritten"),
         ));
     }

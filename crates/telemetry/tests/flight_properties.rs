@@ -1,5 +1,5 @@
 //! Property tests of the flight recorder's ring semantics: wraparound
-//! must keep exactly the newest `capacity` records per thread (oldest
+//! must keep exactly the newest `capacity` records of the process (oldest
 //! overwritten, never torn), and below capacity the surviving record set
 //! must be invariant to how the recording work was partitioned across
 //! threads — the determinism the auto-dump correlation story leans on.
@@ -36,7 +36,7 @@ fn dump(tag: &str, seed: u64) -> TraceFile {
 }
 
 /// `(kind, name, request_id)` with the interleaving-dependent parts
-/// (seq, timestamps, thread segment ids) stripped, sorted.
+/// (seq, timestamps) stripped, sorted.
 fn canonical(f: &TraceFile) -> Vec<(String, String, Option<String>)> {
     let mut rows: Vec<(String, String, Option<String>)> = f
         .records
@@ -50,8 +50,9 @@ fn canonical(f: &TraceFile) -> Vec<(String, String, Option<String>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Overfilling a 256-slot ring from one thread keeps exactly the last
-    /// 256 records in order and counts every older one as overwritten.
+    /// Overfilling the ring from one thread keeps exactly the last
+    /// `capacity` records in order and counts every older one as
+    /// overwritten.
     #[test]
     fn wraparound_keeps_exactly_the_newest_capacity_records(seed in 0u64..100_000) {
         let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
@@ -74,8 +75,8 @@ proptest! {
 
     /// Below capacity, recording the same labelled work on one thread or
     /// partitioned round-robin over four scoped threads yields the same
-    /// canonical record set — the partition only moves records between
-    /// segments, it never loses or duplicates one.
+    /// canonical record set — the partition only reorders records in the
+    /// ring, it never loses or duplicates one.
     #[test]
     fn dump_is_thread_partition_invariant_below_capacity(seed in 0u64..100_000) {
         let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());

@@ -133,7 +133,6 @@ proptest! {
         let us = spans.first().and_then(|r| r.us);
         let span = Record {
             seq: Some(1),
-            thread: Some(0),
             kind: "span".into(),
             us,
             dur_ns: ns,

@@ -286,6 +286,42 @@ grep -q '"request_id":"t-given"' "$dump"
 grep -q 'request_id=t-given' "$tmp/flight.txt"
 grep -q 'serve.fit.bad-request' "$tmp/flight.txt"
 
+# The same story with telemetry on (`serve --trace`): every span and
+# event, on the connection thread and on the pool (a 12-means fit's
+# restarts), also lands in the one flight ring. After that fit and then a
+# failing fit, the `dump` op's file must still read back with
+# `multiclust trace`, hold at most the ring's 1024 records, carry the
+# fit's iteration events and name the failing request.
+sed -n 1p "$tmp/serve-big.txt" | sed 's/"k":4/"k":12/' > "$tmp/flight-traced.txt"
+printf '%s\n' \
+    '{"id":"t-traced","op":"fit","family":"coala","k":2,"data":[[0,0],[0.2,0.1],[9,9],[9.2,9.1]],"given":[0,0,1,4000000000]}' \
+    '{"id":"d","op":"dump"}' >> "$tmp/flight-traced.txt"
+sock="$tmp/serve-flight-traced.sock"
+MULTICLUST_THREADS=4 MULTICLUST_FLIGHT_DIR="$tmp" ./target/release/multiclust serve \
+    --listen "unix:$sock" --trace "$tmp/flight-traced.trace.jsonl" > /dev/null 2> /dev/null &
+serve_pid=$!
+for _ in $(seq 1 200); do
+    [ -S "$sock" ] && break
+    sleep 0.05
+done
+./target/release/multiclust client --connect "unix:$sock" \
+    --script "$tmp/flight-traced.txt" > "$tmp/flight-traced.out"
+./target/release/multiclust client --connect "unix:$sock" \
+    --request '{"id":"bye","op":"shutdown"}' > /dev/null
+wait_serve "$serve_pid"
+sed -n 1p "$tmp/flight-traced.out" | grep -q '"ok":true'
+sed -n 2p "$tmp/flight-traced.out" | grep -q '"code":"bad-request"'
+traced_dump=$(sed -n '3s/.*"path":"\([^"]*\)".*/\1/p' "$tmp/flight-traced.out")
+test -n "$traced_dump"
+records=$(sed -n 's/.*"type":"end".*"records":\([0-9]*\).*/\1/p' "$traced_dump")
+test "$records" -le 1024
+test "$(grep -c '"type":"\(span\|event\|error\)"' "$traced_dump")" -eq "$records"
+grep -q '"request_id":"t-traced"' "$traced_dump"
+grep -q '"name":"kmeans.iter"' "$traced_dump"
+./target/release/multiclust trace "$traced_dump" > "$tmp/flight-traced.report"
+grep -q 'source flight (capacity 1024, ' "$tmp/flight-traced.report"
+grep -q 'request_id=t-traced' "$tmp/flight-traced.report"
+
 # One format, one reader: both views of `trace` accept both producers'
 # files — the `--trace` sink and the flight dump.
 for file in "$tmp/run.trace.jsonl" "$dump"; do

@@ -10,6 +10,7 @@ use multiclust::base::{KMeans, SpectralClustering};
 use multiclust::core::Clustering;
 use multiclust::data::seeded_rng;
 use multiclust::data::synthetic::{four_blob_square, gaussian_blobs, planted_views, ViewSpec};
+use multiclust::linalg::top_eigenpairs;
 use multiclust::parallel::set_threads;
 use multiclust::subspace::{Clique, Enclus, Ris, Schism};
 
@@ -46,14 +47,26 @@ fn spectral_embedding_bit_identical_across_thread_counts() {
             assert_eq!(x.to_bits(), y.to_bits(), "embedding differs: {x} vs {y}");
         }
     }
-    // Also exercise the power-iteration eigen path (larger-n branch).
-    let spectral_power = SpectralClustering::new(3, 1.5).with_dense_eigen_limit(10);
-    let serial = with_threads(1, || spectral_power.embed(&data));
-    let parallel = with_threads(4, || spectral_power.embed(&data));
-    for (a, b) in serial.rows().zip(parallel.rows()) {
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.to_bits(), y.to_bits(), "power embedding differs");
-        }
+}
+
+#[test]
+fn top_eigenpairs_bit_identical_across_thread_counts() {
+    let (data, _) = gaussian_blobs(
+        &[vec![0.0, 0.0], vec![8.0, 0.0], vec![0.0, 8.0]],
+        1.0,
+        40,
+        &mut seeded_rng(901),
+    );
+    let norm_w = SpectralClustering::new(3, 1.5).normalized_affinity(&data);
+    let solve = || top_eigenpairs(&norm_w, 3, 1.0, 1e-10, 500, &mut seeded_rng(904));
+    let serial = with_threads(1, solve);
+    let parallel = with_threads(4, solve);
+    assert_eq!(serial.iterations, parallel.iterations);
+    for (x, y) in serial.values.iter().zip(&parallel.values) {
+        assert_eq!(x.to_bits(), y.to_bits(), "eigenvalue differs: {x} vs {y}");
+    }
+    for (x, y) in serial.vectors.as_slice().iter().zip(parallel.vectors.as_slice()) {
+        assert_eq!(x.to_bits(), y.to_bits(), "eigenvector differs: {x} vs {y}");
     }
 }
 
