@@ -39,6 +39,7 @@ use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 use multiclust_telemetry as telemetry;
+use telemetry::flight;
 
 /// Soft upper bound on the number of chunks a call fans out into. Fixed so
 /// chunk boundaries never depend on the thread count.
@@ -124,7 +125,9 @@ pub fn block_rows(row_work: usize) -> usize {
 
 /// Runs `work` for every chunk index in `0..n_chunks`, returning results in
 /// chunk order. Workers steal indices from a shared counter; the caller
-/// participates. Assumes `n_chunks > 1` and `threads > 1`.
+/// participates. Assumes `n_chunks > 1` and `threads > 1`. With telemetry
+/// on, every worker carries the caller's request context, so its spans
+/// and events are tagged with the request they serve.
 fn run_chunks<A, W>(n_chunks: usize, threads: usize, work: W) -> Vec<A>
 where
     A: Send,
@@ -143,10 +146,13 @@ where
         }
     };
 
+    let context = telemetry::enabled().then(flight::current_request).flatten();
+    let context = context.as_ref();
     thread::scope(|s| {
         let workers: Vec<_> = (1..threads.min(n_chunks))
             .map(|w| {
                 s.spawn(move || {
+                    adopt(context);
                     IN_PARALLEL_REGION.with(|f| f.set(true));
                     let started = telemetry::enabled().then(std::time::Instant::now);
                     let mut local = Vec::new();
@@ -207,6 +213,17 @@ where
             })
         })
         .collect()
+}
+
+/// Installs the caller's request context, if any, in a spawned worker.
+/// Kept out of line: inlined into every generic region body, this branch
+/// slowed the served fits and assigns by about a tenth (2-core x86-64,
+/// telemetry off).
+#[inline(never)]
+fn adopt(context: Option<&(String, u64)>) {
+    if let Some((request_id, conn)) = context {
+        flight::set_request(request_id, *conn);
+    }
 }
 
 /// Records pool-utilization telemetry for one participant of a parallel
@@ -472,6 +489,37 @@ mod tests {
             })
         });
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn workers_carry_the_callers_request_context() {
+        // Telemetry is process-global: hold the thread-override lock so no
+        // other test of this binary runs a region meanwhile.
+        let (records, ids) = with_threads(4, || {
+            let was_enabled = telemetry::enabled();
+            telemetry::set_enabled(true);
+            flight::set_flight(true);
+            flight::set_request("req-7", 3);
+            // Chunks 0 and 1 meet at a barrier, so two threads run them.
+            let meet = std::sync::Barrier::new(2);
+            let ids = par_map_indexed(64, 1, |i| {
+                telemetry::event("test.parallel.chunk", &[]);
+                if i < 2 {
+                    meet.wait();
+                }
+                thread::current().id()
+            });
+            flight::clear_request();
+            telemetry::set_enabled(was_enabled);
+            let dump = flight::dump_to_string().expect("the recorder is on");
+            let trace = telemetry::trace::parse_trace(dump.as_bytes()).expect("dump parses");
+            (trace.records, ids)
+        });
+        assert_ne!(ids[0], ids[1], "a spawned worker ran chunk 0 or 1");
+        assert_eq!(records.len(), 64);
+        for r in &records {
+            assert_eq!((r.request_id.as_deref(), r.conn), (Some("req-7"), Some(3)), "{r:?}");
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! `serve.<op>` telemetry span, beside `serve.parse`, `serve.encode` and
 //! `serve.write` spans for its other layers, feeding the
 //! `multiclust-trace/v2` sink exactly like a CLI run; independently of
-//! the telemetry switch the server keeps its own per-op counters and
-//! latency quantile sketches for the `stats` op.
+//! the telemetry switch the server keeps its own per-op latency quantile
+//! sketches for the `stats` op; a sketch's `count` is the op's request
+//! count.
 
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -63,8 +64,8 @@ pub struct ServerSummary {
 
 #[derive(Default)]
 struct Stats {
-    requests: std::collections::BTreeMap<String, u64>,
     errors: u64,
+    /// Per-op latency; each sketch's `count` is that op's request count.
     latency_us: std::collections::BTreeMap<String, Sketch>,
 }
 
@@ -195,7 +196,7 @@ impl Server {
         result?;
         let stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
         Ok(ServerSummary {
-            requests: stats.requests.values().sum(),
+            requests: stats.latency_us.values().map(|s| s.count).sum(),
             errors: stats.errors,
         })
     }
@@ -298,7 +299,7 @@ fn handle_connection(
             parsed.as_ref().map_or(("invalid", "serve.invalid"), |r| (r.op(), r.span_name()));
         let shutdown = matches!(parsed, Ok(Request::Shutdown));
         // The span covers the op's execution; it lands in the trace sink
-        // and the duration sketches exactly like a CLI phase.
+        // and the flight ring exactly like a CLI phase.
         let response = {
             let _span = multiclust_telemetry::span(span_name);
             match parsed {
@@ -388,7 +389,6 @@ fn as_object(v: &Value) -> &[(String, Value)] {
 
 fn record(shared: &Shared, op: &str, micros: u64, failed: bool) {
     let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-    *stats.requests.entry(op.to_string()).or_insert(0) += 1;
     stats.latency_us.entry(op.to_string()).or_default().record(micros);
     if failed {
         stats.errors += 1;
@@ -771,9 +771,9 @@ fn op_stats(shared: &Shared, id: &Value) -> Value {
         "requests".to_string(),
         Value::Object(
             stats
-                .requests
+                .latency_us
                 .iter()
-                .map(|(op, &n)| (op.clone(), Value::Int(n as i64)))
+                .map(|(op, s)| (op.clone(), Value::Int(s.count as i64)))
                 .collect(),
         ),
     ));

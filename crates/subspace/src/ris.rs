@@ -17,7 +17,7 @@
 use multiclust_data::Dataset;
 use multiclust_linalg::vector::sq_dist_subspace;
 
-use crate::lattice::{bottom_up_search, LatticeStats};
+use crate::lattice::{bottom_up_search, LatticeResult, LatticeStats};
 
 /// RIS configuration.
 #[derive(Clone, Copy, Debug)]
@@ -69,20 +69,24 @@ impl Ris {
         self
     }
 
+    /// Objects within `ε` of object `i` in one subspace, `i` included.
+    fn neighbors(&self, data: &Dataset, dims: &[usize], i: usize) -> usize {
+        let eps2 = self.eps * self.eps;
+        let ri = data.row(i);
+        (0..data.len()).filter(|&j| sq_dist_subspace(ri, data.row(j), dims) <= eps2).count()
+    }
+
+    /// Whether one subspace holds a core object; stops at the first.
+    fn has_core(&self, data: &Dataset, dims: &[usize]) -> bool {
+        (0..data.len()).any(|i| self.neighbors(data, dims, i) >= self.min_pts)
+    }
+
     /// Number of core objects and total neighbour count in one subspace.
     fn density_profile(&self, data: &Dataset, dims: &[usize]) -> (usize, usize) {
-        let n = data.len();
-        let eps2 = self.eps * self.eps;
         let mut cores = 0usize;
         let mut neighbor_total = 0usize;
-        for i in 0..n {
-            let ri = data.row(i);
-            let mut count = 0usize;
-            for j in 0..n {
-                if sq_dist_subspace(ri, data.row(j), dims) <= eps2 {
-                    count += 1;
-                }
-            }
+        for i in 0..data.len() {
+            let count = self.neighbors(data, dims, i);
             if count >= self.min_pts {
                 cores += 1;
                 neighbor_total += count;
@@ -109,10 +113,12 @@ impl Ris {
 
     /// Runs the ranking.
     pub fn fit(&self, data: &Dataset) -> RisResult {
-        let has_core = |dims: &[usize]| -> bool {
-            self.density_profile(data, dims).0 > 0
-        };
-        let lattice = bottom_up_search(data.dims(), has_core);
+        let lattice = bottom_up_search(data.dims(), |dims| self.has_core(data, dims));
+        self.rank(data, lattice)
+    }
+
+    /// Scores and ranks the subspaces a lattice search kept.
+    fn rank(&self, data: &Dataset, lattice: LatticeResult) -> RisResult {
         let mut ranked: Vec<RankedDensity> = lattice
             .subspaces
             .iter()
@@ -198,6 +204,35 @@ mod tests {
         let (c012, _) = ris.density_profile(&data, &[0, 1, 2]);
         assert!(c01 <= c0, "adding dims cannot create cores");
         assert!(c012 <= c01);
+    }
+
+    #[test]
+    fn early_exit_predicate_keeps_ranking_and_stats() {
+        // The lattice predicate stops at the first core object; a search
+        // whose predicate counts every core must keep the same lattice,
+        // the same statistics and the same ranking. The statistics and
+        // ranking lengths are those the counting predicate gave.
+        let mut rng = seeded_rng(312);
+        let uniform = uniform(200, 3, 0.0, 10.0, &mut rng);
+        let sets = [planted(311), uniform, planted(313), planted(314)];
+        let cases = [
+            (Ris::new(1.5, 5).with_min_quality(1.0), (14, 1, 3), 11),
+            (Ris::new(1.0, 3).with_min_quality(0.0), (7, 0, 3), 7),
+            (Ris::new(1.5, 5), (15, 0, 4), 12),
+            (Ris::new(1.5, 5).with_min_quality(0.5), (15, 0, 4), 15),
+        ];
+        for (data, (ris, (evaluated, pruned_by_apriori, max_level), ranked)) in
+            sets.iter().zip(cases)
+        {
+            let full =
+                bottom_up_search(data.dims(), |dims| ris.density_profile(data, dims).0 > 0);
+            let expected = ris.rank(data, full);
+            let got = ris.fit(data);
+            assert_eq!(got.stats, LatticeStats { evaluated, pruned_by_apriori, max_level });
+            assert_eq!(got.stats, expected.stats);
+            assert_eq!(got.ranked.len(), ranked);
+            assert_eq!(got.ranked, expected.ranked);
+        }
     }
 
     #[test]

@@ -35,7 +35,9 @@
 //! thread's context; every record made until [`clear_request`] carries
 //! it. The serve layer sets this per request, which is what lets one id
 //! join a client-observed latency to its server-side span, allocation
-//! attribution and flight records.
+//! attribution and flight records. With telemetry on, a parallel region
+//! (`multiclust-parallel`) installs its caller's context in every worker
+//! it spawns.
 //!
 //! ## Dump
 //!

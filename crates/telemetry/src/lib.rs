@@ -1,8 +1,8 @@
 //! Std-only telemetry for the `multiclust` workspace: hierarchical spans
 //! with wall-clock timing, monotonic counters and structured
-//! per-iteration events, collected into a process-global, thread-safe
-//! registry and one file format ([`trace`]) with one report
-//! ([`trace::report`]).
+//! per-iteration events. Counters sum in a process-global, thread-safe
+//! registry; spans and events stream into one file format ([`trace`])
+//! with one report ([`trace::report`]).
 //!
 //! ## Overhead policy
 //!
@@ -33,12 +33,13 @@
 //!
 //! ## Model
 //!
-//! * **Spans** ([`span`]) aggregate wall-clock time by hierarchical path:
-//!   a span opened while another span is open on the *same thread* nests
-//!   under it (`"coala.fit/merge_scan"`). Each path aggregates into one
-//!   duration sketch ([`Sketch`]): call count, total, maximum and
-//!   quantiles.
-//! * **Counters** ([`counter_add`]) are monotonic `u64` sums.
+//! * **Spans** ([`span`]) time work by hierarchical path: a span opened
+//!   while another span is open on the *same thread* nests under it
+//!   (`"coala.fit/merge_scan"`). The registry keeps none: a completed span
+//!   goes to the flight ring and to the open trace sink, and the report's
+//!   phase table sums the sink's span lines.
+//! * **Counters** ([`counter_add`]) are monotonic `u64` sums — the only
+//!   thing the registry keeps.
 //! * **Events** ([`event`]) are structured records — a name plus named
 //!   `f64` fields — for convergence traces (per-iteration objectives,
 //!   merge decisions, lattice level sizes). The registry keeps none: an
@@ -154,20 +155,14 @@ pub fn set_enabled(on: bool) {
 
 // ---- registry --------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    /// Per-span-path duration sketches (nanoseconds).
-    durations: BTreeMap<String, Sketch>,
-}
+/// The registry: counter values by name, all it keeps.
+static REGISTRY: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
 
-static REGISTRY: Mutex<Option<Inner>> = Mutex::new(None);
-
-/// Runs `f` on the registry, creating it on first use and surviving lock
-/// poisoning (a panicking instrumented thread must not kill telemetry).
-fn with_registry<T>(f: impl FnOnce(&mut Inner) -> T) -> T {
+/// Runs `f` on the registry's counters, surviving lock poisoning (a
+/// panicking instrumented thread must not kill telemetry).
+fn with_registry<T>(f: impl FnOnce(&mut BTreeMap<String, u64>) -> T) -> T {
     let mut guard = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
-    f(guard.get_or_insert_with(Inner::default))
+    f(&mut guard)
 }
 
 thread_local! {
@@ -204,10 +199,8 @@ impl Drop for SpanGuard {
         SPAN_STACK.with(|s| {
             s.borrow_mut().pop();
         });
-        with_registry(|r| r.durations.entry(path.clone()).or_default().record(ns));
-        // Registry lock released before the sink lock is taken. The span
-        // also lands in the flight ring, and both carry the thread's
-        // request/connection correlation context when one is installed.
+        // The span lands in the flight ring and the open sink, both with
+        // the thread's request/connection context when one is installed.
         flight::record_span(&path, ns);
         if trace::trace_enabled() {
             trace::write_span(path, ns);
@@ -246,10 +239,10 @@ pub fn counter_add(name: &str, delta: u64) {
     if !enabled() {
         return;
     }
-    with_registry(|r| match r.counters.get_mut(name) {
+    with_registry(|counters| match counters.get_mut(name) {
         Some(c) => *c += delta,
         None => {
-            r.counters.insert(name.to_string(), delta);
+            counters.insert(name.to_string(), delta);
         }
     });
 }
@@ -267,10 +260,10 @@ pub fn event(name: &str, fields: &[(&str, f64)]) {
     }
 }
 
-/// Clears all recorded data (spans, counters, allocation tallies, trace
+/// Clears all recorded data (counters, allocation tallies, trace
 /// write-error count). The on/off switches are untouched.
 pub fn reset() {
-    with_registry(|r| *r = Inner::default());
+    with_registry(BTreeMap::clear);
     alloc::reset_alloc();
     trace::reset_write_errors();
 }
@@ -282,9 +275,6 @@ pub fn reset() {
 pub struct Snapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Span-duration sketches by hierarchical path (nanoseconds): call
-    /// count, total (`sum`), `max` and quantiles.
-    pub durations: BTreeMap<String, Sketch>,
     /// Allocation accounting per span path (empty when `MULTICLUST_ALLOC`
     /// is off or nothing allocated).
     pub alloc: BTreeMap<String, AllocStat>,
@@ -294,30 +284,12 @@ pub struct Snapshot {
 /// table and the trace sink's write-error count (as `trace.write_errors`,
 /// so the report surfaces sink failures alongside the other counters).
 pub fn snapshot() -> Snapshot {
-    let mut snap = with_registry(|r| Snapshot {
-        counters: r.counters.clone(),
-        durations: r.durations.clone(),
-        alloc: BTreeMap::new(),
-    });
+    let mut counters = with_registry(|counters| counters.clone());
     let write_errors = trace::trace_write_errors();
     if write_errors > 0 {
-        snap.counters.insert("trace.write_errors".to_string(), write_errors);
+        counters.insert("trace.write_errors".to_string(), write_errors);
     }
-    snap.alloc = alloc::alloc_by_path().into_iter().collect();
-    snap
-}
-
-/// A sketch's `count`, `sum`, `p50`, `p90`, `p99` and `max` — its
-/// summary in every `snapshot` line.
-pub(crate) fn sketch_fields(s: &Sketch) -> Vec<(String, Value)> {
-    vec![
-        ("count".into(), int(s.count)),
-        ("sum".into(), int(s.sum)),
-        ("p50".into(), int(s.p50())),
-        ("p90".into(), int(s.p90())),
-        ("p99".into(), int(s.p99())),
-        ("max".into(), int(s.max)),
-    ]
+    Snapshot { counters, alloc: alloc::alloc_by_path().into_iter().collect() }
 }
 
 /// One path's allocation accounting as `{count, bytes, peak}`.
@@ -442,7 +414,6 @@ mod tests {
             set_enabled(true);
             let snap = snapshot();
             assert!(snap.counters.is_empty());
-            assert!(snap.durations.is_empty());
             let bytes = trace::flush_trace().expect("the buffer sink hands its bytes back");
             let streamed = trace::parse_trace(&bytes[..]).expect("buffer parses");
             assert!(streamed.records.is_empty(), "{:?}", streamed.records);
@@ -464,28 +435,18 @@ mod tests {
     #[test]
     fn spans_nest_by_thread_stack() {
         serialized(|| {
+            trace::open_trace_buffer();
             {
                 let _outer = span("outer");
                 let _inner = span("inner");
             }
-            let snap = snapshot();
-            assert_eq!(snap.durations["outer"].count, 1);
-            assert_eq!(snap.durations["outer/inner"].count, 1);
-            assert!(snap.durations["outer"].sum >= snap.durations["outer/inner"].sum);
-        });
-    }
-
-    #[test]
-    fn span_durations_feed_quantile_sketches() {
-        serialized(|| {
-            for _ in 0..5 {
-                let _s = span("timed");
-            }
-            let snap = snapshot();
-            let d = &snap.durations["timed"];
-            assert_eq!(d.count, 5);
-            assert!(d.p99() >= d.p50());
-            assert!(d.max >= d.p50());
+            let bytes = trace::flush_trace().expect("buffer bytes");
+            let streamed = trace::parse_trace(&bytes[..]).expect("buffer parses");
+            let spans: Vec<_> = streamed.of_kind("span").collect();
+            // The inner guard drops first, so its line comes first.
+            let paths: Vec<&str> = spans.iter().map(|r| r.name.as_str()).collect();
+            assert_eq!(paths, ["outer/inner", "outer"]);
+            assert!(spans[1].dur_ns >= spans[0].dur_ns, "the outer span encloses the inner");
         });
     }
 

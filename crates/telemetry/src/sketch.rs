@@ -1,18 +1,14 @@
-//! Mergeable log-bucketed quantile sketches.
+//! Log-bucketed quantile sketches: the server's per-op request latency
+//! behind the `stats` op.
 //!
 //! A [`Sketch`] is a fixed-size histogram over `u64` samples whose bucket
 //! boundaries grow geometrically: each power-of-two octave is split into
 //! [`SUBBUCKETS`] equal-width sub-buckets, so every bucket's width is at
-//! most `1/16` of its lower bound. That gives the two properties the
-//! telemetry layer needs and a plain log₂ histogram lacks:
-//!
-//! * **bounded-error quantiles** — [`Sketch::quantile`] returns the upper
-//!   bound of the bucket holding the requested rank, so the estimate `e`
-//!   of a true quantile `t` satisfies `t ≤ e ≤ t·(1 + 1/16) + 1` (the
-//!   `+1` absorbs integer rounding in the lowest octaves);
-//! * **lossless merging** — [`Sketch::merge`] adds bucket counts
-//!   pointwise, so a sketch merged from per-thread (or per-request)
-//!   shards is *identical* to the sketch of the pooled stream.
+//! most `1/16` of its lower bound. [`Sketch::quantile`] returns the upper
+//! bound of the bucket holding the requested rank, so the estimate `e` of
+//! a true quantile `t` satisfies `t ≤ e ≤ t·(1 + 1/16) + 1` (the `+1`
+//! absorbs integer rounding in the lowest octaves) — bounded error in
+//! fixed memory, which a plain log₂ histogram lacks.
 //!
 //! The bucket array is allocated once ([`SKETCH_BUCKETS`] entries) and
 //! never grows; recording is O(1) with no allocation.
@@ -24,14 +20,12 @@ pub const SUBBUCKETS: usize = 16;
 /// Total buckets: one zero bucket plus `SUBBUCKETS` per octave of `u64`.
 pub const SKETCH_BUCKETS: usize = 1 + 64 * SUBBUCKETS;
 
-/// A mergeable quantile sketch of `u64` samples (span durations in
-/// nanoseconds, request latencies).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A quantile sketch of `u64` samples (request latencies in
+/// microseconds).
+#[derive(Clone, Debug)]
 pub struct Sketch {
     /// Number of recorded samples.
     pub count: u64,
-    /// Sum of recorded samples (saturating).
-    pub sum: u64,
     /// Smallest recorded sample (`u64::MAX` when empty).
     pub min: u64,
     /// Largest recorded sample (0 when empty). Tracked exactly, so
@@ -63,19 +57,6 @@ fn bucket_index(v: u64) -> usize {
     1 + octave * SUBBUCKETS + sub
 }
 
-/// Inclusive lower bound of bucket `i` (0 for the zero bucket).
-pub fn bucket_lo(i: usize) -> u64 {
-    if i == 0 {
-        return 0;
-    }
-    let octave = (i - 1) / SUBBUCKETS;
-    let sub = ((i - 1) % SUBBUCKETS) as u128;
-    // ceil((16+sub)·2^octave / 16), in u128 to survive the top octaves.
-    let num = (16 + sub) << octave;
-    let lo = num.div_ceil(16);
-    u64::try_from(lo).unwrap_or(u64::MAX)
-}
-
 /// Inclusive upper bound of bucket `i`.
 fn bucket_hi(i: usize) -> u64 {
     if i == 0 {
@@ -93,28 +74,15 @@ fn bucket_hi(i: usize) -> u64 {
 impl Sketch {
     /// An empty sketch.
     pub fn new() -> Self {
-        Self { count: 0, sum: 0, min: u64::MAX, max: 0, buckets: vec![0; SKETCH_BUCKETS] }
+        Self { count: 0, min: u64::MAX, max: 0, buckets: vec![0; SKETCH_BUCKETS] }
     }
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
         self.count += 1;
-        self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.buckets[bucket_index(value)] += 1;
-    }
-
-    /// Adds `other`'s samples to `self`, bucket-wise. The result is
-    /// identical to a sketch that recorded both streams directly.
-    pub fn merge(&mut self, other: &Sketch) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
     }
 
     /// The `q`-quantile (`q ∈ [0, 1]`) as the upper bound of the bucket
@@ -150,20 +118,23 @@ impl Sketch {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-
-    /// Occupied buckets as `(inclusive_lo, count)` pairs, sparse.
-    pub fn occupied(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lo(i), c))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Inclusive lower bound of bucket `i` (0 for the zero bucket).
+    fn bucket_lo(i: usize) -> u64 {
+        if i == 0 {
+            return 0;
+        }
+        let octave = (i - 1) / SUBBUCKETS;
+        let sub = ((i - 1) % SUBBUCKETS) as u128;
+        // ceil((16+sub)·2^octave / 16), in u128 to survive the top octaves.
+        let num = (16 + sub) << octave;
+        u64::try_from(num.div_ceil(16)).unwrap_or(u64::MAX)
+    }
 
     #[test]
     fn buckets_partition_the_integers() {
@@ -200,26 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_pooled_recording() {
-        let mut a = Sketch::new();
-        let mut b = Sketch::new();
-        let mut pooled = Sketch::new();
-        for v in [0u64, 1, 7, 63, 64, 65, 4096, 123_456_789] {
-            a.record(v);
-            pooled.record(v);
-        }
-        for v in [2u64, 3, 99, 100_000, u64::MAX / 7] {
-            b.record(v);
-            pooled.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, pooled);
-    }
-
-    #[test]
     fn empty_sketch_is_inert() {
         let s = Sketch::new();
         assert_eq!(s.quantile(0.5), 0);
-        assert_eq!(s.occupied().count(), 0);
+        assert_eq!((s.count, s.p99()), (0, 0));
     }
 }

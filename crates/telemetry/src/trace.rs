@@ -24,7 +24,7 @@
 //! {"type":"span","path":"serve.fit","ns":91234,"request_id":"t3","conn":2}
 //! {"type":"event","name":"kmeans.iter","fields":{"iter":0,...}}
 //! {"type":"error","seq":7,"us":1042,"name":"serve.fit.internal","request_id":"t3"}
-//! {"type":"snapshot","elapsed_ms":3,"counters":{...},"quantiles":{...},
+//! {"type":"snapshot","elapsed_ms":3,"counters":{...},
 //!  "alloc":{"enabled":false,...,"paths":{...}}}
 //! {"type":"end","lines":17,"write_errors":0}              // always last
 //! ```
@@ -33,10 +33,11 @@
 //! order is the order they completed in. Flight records add `seq` and
 //! `us`; their events carry no `fields`, and only the ring writes
 //! `error` lines. `request_id`/`conn` appear on records made
-//! inside a request. A `snapshot` holds every counter, one quantile
-//! object per span-duration sketch (`span:<path>`: `count`, `sum`, `p50`,
-//! `p90`, `p99`, `max`) and the allocation gauges with per-path
-//! accounting under `paths`.
+//! inside a request. A `snapshot` holds every counter and the allocation
+//! gauges with per-path accounting under `paths`. Span timings are not
+//! repeated there: the report's phase table sums the `span` lines. The
+//! parser skips snapshot keys it does not know, such as the `quantiles`
+//! object older files carry.
 //!
 //! The determinism contract of the parent crate extends to every file:
 //! writing one never consumes randomness or changes control flow, so
@@ -56,8 +57,7 @@ use serde::{field, Value};
 
 use crate::alloc::{alloc_enabled, alloc_totals};
 use crate::{
-    alloc_value, as_u64, field_obj, field_str, field_u64, float, int, sketch_fields,
-    AllocStat, Sketch, Snapshot,
+    alloc_value, as_u64, field_obj, field_str, field_u64, float, int, AllocStat, Snapshot,
 };
 
 /// Schema identifier on the first line of every telemetry file.
@@ -158,12 +158,6 @@ impl<W: Write> Writer<W> {
 
     /// Writes one `snapshot` line of `snap`.
     pub(crate) fn snapshot(&mut self, snap: &Snapshot) {
-        let quantiles = |s: &Sketch| Value::Object(sketch_fields(s));
-        let sketches: Fields = snap
-            .durations
-            .iter()
-            .map(|(path, s)| (format!("span:{path}"), quantiles(s)))
-            .collect();
         let paths = snap.alloc.iter().map(|(path, a)| (path.clone(), alloc_value(a))).collect();
         let gauges = alloc_totals();
         let alloc = vec![
@@ -181,7 +175,6 @@ impl<W: Write> Writer<W> {
             vec![
                 ("elapsed_ms".into(), int(elapsed_ms)),
                 ("counters".into(), Value::Object(counters)),
-                ("quantiles".into(), Value::Object(sketches)),
                 ("alloc".into(), Value::Object(alloc)),
             ],
         );
@@ -304,8 +297,8 @@ pub fn trace_meta(fields: &[(&str, Value)]) {
 
 /// Streams one completed span, with the thread's request context if one
 /// is installed (see [`crate::flight`]). Called from `SpanGuard::drop`
-/// after the registry lock has been released — the two locks are never
-/// nested.
+/// after the flight ring's lock has been released — the two locks are
+/// never nested.
 pub(crate) fn write_span(path: String, ns: u64) {
     let (request_id, conn) = crate::flight::current_request().unzip();
     let kind = "span".into();
@@ -372,7 +365,7 @@ impl Record {
 }
 
 /// A parsed telemetry file, from either producer.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct TraceFile {
     /// Schema identifier from the opening meta line.
     pub schema: Option<String>,
@@ -836,6 +829,22 @@ mod tests {
         assert!(summary.contains("alloc.peak"), "{summary}");
         assert!(summary.contains("2048"), "{summary}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn snapshot_quantiles_of_older_files_are_ignored() {
+        // A k-means `--trace` file from before the snapshot line lost its
+        // `quantiles` object reads exactly like the same file without it.
+        let old = include_str!("../tests/data/kmeans-trace-with-quantiles.jsonl");
+        let start = old.find(r#""quantiles":"#).expect("the fixture carries quantiles");
+        let end = start + old[start..].find(r#""alloc":"#).expect("alloc follows quantiles");
+        let new = format!("{}{}", &old[..start], &old[end..]);
+        let (old, new) = (parse_trace(old.as_bytes()), parse_trace(new.as_bytes()));
+        let (old, new) = (old.expect("old file parses"), new.expect("trimmed file parses"));
+        assert_eq!(old, new);
+        assert_eq!(old.of_kind("span").count(), 1);
+        assert_eq!(old.counters["kmeans.restarts"], 4);
+        assert_eq!(report("t", &old), report("t", &new));
     }
 
     #[test]

@@ -291,7 +291,8 @@ grep -q 'serve.fit.bad-request' "$tmp/flight.txt"
 # restarts), also lands in the one flight ring. After that fit and then a
 # failing fit, the `dump` op's file must still read back with
 # `multiclust trace`, hold at most the ring's 1024 records, carry the
-# fit's iteration events and name the failing request.
+# fit's iteration events, each tagged with the fit's request id, and name
+# the failing request.
 sed -n 1p "$tmp/serve-big.txt" | sed 's/"k":4/"k":12/' > "$tmp/flight-traced.txt"
 printf '%s\n' \
     '{"id":"t-traced","op":"fit","family":"coala","k":2,"data":[[0,0],[0.2,0.1],[9,9],[9.2,9.1]],"given":[0,0,1,4000000000]}' \
@@ -318,6 +319,10 @@ test "$records" -le 1024
 test "$(grep -c '"type":"\(span\|event\|error\)"' "$traced_dump")" -eq "$records"
 grep -q '"request_id":"t-traced"' "$traced_dump"
 grep -q '"name":"kmeans.iter"' "$traced_dump"
+# Pool workers carry the request context: every iteration event of the
+# fit, wherever it ran, names the fit's request id.
+untagged=$(grep '"name":"kmeans.iter"' "$traced_dump" | grep -cv '"request_id":"fit"' || true)
+test "$untagged" -eq 0
 ./target/release/multiclust trace "$traced_dump" > "$tmp/flight-traced.report"
 grep -q 'source flight (capacity 1024, ' "$tmp/flight-traced.report"
 grep -q 'request_id=t-traced' "$tmp/flight-traced.report"

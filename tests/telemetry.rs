@@ -13,7 +13,8 @@
 //! 6. the counting allocator attributes heap traffic to spans without
 //!    moving a single label;
 //! 7. a trace file ends with one parseable `snapshot` of the registry
-//!    (counters, quantiles, allocation gauges);
+//!    (counters and allocation gauges; span timings live only on the
+//!    `span` lines);
 //! 8. the Gaussian affinity build's work counters follow the roofline
 //!    model exactly;
 //! 9. the blocked kernels' pruning counters tick on fixed inputs, and
@@ -125,12 +126,11 @@ fn results_bit_identical_with_telemetry_on_and_off() {
         telemetry::trace::open_trace_buffer();
         let on = fit_both();
         // Telemetry actually recorded during the "on" run…
-        let snap = telemetry::snapshot();
         let bytes = telemetry::trace::flush_trace().expect("buffer bytes");
         let streamed = telemetry::trace::parse_trace(&bytes[..]).expect("buffer parses");
         assert!(streamed.of_kind("event").any(|e| e.name == "kmeans.iter"));
         assert!(streamed.of_kind("event").any(|e| e.name == "coala.merge"));
-        assert!(snap.durations.contains_key("kmeans.fit"));
+        assert!(streamed.of_kind("span").any(|s| s.name == "kmeans.fit"));
         (off, on)
     });
     // …and changed nothing: same labels, same SSE bits, same partition.
@@ -255,8 +255,8 @@ fn alloc_accounting_attributes_spans_without_perturbing_results() {
 
 /// A trace file closes with one `snapshot` of the registry, written by
 /// the same encoder as every other line: after a fit it carries every
-/// counter, the span quantiles and the allocation gauges, and only the
-/// `end` line follows.
+/// counter and the allocation gauges but no span quantiles (the `span`
+/// lines already hold every timing), and only the `end` line follows.
 #[test]
 fn trace_ends_with_a_registry_snapshot() {
     use multiclust::telemetry::trace;
@@ -282,9 +282,10 @@ fn trace_ends_with_a_registry_snapshot() {
     else {
         panic!("snapshot is not an object")
     };
-    for key in ["counters", "quantiles", "alloc"] {
+    for key in ["counters", "alloc"] {
         assert!(fields.iter().any(|(k, _)| k == key), "snapshot missing {key:?}: {raw}");
     }
+    assert!(fields.iter().all(|(k, _)| k != "quantiles"), "snapshot keeps quantiles: {raw}");
     assert!(lines[lines.len() - 1].starts_with(r#"{"type":"end""#), "{raw}");
     assert!(!parsed.counters.is_empty(), "the fit's counters read back: {raw}");
 }
